@@ -33,14 +33,13 @@ from .geometry import (FaceDecomposition, GeometryKind, angle_boundary_ratio,
                        kappa_of_angle_boundary, polytope_g_coeffs,
                        rectangle_faces, sphere_surface)
 from .hermite import (DEFAULT_RULE, HermiteKind, QuadratureRule,
-                      gauss_weight_integrate, gauss_weight_integrate_adaptive,
-                      gauss_weight_rule, hermite_eval, tail_integral_In,
-                      weighted_integral_Jn)
+                      gauss_weight_integrate, gauss_weight_rule, hermite_eval,
+                      tail_integral_In, weighted_integral_Jn)
 from .model import (IsotropicModel, ModelValidation, make_rational,
                     make_squared_exponential, normalized, require_valid,
                     validate_model)
-from .randmat import (GoeEvaluation, McEstimate, expected_absdet_shifted_goe,
-                      goe_eigen_density, goe_evaluate, mc_absdet, sample_goe)
+from .randmat import (McEstimate, expected_absdet_shifted_goe,
+                      goe_eigen_density, mc_absdet, sample_goe)
 from .simulate import (CholeskyFactor, FieldGrid, ValidationReport,
                        covariance_cholesky, make_grid, sample_maxima,
                        validate_bound)
@@ -53,10 +52,10 @@ __all__ = [
     # hermite
     "HermiteKind", "QuadratureRule", "DEFAULT_RULE", "hermite_eval",
     "tail_integral_In", "weighted_integral_Jn", "gauss_weight_rule",
-    "gauss_weight_integrate", "gauss_weight_integrate_adaptive",
+    "gauss_weight_integrate",
     # randmat
-    "GoeEvaluation", "McEstimate", "goe_eigen_density",
-    "expected_absdet_shifted_goe", "goe_evaluate", "mc_absdet", "sample_goe",
+    "McEstimate", "goe_eigen_density", "expected_absdet_shifted_goe",
+    "mc_absdet", "sample_goe",
     # geometry
     "FaceDecomposition", "GeometryKind", "rectangle_faces", "sphere_surface",
     "polytope_g_coeffs", "kappa_of_angle_boundary", "angle_boundary_ratio",

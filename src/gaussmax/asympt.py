@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import IsotropicModel, normalized, require_valid
+from .model import IsotropicModel, normalized
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,6 @@ def sigma2_isotropic(m: IsotropicModel, Delta: float, *,
     provably equals the z -> 0 limit; a grid value exceeding it by more than
     1e-6 relative raises, flagging an inconsistent model.
     """
-    require_valid(m)
     Delta = float(Delta)
     if not (Delta > 0):
         raise ValueError("Delta must be positive")
@@ -175,7 +174,6 @@ def exponent_convex(m: IsotropicModel) -> ExponentReport:
     rate minus 1 equals the complementary term's extra Gaussian decay
     gamma^2/(3 - gamma^2).
     """
-    require_valid(m)
     if not m.monotone_flag:
         raise ValueError("exponent_convex needs a covariance decreasing in "
                          "distance (monotone_flag); use Z_delta_exponent or "
@@ -199,7 +197,6 @@ def Z_delta_exponent(m: IsotropicModel, Delta: float) -> ExponentReport:
     kappa contribution vanishes and Z_Delta -> 12 rho''(0) - 1 as
     Delta -> 0).  ``exact=False``: this is a liminf bound.
     """
-    require_valid(m)
     Delta = float(Delta)
     if not (Delta > 0):
         raise ValueError("Delta must be positive")
@@ -253,7 +250,6 @@ def kappa_annulus(m: IsotropicModel, a: float, b: float, *,
         Also return ("segment", distance) or ("circle", theta) locating the
         winning supremum (distance in original units; theta in radians).
     """
-    require_valid(m)
     a = float(a)
     b = float(b)
     if not (0.0 < a < b):

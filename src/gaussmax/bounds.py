@@ -20,10 +20,11 @@ R_j is a Gaussian average of the special function T_j,
 with gamma = |rho'| / sqrt(rho'') in (0, 1].  At gamma = 1 the integrand is
 constant in y and the integral collapses analytically.
 
-T_j itself is evaluated through the orthonormalized Hermite recurrence with
-exponentially damped intermediates (the same scheme as the GOE density in
-``randmat``), which keeps the large cancellations between its two parts
-under control far into the tails.
+T_j itself is evaluated with the Hermite kernel of :mod:`.hermite`
+(orthonormal values with exponentially damped intermediates and the
+log-space tail-integral table, shared with the GOE density in ``randmat``),
+which keeps the large cancellations between its two parts under control far
+into the tails.
 """
 from __future__ import annotations
 
@@ -36,19 +37,25 @@ from scipy.special import ndtr
 
 from .geometry import FaceDecomposition, GeometryKind
 from .hermite import (DEFAULT_RULE, SQRT_2PI, HermiteKind, QuadratureRule,
-                      _eval_all)
-from .model import IsotropicModel, require_valid
-from .randmat import _log_ck, _log_double_factorial, _norm_hermites
+                      _eval_all, _norm_hermites, _tail_coefficients, _tail_sum,
+                      gauss_weight_integrate)
+from .model import IsotropicModel
 
 MAX_ORDER = 60
 MAX_SPHERE_DIM = 20
-_LOG2 = math.log(2.0)
 _CHECK_REL_TOL = 1e-7
 _CHECK_SCALE_FLOOR = 1e-12
 
 
 def _phi(x):
     return np.exp(-np.square(x) / 2.0) / SQRT_2PI
+
+
+def _finite(x, name: str = "x") -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 def _check_order(j: int) -> int:
@@ -70,9 +77,13 @@ def T_series(j: int, v):
                  - H_j(v) / (2^j (j-1)!) * I_{j-1}(v).
 
     Both parts are rewritten in terms of the orthonormalized values
-    u_k = c_k H_k(v) and their damped companions u_k e^{-v^2/4}, with all
-    combinatorial ratios taken in log space, so the subtraction loses no
-    precision even deep in the right tail.  Vectorized over v.
+    u_k = c_k H_k(v) and their damped companions ut_k = u_k e^{-v^2/4}:
+
+        T_j(v) = sqrt(pi) sum_{k<j} ut_k^2 - sqrt(pi j/2) u_j c_{j-1} I_{j-1}(v),
+
+    with c_{j-1} I_{j-1} from the log-space table of :mod:`.hermite`, so the
+    subtraction loses no precision even deep in the right tail.  Vectorized
+    over v.
 
     Parameters
     ----------
@@ -83,20 +94,12 @@ def T_series(j: int, v):
     varr = np.asarray(v, dtype=float)
     u = _norm_hermites(j, varr)
     ut = u * np.exp(-varr * varr / 4.0)
-    first = math.sqrt(math.pi) * np.sum(ut[:j] ** 2, axis=0)
-    n = j - 1  # the tail-integral index I_{j-1}
-    sub = np.zeros_like(varr)
-    for k in range(0, (n - 1) // 2 + 1):
-        m = n - 1 - 2 * k
-        lg = ((k + 1 - j) * _LOG2 + _log_double_factorial(n - 1)
-              - _log_double_factorial(m) - math.lgamma(j)
-              - _log_ck(j) - _log_ck(m))
-        sub = sub + math.exp(lg) * ut[j] * ut[m]
-    if n % 2 == 0:
-        lg = ((0.5 * n - j) * _LOG2 + _log_double_factorial(n - 1)
-              + 0.5 * math.log(2.0 * math.pi) - math.lgamma(j) - _log_ck(j))
-        sub = sub + math.exp(lg) * u[j] * ndtr(-varr)
-    out = first - sub
+    scale = math.sqrt(math.pi * j / 2.0)
+    out = (math.sqrt(math.pi) * np.sum(ut[:j] ** 2, axis=0)
+           - scale * ut[j] * _tail_sum(j - 1, ut))
+    B = _tail_coefficients(j - 1)[1]
+    if B:
+        out = out - scale * B * u[j] * ndtr(-varr)
     return float(out) if np.ndim(v) == 0 else out
 
 
@@ -106,15 +109,18 @@ def _integrate_rule_checked(f, rule: QuadratureRule, what: str,
 
     With ``cross_check`` the fixed rule is compared against adaptive
     quadrature; a relative disagreement beyond 1e-7 (on values of
-    non-negligible magnitude) raises, per the non-convergence contract.
+    non-negligible magnitude) raises, per the non-convergence contract, and
+    so does a non-finite adaptive value.  A non-finite rule value raises
+    ValueError from :func:`.hermite.gauss_weight_integrate`.
     """
-    val = float(rule.weights @ f(rule.nodes))
+    val = gauss_weight_integrate(f, rule)
     if cross_check:
         ref, err = quad(lambda y: f(np.asarray(y)) * math.exp(-y * y / 2.0),
                         -np.inf, np.inf, epsabs=1e-13, epsrel=1e-11,
                         limit=300)
         scale = max(abs(val), abs(ref))
-        if scale > _CHECK_SCALE_FLOOR and abs(val - ref) > _CHECK_REL_TOL * scale:
+        if not math.isfinite(ref) or (scale > _CHECK_SCALE_FLOOR and
+                                      abs(val - ref) > _CHECK_REL_TOL * scale):
             raise RuntimeError(
                 f"quadrature non-convergent for {what}: rule gives {val!r}, "
                 f"adaptive gives {ref!r} (estimated error {err:.2e}); "
@@ -146,9 +152,8 @@ def R_correction(m: IsotropicModel, j: int, x: float,
     Tiny negative results of order rounding error are possible and are not
     clipped here.
     """
-    require_valid(m)
     j = _check_order(j)
-    x = float(x)
+    x = _finite(x)
     pref = ((2.0 * m.rho2_0 / (math.pi * abs(m.rho1_0))) ** (j / 2.0)
             * math.exp(math.lgamma((j + 1) / 2.0)) / math.pi)
     gamma = m.gamma
@@ -196,9 +201,8 @@ def pE_density(m: IsotropicModel, geom: FaceDecomposition, x: float) -> float:
     May be negative left of the bulk; integrates to the expected EPC of the
     excursion set.
     """
-    require_valid(m)
     _require_polyhedral(geom)
-    x = float(x)
+    x = _finite(x)
     hbar = _eval_all(HermiteKind.MODIFIED, geom.d0, np.float64(x))
     total = geom.g[0]
     for j in range(1, geom.d0 + 1):
@@ -213,9 +217,8 @@ def pbar_density(m: IsotropicModel, geom: FaceDecomposition,
     Uses the default Gauss rule (with adaptive cross-check) for the
     correction terms; for term-level control call R_correction directly.
     """
-    require_valid(m)
     _require_polyhedral(geom)
-    x = float(x)
+    x = _finite(x)
     phi = float(_phi(x))
     hbar = _eval_all(HermiteKind.MODIFIED, geom.d0, np.float64(x))
     principal = [phi * geom.g[0]]
@@ -265,9 +268,8 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition, u: float,
     (1 - Phi(cutoff)) * sum_j g_j R_j(cutoff) (R_j is decreasing out there)
     and added to pbar_tail.
     """
-    require_valid(m)
     _require_polyhedral(geom)
-    u = float(u)
+    u = _finite(u, "u")
     hbar = _eval_all(HermiteKind.MODIFIED, max(geom.d0 - 1, 0), np.float64(u))
     phi_u = float(_phi(u))
     pE_tail = geom.g[0] * float(ndtr(-u))
@@ -320,13 +322,12 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float,
     x : float.
     rule : QuadratureRule for the y-average.
     """
-    require_valid(m)
     d = int(d)
     if d < 2:
         raise ValueError("sphere dimension must be >= 2")
     if d > MAX_SPHERE_DIM:
         raise ValueError(f"sphere dimension {d} exceeds cap {MAX_SPHERE_DIM}")
-    x = float(x)
+    x = _finite(x)
     j = d - 1
     area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     coef = (abs(m.rho1_0) / math.pi) ** (j / 2.0)
@@ -354,6 +355,5 @@ def complementary_decay_rate(m: IsotropicModel) -> float:
     for large x, so pbar/pE -> 1 in the deep tail.  Equals 1/2 at gamma = 1
     and 1/(12 rho'' - 1) on models normalized to rho' = -1/2.
     """
-    require_valid(m)
     g2 = m.gamma * m.gamma
     return g2 / (3.0 - g2)

@@ -33,7 +33,7 @@ from .bounds import pbar_density, tail_bound
 from .geometry import (FaceDecomposition, polytope_g_coeffs, rectangle_faces,
                        sphere_surface)
 from .model import IsotropicModel, make_rational, make_squared_exponential
-from .randmat import goe_evaluate
+from .randmat import expected_absdet_shifted_goe, goe_eigen_density
 from .simulate import make_grid, validate_bound
 
 _COMMANDS = ("bound", "tail", "validate", "goe", "geom", "exponent")
@@ -265,11 +265,12 @@ def _run_goe(cfg: RunConfig) -> _RunResult:
     rows, errors = [], []
     for nu in nus:
         try:
-            g = goe_evaluate(cfg.n, nu)
+            row = [int(cfg.n), float(nu), goe_eigen_density(cfg.n, nu),
+                   expected_absdet_shifted_goe(cfg.n, nu)]
         except (ValueError, RuntimeError, ArithmeticError) as e:
             errors.append(f"nu={_fmt(nu)}: {e}")
             continue
-        rows.append([g.n, g.nu, g.density, g.absdet_mean])
+        rows.append(row)
     return _RunResult(["n", "nu", "density", "absdet_mean"], rows, errors, {})
 
 

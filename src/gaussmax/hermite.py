@@ -2,7 +2,7 @@
 
 Two polynomial families appear throughout the package: the physicists'
 polynomials ``H_n`` (weight e^{-x^2}) and the unit-variance variant
-``Hbar_n`` (weight e^{-x^2/2}), related by ``Hbar_n(x) = 2^{n/2} H_n(x/sqrt 2)``.
+``Hbar_n`` (weight e^{-x^2/2}), related by ``Hbar_n(x) = 2^{-n/2} H_n(x/sqrt 2)``.
 On top of them sit two integrals that the density bounds consume:
 
 * ``I_n(v) = int_v^inf e^{-t^2/2} H_n(t) dt`` (closed form, finite or v=-inf),
@@ -10,29 +10,33 @@ On top of them sit two integrals that the density bounds consume:
   for ``a^2 + b^2 = 1/2``,
 
 plus a Gaussian-weight quadrature utility for the remaining y-integrals.
+
+Everything is computed from one kernel: the orthonormal values
+``u_k = c_k H_k`` with ``c_k = (2^k k! sqrt(pi))^{-1/2}``, whose three-term
+recurrence is O(1)-conditioned, and log-space coefficients.  Callers that
+must survive the far tails (``bounds.T_series``, the GOE density in
+``randmat``) work with the damped values ``ut_k = u_k e^{-v^2/4}`` and the
+tail-integral table of :func:`_tail_coefficients`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy import integrate
 from scipy.special import ndtr
 
 MAX_DEGREE = 200
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG2 = math.log(2.0)
 
 
 class HermiteKind(str, Enum):
     PHYSICISTS = "physicists"   # H_{n+1} = 2x H_n - 2n H_{n-1}
     MODIFIED = "modified"       # Hbar_{n+1} = x Hbar_n - n Hbar_{n-1}
-
-
-class WeightKind(str, Enum):
-    EXP_MINUS_Y2_OVER_2 = "exp_minus_y2_over_2"
 
 
 def _check_degree(n: int) -> int:
@@ -41,43 +45,91 @@ def _check_degree(n: int) -> int:
         raise ValueError("polynomial degree must be nonnegative")
     if n > MAX_DEGREE:
         raise ValueError(
-            f"degree {n} exceeds the supported cap {MAX_DEGREE}; beyond it "
-            "the double-factorial coefficients overflow double precision"
+            f"degree {n} exceeds the supported cap {MAX_DEGREE}; from degree "
+            "268 on, the scale 1/c_n = (2^n n! sqrt(pi))^{1/2} of H_n "
+            "overflows double precision"
         )
     return n
 
 
-def _double_factorial(m: int) -> float:
-    """m!! with the boundary convention (-1)!! = 0!! = 1."""
+def _log_double_factorial(m: int) -> float:
+    """log(m!!) for m >= -1, with (-1)!! = 0!! = 1."""
     if m <= 0:
-        return 1.0
-    out = 1.0
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+        return 0.0
+    if m % 2 == 1:            # m = 2k-1: m!! = (2k)! / (2^k k!)
+        k = (m + 1) // 2
+        return math.lgamma(2 * k + 1) - k * _LOG2 - math.lgamma(k + 1)
+    k = m // 2                # m = 2k: m!! = 2^k k!
+    return k * _LOG2 + math.lgamma(k + 1)
+
+
+def _log_ck(n: int) -> float:
+    """log c_n = -(1/2) log(2^n n! sqrt(pi))."""
+    return -0.5 * (n * _LOG2 + math.lgamma(n + 1) + 0.5 * math.log(math.pi))
+
+
+def _norm_hermites(n: int, nu: np.ndarray) -> np.ndarray:
+    """u_k = c_k H_k(nu) for k = 0..n via the orthonormal recurrence."""
+    u = np.empty((n + 1,) + nu.shape)
+    u[0] = math.pi ** -0.25
+    if n >= 1:
+        u[1] = math.sqrt(2.0) * nu * u[0]
+    for k in range(1, n):
+        u[k + 1] = (math.sqrt(2.0 / (k + 1)) * nu * u[k]
+                    - math.sqrt(k / (k + 1.0)) * u[k - 1])
+    return u
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_coefficients(n: int) -> tuple[tuple[float, ...], float]:
+    """The table (A, B) of the scaled tail integral
+
+        c_n I_n(v) = e^{-v^2/4} sum_k A_k ut_{n-1-2k}(v) + B (1 - Phi(v)),
+
+    with ``A_k = 2^{k+1} (n-1)!!/(n-1-2k)!! c_n/c_{n-1-2k}`` for
+    k = 0..(n-1)//2 and ``B = c_n I_n(-inf) = c_n 2^{n/2} (n-1)!! sqrt(2 pi)``
+    for even n (0 for odd n).  Both are O(1) for every n: no overflow.
+    """
+    A = tuple(2.0 * math.exp(k * _LOG2 + _log_double_factorial(n - 1)
+                             - _log_double_factorial(n - 1 - 2 * k)
+                             + _log_ck(n) - _log_ck(n - 1 - 2 * k))
+              for k in range((n - 1) // 2 + 1))
+    B = 0.0
+    if n % 2 == 0:
+        B = math.exp(0.5 * math.log(2.0 * math.pi) + 0.5 * n * _LOG2
+                     + _log_double_factorial(n - 1) + _log_ck(n))
+    return A, B
+
+
+def _tail_sum(n: int, ut: np.ndarray):
+    """sum_k A_k ut_{n-1-2k}, the polynomial part of c_n I_n (see above).
+
+    ``ut`` holds the caller's damped values ut_k = u_k e^{-v^2/4} for at
+    least k = 0..n-1; the result is 0.0 for n = 0.
+    """
+    s = 0.0
+    for k, a in enumerate(_tail_coefficients(n)[0]):
+        s = s + a * ut[n - 1 - 2 * k]
+    return s
 
 
 def _eval_all(kind: HermiteKind, n: int, x) -> np.ndarray:
-    """All degrees 0..n at once; shape (n+1,) + shape(x)."""
+    """All degrees 0..n at once; shape (n+1,) + shape(x).
+
+    Scales the orthonormal values: H_k(x) = u_k(x) / c_k and
+    Hbar_k(x) = 2^{-k/2} u_k(x / sqrt 2) / c_k.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty((n + 1,) + x.shape)
-    out[0] = 1.0
-    if n == 0:
-        return out
-    if kind is HermiteKind.PHYSICISTS:
-        out[1] = 2.0 * x
-        for k in range(1, n):
-            out[k + 1] = 2.0 * x * out[k] - 2.0 * k * out[k - 1]
-    else:
-        out[1] = x
-        for k in range(1, n):
-            out[k + 1] = x * out[k] - k * out[k - 1]
-    return out
+    half = 0.0
+    if kind is HermiteKind.MODIFIED:
+        x = x / math.sqrt(2.0)
+        half = 0.5 * _LOG2
+    scale = np.exp([-_log_ck(k) - half * k for k in range(n + 1)])
+    return _norm_hermites(n, x) * scale.reshape((n + 1,) + (1,) * x.ndim)
 
 
 def hermite_eval(kind: HermiteKind, n: int, x):
-    """Evaluate H_n(x) (physicists') or Hbar_n(x) (modified) by recurrence.
+    """Evaluate H_n(x) (physicists') or Hbar_n(x) (modified).
 
     Parameters
     ----------
@@ -103,22 +155,16 @@ def tail_integral_In(n: int, v):
     the full-line value ``1_{n even} 2^{n/2} (n-1)!! sqrt(2 pi)`` is returned.
     """
     n = _check_degree(n)
+    inv_cn = math.exp(-_log_ck(n))
+    B = _tail_coefficients(n)[1]
     if np.ndim(v) == 0 and math.isinf(float(v)) and float(v) < 0:
-        if n % 2 == 1:
-            return 0.0
-        return 2.0 ** (n / 2.0) * _double_factorial(n - 1) * SQRT_2PI
+        return B * inv_cn
 
     varr = np.asarray(v, dtype=float)
-    H = _eval_all(HermiteKind.PHYSICISTS, max(n - 1, 0), varr)
-    s = np.zeros_like(varr)
-    dfn = _double_factorial(n - 1)
-    for k in range(0, (n - 1) // 2 + 1):
-        m = n - 1 - 2 * k
-        s = s + (2.0 ** k) * (dfn / _double_factorial(m)) * H[m]
-    out = 2.0 * np.exp(-varr ** 2 / 2.0) * s
-    if n % 2 == 0:
-        # ndtr(-v) = 1 - Phi(v), accurate in both tails.
-        out = out + 2.0 ** (n / 2.0) * dfn * SQRT_2PI * ndtr(-varr)
+    damp = np.exp(-varr * varr / 4.0)
+    ut = _norm_hermites(max(n - 1, 0), varr) * damp
+    # ndtr(-v) = 1 - Phi(v), accurate in both tails.
+    out = (damp * _tail_sum(n, ut) + B * ndtr(-varr)) * inv_cn
     return float(out) if np.ndim(v) == 0 else out
 
 
@@ -140,7 +186,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    weight_kind: WeightKind = WeightKind.EXP_MINUS_Y2_OVER_2
 
     def __post_init__(self):
         nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float)).copy()
@@ -161,7 +206,6 @@ class QuadratureRule:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "weight_kind", WeightKind(self.weight_kind))
 
 
 def gauss_weight_rule(n: int = 64) -> QuadratureRule:
@@ -183,6 +227,7 @@ def gauss_weight_integrate(f, rule: QuadratureRule = DEFAULT_RULE) -> float:
     """Approximate ``int f(y) e^{-y^2/2} dy`` with the given rule.
 
     ``f`` may be vectorized over an ndarray of nodes or accept scalars.
+    A non-finite integrand value at a node raises ValueError.
     """
     vals = np.asarray(f(rule.nodes), dtype=float)
     if vals.shape != rule.nodes.shape:
@@ -191,11 +236,3 @@ def gauss_weight_integrate(f, rule: QuadratureRule = DEFAULT_RULE) -> float:
         bad = rule.nodes[~np.isfinite(vals)][0]
         raise ValueError(f"integrand not finite at node {bad!r}")
     return float(rule.weights @ vals)
-
-
-def gauss_weight_integrate_adaptive(f) -> float:
-    """Adaptive cross-check of ``int f(y) e^{-y^2/2} dy`` over the whole line."""
-    val, _ = integrate.quad(lambda y: f(y) * math.exp(-y * y / 2.0),
-                            -np.inf, np.inf, epsabs=1e-13, epsrel=1e-11,
-                            limit=300)
-    return val

@@ -25,7 +25,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class IsotropicModel:
-    """Covariance profile of an isotropic field, E X(s)X(t) = rho(||s-t||^2)."""
+    """Covariance profile of an isotropic field, E X(s)X(t) = rho(||s-t||^2).
+
+    Models are validated once, at construction: an instance that violates
+    the structural checks of :func:`require_valid` cannot be built, so no
+    downstream operation checks again.
+    """
 
     rho: Callable
     rho1: Callable
@@ -36,6 +41,9 @@ class IsotropicModel:
     monotone_flag: bool
     family: str = "custom"
     params: tuple = ()
+
+    def __post_init__(self):
+        require_valid(self)
 
     def params_dict(self) -> dict:
         return dict(self.params)
@@ -87,7 +95,7 @@ def make_rational(c: float, beta: float) -> IsotropicModel:
 
 
 def require_valid(m: IsotropicModel) -> IsotropicModel:
-    """Cheap structural validity check used by downstream operations.
+    """Cheap structural validity check, run when a model is constructed.
 
     Raises ValueError on violation; returns the model for chaining.  The full
     grid-based report is :func:`validate_model`.
@@ -114,7 +122,6 @@ def normalized(m: IsotropicModel) -> tuple[IsotropicModel, float]:
     alpha^2, and the maximum of the field is unchanged.  gamma is invariant;
     the normalized rho''(0) equals 1/(4 gamma^2).
     """
-    require_valid(m)
     if abs(m.rho1_0 + 0.5) <= 1e-14:
         return m, 1.0
     a2 = 2.0 * abs(m.rho1_0)

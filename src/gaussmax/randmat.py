@@ -15,8 +15,10 @@ and the expected absolute determinant of a shifted GOE matrix follows from it:
 
 Direct evaluation overflows (factorials) and underflows (e^{-nu^2/2}) long
 before the n <= 60 cap, so everything is computed through
-w_n(nu) := e^{nu^2/2} q_n(nu) using orthonormal values u_k = c_k H_k(nu)
-(three-term recurrence, O(1)-conditioned) and log-space coefficient ratios.
+w_n(nu) := e^{nu^2/2} q_n(nu) using the Hermite kernel of :mod:`.hermite`:
+orthonormal values u_k = c_k H_k(nu) (three-term recurrence,
+O(1)-conditioned), their damped companions u_k e^{-nu^2/4}, and the
+log-space table of the tail integrals I_n, the one ``bounds.T_series`` uses.
 """
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import streams
-from .model import IsotropicModel, require_valid
+from .hermite import _norm_hermites, _tail_coefficients, _tail_sum
+from .model import IsotropicModel
 
 MAX_SIZE = 60
 
@@ -41,47 +44,6 @@ def _check_size(n: int, cap: int = MAX_SIZE) -> int:
     return n
 
 
-def _log_double_factorial(m: int) -> float:
-    """log(m!!) for m >= -1, with (-1)!! = 0!! = 1."""
-    if m <= 0:
-        return 0.0
-    if m % 2 == 1:            # m = 2k-1: m!! = (2k)! / (2^k k!)
-        k = (m + 1) // 2
-        return math.lgamma(2 * k + 1) - k * math.log(2.0) - math.lgamma(k + 1)
-    k = m // 2                # m = 2k: m!! = 2^k k!
-    return k * math.log(2.0) + math.lgamma(k + 1)
-
-
-def _log_ck(n: int) -> float:
-    """log c_n = -(1/2) log(2^n n! sqrt(pi))."""
-    return -0.5 * (n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi))
-
-
-def _coef_B(n: int) -> float:
-    """B_n = c_n 2^{n/2} (n-1)!! sqrt(2 pi); O(n^{-1/4}), no overflow."""
-    return math.exp(0.5 * math.log(2.0 * math.pi) + 0.5 * n * math.log(2.0)
-                    + _log_double_factorial(n - 1) + _log_ck(n))
-
-
-def _coef_A(n: int, k: int) -> float:
-    """A_{n,k} = 2^k (n-1)!!/(n-1-2k)!! * c_n/c_m with m = n-1-2k; O(1)."""
-    m = n - 1 - 2 * k
-    return math.exp(k * math.log(2.0) + _log_double_factorial(n - 1)
-                    - _log_double_factorial(m) + _log_ck(n) - _log_ck(m))
-
-
-def _norm_hermites(n: int, nu: np.ndarray) -> np.ndarray:
-    """u_k = c_k H_k(nu) for k = 0..n via the orthonormal recurrence."""
-    u = np.empty((n + 1,) + nu.shape)
-    u[0] = math.pi ** -0.25
-    if n >= 1:
-        u[1] = math.sqrt(2.0) * nu * u[0]
-    for k in range(1, n):
-        u[k + 1] = (math.sqrt(2.0 / (k + 1)) * nu * u[k]
-                    - math.sqrt(k / (k + 1.0)) * u[k - 1])
-    return u
-
-
 def _rescaled_density(n: int, nu) -> np.ndarray:
     """w_n(nu) = e^{nu^2/2} q_n(nu), vectorized over nu."""
     nu = np.asarray(nu, dtype=float)
@@ -89,17 +51,15 @@ def _rescaled_density(n: int, nu) -> np.ndarray:
     ut = u * np.exp(-nu * nu / 4.0)          # ut_k = u_k e^{-nu^2/4}
     w = np.sum(ut ** 2, axis=0)              # e^{-nu^2/2} sum c_k^2 H_k^2
     # Middle term: (1/2) sqrt(n/2) c_{n-1} c_n H_{n-1} [I_n(-inf) - 2 I_n(nu)]
-    #   c_n I_n(nu)    = 2 e^{-nu^2/2} sum_k A_{n,k} u_m + 1_{n even} B_n (1-Phi(nu))
-    #   c_n I_n(-inf)  = 1_{n even} B_n
-    P = np.zeros_like(nu)
-    for k in range(0, (n - 1) // 2 + 1):
-        P = P + _coef_A(n, k) * ut[n - 1 - 2 * k]
-    mid = -4.0 * P * ut[n - 1]
+    #   c_n I_n(nu)    = e^{-nu^2/4} sum_k A_k ut_{n-1-2k} + B_n (1-Phi(nu))
+    #   c_n I_n(-inf)  = B_n
+    B = _tail_coefficients(n)[1]
+    mid = -2.0 * _tail_sum(n, ut) * ut[n - 1]
     if n % 2 == 0:
-        mid = mid + u[n - 1] * _coef_B(n) * (2.0 * ndtr(nu) - 1.0)
+        mid = mid + u[n - 1] * B * (2.0 * ndtr(nu) - 1.0)
     w = w + 0.5 * math.sqrt(n / 2.0) * mid
     if n % 2 == 1:
-        w = w + u[n - 1] / _coef_B(n - 1)
+        w = w + u[n - 1] / _tail_coefficients(n - 1)[1]
     return w
 
 
@@ -134,23 +94,6 @@ def expected_absdet_shifted_goe(n: int, nu):
     coef = 2.0 ** 1.5 * math.gamma((n + 3) / 2.0) / (n + 1)
     out = coef * _rescaled_density(n + 1, nu_arr)
     return float(out) if np.ndim(nu) == 0 else out
-
-
-@dataclass(frozen=True)
-class GoeEvaluation:
-    """Density and expected shifted |det| of the n x n GOE at one abscissa."""
-
-    n: int
-    nu: float
-    density: float
-    absdet_mean: float
-
-
-def goe_evaluate(n: int, nu: float) -> GoeEvaluation:
-    """Convenience bundle of q_n(nu) and E|det(G_n - nu I_n)| (needs n <= 59)."""
-    return GoeEvaluation(n=int(n), nu=float(nu),
-                         density=goe_eigen_density(n, nu),
-                         absdet_mean=expected_absdet_shifted_goe(n, nu))
 
 
 @dataclass(frozen=True)
@@ -215,7 +158,6 @@ def conditional_hessian_sample(model: IsotropicModel, j: int, x: float,
     with G_j a j x j GOE matrix and xi an independent standard normal
     (rho', rho'' at 0).
     """
-    require_valid(model)
     j = _check_size(j)
     rp = model.rho1_0
     rpp = model.rho2_0

@@ -21,7 +21,7 @@ import scipy.linalg
 from . import streams
 from .bounds import tail_bound
 from .geometry import FaceDecomposition, GeometryKind
-from .model import IsotropicModel, require_valid
+from .model import IsotropicModel
 from .randmat import McEstimate
 
 MAX_GRID_POINTS = 10_000
@@ -106,7 +106,6 @@ def covariance_cholesky(m: IsotropicModel, grid: FieldGrid) -> CholeskyFactor:
     factorization retries with diagonal jitter escalating from 1e-12 by
     decades.  Failure at 1e-6 raises (degenerate model on this grid).
     """
-    require_valid(m)
     if grid.count > MAX_GRID_POINTS:
         raise ValueError(f"grid exceeds {MAX_GRID_POINTS} points")
     p = grid.points
@@ -231,7 +230,6 @@ def validate_bound(m: IsotropicModel, geom: FaceDecomposition,
     is conservative evidence for the bound; the refinement sequence is
     reported to show the discretization has stabilized.
     """
-    require_valid(m)
     reps = int(reps)
     if reps < 2:
         raise ValueError("reps must be at least 2")

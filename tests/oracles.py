@@ -137,6 +137,19 @@ def T3_closed(v: float) -> float:
         - (2.0 * v * v - 3.0) * v * norm.sf(v))
 
 
+def T_by_definition(j: int, v: float) -> float:
+    """T_j(v) from its defining formula, with explicit-sum Hermite values
+    and the adaptive-quadrature tail integral I_{j-1}:
+
+    [sum_{k<j} H_k(v)^2 / (2^k k!)] e^{-v^2/2} - H_j(v) I_{j-1}(v) / (2^j (j-1)!).
+    """
+    first = math.fsum(hermite_physicists_sum(k, v) ** 2
+                      / (2.0 ** k * math.factorial(k)) for k in range(j))
+    return (first * math.exp(-v * v / 2.0)
+            - hermite_physicists_sum(j, v) * quad_In(j - 1, v)
+            / (2.0 ** j * math.factorial(j - 1)))
+
+
 # ----------------------------------------------- density bound, dual paths
 
 def face_term_goe_path(m, j: int, x: float) -> float:

@@ -37,6 +37,14 @@ def test_T_series_decays_right_nonnegative():
         assert t[-1] < 1e-12
 
 
+@pytest.mark.parametrize("j", range(4, 13))
+def test_T_series_matches_definition(j):
+    vs = np.linspace(-4.0, 4.0, 17)
+    got = bounds.T_series(j, vs)
+    want = np.array([oracles.T_by_definition(j, float(v)) for v in vs])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
 def test_T_series_scalar_and_bounds():
     v = bounds.T_series(2, 0.0)
     assert isinstance(v, float) and v == pytest.approx(2.0, rel=1e-13)
@@ -84,6 +92,35 @@ def test_R_correction_cross_check_catches_bad_rule():
     bad = gauss_weight_rule(2)  # far too coarse for j = 4 integrands
     with pytest.raises(RuntimeError):
         bounds.R_correction(RAT, 4, 0.5, rule=bad, cross_check=True)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_checked_quadrature_rejects_nonfinite_values():
+    rule = bounds.DEFAULT_RULE
+    with pytest.raises(ValueError):   # the rule value
+        bounds._integrate_rule_checked(lambda y: np.full(np.shape(y), np.nan),
+                                       rule, "nan integrand", cross_check=True)
+    # finite on the rule's nodes, NaN everywhere else: only the adaptive
+    # reference sees it
+    with pytest.raises(RuntimeError):
+        bounds._integrate_rule_checked(
+            lambda y: np.where(np.isin(y, rule.nodes), 0.0, np.nan),
+            rule, "nan off the nodes", cross_check=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: bounds.pE_density(SQ, SQUARE, a),
+    lambda a: bounds.pbar_density(SQ, SQUARE, a),
+    lambda a: bounds.R_correction(model.make_rational(1.0, 1.0), 2, a),
+    lambda a: bounds.tail_bound(SQ, SQUARE, a),
+    lambda a: bounds.sphere_pbar(SQ, 3, a),
+], ids=["pE_density", "pbar_density", "R_correction", "tail_bound",
+        "sphere_pbar"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_entry_points_reject_nonfinite_abscissa(call, bad):
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)
 
 
 # ----------------------------------------------------------- density bounds

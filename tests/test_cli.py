@@ -388,6 +388,10 @@ class TestEntryPoint:
         assert float(rows[0][2]) == pytest.approx(stats.norm.pdf(0.0),
                                                   rel=1e-12)
 
+    def test_every_exported_name_resolves(self):
+        missing = [n for n in gaussmax.__all__ if not hasattr(gaussmax, n)]
+        assert missing == []
+
     def test_console_script_installed(self):
         exe = shutil.which("gaussmax")
         assert exe is not None

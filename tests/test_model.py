@@ -72,32 +72,30 @@ def test_require_valid_accepts_builtins():
 
 def test_require_valid_rejects_gamma_above_one():
     # rho'' < rho'^2 means gamma > 1: not a valid profile of this class.
-    bad = model.IsotropicModel(
-        rho=lambda x: np.exp(-np.asarray(x)) * np.cos(np.asarray(x)),
-        rho1=lambda x: -np.exp(-np.asarray(x)) * (np.cos(np.asarray(x))
-                                                  + np.sin(np.asarray(x))),
-        rho2=lambda x: 2.0 * np.exp(-np.asarray(x)) * np.sin(np.asarray(x)),
-        rho1_0=-1.0, rho2_0=0.0, gamma=float("inf"), monotone_flag=True)
+    # Models are validated at construction, so building one raises.
     with pytest.raises(ValueError):
-        model.require_valid(bad)
+        model.IsotropicModel(
+            rho=lambda x: np.exp(-np.asarray(x)) * np.cos(np.asarray(x)),
+            rho1=lambda x: -np.exp(-np.asarray(x)) * (np.cos(np.asarray(x))
+                                                      + np.sin(np.asarray(x))),
+            rho2=lambda x: 2.0 * np.exp(-np.asarray(x)) * np.sin(np.asarray(x)),
+            rho1_0=-1.0, rho2_0=0.0, gamma=float("inf"), monotone_flag=True)
 
 
 def test_require_valid_rejects_wrong_variance():
     m = model.make_squared_exponential(1.0)
-    bad = model.IsotropicModel(
-        rho=lambda x: 2.0 * np.asarray(m.rho(x)), rho1=m.rho1, rho2=m.rho2,
-        rho1_0=m.rho1_0, rho2_0=m.rho2_0, gamma=m.gamma, monotone_flag=True)
     with pytest.raises(ValueError):
-        model.require_valid(bad)
+        model.IsotropicModel(
+            rho=lambda x: 2.0 * np.asarray(m.rho(x)), rho1=m.rho1, rho2=m.rho2,
+            rho1_0=m.rho1_0, rho2_0=m.rho2_0, gamma=m.gamma, monotone_flag=True)
 
 
 def test_require_valid_rejects_nonnegative_slope():
     m = model.make_squared_exponential(1.0)
-    bad = model.IsotropicModel(
-        rho=m.rho, rho1=m.rho1, rho2=m.rho2,
-        rho1_0=0.0, rho2_0=m.rho2_0, gamma=m.gamma, monotone_flag=True)
     with pytest.raises(ValueError):
-        model.require_valid(bad)
+        model.IsotropicModel(
+            rho=m.rho, rho1=m.rho1, rho2=m.rho2,
+            rho1_0=0.0, rho2_0=m.rho2_0, gamma=m.gamma, monotone_flag=True)
 
 
 def test_validate_model_report():

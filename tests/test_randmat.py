@@ -93,15 +93,6 @@ def test_absdet_vectorized_and_even_in_nu_when_symmetric():
     np.testing.assert_allclose(v, v[::-1], rtol=1e-12)
 
 
-def test_goe_evaluate_bundle():
-    g = randmat.goe_evaluate(4, 0.7)
-    assert g.n == 4 and g.nu == 0.7
-    assert g.density == pytest.approx(randmat.goe_eigen_density(4, 0.7),
-                                      rel=1e-15)
-    assert g.absdet_mean == pytest.approx(
-        randmat.expected_absdet_shifted_goe(4, 0.7), rel=1e-15)
-
-
 # ------------------------------------------------------------ Monte Carlo
 
 def test_mc_absdet_reproducible():
