@@ -127,7 +127,29 @@ def _sigma2_ratio(mn: IsotropicModel):
     return ratio
 
 
+def _chord_ratio(mn: IsotropicModel, scale: float):
+    """Vectorized z -> scale * 2 rho'(z^2) z / (1 - rho(z^2)) over chords z."""
+
+    def ratio(z):
+        z = np.asarray(z, dtype=float)
+        x = z * z
+        return (scale * 2.0 * np.asarray(mn.rho1(x), float) * z
+                / (1.0 - np.asarray(mn.rho(x), float)))
+
+    return ratio
+
+
 _GRID_LO = 1e-3
+
+
+def _distance_setup(m: IsotropicModel, Delta: float):
+    """Delta -> (normalized model, alpha, grid range, z -> 0 variance limit)."""
+    Delta = float(Delta)
+    if not (Delta > 0):
+        raise ValueError("Delta must be positive")
+    mn, alpha = normalized(m)
+    dn = alpha * Delta
+    return mn, alpha, (min(_GRID_LO, dn / 10.0), dn), 12.0 * mn.rho2_0 - 1.0
 
 
 def sigma2_isotropic(m: IsotropicModel, Delta: float, *,
@@ -147,14 +169,8 @@ def sigma2_isotropic(m: IsotropicModel, Delta: float, *,
     provably equals the z -> 0 limit; a grid value exceeding it by more than
     1e-6 relative raises, flagging an inconsistent model.
     """
-    Delta = float(Delta)
-    if not (Delta > 0):
-        raise ValueError("Delta must be positive")
-    mn, alpha = normalized(m)
-    dn = alpha * Delta
-    limit = 12.0 * mn.rho2_0 - 1.0
-    lo = min(_GRID_LO, dn / 10.0)
-    val, z = _grid_sup(_sigma2_ratio(mn), lo, dn, candidates=[(limit, 0.0)])
+    mn, alpha, (lo, hi), limit = _distance_setup(m, Delta)
+    val, z = _grid_sup(_sigma2_ratio(mn), lo, hi, candidates=[(limit, 0.0)])
     if m.monotone_flag and val > limit + 1e-6 * max(1.0, abs(limit)):
         raise RuntimeError(
             f"monotone covariance but the variance ratio exceeds its z->0 "
@@ -197,21 +213,9 @@ def Z_delta_exponent(m: IsotropicModel, Delta: float) -> ExponentReport:
     kappa contribution vanishes and Z_Delta -> 12 rho''(0) - 1 as
     Delta -> 0).  ``exact=False``: this is a liminf bound.
     """
-    Delta = float(Delta)
-    if not (Delta > 0):
-        raise ValueError("Delta must be positive")
-    mn, alpha = normalized(m)
-    dn = alpha * Delta
-    limit = 12.0 * mn.rho2_0 - 1.0
-    lo = min(_GRID_LO, dn / 10.0)
-    s2, z_s2 = _grid_sup(_sigma2_ratio(mn), lo, dn, candidates=[(limit, 0.0)])
-
-    def kappa_signed(z):
-        z = np.asarray(z, dtype=float)
-        x = z * z
-        return 2.0 * np.asarray(mn.rho1(x), float) * z / (1.0 - np.asarray(mn.rho(x), float))
-
-    ks, z_k = _grid_sup(kappa_signed, lo, dn)
+    mn, alpha, (lo, hi), limit = _distance_setup(m, Delta)
+    s2, z_s2 = _grid_sup(_sigma2_ratio(mn), lo, hi, candidates=[(limit, 0.0)])
+    ks, z_k = _grid_sup(_chord_ratio(mn, 1.0), lo, hi)
     kappa = max(ks, 0.0)
     z_big = s2 + kappa * kappa
     return ExponentReport(rate=1.0 + 1.0 / z_big,
@@ -257,12 +261,7 @@ def kappa_annulus(m: IsotropicModel, a: float, b: float, *,
     mn, alpha = normalized(m)
     an, bn = alpha * a, alpha * b
 
-    def seg(z):
-        z = np.asarray(z, dtype=float)
-        x = z * z
-        return -2.0 * np.asarray(mn.rho1(x), float) * z / (1.0 - np.asarray(mn.rho(x), float))
-
-    v1, z1 = _grid_sup(seg, 2.0 * an, an + bn)
+    v1, z1 = _grid_sup(_chord_ratio(mn, -1.0), 2.0 * an, an + bn)
 
     def circ(h):
         h = np.asarray(h, dtype=float)
@@ -280,6 +279,30 @@ def kappa_annulus(m: IsotropicModel, a: float, b: float, *,
     return val
 
 
+def _profiles(gammas) -> list:
+    """The (Gamma_i, Gamma_i') pairs, each checked for Gamma_i(0) = 1."""
+    gammas = list(gammas)
+    if not gammas:
+        raise ValueError("need at least one covariance profile")
+    for i, (g, _) in enumerate(gammas):
+        if abs(float(g(0.0)) - 1.0) > 1e-12:
+            raise ValueError(f"profile {i} violates Gamma(0) = 1")
+    return gammas
+
+
+def _separable_ratio(G, G1):
+    """(1 - prod G_i^2 - sum_k G_k'^2 prod_{i != k} G_i^2) / (1 - prod G_i)^2.
+
+    G and G1 hold the profile values and derivatives per axis, as floats or
+    as mutually broadcastable arrays.
+    """
+    prod = math.prod(G)
+    cross = sum(math.prod([g1 ** 2] + [g ** 2 for i, g in enumerate(G)
+                                       if i != k])
+                for k, g1 in enumerate(G1))
+    return (1.0 - prod * prod - cross) / (1.0 - prod) ** 2
+
+
 def sigma2_separable(gammas, s, t) -> float:
     """Variance functional for a separable product covariance at (s, t).
 
@@ -292,30 +315,19 @@ def sigma2_separable(gammas, s, t) -> float:
                     - sum_k Gamma_k'^2 prod_{i != k} Gamma_i^2)
                  / (1 - prod Gamma_i)^2.
     """
-    gammas = list(gammas)
+    gammas = _profiles(gammas)
     d = len(gammas)
-    if d == 0:
-        raise ValueError("need at least one covariance profile")
     s = np.asarray(s, dtype=float).ravel()
     t = np.asarray(t, dtype=float).ravel()
     if s.shape != (d,) or t.shape != (d,):
         raise ValueError("s and t must have one coordinate per profile")
     if np.array_equal(s, t):
         raise ValueError("s and t must differ")
-    G = np.empty(d)
-    G1 = np.empty(d)
-    for i, (g, g1) in enumerate(gammas):
-        if abs(float(g(0.0)) - 1.0) > 1e-12:
-            raise ValueError(f"profile {i} violates Gamma(0) = 1")
-        h = s[i] - t[i]
-        G[i] = float(g(h))
-        G1[i] = float(g1(h))
-    prod = float(np.prod(G))
-    if prod >= 1.0:
+    G = [float(g(h)) for (g, _), h in zip(gammas, s - t)]
+    G1 = [float(g1(h)) for (_, g1), h in zip(gammas, s - t)]
+    if math.prod(G) >= 1.0:
         raise ValueError("profiles must satisfy Gamma < 1 away from 0")
-    prod2 = float(np.prod(G * G))
-    cross = sum(G1[k] ** 2 * np.prod(np.delete(G, k) ** 2) for k in range(d))
-    return (1.0 - prod2 - cross) / (1.0 - prod) ** 2
+    return _separable_ratio(G, G1)
 
 
 def sigma2_separable_max(gammas, box, n_per_axis: int = 41):
@@ -326,43 +338,24 @@ def sigma2_separable_max(gammas, box, n_per_axis: int = 41):
     prod_i [-(hi_i - lo_i), hi_i - lo_i] on an n_per_axis^d grid (h = 0
     excluded).
     """
-    gammas = list(gammas)
-    d = len(gammas)
+    gammas = _profiles(gammas)
     box = [(float(lo), float(hi)) for lo, hi in box]
-    if len(box) != d:
+    if len(box) != len(gammas):
         raise ValueError("box must have one (lo, hi) pair per profile")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box sides must have positive length")
     axes = [np.linspace(-(hi - lo), hi - lo, int(n_per_axis))
             for lo, hi in box]
-    Gm, G1m, shape = [], [], tuple(len(ax) for ax in axes)
-    for i, (g, g1) in enumerate(gammas):
-        if abs(float(g(0.0)) - 1.0) > 1e-12:
-            raise ValueError(f"profile {i} violates Gamma(0) = 1")
-        sl = [None] * d
-        sl[i] = slice(None)
-        idx = tuple(sl)
-        Gm.append(np.asarray(g(axes[i]), dtype=float)[idx])
-        G1m.append(np.asarray(g1(axes[i]), dtype=float)[idx])
-    prod = np.ones(shape)
-    for gm in Gm:
-        prod = prod * gm
-    cross = np.zeros(shape)
-    for k in range(d):
-        term = G1m[k] ** 2
-        for i in range(d):
-            if i != k:
-                term = term * Gm[i] ** 2
-        cross = cross + term
+    G = np.ix_(*[np.asarray(g(ax), dtype=float)
+                 for (g, _), ax in zip(gammas, axes)])
+    G1 = np.ix_(*[np.asarray(g1(ax), dtype=float)
+                  for (_, g1), ax in zip(gammas, axes)])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (1.0 - prod * prod - cross) / (1.0 - prod) ** 2
+        ratio = _separable_ratio(G, G1)
     hmesh = np.meshgrid(*axes, indexing="ij")
-    near_zero = np.ones(shape, dtype=bool)
-    for hm in hmesh:
-        near_zero &= np.abs(hm) < 1e-12
+    near_zero = np.all([np.abs(hm) < 1e-12 for hm in hmesh], axis=0)
     ratio[near_zero | ~np.isfinite(ratio)] = -np.inf
-    i_flat = int(np.argmax(ratio))
-    idx = np.unravel_index(i_flat, shape)
+    idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     return float(ratio[idx]), tuple(float(hm[idx]) for hm in hmesh)
 
 

@@ -35,10 +35,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from .geometry import FaceDecomposition, GeometryKind
+from .geometry import FaceDecomposition, GeometryKind, sphere_surface
 from .hermite import (DEFAULT_RULE, SQRT_2PI, HermiteKind, QuadratureRule,
-                      _eval_all, _norm_hermites, _tail_coefficients, _tail_sum,
-                      gauss_weight_integrate)
+                      _check_int, _eval_all, _finite, _norm_hermites,
+                      _tail_coefficients, _tail_sum, gauss_weight_integrate)
 from .model import IsotropicModel
 
 MAX_ORDER = 60
@@ -51,20 +51,9 @@ def _phi(x):
     return np.exp(-np.square(x) / 2.0) / SQRT_2PI
 
 
-def _finite(x, name: str = "x") -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-def _check_order(j: int) -> int:
-    j = int(j)
-    if j < 1:
-        raise ValueError("order j must be a positive integer")
-    if j > MAX_ORDER:
-        raise ValueError(f"order {j} exceeds the supported cap {MAX_ORDER}")
-    return j
+def _coef(m: IsotropicModel, j: int) -> float:
+    """The weight (|rho'|/pi)^{j/2} of the j-th Hermite term."""
+    return (abs(m.rho1_0) / math.pi) ** (j / 2.0)
 
 
 def T_series(j: int, v):
@@ -90,7 +79,7 @@ def T_series(j: int, v):
     j : int, 1 <= j <= 60.
     v : float or ndarray.
     """
-    j = _check_order(j)
+    j = _check_int(j, 1, MAX_ORDER, "order j")
     varr = np.asarray(v, dtype=float)
     u = _norm_hermites(j, varr)
     ut = u * np.exp(-varr * varr / 4.0)
@@ -152,7 +141,7 @@ def R_correction(m: IsotropicModel, j: int, x: float,
     Tiny negative results of order rounding error are possible and are not
     clipped here.
     """
-    j = _check_order(j)
+    j = _check_int(j, 1, MAX_ORDER, "order j")
     x = _finite(x)
     pref = ((2.0 * m.rho2_0 / (math.pi * abs(m.rho1_0))) ** (j / 2.0)
             * math.exp(math.lgamma((j + 1) / 2.0)) / math.pi)
@@ -194,20 +183,23 @@ def _require_polyhedral(geom: FaceDecomposition):
                          "sphere surface; use sphere_pbar")
 
 
+def _principal(m: IsotropicModel, geom: FaceDecomposition, x: float) -> list:
+    """The summands phi(x) (|rho'|/pi)^{j/2} Hbar_j(x) g_j, j = 0..d0, of pE."""
+    _require_polyhedral(geom)
+    phi = float(_phi(x))
+    hbar = _eval_all(HermiteKind.MODIFIED, geom.d0, np.float64(x))
+    return [phi * geom.g[0]] + [phi * _coef(m, j) * float(hbar[j]) * geom.g[j]
+                                for j in range(1, geom.d0 + 1)]
+
+
 def pE_density(m: IsotropicModel, geom: FaceDecomposition, x: float) -> float:
     """The principal (expected-Euler-characteristic) density at x.
 
     pE(x) = phi(x) { g_0 + sum_j (|rho'|/pi)^{j/2} Hbar_j(x) g_j }.
     May be negative left of the bulk; integrates to the expected EPC of the
-    excursion set.
+    excursion set.  Equal, bit for bit, to ``pbar_density(m, geom, x).pE``.
     """
-    _require_polyhedral(geom)
-    x = _finite(x)
-    hbar = _eval_all(HermiteKind.MODIFIED, geom.d0, np.float64(x))
-    total = geom.g[0]
-    for j in range(1, geom.d0 + 1):
-        total += (abs(m.rho1_0) / math.pi) ** (j / 2.0) * hbar[j] * geom.g[j]
-    return float(_phi(x)) * total
+    return math.fsum(_principal(m, geom, _finite(x)))
 
 
 def pbar_density(m: IsotropicModel, geom: FaceDecomposition,
@@ -217,16 +209,11 @@ def pbar_density(m: IsotropicModel, geom: FaceDecomposition,
     Uses the default Gauss rule (with adaptive cross-check) for the
     correction terms; for term-level control call R_correction directly.
     """
-    _require_polyhedral(geom)
     x = _finite(x)
+    principal = _principal(m, geom, x)
     phi = float(_phi(x))
-    hbar = _eval_all(HermiteKind.MODIFIED, geom.d0, np.float64(x))
-    principal = [phi * geom.g[0]]
-    complementary = [0.0]
-    for j in range(1, geom.d0 + 1):
-        coef = (abs(m.rho1_0) / math.pi) ** (j / 2.0)
-        principal.append(phi * coef * float(hbar[j]) * geom.g[j])
-        complementary.append(max(0.0, phi * R_correction(m, j, x) * geom.g[j]))
+    complementary = [0.0] + [max(0.0, phi * R_correction(m, j, x) * geom.g[j])
+                             for j in range(1, geom.d0 + 1)]
     pE = math.fsum(principal)
     pbar = pE + math.fsum(complementary)
     return BoundBreakdown(x=x, principal_by_j=tuple(principal),
@@ -253,8 +240,8 @@ class TailBound:
         return iter((self.pbar_tail, self.pE_tail))
 
 
-def tail_bound(m: IsotropicModel, geom: FaceDecomposition, u: float,
-               rule: QuadratureRule = DEFAULT_RULE) -> TailBound:
+def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
+               u: float) -> TailBound:
     """P{max > u} bounds: integral of pbar (and pE) from u to infinity.
 
     The principal part has the closed form
@@ -274,8 +261,7 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition, u: float,
     phi_u = float(_phi(u))
     pE_tail = geom.g[0] * float(ndtr(-u))
     for j in range(1, geom.d0 + 1):
-        coef = (abs(m.rho1_0) / math.pi) ** (j / 2.0)
-        pE_tail += coef * float(hbar[j - 1]) * geom.g[j] * phi_u
+        pE_tail += _coef(m, j) * float(hbar[j - 1]) * geom.g[j] * phi_u
 
     if geom.d0 == 0:
         return TailBound(pbar_tail=pE_tail, pE_tail=pE_tail,
@@ -285,65 +271,59 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition, u: float,
     # Validate the fixed rule once at the left end, then integrate with the
     # per-point cross-check off.
     for j in active:
-        R_correction(m, j, max(u, 0.0), rule, cross_check=True)
+        R_correction(m, j, max(u, 0.0))
 
-    def comp_density(x):
-        r = sum(geom.g[j] * R_correction(m, j, x, rule, cross_check=False)
-                for j in active)
-        return float(_phi(x)) * r
+    def correction(x):
+        return sum(geom.g[j] * R_correction(m, j, x, cross_check=False)
+                   for j in active)
 
     cutoff = max(u + 40.0, 41.0)
-    comp, comp_err = quad(comp_density, u, cutoff,
+    comp, comp_err = quad(lambda x: float(_phi(x)) * correction(x), u, cutoff,
                           epsabs=1e-13, epsrel=1e-11, limit=300)
     if not (comp_err <= max(1e-10, 1e-7 * abs(comp))):
         raise RuntimeError(
             f"quadrature non-convergent for the complementary tail at u={u}: "
             f"value {comp!r}, error estimate {comp_err:.2e}")
-    trunc = float(ndtr(-cutoff)) * sum(
-        geom.g[j] * R_correction(m, j, cutoff, rule, cross_check=False)
-        for j in active)
+    trunc = float(ndtr(-cutoff)) * correction(cutoff)
     return TailBound(pbar_tail=pE_tail + comp + trunc, pE_tail=pE_tail,
                      complementary=comp, truncation=trunc)
 
 
-def sphere_pbar(m: IsotropicModel, d: int, x: float,
-                rule: QuadratureRule = DEFAULT_RULE) -> float:
+def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     """Density bound on the sphere S^{d-1} (one curved (d-1)-stratum).
 
-    pbar(x) = phi(x) (2 pi^{d/2}/Gamma(d/2))
+    pbar(x) = phi(x) |S^{d-1}|
               * int [ (|rho'|/pi)^{(d-1)/2} Hbar_{d-1}(xt)
                       + R_{d-1}(xt) ] phi(y) dy,
-    with the shifted abscissa xt = x + (2|rho'|)^{-1/2} y.
+    with the shifted abscissa xt = x + (2|rho'|)^{-1/2} y and the surface
+    measure |S^{d-1}| = 2 pi^{d/2}/Gamma(d/2) from
+    :func:`.geometry.sphere_surface`.  The y-average uses the default Gauss
+    rule, cross-checked against adaptive quadrature.
 
     Parameters
     ----------
     m : IsotropicModel
     d : int, ambient dimension, 2 <= d <= 20.
-    x : float.
-    rule : QuadratureRule for the y-average.
+    x : float, finite.
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError("sphere dimension must be >= 2")
-    if d > MAX_SPHERE_DIM:
-        raise ValueError(f"sphere dimension {d} exceeds cap {MAX_SPHERE_DIM}")
+    d = _check_int(d, 2, MAX_SPHERE_DIM, "sphere dimension")
     x = _finite(x)
     j = d - 1
-    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    coef = (abs(m.rho1_0) / math.pi) ** (j / 2.0)
+    area = sphere_surface(d).g[j]
+    coef = _coef(m, j)
     shift = (2.0 * abs(m.rho1_0)) ** -0.5
 
     def f(y):
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         xt = x + shift * arr
         hb = _eval_all(HermiteKind.MODIFIED, j, xt)[j]
-        rr = np.array([R_correction(m, j, t, rule, cross_check=False)
-                       for t in xt])
+        rr = np.array([R_correction(m, j, t, cross_check=False) for t in xt])
         out = coef * hb + rr
         # adaptive cross-check calls with scalars; return a scalar back
         return out if np.ndim(y) else float(out[0])
 
-    val = _integrate_rule_checked(f, rule, f"sphere_pbar(d={d}, x={x})",
+    val = _integrate_rule_checked(f, DEFAULT_RULE,
+                                  f"sphere_pbar(d={d}, x={x})",
                                   cross_check=True) / SQRT_2PI
     return float(_phi(x)) * area * val
 

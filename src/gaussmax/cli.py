@@ -62,15 +62,11 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
 
-    _KEYS = ("command", "model", "geometry", "abscissa", "u", "n",
-             "resolution", "refinements", "exponent", "reps", "seed",
-             "out", "format")
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(d) - set(cls._KEYS)
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "command" not in d:
@@ -111,6 +107,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be a nonnegative integer")
         if self.reps < 1:
             raise ConfigError("reps must be positive")
+        if self.seed >= 2 ** 64:
+            raise ConfigError("seed must be below 2**64")
         if self.abscissa is not None:
             missing = {"min", "max", "step"} - set(self.abscissa)
             extra = set(self.abscissa) - {"min", "max", "step"}
@@ -206,6 +204,17 @@ class _RunResult:
     extra: dict
 
 
+def _sweep(values, label: str, row):
+    """(rows, errors) of row(v); a value that fails numerically is an error."""
+    rows, errors = [], []
+    for v in values:
+        try:
+            rows.append(row(v))
+        except (ValueError, RuntimeError, ArithmeticError) as e:
+            errors.append(f"{label}={_fmt(v)}: {e}")
+    return rows, errors
+
+
 def _run_bound(cfg: RunConfig) -> _RunResult:
     m = _build_model(cfg)
     geom = _build_geometry(cfg)
@@ -213,31 +222,24 @@ def _run_bound(cfg: RunConfig) -> _RunResult:
     cols = (["x", "pbar", "pE"]
             + [f"principal_{j}" for j in range(geom.d0 + 1)]
             + [f"complementary_{j}" for j in range(geom.d0 + 1)])
-    rows, errors = [], []
-    for x in xs:
-        try:
-            b = pbar_density(m, geom, x)
-        except (ValueError, RuntimeError, ArithmeticError) as e:
-            errors.append(f"x={_fmt(x)}: {e}")
-            continue
-        rows.append([b.x, b.pbar, b.pE, *b.principal_by_j,
-                     *b.complementary_by_j])
-    return _RunResult(cols, rows, errors, {})
+
+    def row(x):
+        b = pbar_density(m, geom, x)
+        return [b.x, b.pbar, b.pE, *b.principal_by_j, *b.complementary_by_j]
+
+    return _RunResult(cols, *_sweep(xs, "x", row), {})
 
 
 def _run_tail(cfg: RunConfig) -> _RunResult:
     m = _build_model(cfg)
     geom = _build_geometry(cfg)
     us = _abscissa_values(cfg, "tail")
-    rows, errors = [], []
-    for u in us:
-        try:
-            t = tail_bound(m, geom, u)
-        except (ValueError, RuntimeError, ArithmeticError) as e:
-            errors.append(f"u={_fmt(u)}: {e}")
-            continue
-        rows.append([u, t.pbar_tail, t.pE_tail])
-    return _RunResult(["u", "pbar_tail", "pE_tail"], rows, errors, {})
+
+    def row(u):
+        t = tail_bound(m, geom, u)
+        return [u, t.pbar_tail, t.pE_tail]
+
+    return _RunResult(["u", "pbar_tail", "pE_tail"], *_sweep(us, "u", row), {})
 
 
 def _run_validate(cfg: RunConfig) -> _RunResult:
@@ -262,16 +264,13 @@ def _run_goe(cfg: RunConfig) -> _RunResult:
     if cfg.n is None:
         raise ConfigError("goe needs the matrix size n in the config")
     nus = _abscissa_values(cfg, "goe")
-    rows, errors = [], []
-    for nu in nus:
-        try:
-            row = [int(cfg.n), float(nu), goe_eigen_density(cfg.n, nu),
-                   expected_absdet_shifted_goe(cfg.n, nu)]
-        except (ValueError, RuntimeError, ArithmeticError) as e:
-            errors.append(f"nu={_fmt(nu)}: {e}")
-            continue
-        rows.append(row)
-    return _RunResult(["n", "nu", "density", "absdet_mean"], rows, errors, {})
+
+    def row(nu):
+        return [int(cfg.n), float(nu), goe_eigen_density(cfg.n, nu),
+                expected_absdet_shifted_goe(cfg.n, nu)]
+
+    return _RunResult(["n", "nu", "density", "absdet_mean"],
+                      *_sweep(nus, "nu", row), {})
 
 
 def _run_geom(cfg: RunConfig) -> _RunResult:
@@ -407,17 +406,11 @@ def build_config(argv) -> RunConfig:
 def main(argv=None) -> int:
     try:
         cfg = build_config(argv if argv is not None else sys.argv[1:])
-    except ConfigError as e:
-        print(f"gaussmax: config error: {e}", file=sys.stderr)
-        return 2
-
-    try:
         res = _RUNNERS[cfg.command](cfg)
     except ConfigError as e:
         print(f"gaussmax: config error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, ArithmeticError,
-            OverflowError) as e:
+    except (ValueError, RuntimeError, ArithmeticError) as e:
         print(f"gaussmax: numeric failure: {e}", file=sys.stderr)
         return 3
 

@@ -27,6 +27,7 @@ from scipy.optimize import linprog, nnls
 from scipy.spatial import ConvexHull
 
 from . import streams
+from .hermite import _check_int
 
 MAX_POLYTOPE_DIM = 6
 _GEOM_TOL = 1e-9
@@ -103,9 +104,7 @@ def sphere_surface(d: int) -> FaceDecomposition:
     s, t on the sphere, dist(t - s, T_t) / ||t - s||^2 = (1-cos theta) /
     (2(1-cos theta)).
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError("the sphere surface needs ambient dimension >= 2")
+    d = _check_int(d, 2, math.inf, "sphere dimension")
     area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     g = (0.0,) * (d - 1) + (area,)
     return FaceDecomposition(d=d, d0=d - 1, g=g, kappa=0.5,
@@ -239,7 +238,7 @@ def _affine_rank(points: np.ndarray, scale: float) -> int:
     return int(np.sum(svals > 1e-7 * max(1.0, scale)))
 
 
-def _face_measure(verts: np.ndarray, j: int, scale: float) -> float:
+def _face_measure(verts: np.ndarray, j: int) -> float:
     if j == 0:
         return 1.0
     centered = verts - verts.mean(axis=0)
@@ -316,9 +315,7 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
     (hull volume for j >= 2).  Solid angles of normal cones are measured on
     the unit sphere of the face's normal space.
     """
-    reps = int(reps)
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    reps = _check_int(reps, 1, math.inf, "reps")
     A, b = _normalize_halfspaces(halfspaces)
     m, d = A.shape
     if d > MAX_POLYTOPE_DIM:
@@ -357,7 +354,7 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
     for face_index, (key, j) in enumerate(ordered):
         members = sorted(key)
         fverts = verts[members]
-        measure = _face_measure(fverts, j, scale)
+        measure = _face_measure(fverts, j)
         k = d - j
         if k == 0:
             frac, se = 1.0, 0.0

@@ -17,6 +17,10 @@ recurrence is O(1)-conditioned, and log-space coefficients.  Callers that
 must survive the far tails (``bounds.T_series``, the GOE density in
 ``randmat``) work with the damped values ``ut_k = u_k e^{-v^2/4}`` and the
 tail-integral table of :func:`_tail_coefficients`.
+
+The package's input checks live here too: every integer range goes through
+:func:`_check_int` and every abscissa through :func:`_finite`, so a bad
+argument raises ValueError instead of producing a silent NaN.
 """
 from __future__ import annotations
 
@@ -29,6 +33,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import ndtr
 
+# From degree 268 on, the scale 1/c_n = (2^n n! sqrt(pi))^{1/2} of H_n
+# overflows double precision.
 MAX_DEGREE = 200
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG2 = math.log(2.0)
@@ -39,17 +45,25 @@ class HermiteKind(str, Enum):
     MODIFIED = "modified"       # Hbar_{n+1} = x Hbar_n - n Hbar_{n-1}
 
 
-def _check_degree(n: int) -> int:
+def _check_int(n, lo: int, cap, what: str) -> int:
+    """int(n), which must lie in [lo, cap]; the package's one range check."""
     n = int(n)
-    if n < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    if n > MAX_DEGREE:
-        raise ValueError(
-            f"degree {n} exceeds the supported cap {MAX_DEGREE}; from degree "
-            "268 on, the scale 1/c_n = (2^n n! sqrt(pi))^{1/2} of H_n "
-            "overflows double precision"
-        )
+    if not lo <= n <= cap:
+        raise ValueError(f"{what} must be an integer in [{lo}, {cap}], got {n}")
     return n
+
+
+def _finite(x, name: str = "x"):
+    """x as a float (scalar x) or float array; ValueError unless all finite."""
+    arr = np.asarray(x, dtype=float)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def _check_degree(n: int) -> int:
+    return _check_int(n, 0, MAX_DEGREE, "polynomial degree")
 
 
 def _log_double_factorial(m: int) -> float:
@@ -136,7 +150,7 @@ def hermite_eval(kind: HermiteKind, n: int, x):
     kind : HermiteKind
     n : int
         Degree, 0 <= n <= MAX_DEGREE.
-    x : float or ndarray
+    x : float or ndarray, finite.
 
     Returns
     -------
@@ -144,7 +158,7 @@ def hermite_eval(kind: HermiteKind, n: int, x):
     """
     kind = HermiteKind(kind)
     n = _check_degree(n)
-    vals = _eval_all(kind, n, x)[n]
+    vals = _eval_all(kind, n, _finite(x))[n]
     return float(vals) if np.ndim(x) == 0 else vals
 
 
@@ -153,14 +167,15 @@ def tail_integral_In(n: int, v):
 
     Accepts finite v (scalar or array) or ``v = -inf`` (scalar), for which
     the full-line value ``1_{n even} 2^{n/2} (n-1)!! sqrt(2 pi)`` is returned.
+    Any other non-finite v raises ValueError.
     """
     n = _check_degree(n)
     inv_cn = math.exp(-_log_ck(n))
     B = _tail_coefficients(n)[1]
-    if np.ndim(v) == 0 and math.isinf(float(v)) and float(v) < 0:
+    if np.ndim(v) == 0 and float(v) == -math.inf:
         return B * inv_cn
 
-    varr = np.asarray(v, dtype=float)
+    varr = np.asarray(_finite(v, "v"), dtype=float)
     damp = np.exp(-varr * varr / 4.0)
     ut = _norm_hermites(max(n - 1, 0), varr) * damp
     # ndtr(-v) = 1 - Phi(v), accurate in both tails.
@@ -226,12 +241,12 @@ DEFAULT_RULE = gauss_weight_rule(64)
 def gauss_weight_integrate(f, rule: QuadratureRule = DEFAULT_RULE) -> float:
     """Approximate ``int f(y) e^{-y^2/2} dy`` with the given rule.
 
-    ``f`` may be vectorized over an ndarray of nodes or accept scalars.
-    A non-finite integrand value at a node raises ValueError.
+    ``f`` must be vectorized: it is called once, on the ndarray of all
+    nodes, and its result is broadcast to the nodes' shape (so a constant
+    is accepted).  A non-finite integrand value at a node raises ValueError.
     """
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    if vals.shape != rule.nodes.shape:
-        vals = np.array([float(f(y)) for y in rule.nodes])
+    vals = np.broadcast_to(np.asarray(f(rule.nodes), dtype=float),
+                           rule.nodes.shape)
     if not np.all(np.isfinite(vals)):
         bad = rule.nodes[~np.isfinite(vals)][0]
         raise ValueError(f"integrand not finite at node {bad!r}")

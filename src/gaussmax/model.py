@@ -45,9 +45,6 @@ class IsotropicModel:
     def __post_init__(self):
         require_valid(self)
 
-    def params_dict(self) -> dict:
-        return dict(self.params)
-
 
 def make_squared_exponential(c: float) -> IsotropicModel:
     """rho(x) = exp(-c x); gamma = 1 for every c > 0."""
@@ -97,21 +94,13 @@ def make_rational(c: float, beta: float) -> IsotropicModel:
 def require_valid(m: IsotropicModel) -> IsotropicModel:
     """Cheap structural validity check, run when a model is constructed.
 
-    Raises ValueError on violation; returns the model for chaining.  The full
-    grid-based report is :func:`validate_model`.
+    Runs the checks of :func:`_structural_checks` in order and raises
+    ValueError naming the first that fails; returns the model for chaining.
+    The full grid-based report is :func:`validate_model`.
     """
-    r0 = float(np.asarray(m.rho(0.0)))
-    if abs(r0 - 1.0) > 1e-12:
-        raise ValueError(f"invalid model: rho(0) = {r0!r}, expected 1")
-    if not (m.rho1_0 < 0):
-        raise ValueError(f"invalid model: rho'(0) = {m.rho1_0!r} must be negative")
-    if not (m.rho2_0 > 0):
-        raise ValueError(f"invalid model: rho''(0) = {m.rho2_0!r} must be positive")
-    if m.rho2_0 - m.rho1_0 ** 2 < -1e-12:
-        raise ValueError("invalid model: rho''(0) - rho'(0)^2 = "
-                         f"{m.rho2_0 - m.rho1_0 ** 2!r} must be nonnegative")
-    if not (0.0 < m.gamma <= 1.0 + 1e-12):
-        raise ValueError(f"invalid model: gamma = {m.gamma!r} outside (0, 1]")
+    for c in _structural_checks(m):
+        if not c.passed:
+            raise ValueError(f"invalid model: {c.name} fails ({c.detail})")
     return m
 
 
@@ -151,6 +140,21 @@ class CheckResult:
     detail: str = ""
 
 
+def _structural_checks(m: IsotropicModel) -> list:
+    """The checks every model must pass to be constructed."""
+    r0 = float(np.asarray(m.rho(0.0)))
+    pos = m.rho2_0 - m.rho1_0 ** 2
+    return [
+        CheckResult("rho(0) = 1", abs(r0 - 1.0) <= 1e-12, f"rho(0) = {r0!r}"),
+        CheckResult("rho'(0) < 0", m.rho1_0 < 0, f"rho'(0) = {m.rho1_0!r}"),
+        CheckResult("rho''(0) > 0", m.rho2_0 > 0, f"rho''(0) = {m.rho2_0!r}"),
+        CheckResult("rho''(0) - rho'(0)^2 >= 0", pos >= -1e-12,
+                    f"value = {pos!r}"),
+        CheckResult("gamma in (0, 1]", 0.0 < m.gamma <= 1.0 + 1e-12,
+                    f"gamma = {m.gamma!r}"),
+    ]
+
+
 @dataclass(frozen=True)
 class ModelValidation:
     checks: tuple
@@ -185,45 +189,29 @@ def validate_model(m: IsotropicModel, grid=None) -> ModelValidation:
         grid = np.concatenate([np.geomspace(1e-3, 1.0, 40),
                                np.linspace(1.0, 50.0, 99)[1:]])
     grid = np.asarray(grid, dtype=float)
-    checks = []
+    checks = _structural_checks(m)
 
-    r0 = float(np.asarray(m.rho(0.0)))
-    checks.append(CheckResult("rho(0) = 1", abs(r0 - 1.0) <= 1e-12,
-                              f"rho(0) = {r0!r}"))
-    checks.append(CheckResult("rho'(0) < 0", m.rho1_0 < 0,
-                              f"rho'(0) = {m.rho1_0!r}"))
-    r1_at_0 = float(np.asarray(m.rho1(0.0)))
-    checks.append(CheckResult("rho1(0) matches rho1_0",
-                              abs(r1_at_0 - m.rho1_0) <= 1e-12 * max(1.0, abs(m.rho1_0)),
-                              f"rho1(0) = {r1_at_0!r} vs {m.rho1_0!r}"))
-    r2_at_0 = float(np.asarray(m.rho2(0.0)))
-    checks.append(CheckResult("rho2(0) matches rho2_0",
-                              abs(r2_at_0 - m.rho2_0) <= 1e-12 * max(1.0, abs(m.rho2_0)),
-                              f"rho2(0) = {r2_at_0!r} vs {m.rho2_0!r}"))
-    checks.append(CheckResult("rho''(0) - rho'(0)^2 >= 0",
-                              m.rho2_0 - m.rho1_0 ** 2 >= -1e-12,
-                              f"value = {m.rho2_0 - m.rho1_0 ** 2!r}"))
-    gamma_ref = abs(m.rho1_0) / math.sqrt(m.rho2_0) if m.rho2_0 > 0 else math.nan
+    for name, f, at0 in (("rho1", m.rho1, m.rho1_0),
+                         ("rho2", m.rho2, m.rho2_0)):
+        v = float(np.asarray(f(0.0)))
+        checks.append(CheckResult(f"{name}(0) matches {name}_0",
+                                  abs(v - at0) <= 1e-12 * max(1.0, abs(at0)),
+                                  f"{name}(0) = {v!r} vs {at0!r}"))
+    gamma_ref = abs(m.rho1_0) / math.sqrt(m.rho2_0)
     checks.append(CheckResult("gamma consistent with derivatives",
-                              m.rho2_0 > 0 and abs(m.gamma - gamma_ref) <= 1e-12,
+                              abs(m.gamma - gamma_ref) <= 1e-12,
                               f"gamma = {m.gamma!r} vs |rho'|/sqrt(rho'') = {gamma_ref!r}"))
 
     h = _FD_STEP
-    fd1 = (np.asarray(m.rho(grid + h)) - np.asarray(m.rho(grid - h))) / (2 * h)
-    a1 = np.asarray(m.rho1(grid))
-    err1 = np.abs(fd1 - a1) / np.maximum(1.0, np.abs(a1))
-    i1 = int(np.argmax(err1))
-    checks.append(CheckResult("rho1 matches d/dx rho (central difference)",
-                              bool(err1[i1] <= 1e-6),
-                              f"worst at x = {grid[i1]!r}: error {err1[i1]:.3e}"))
-
-    fd2 = (np.asarray(m.rho1(grid + h)) - np.asarray(m.rho1(grid - h))) / (2 * h)
-    a2 = np.asarray(m.rho2(grid))
-    err2 = np.abs(fd2 - a2) / np.maximum(1.0, np.abs(a2))
-    i2 = int(np.argmax(err2))
-    checks.append(CheckResult("rho2 matches d/dx rho1 (central difference)",
-                              bool(err2[i2] <= 1e-6),
-                              f"worst at x = {grid[i2]!r}: error {err2[i2]:.3e}"))
+    for name, f, df in (("rho1 matches d/dx rho", m.rho, m.rho1),
+                        ("rho2 matches d/dx rho1", m.rho1, m.rho2)):
+        fd = (np.asarray(f(grid + h)) - np.asarray(f(grid - h))) / (2 * h)
+        a = np.asarray(df(grid))
+        err = np.abs(fd - a) / np.maximum(1.0, np.abs(a))
+        i = int(np.argmax(err))
+        checks.append(CheckResult(f"{name} (central difference)",
+                                  bool(err[i] <= 1e-6),
+                                  f"worst at x = {grid[i]!r}: error {err[i]:.3e}"))
 
     if m.monotone_flag:
         r1g = np.asarray(m.rho1(grid))

@@ -29,19 +29,15 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import streams
-from .hermite import _norm_hermites, _tail_coefficients, _tail_sum
+from .hermite import (_check_int, _finite, _norm_hermites, _tail_coefficients,
+                      _tail_sum)
 from .model import IsotropicModel
 
 MAX_SIZE = 60
 
 
 def _check_size(n: int, cap: int = MAX_SIZE) -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError("matrix size must be a positive integer")
-    if n > cap:
-        raise ValueError(f"matrix size {n} exceeds the supported cap {cap}")
-    return n
+    return _check_int(n, 1, cap, "matrix size")
 
 
 def _rescaled_density(n: int, nu) -> np.ndarray:
@@ -70,14 +66,14 @@ def goe_eigen_density(n: int, nu):
     ----------
     n : int
         Matrix size, 1 <= n <= 60.
-    nu : float or ndarray
+    nu : float or ndarray, finite.
 
     Returns
     -------
     float or ndarray
     """
     n = _check_size(n)
-    nu_arr = np.asarray(nu, dtype=float)
+    nu_arr = np.asarray(_finite(nu, "nu"), dtype=float)
     out = np.exp(-nu_arr ** 2 / 2.0) * _rescaled_density(n, nu_arr)
     return float(out) if np.ndim(nu) == 0 else out
 
@@ -90,7 +86,7 @@ def expected_absdet_shifted_goe(n: int, nu):
     overflows.  Requires n <= 59 (needs the density at size n+1).
     """
     n = _check_size(n, cap=MAX_SIZE - 1)
-    nu_arr = np.asarray(nu, dtype=float)
+    nu_arr = np.asarray(_finite(nu, "nu"), dtype=float)
     coef = 2.0 ** 1.5 * math.gamma((n + 3) / 2.0) / (n + 1)
     out = coef * _rescaled_density(n + 1, nu_arr)
     return float(out) if np.ndim(nu) == 0 else out
@@ -123,9 +119,7 @@ def mc_absdet(n: int, nu: float, reps: int, seed: int) -> McEstimate:
     the estimate is bit-identical however the replicates are batched.
     """
     n = _check_size(n)
-    reps = int(reps)
-    if reps < 2:
-        raise ValueError("reps must be at least 2 (stderr needs a sample std)")
+    reps = _check_int(reps, 2, math.inf, "reps")   # stderr needs 2 samples
     per_rep = n * (n + 1) // 2
     iu, ju = np.triu_indices(n)
     scale = np.where(iu == ju, 1.0, 1.0 / math.sqrt(2.0))

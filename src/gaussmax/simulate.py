@@ -13,14 +13,15 @@ of applying any bias correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import streams
 from .bounds import tail_bound
-from .geometry import FaceDecomposition, GeometryKind
+from .geometry import FaceDecomposition, GeometryKind, rectangle_faces
+from .hermite import _check_int
 from .model import IsotropicModel
 from .randmat import McEstimate
 
@@ -65,9 +66,7 @@ def make_grid(sides, resolution) -> FieldGrid:
 
     Resolution 1 on an axis degenerates to the single coordinate 0.
     """
-    sides = tuple(float(s) for s in np.atleast_1d(np.asarray(sides, dtype=float)))
-    if not sides or not all(math.isfinite(s) and s > 0 for s in sides):
-        raise ValueError("sides must be positive finite reals")
+    sides = rectangle_faces(sides).sides
     res = np.atleast_1d(np.asarray(resolution, dtype=int))
     if res.size == 1:
         res = np.full(len(sides), int(res[0]))
@@ -134,9 +133,7 @@ def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int, seed: int,
     computation is batched.  ``factor`` may pass a precomputed Cholesky
     factor (for example to reuse it across u-levels).
     """
-    reps = int(reps)
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    reps = _check_int(reps, 1, math.inf, "reps")
     if factor is None:
         factor = covariance_cholesky(m, grid)
     lt = factor.L.T
@@ -191,16 +188,13 @@ class ValidationReport:
     def to_json_dict(self) -> dict:
         return {
             "u_values": list(self.u_values),
-            "empirical": [{"mean": e.mean, "stderr": e.stderr,
-                           "reps": e.reps, "seed": e.seed}
-                          for e in self.empirical],
+            "empirical": [asdict(e) for e in self.empirical],
             "pbar_tails": list(self.pbar_tails),
             "pE_tails": list(self.pE_tails),
             "verdicts": list(self.verdicts),
             "refinement_factors": list(self.refinement_factors),
             "empirical_by_refinement": [
-                [{"mean": e.mean, "stderr": e.stderr,
-                  "reps": e.reps, "seed": e.seed} for e in row]
+                [asdict(e) for e in row]
                 for row in self.empirical_by_refinement],
             "jitters": list(self.jitters),
             "notes": list(self.notes),
@@ -230,9 +224,7 @@ def validate_bound(m: IsotropicModel, geom: FaceDecomposition,
     is conservative evidence for the bound; the refinement sequence is
     reported to show the discretization has stabilized.
     """
-    reps = int(reps)
-    if reps < 2:
-        raise ValueError("reps must be at least 2")
+    reps = _check_int(reps, 2, math.inf, "reps")
     u_values = tuple(float(u) for u in u_values)
     if not u_values:
         raise ValueError("need at least one u level")
@@ -250,6 +242,9 @@ def validate_bound(m: IsotropicModel, geom: FaceDecomposition,
 
     emp_by_ref = []
     jitters = []
+    notes = ["grid maxima underestimate the continuous maximum; verdicts "
+             "compare the finest grid and the refinement sequence shows "
+             "stabilization"]
     for k in refinements:
         g = grid if k == 1 else make_grid(
             grid.sides, tuple(r * k for r in grid.resolution))
@@ -257,19 +252,15 @@ def validate_bound(m: IsotropicModel, geom: FaceDecomposition,
         maxima = sample_maxima(m, g, reps, seed, factor=factor)
         emp_by_ref.append(_empirical_tail(maxima, u_values, reps, seed))
         jitters.append(factor.jitter)
+        if factor.flagged:
+            notes.append(f"refinement x{k}: Cholesky needed jitter "
+                         f"{factor.jitter:g} (above the reporting threshold); "
+                         "tail estimates may be distorted at fine tolerances")
 
     final = emp_by_ref[-1]
     verdicts = tuple(
         "bound_respected" if e.mean - 3.0 * e.stderr <= pb else "inconclusive"
         for e, pb in zip(final, pbar_tails))
-    notes = ["grid maxima underestimate the continuous maximum; verdicts "
-             "compare the finest grid and the refinement sequence shows "
-             "stabilization"]
-    for k, j in zip(refinements, jitters):
-        if j > JITTER_FLAG_LEVEL:
-            notes.append(f"refinement x{k}: Cholesky needed jitter {j:g} "
-                         "(above the reporting threshold); tail estimates "
-                         "may be distorted at fine tolerances")
     return ValidationReport(u_values=u_values, empirical=final,
                             pbar_tails=pbar_tails, pE_tails=pE_tails,
                             verdicts=verdicts,

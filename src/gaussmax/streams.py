@@ -24,11 +24,6 @@ DOMAIN_DIRECTIONS = 0x646972   # unit directions for solid-angle estimation
 _BLOCK = 4  # uint64 words per Philox counter increment
 
 
-def _words_per_rep(per_rep: int) -> int:
-    # Round up to whole counter blocks so each replicate starts on one.
-    return _BLOCK * ((per_rep + _BLOCK - 1) // _BLOCK)
-
-
 def uniforms(seed: int, domain: int, start_rep: int, n_reps: int,
              per_rep: int) -> np.ndarray:
     """Uniform(0,1) draws for replicates ``start_rep .. start_rep+n_reps-1``.
@@ -37,6 +32,8 @@ def uniforms(seed: int, domain: int, start_rep: int, n_reps: int,
     ----------
     seed, domain : int
         Stream key.  ``domain`` separates independent uses of one user seed.
+        ``seed`` must be an int (not a bool) in [0, 2^64); every seeded draw
+        of the package passes here, so this is its one check.
     start_rep, n_reps : int
         Replicate window.
     per_rep : int
@@ -48,13 +45,17 @@ def uniforms(seed: int, domain: int, start_rep: int, n_reps: int,
     ndarray, shape (n_reps, per_rep)
         Row ``i`` depends only on (seed, domain, start_rep+i, per_rep).
     """
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2 ** 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if per_rep <= 0:
         raise ValueError("per_rep must be positive")
     if n_reps < 0 or start_rep < 0:
         raise ValueError("replicate indices must be nonnegative")
     if n_reps == 0:
         return np.empty((0, per_rep))
-    w = _words_per_rep(per_rep)
+    # Round up to whole counter blocks so each replicate starts on one.
+    w = _BLOCK * ((per_rep + _BLOCK - 1) // _BLOCK)
     bitgen = np.random.Philox(
         key=np.array([seed, domain], dtype=np.uint64),
         counter=np.array([start_rep * (w // _BLOCK), 0, 0, 0], dtype=np.uint64),

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.stats import norm
 
 import oracles
@@ -124,6 +126,16 @@ def test_entry_points_reject_nonfinite_abscissa(call, bad):
 
 
 # ----------------------------------------------------------- density bounds
+
+@settings(max_examples=40, deadline=None)
+@given(sides=hst.lists(hst.floats(0.1, 3.0), min_size=1, max_size=3),
+       x=hst.floats(-6.0, 6.0), m=hst.sampled_from([SQ, RAT]))
+def test_principal_sum_is_one_sum(sides, x, m):
+    geom = geometry.rectangle_faces(sides)
+    b = bounds.pbar_density(m, geom, x)
+    assert bounds.pE_density(m, geom, x) == b.pE
+    assert b.pbar >= b.pE
+
 
 @pytest.mark.parametrize("m", [SQ, RAT], ids=["sqexp", "rational"])
 @pytest.mark.parametrize("geom", [SQUARE, CUBE], ids=["square", "cube"])

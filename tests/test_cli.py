@@ -57,6 +57,7 @@ class TestRunConfig:
         {"command": "bound", "abscissa": {"min": 0.0, "max": 1.0}},
         {"command": "bound", "abscissa": {"min": 0, "max": 1, "step": 1,
                                           "pace": 2}},
+        {"command": "validate", "seed": 2 ** 64},
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ConfigError):
@@ -157,6 +158,15 @@ class TestGoeCommand:
         header, rows = data_rows(out)
         assert header == ["n", "nu", "density", "absdet_mean"]
         assert rows == []
+
+    def test_nonfinite_level_is_a_row_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["goe", "--set", "n=3", "--set", "u=[NaN,0.0]"])
+        assert code == 3
+        assert "# error: nu=nan: nu must be finite" in out
+        assert "numeric failure: nu=nan" in err
+        _, rows = data_rows(out)
+        assert [row[1] for row in rows] == ["0"]
 
     def test_missing_n_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, ["goe", "--set", "u=[0.0]"])

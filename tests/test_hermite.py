@@ -9,7 +9,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 import oracles
-from gaussmax import hermite
+from gaussmax import hermite, randmat
 from gaussmax.hermite import HermiteKind
 
 
@@ -170,3 +170,19 @@ def test_recurrence_consistency_property(n, x):
     h_dn = hermite.hermite_eval(HermiteKind.MODIFIED, n - 1, x) if n else 0.0
     scale = max(1.0, abs(h_n) * max(1.0, abs(x)), abs(h_up), n * abs(h_dn))
     assert abs(x * h_n - (h_up + n * h_dn)) <= 1e-11 * scale
+
+
+# tail_integral_In accepts a scalar v = -inf (the full-line integral), so
+# every call here passes the bad value inside an array.
+@pytest.mark.parametrize("call", [
+    lambda a: hermite.hermite_eval(HermiteKind.MODIFIED, 3, a),
+    lambda a: hermite.tail_integral_In(3, a),
+    lambda a: randmat.goe_eigen_density(3, a),
+    lambda a: randmat.expected_absdet_shifted_goe(3, a),
+], ids=["hermite_eval", "tail_integral_In", "goe_eigen_density",
+        "expected_absdet_shifted_goe"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_kernel_entry_points_reject_nonfinite_abscissa(call, bad):
+    with pytest.raises(ValueError, match="finite"):
+        call(np.array([0.5, bad]))

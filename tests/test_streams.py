@@ -6,6 +6,7 @@ from hypothesis import strategies as hst
 from scipy.special import ndtr
 
 import gaussmax.streams as streams
+from gaussmax import geometry, model, randmat, simulate
 
 
 def test_uniforms_shape_and_range():
@@ -79,3 +80,18 @@ def test_window_property(seed, start, n, per):
     i = n // 2
     single = streams.uniforms(seed, streams.DOMAIN_GOE, start + i, 1, per)
     assert np.array_equal(block[i], single[0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: randmat.mc_absdet(2, 0.0, 10, seed=s),
+    lambda s: simulate.sample_maxima(model.make_squared_exponential(0.5),
+                                     simulate.make_grid((1.0,), 3), 2, s),
+    lambda s: geometry.polytope_g_coeffs(
+        [[[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0], [[1.0, 1.0], 1.0]],
+        reps=10, seed=s),
+], ids=["mc_absdet", "sample_maxima", "polytope_g_coeffs"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5],
+                         ids=["negative", "2**64", "float"])
+def test_library_callers_reject_bad_seeds(call, seed):
+    with pytest.raises(ValueError, match="seed"):
+        call(seed)
