@@ -18,7 +18,21 @@ R_j is a Gaussian average of the special function T_j,
     v(y)   = -((1 - gamma^2)^{1/2} y - gamma x)/sqrt(2),
 
 with gamma = |rho'| / sqrt(rho'') in (0, 1].  At gamma = 1 the integrand is
-constant in y and the integral collapses analytically.
+constant in y and the integral collapses analytically.  Otherwise the
+y-average is a fixed 64-node Gauss rule evaluated for a whole array of x at
+once on the (x, node) grid, and checked against the 128-node rule on the
+same grid (a relative gap beyond 1e-7 raises RuntimeError).
+
+The tail correction int_u^inf phi R_j needs no nested quadrature.  With
+s = sqrt(1 - gamma^2), the rotation a = gamma x - s y, b = s x + gamma y is
+orthonormal, so phi(x) phi(y) = phi(a) phi(b), and the half-plane x >= u is
+b >= (u - gamma a)/s.  Integrating b out leaves one integral per order,
+
+    int_u^inf phi(x) R_j(x) dx
+        = pref_j sqrt(2 pi) int phi(a) T_j(a/sqrt 2) Phi((gamma a - u)/s) da,
+
+exact on all of [u, inf), with pref_j the prefactor of R_j above and
+Phi((gamma a - u)/s) the step 1{a >= u} at gamma = 1.
 
 T_j itself is evaluated with the Hermite kernel of :mod:`.hermite`
 (orthonormal values with exponentially damped intermediates and the
@@ -28,17 +42,18 @@ into the tails.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .geometry import FaceDecomposition, GeometryKind, sphere_surface
 from .hermite import (DEFAULT_RULE, SQRT_2PI, HermiteKind, QuadratureRule,
-                      _check_int, _eval_all, _finite, _norm_hermites,
-                      _tail_coefficients, _tail_sum, gauss_weight_integrate)
+                      _check_int, _eval_all, _finite, _node_values,
+                      _norm_hermites, _tail_coefficients, _tail_sum,
+                      gauss_weight_integrate, gauss_weight_rule)
 from .model import IsotropicModel
 
 MAX_ORDER = 60
@@ -92,29 +107,75 @@ def T_series(j: int, v):
     return float(out) if np.ndim(v) == 0 else out
 
 
-def _integrate_rule_checked(f, rule: QuadratureRule, what: str,
-                            cross_check: bool) -> float:
-    """Weighted integral of a vectorized f against e^{-y^2/2} dy.
+@functools.lru_cache(maxsize=None)
+def _reference_rule(n: int) -> QuadratureRule:
+    """The rule an n-node rule is checked against: max(2n, 128) nodes."""
+    return gauss_weight_rule(max(2 * n, 128))
 
-    With ``cross_check`` the fixed rule is compared against adaptive
-    quadrature; a relative disagreement beyond 1e-7 (on values of
-    non-negligible magnitude) raises, per the non-convergence contract, and
-    so does a non-finite adaptive value.  A non-finite rule value raises
-    ValueError from :func:`.hermite.gauss_weight_integrate`.
+
+def _integrate_rule_checked(f, rule: QuadratureRule, what: str,
+                            cross_check: bool):
+    """Weighted integral(s) of a vectorized f against e^{-y^2/2} dy.
+
+    f may return one integrand per leading index, shape (..., nodes); see
+    :func:`.hermite.gauss_weight_integrate`, whose non-finite check raises
+    ValueError for the rule value.  With ``cross_check`` each integral is
+    compared against the larger Gauss rule of :func:`_reference_rule` on the
+    same integrand; a relative disagreement beyond 1e-7 (on values of
+    non-negligible magnitude) raises RuntimeError, per the non-convergence
+    contract, and so does a non-finite reference value.
     """
     val = gauss_weight_integrate(f, rule)
     if cross_check:
-        ref, err = quad(lambda y: f(np.asarray(y)) * math.exp(-y * y / 2.0),
-                        -np.inf, np.inf, epsabs=1e-13, epsrel=1e-11,
-                        limit=300)
-        scale = max(abs(val), abs(ref))
-        if not math.isfinite(ref) or (scale > _CHECK_SCALE_FLOOR and
-                                      abs(val - ref) > _CHECK_REL_TOL * scale):
+        ref_rule = _reference_rule(rule.nodes.size)
+        ref = _node_values(f, ref_rule) @ ref_rule.weights
+        scale = np.maximum(np.abs(val), np.abs(ref))
+        bad = ~np.isfinite(ref) | ((scale > _CHECK_SCALE_FLOOR) &
+                                   (np.abs(val - ref) > _CHECK_REL_TOL * scale))
+        if bad.any():
+            i = np.argmax(bad)
+            at = f" at flat index {i}" if np.ndim(bad) else ""
             raise RuntimeError(
-                f"quadrature non-convergent for {what}: rule gives {val!r}, "
-                f"adaptive gives {ref!r} (estimated error {err:.2e}); "
-                "increase the rule size")
+                f"quadrature non-convergent for {what}{at}: the "
+                f"{rule.nodes.size}-node rule gives {float(np.ravel(val)[i])!r}"
+                f", the {ref_rule.nodes.size}-node rule gives "
+                f"{float(np.ravel(ref)[i])!r}; increase the rule size")
     return val
+
+
+def _pref(m: IsotropicModel, j: int) -> float:
+    """The prefactor (2 rho''/(pi |rho'|))^{j/2} Gamma((j+1)/2)/pi of R_j."""
+    return ((2.0 * m.rho2_0 / (math.pi * abs(m.rho1_0))) ** (j / 2.0)
+            * math.exp(math.lgamma((j + 1) / 2.0)) / math.pi)
+
+
+def _gamma_s(m: IsotropicModel) -> tuple[float, float]:
+    """(gamma, s) with s = sqrt(1 - gamma^2), taken as 0 within 1e-14 of 1."""
+    gamma = m.gamma
+    if gamma >= 1.0 - 1e-14:
+        return gamma, 0.0
+    return gamma, math.sqrt(1.0 - gamma * gamma)
+
+
+def _R_values(m: IsotropicModel, j: int, x,
+              rule: QuadratureRule = DEFAULT_RULE,
+              cross_check: bool = True):
+    """R_j at every entry of the finite float array x (0-d included).
+
+    For gamma < 1 the y-average is one T_series call on the (x, node) grid
+    per rule; see :func:`R_correction`.
+    """
+    x = np.asarray(x, dtype=float)
+    gamma, s = _gamma_s(m)
+    if s == 0.0:
+        integral = SQRT_2PI * T_series(j, gamma * x / math.sqrt(2.0))
+    else:
+        def f(y):
+            return T_series(j, (gamma * x[..., None] - s * y) / math.sqrt(2.0))
+
+        what = f"R_{j}({float(x)})" if x.ndim == 0 else f"R_{j}"
+        integral = _integrate_rule_checked(f, rule, what, cross_check)
+    return _pref(m, j) * integral
 
 
 def R_correction(m: IsotropicModel, j: int, x: float,
@@ -130,9 +191,10 @@ def R_correction(m: IsotropicModel, j: int, x: float,
     rule : QuadratureRule
         Fixed Gauss rule for the y-average (gamma < 1 only).
     cross_check : bool
-        Verify the fixed rule against adaptive quadrature (non-convergence
-        raises RuntimeError).  Hot loops that have already validated the
-        rule at a representative abscissa may switch this off.
+        Verify the fixed rule against a Gauss rule with max(2n, 128) nodes
+        on the same integrand (a disagreement beyond 1e-7 relative raises
+        RuntimeError).  Hot loops that have already validated the rule at a
+        representative abscissa may switch this off.
 
     Notes
     -----
@@ -142,20 +204,7 @@ def R_correction(m: IsotropicModel, j: int, x: float,
     clipped here.
     """
     j = _check_int(j, 1, MAX_ORDER, "order j")
-    x = _finite(x)
-    pref = ((2.0 * m.rho2_0 / (math.pi * abs(m.rho1_0))) ** (j / 2.0)
-            * math.exp(math.lgamma((j + 1) / 2.0)) / math.pi)
-    gamma = m.gamma
-    if gamma >= 1.0 - 1e-14:
-        integral = SQRT_2PI * T_series(j, gamma * x / math.sqrt(2.0))
-    else:
-        s = math.sqrt(1.0 - gamma * gamma)
-
-        def f(y):
-            return T_series(j, -(s * y - gamma * x) / math.sqrt(2.0))
-
-        integral = _integrate_rule_checked(f, rule, f"R_{j}({x})", cross_check)
-    return pref * integral
+    return float(_R_values(m, j, _finite(x), rule, cross_check))
 
 
 @dataclass(frozen=True)
@@ -225,19 +274,51 @@ def pbar_density(m: IsotropicModel, geom: FaceDecomposition,
 class TailBound:
     """Upper tail bounds at level u; iterates as (pbar_tail, pE_tail).
 
-    ``complementary`` is the numerically integrated correction mass on
-    [u, cutoff]; ``truncation`` is the Gaussian-envelope bound on the mass
-    beyond the cutoff, already folded into ``pbar_tail`` so the latter stays
-    a true upper bound.
+    ``complementary`` is the correction mass int_u^inf phi sum_j g_j R_j,
+    integrated exactly on [u, inf) (see :func:`tail_bound`) and included in
+    ``pbar_tail``.
     """
 
     pbar_tail: float
     pE_tail: float
     complementary: float
-    truncation: float
 
     def __iter__(self):
         return iter((self.pbar_tail, self.pE_tail))
+
+
+_TAIL_PANELS = 24
+_LEG_T, _LEG_W = np.polynomial.legendre.leggauss(16)
+
+
+def _composite_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 16-point Gauss-Legendre on every panel."""
+    half = np.diff(edges)[:, None] / 2.0
+    mid = (edges[:-1, None] + edges[1:, None]) / 2.0
+    return (mid + half * _LEG_T).ravel(), (half * _LEG_W).ravel()
+
+
+def _tail_edges(u: float, gamma: float, s: float, j_max: int) -> np.ndarray:
+    """Panel edges of the rotated tail integral of :func:`tail_bound`.
+
+    The integrand phi(a) T_j(a/sqrt 2) Phi((gamma a - u)/s) is at most
+    phi(a) |a|^j in size, which peaks at |a| = sqrt(j), and for u > 0 its
+    mass sits at gamma u with width s.  The window [-pad, max(0, u) + pad]
+    with pad = 12 + sqrt(j_max) therefore holds it to far below rounding.
+    At s = 0 the factor is the step 1{a >= u}, so the window starts at u.
+    For s > 0 it is a smoothed step of width s/gamma at u/gamma; when that
+    is narrower than a panel, edges at u/gamma +- (s/gamma) 2^k resolve it.
+    """
+    pad = 12.0 + math.sqrt(j_max)
+    lo, hi = (-pad if s > 0.0 else max(u, -pad)), max(0.0, u) + pad
+    edges = np.linspace(lo, hi, _TAIL_PANELS + 1)
+    panel, width = edges[1] - edges[0], s / gamma
+    if 0.0 < width < panel:
+        steps = width * 2.0 ** np.arange(math.ceil(math.log2(panel / width)))
+        local = u / gamma + np.concatenate([-steps, [0.0], steps])
+        inside = local[(local > lo) & (local < hi)]
+        edges = np.unique(np.concatenate([edges, inside]))
+    return edges
 
 
 def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
@@ -250,10 +331,19 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
                      + phi(u) sum_{j>=1} (|rho'|/pi)^{j/2} Hbar_{j-1}(u) g_j
 
     via the Hermite tail identity int_u^inf Hbar_j phi = Hbar_{j-1}(u) phi(u).
-    The correction mass is integrated adaptively on [u, cutoff] with
-    cutoff = max(u + 40, 41); the remainder is bounded by
-    (1 - Phi(cutoff)) * sum_j g_j R_j(cutoff) (R_j is decreasing out there)
-    and added to pbar_tail.
+    The correction mass is one 1-D integral per order: rotating (x, y) to
+    a = gamma x - s y, b = s x + gamma y (s = sqrt(1 - gamma^2)) keeps
+    phi(x) phi(y) = phi(a) phi(b), and x >= u becomes b >= (u - gamma a)/s,
+    so
+
+        int_u^inf phi(x) R_j(x) dx
+            = pref_j sqrt(2 pi) int phi(a) T_j(a/sqrt 2) Phi((gamma a - u)/s) da,
+
+    exact on all of [u, inf) (at s = 0, Phi(...) is the step 1{a >= u}).
+    It is summed with composite 16-point Gauss-Legendre rules (see
+    :func:`_tail_edges`) on 24 panels and on each panel halved; the halved
+    value is returned, and their difference must stay within
+    max(1e-10, 1e-7 |value|) or RuntimeError is raised.
     """
     _require_polyhedral(geom)
     u = _finite(u, "u")
@@ -263,30 +353,28 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
     for j in range(1, geom.d0 + 1):
         pE_tail += _coef(m, j) * float(hbar[j - 1]) * geom.g[j] * phi_u
 
-    if geom.d0 == 0:
-        return TailBound(pbar_tail=pE_tail, pE_tail=pE_tail,
-                         complementary=0.0, truncation=0.0)
-
     active = [j for j in range(1, geom.d0 + 1) if geom.g[j] > 0.0]
-    # Validate the fixed rule once at the left end, then integrate with the
-    # per-point cross-check off.
-    for j in active:
-        R_correction(m, j, max(u, 0.0))
+    if not active:
+        return TailBound(pbar_tail=pE_tail, pE_tail=pE_tail, complementary=0.0)
 
-    def correction(x):
-        return sum(geom.g[j] * R_correction(m, j, x, cross_check=False)
-                   for j in active)
-
-    cutoff = max(u + 40.0, 41.0)
-    comp, comp_err = quad(lambda x: float(_phi(x)) * correction(x), u, cutoff,
-                          epsabs=1e-13, epsrel=1e-11, limit=300)
-    if not (comp_err <= max(1e-10, 1e-7 * abs(comp))):
+    gamma, s = _gamma_s(m)
+    coarse = _tail_edges(u, gamma, s, active[-1])
+    fine = np.sort(np.concatenate([coarse, (coarse[:-1] + coarse[1:]) / 2.0]))
+    comp_by_rule = []
+    for edges in (coarse, fine):
+        a, w = _composite_rule(edges)
+        w = w * _phi(a) * (ndtr((gamma * a - u) / s) if s > 0.0 else 1.0)
+        comp_by_rule.append(SQRT_2PI * math.fsum(
+            geom.g[j] * _pref(m, j) * float(T_series(j, a / math.sqrt(2.0)) @ w)
+            for j in active))
+    rough, comp = comp_by_rule
+    err = abs(comp - rough)
+    if not err <= max(1e-10, 1e-7 * abs(comp)):
         raise RuntimeError(
             f"quadrature non-convergent for the complementary tail at u={u}: "
-            f"value {comp!r}, error estimate {comp_err:.2e}")
-    trunc = float(ndtr(-cutoff)) * correction(cutoff)
-    return TailBound(pbar_tail=pE_tail + comp + trunc, pE_tail=pE_tail,
-                     complementary=comp, truncation=trunc)
+            f"value {comp!r}, error estimate {err:.2e}")
+    return TailBound(pbar_tail=pE_tail + comp, pE_tail=pE_tail,
+                     complementary=comp)
 
 
 def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
@@ -298,7 +386,8 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     with the shifted abscissa xt = x + (2|rho'|)^{-1/2} y and the surface
     measure |S^{d-1}| = 2 pi^{d/2}/Gamma(d/2) from
     :func:`.geometry.sphere_surface`.  The y-average uses the default Gauss
-    rule, cross-checked against adaptive quadrature.
+    rule, checked against the 128-node rule; R_{d-1} is evaluated at all
+    shifted abscissae of a rule at once.
 
     Parameters
     ----------
@@ -314,13 +403,9 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     shift = (2.0 * abs(m.rho1_0)) ** -0.5
 
     def f(y):
-        arr = np.atleast_1d(np.asarray(y, dtype=float))
-        xt = x + shift * arr
-        hb = _eval_all(HermiteKind.MODIFIED, j, xt)[j]
-        rr = np.array([R_correction(m, j, t, cross_check=False) for t in xt])
-        out = coef * hb + rr
-        # adaptive cross-check calls with scalars; return a scalar back
-        return out if np.ndim(y) else float(out[0])
+        xt = x + shift * y
+        return (coef * _eval_all(HermiteKind.MODIFIED, j, xt)[j]
+                + _R_values(m, j, xt, cross_check=False))
 
     val = _integrate_rule_checked(f, DEFAULT_RULE,
                                   f"sphere_pbar(d={d}, x={x})",

@@ -110,11 +110,19 @@ class RunConfig:
         if self.seed >= 2 ** 64:
             raise ConfigError("seed must be below 2**64")
         if self.abscissa is not None:
-            missing = {"min", "max", "step"} - set(self.abscissa)
-            extra = set(self.abscissa) - {"min", "max", "step"}
-            if missing or extra:
+            if (not isinstance(self.abscissa, dict)
+                    or set(self.abscissa) != {"min", "max", "step"}):
                 raise ConfigError(
-                    "abscissa needs exactly the keys min, max, step")
+                    "abscissa must be an object with exactly the keys min, "
+                    "max, step")
+            if not all(map(_is_real, self.abscissa.values())):
+                raise ConfigError("abscissa min, max and step must be numbers")
+        if self.u is not None and not all(map(_is_real, self.u)):
+            raise ConfigError("every u entry must be a number")
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _abscissa_values(cfg: RunConfig, what: str) -> list:
@@ -175,7 +183,7 @@ def _build_geometry(cfg: RunConfig) -> FaceDecomposition:
         if kind == "rectangle":
             return rectangle_faces(spec["sides"])
         if kind == "sphere":
-            return sphere_surface(int(spec["d"]))
+            return sphere_surface(spec["d"])
         if kind == "halfspaces":
             return polytope_g_coeffs(spec["halfspaces"],
                                      reps=cfg.reps, seed=cfg.seed)

@@ -105,7 +105,11 @@ def sphere_surface(d: int) -> FaceDecomposition:
     (2(1-cos theta)).
     """
     d = _check_int(d, 2, math.inf, "sphere dimension")
-    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    # In log space: pi^{d/2} and Gamma(d/2) overflow separately from d = 344.
+    area = 2.0 * math.exp(d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0))
+    if not 0.0 < area < math.inf:
+        raise ValueError(f"the surface measure of S^{d - 1} is not a positive "
+                         f"finite float (got {area!r})")
     g = (0.0,) * (d - 1) + (area,)
     return FaceDecomposition(d=d, d0=d - 1, g=g, kappa=0.5,
                              kind=GeometryKind.SPHERE_SURFACE)

@@ -46,11 +46,18 @@ class HermiteKind(str, Enum):
 
 
 def _check_int(n, lo: int, cap, what: str) -> int:
-    """int(n), which must lie in [lo, cap]; the package's one range check."""
-    n = int(n)
-    if not lo <= n <= cap:
-        raise ValueError(f"{what} must be an integer in [{lo}, {cap}], got {n}")
-    return n
+    """n as an int in [lo, cap]; the package's one range check.
+
+    Accepts an int, a numpy integer or an integral finite float (a JSON
+    config gives 3.0); a bool, a non-integral or non-finite float, a string
+    or anything else raises ValueError instead of being truncated.
+    """
+    integral = ((isinstance(n, (int, np.integer)) and not isinstance(n, bool))
+                or (isinstance(n, float) and math.isfinite(n)
+                    and n.is_integer()))
+    if not (integral and lo <= n <= cap):
+        raise ValueError(f"{what} must be an integer in [{lo}, {cap}], got {n!r}")
+    return int(n)
 
 
 def _finite(x, name: str = "x"):
@@ -238,16 +245,27 @@ def gauss_weight_rule(n: int = 64) -> QuadratureRule:
 DEFAULT_RULE = gauss_weight_rule(64)
 
 
-def gauss_weight_integrate(f, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def _node_values(f, rule: QuadratureRule) -> np.ndarray:
+    """f on all nodes at once, broadcast to shape (..., number of nodes)."""
+    vals = np.asarray(f(rule.nodes), dtype=float)
+    return np.broadcast_to(vals, np.broadcast_shapes(vals.shape,
+                                                     rule.nodes.shape))
+
+
+def gauss_weight_integrate(f, rule: QuadratureRule = DEFAULT_RULE):
     """Approximate ``int f(y) e^{-y^2/2} dy`` with the given rule.
 
     ``f`` must be vectorized: it is called once, on the ndarray of all
     nodes, and its result is broadcast to the nodes' shape (so a constant
-    is accepted).  A non-finite integrand value at a node raises ValueError.
+    is accepted).  A result of shape (..., number of nodes) holds one
+    integrand per leading index and gives an array of integrals of shape
+    (...); otherwise the result is a float.  A non-finite integrand value
+    at a node raises ValueError.
     """
-    vals = np.broadcast_to(np.asarray(f(rule.nodes), dtype=float),
-                           rule.nodes.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = rule.nodes[~np.isfinite(vals)][0]
+    vals = _node_values(f, rule)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = rule.nodes[np.nonzero(~finite)[-1][0]]
         raise ValueError(f"integrand not finite at node {bad!r}")
-    return float(rule.weights @ vals)
+    out = vals @ rule.weights
+    return float(out) if out.ndim == 0 else out

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy import integrate
 from scipy.stats import norm
 
 import oracles
@@ -13,6 +14,8 @@ from gaussmax.geometry import FaceDecomposition, GeometryKind
 
 SQ = model.make_squared_exponential(0.5)
 RAT = model.make_rational(0.8, 1.0)
+LOW_GAMMA = model.make_rational(1.0, 0.2)   # gamma = sqrt(1/6) = 0.41
+NEAR_ONE = model.make_rational(1.0, 1e4)    # gamma = 0.99995
 SQUARE = geometry.rectangle_faces([1.0, 1.0])
 CUBE = geometry.rectangle_faces([1.0, 1.0, 1.0])
 POINT = FaceDecomposition(d=1, d0=0, g=(1.0,), kappa=0.0,
@@ -94,6 +97,15 @@ def test_R_correction_cross_check_catches_bad_rule():
     bad = gauss_weight_rule(2)  # far too coarse for j = 4 integrands
     with pytest.raises(RuntimeError):
         bounds.R_correction(RAT, 4, 0.5, rule=bad, cross_check=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(xs=hst.lists(hst.floats(-10.0, 15.0), min_size=1, max_size=12),
+       j=hst.integers(1, 6), m=hst.sampled_from([SQ, RAT, LOW_GAMMA]))
+def test_R_on_an_array_equals_scalar_R_correction(xs, j, m):
+    got = bounds._R_values(m, j, np.array(xs))
+    want = [bounds.R_correction(m, j, x) for x in xs]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -223,6 +235,34 @@ def test_tail_derivative_is_minus_density():
         dn = bounds.tail_bound(RAT, SQUARE, u - h).pbar_tail
         dens = bounds.pbar_density(RAT, SQUARE, u).pbar
         assert (up - dn) / (2.0 * h) == pytest.approx(-dens, rel=1e-6)
+
+
+@pytest.mark.parametrize("m", [LOW_GAMMA, RAT, NEAR_ONE, SQ],
+                         ids=["gamma0.41", "gamma0.71", "gamma0.99995",
+                              "gamma1"])
+@pytest.mark.parametrize("u", [-1.0, 2.5, 8.0])
+def test_tail_correction_matches_adaptive_quadrature(m, u):
+    # The slow path the rotated 1-D integral replaces: phi * sum_j g_j R_j
+    # integrated adaptively over [u, inf), with R_j from its y-average.
+    # Near gamma = 1 the rotated integrand has a step of width s/gamma.
+    def density(x):
+        return norm.pdf(x) * math.fsum(
+            CUBE.g[j] * bounds.R_correction(m, j, x, cross_check=False)
+            for j in range(1, CUBE.d0 + 1))
+
+    want, _ = integrate.quad(density, u, np.inf, epsabs=0.0, epsrel=1e-10,
+                             limit=200)
+    got = bounds.tail_bound(m, CUBE, u).complementary
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(u=hst.floats(-4.0, 10.0), du=hst.floats(1e-6, 3.0),
+       m=hst.sampled_from([SQ, RAT, LOW_GAMMA]),
+       geom=hst.sampled_from([SQUARE, CUBE]))
+def test_tail_bound_does_not_increase(u, du, m, geom):
+    upper = bounds.tail_bound(m, geom, u).pbar_tail
+    assert bounds.tail_bound(m, geom, u + du).pbar_tail <= upper * (1 + 1e-13)
 
 
 def test_tail_bound_monotone_in_u():

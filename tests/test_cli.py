@@ -58,6 +58,9 @@ class TestRunConfig:
         {"command": "bound", "abscissa": {"min": 0, "max": 1, "step": 1,
                                           "pace": 2}},
         {"command": "validate", "seed": 2 ** 64},
+        {"command": "bound", "abscissa": 5},
+        {"command": "tail", "u": ["a"]},
+        {"command": "tail", "u": [1.0, True]},
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ConfigError):
@@ -208,6 +211,13 @@ class TestTailCommand:
 
 
 class TestBoundCommand:
+    @pytest.mark.parametrize("setting", ["abscissa=5", 'u=["a"]'])
+    def test_mistyped_sweep_is_config_error(self, capsys, setting):
+        code, out, err = run_cli(capsys, [
+            "bound", "--set", f"model={json.dumps(SQ_SPEC)}",
+            "--set", f"geometry={json.dumps(RECT_SPEC)}", "--set", setting])
+        assert code == 2 and "config error" in err and out == ""
+
     def test_abscissa_expansion_and_columns(self, capsys):
         code, out, _ = run_cli(capsys, [
             "bound", "--set", f"model={json.dumps(SQ_SPEC)}",

@@ -77,6 +77,21 @@ def test_sphere_surface_rejects_low_dim():
         geometry.sphere_surface(1)
 
 
+def test_sphere_surface_high_dimension():
+    # log |S^{d-1}| by the recurrence |S^{d-1}| = 2 pi/(d-2) |S^{d-3}| from
+    # log |S^1| = log(2 pi); pi^{d/2} and Gamma(d/2) overflow from d = 344.
+    assert geometry.sphere_surface(2).g[-1] == pytest.approx(2.0 * math.pi,
+                                                             rel=1e-15)
+    assert geometry.sphere_surface(3).g[-1] == pytest.approx(4.0 * math.pi,
+                                                             rel=1e-15)
+    log_area = math.log(2.0 * math.pi) + math.fsum(
+        math.log(2.0 * math.pi / (k - 2)) for k in range(4, 401, 2))
+    got = geometry.sphere_surface(400).g[-1]
+    assert math.log(got) == pytest.approx(log_area, rel=1e-13)
+    with pytest.raises(ValueError, match="positive finite"):
+        geometry.sphere_surface(10_000)    # underflows to 0
+
+
 # ----------------------------------------------------------- angle boundary
 
 def test_angle_kappa_diverges():

@@ -9,7 +9,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 import oracles
-from gaussmax import hermite, randmat
+from gaussmax import bounds, hermite, randmat
 from gaussmax.hermite import HermiteKind
 
 
@@ -186,3 +186,21 @@ def test_recurrence_consistency_property(n, x):
 def test_kernel_entry_points_reject_nonfinite_abscissa(call, bad):
     with pytest.raises(ValueError, match="finite"):
         call(np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: hermite.hermite_eval(HermiteKind.MODIFIED, n, 1.0),
+    lambda n: bounds.T_series(n, 0.5),
+    lambda n: randmat.goe_eigen_density(n, 0.5),
+], ids=["hermite_eval", "T_series", "goe_eigen_density"])
+@pytest.mark.parametrize("bad", [2.7, math.inf, math.nan, "3"],
+                         ids=["2.7", "inf", "nan", "str"])
+def test_integer_arguments_are_not_truncated(call, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(bad)
+
+
+def test_integral_floats_and_numpy_integers_are_integers():
+    want = hermite.hermite_eval(HermiteKind.MODIFIED, 3, 1.0)
+    assert hermite.hermite_eval(HermiteKind.MODIFIED, 3.0, 1.0) == want
+    assert hermite.hermite_eval(HermiteKind.MODIFIED, np.int64(3), 1.0) == want
