@@ -1,10 +1,13 @@
 """Face-decomposition coefficients of rectangles and general polytopes.
 
 The bounds weight every face of the parameter set by its measure times the
-normalized solid angle of its normal cone.  For rectangles those
-coefficients are elementary symmetric polynomials of the side lengths; for
-general H-polytopes they are estimated by sampling random directions and
-classifying which face the supporting point lands on.
+normalized solid angle of its normal cone (its external angle).  For
+rectangles those coefficients are elementary symmetric polynomials of the
+side lengths.  For general H-polytopes the external angles have closed forms
+wherever the face's normal space has dimension k <= 3 (1/2, theta/(2 pi),
+Omega/(4 pi)), and g_0 = 1 for every convex polytope; only faces with
+k >= 4, which exist in dimensions 5 and 6, are estimated by sampling random
+directions.  Every polytope below is therefore exact.
 """
 from gaussmax import geometry
 
@@ -13,7 +16,7 @@ rect = geometry.rectangle_faces([1.5, 0.7])
 for j in range(rect.d0 + 1):
     print(f"  g_{j} = {float(rect.g[j]):.6f}")
 
-print("\nsame rectangle through the direction-sampling estimator (400k dirs)")
+print("\nsame rectangle through its four halfspaces (exact external angles)")
 hs = [[[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0],
       [[1.0, 0.0], 1.5], [[0.0, 1.0], 0.7]]
 est = geometry.polytope_g_coeffs(hs, reps=400_000, seed=12)
@@ -31,7 +34,7 @@ for j in range(tri.d0 + 1):
 print("  (vertex angles sum to one full turn: g_0 = 1 for every convex polygon;")
 print("   g_1 = half the perimeter; g_2 = the area)")
 
-print("\nunit cube through its six bounding halfspaces (200k dirs):")
+print("\nunit cube through its six bounding halfspaces:")
 cube_hs = ([[[-1.0 if i == k else 0.0 for i in range(3)], 0.0] for k in range(3)]
            + [[[1.0 if i == k else 0.0 for i in range(3)], 1.0] for k in range(3)])
 cube = geometry.polytope_g_coeffs(cube_hs, reps=200_000, seed=12)

@@ -288,6 +288,7 @@ class TailBound:
 
 
 _TAIL_PANELS = 24
+_TINY = float(np.finfo(float).tiny)
 _LEG_T, _LEG_W = np.polynomial.legendre.leggauss(16)
 
 
@@ -342,8 +343,10 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
     exact on all of [u, inf) (at s = 0, Phi(...) is the step 1{a >= u}).
     It is summed with composite 16-point Gauss-Legendre rules (see
     :func:`_tail_edges`) on 24 panels and on each panel halved; the halved
-    value is returned, and their difference must stay within
-    max(1e-10, 1e-7 |value|) or RuntimeError is raised.
+    value is returned, and their difference must stay within 1e-7 |value|
+    (at least the smallest normal float) or RuntimeError is raised.  The
+    gate is relative because the mass falls to 1e-40 and below in the deep
+    tail, where any absolute floor would pass a rule that is far off.
     """
     _require_polyhedral(geom)
     u = _finite(u, "u")
@@ -369,7 +372,7 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
             for j in active))
     rough, comp = comp_by_rule
     err = abs(comp - rough)
-    if not err <= max(1e-10, 1e-7 * abs(comp)):
+    if not err <= max(_TINY, _CHECK_REL_TOL * abs(comp)):
         raise RuntimeError(
             f"quadrature non-convergent for the complementary tail at u={u}: "
             f"value {comp!r}, error estimate {err:.2e}")

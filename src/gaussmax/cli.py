@@ -119,10 +119,21 @@ class RunConfig:
                 raise ConfigError("abscissa min, max and step must be numbers")
         if self.u is not None and not all(map(_is_real, self.u)):
             raise ConfigError("every u entry must be a number")
+        if self.n is not None and not _is_integral(self.n):
+            raise ConfigError("n must be an integer")
+        for key in ("resolution", "refinements"):
+            v = getattr(self, key)
+            if v is not None and not all(map(_is_integral, v)):
+                raise ConfigError(f"every {key} entry must be an integer")
 
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_integral(v) -> bool:
+    """An int, or a float with an integral value such as JSON's 3.0."""
+    return _is_real(v) and (isinstance(v, int) or v.is_integer())
 
 
 def _abscissa_values(cfg: RunConfig, what: str) -> list:

@@ -24,6 +24,13 @@ DOMAIN_DIRECTIONS = 0x646972   # unit directions for solid-angle estimation
 _BLOCK = 4  # uint64 words per Philox counter increment
 
 
+def check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is an int (not a bool) in [0, 2^64)."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2 ** 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def uniforms(seed: int, domain: int, start_rep: int, n_reps: int,
              per_rep: int) -> np.ndarray:
     """Uniform(0,1) draws for replicates ``start_rep .. start_rep+n_reps-1``.
@@ -32,8 +39,8 @@ def uniforms(seed: int, domain: int, start_rep: int, n_reps: int,
     ----------
     seed, domain : int
         Stream key.  ``domain`` separates independent uses of one user seed.
-        ``seed`` must be an int (not a bool) in [0, 2^64); every seeded draw
-        of the package passes here, so this is its one check.
+        ``seed`` is checked by :func:`check_seed`; every seeded draw of the
+        package passes here.
     start_rep, n_reps : int
         Replicate window.
     per_rep : int
@@ -45,9 +52,7 @@ def uniforms(seed: int, domain: int, start_rep: int, n_reps: int,
     ndarray, shape (n_reps, per_rep)
         Row ``i`` depends only on (seed, domain, start_rep+i, per_rep).
     """
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= seed < 2 ** 64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    check_seed(seed)
     if per_rep <= 0:
         raise ValueError("per_rep must be positive")
     if n_reps < 0 or start_rep < 0:

@@ -95,6 +95,25 @@ def cone_angle_fraction_2d(g1, g2) -> float:
     return math.acos(max(-1.0, min(1.0, c))) / (2.0 * math.pi)
 
 
+def cone_solid_angle_fraction_3d(ring) -> float:
+    """Fraction of the sphere inside a convex cone in R^3 (Girard's theorem).
+
+    ``ring`` lists the cone's extreme generators in cyclic order.  Their
+    directions are the vertices of a spherical polygon whose area is its
+    spherical excess: the sum of its interior angles minus (n - 2) pi.  The
+    angle at e_i is the dihedral angle along e_i between the planes spanned
+    by (e_i, e_{i-1}) and (e_i, e_{i+1}).
+    """
+    e = [np.asarray(g, dtype=float) for g in ring]
+    n = len(e)
+    angles = []
+    for i in range(n):
+        u = np.cross(e[i], e[i - 1])
+        v = np.cross(e[i], e[(i + 1) % n])
+        angles.append(math.atan2(np.linalg.norm(np.cross(u, v)), float(u @ v)))
+    return (math.fsum(angles) - (n - 2) * math.pi) / (4.0 * math.pi)
+
+
 # --------------------------------------------------------------------- GOE
 
 def sample_goe_indep(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -149,6 +149,16 @@ def test_principal_sum_is_one_sum(sides, x, m):
     assert b.pbar >= b.pE
 
 
+@settings(max_examples=40, deadline=None)
+@given(sides=hst.lists(hst.floats(0.1, 3.0), min_size=1, max_size=3),
+       x=hst.floats(0.0, 6.0), m=hst.sampled_from([SQ, RAT]))
+def test_pbar_density_is_even(sides, x, m):
+    # E|det(G - nu I)| is even in nu, so pbar is even in x.
+    geom = geometry.rectangle_faces(sides)
+    assert bounds.pbar_density(m, geom, -x).pbar == pytest.approx(
+        bounds.pbar_density(m, geom, x).pbar, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("m", [SQ, RAT], ids=["sqexp", "rational"])
 @pytest.mark.parametrize("geom", [SQUARE, CUBE], ids=["square", "cube"])
 @pytest.mark.parametrize("x", [0.0, 2.0, 4.0])
@@ -263,6 +273,36 @@ def test_tail_correction_matches_adaptive_quadrature(m, u):
 def test_tail_bound_does_not_increase(u, du, m, geom):
     upper = bounds.tail_bound(m, geom, u).pbar_tail
     assert bounds.tail_bound(m, geom, u + du).pbar_tail <= upper * (1 + 1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sides=hst.lists(hst.floats(0.1, 3.0), min_size=1, max_size=3),
+       u=hst.floats(-4.0, 6.0), du=hst.floats(0.01, 3.0),
+       m=hst.sampled_from([SQ, RAT]))
+def test_tail_difference_is_density_integral(sides, u, du, m):
+    geom = geometry.rectangle_faces(sides)
+    want, _ = integrate.quad(lambda x: bounds.pbar_density(m, geom, x).pbar,
+                             u, u + du, epsabs=0.0, epsrel=1e-12, limit=200)
+    got = (bounds.tail_bound(m, geom, u).pbar_tail
+           - bounds.tail_bound(m, geom, u + du).pbar_tail)
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_tail_gate_catches_rule_without_step_edges(monkeypatch):
+    # Without the edges around the smoothed step at u/gamma, the rule is
+    # 3.4e-5 off at gamma = 0.999, u = 8, where the mass is about 1.5e-17:
+    # far below any absolute floor, so only a relative gate sees it.
+    m = model.make_rational(1.0, 0.999 ** 2 / (1.0 - 0.999 ** 2))
+    assert m.gamma == pytest.approx(0.999, rel=1e-12)
+    bounds.tail_bound(m, CUBE, 8.0)
+
+    def no_step_edges(u, gamma, s, j_max):
+        pad = 12.0 + math.sqrt(j_max)
+        return np.linspace(-pad, max(0.0, u) + pad, bounds._TAIL_PANELS + 1)
+
+    monkeypatch.setattr(bounds, "_tail_edges", no_step_edges)
+    with pytest.raises(RuntimeError, match="non-convergent"):
+        bounds.tail_bound(m, CUBE, 8.0)
 
 
 def test_tail_bound_monotone_in_u():

@@ -61,10 +61,22 @@ class TestRunConfig:
         {"command": "bound", "abscissa": 5},
         {"command": "tail", "u": ["a"]},
         {"command": "tail", "u": [1.0, True]},
+        {"command": "goe", "n": 2.7},
+        {"command": "goe", "n": True},
+        {"command": "goe", "n": "3"},
+        {"command": "validate", "resolution": ["a"]},
+        {"command": "validate", "resolution": [2.5]},
+        {"command": "validate", "refinements": [1, True]},
+        {"command": "validate", "refinements": [1, float("inf")]},
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(bad)
+
+    def test_accepts_integral_floats(self):
+        cfg = RunConfig.from_dict({"command": "validate", "n": 3.0,
+                                   "resolution": [4.0, 5], "refinements": [1.0]})
+        assert cfg.n == 3.0 and cfg.resolution == (4.0, 5)
 
     def test_not_a_dict(self):
         with pytest.raises(ConfigError):
@@ -407,6 +419,22 @@ class TestEntryPoint:
         assert header == ["n", "nu", "density", "absdet_mean"]
         assert float(rows[0][2]) == pytest.approx(stats.norm.pdf(0.0),
                                                   rel=1e-12)
+
+    def test_polytope_modules_load_lazily(self):
+        # scipy.optimize and scipy.spatial serve only H-polytopes.
+        script = (
+            "import sys\n"
+            "import gaussmax.cli\n"
+            "def loaded():\n"
+            "    return [m for m in ('scipy.optimize', 'scipy.spatial')\n"
+            "            if m in sys.modules]\n"
+            "at_import = loaded()\n"
+            f"code = gaussmax.cli.main(['bound', '--set', 'model={json.dumps(SQ_SPEC)}',\n"
+            f"    '--set', 'geometry={json.dumps(RECT_SPEC)}', '--set', 'u=[0.5]'])\n"
+            "print(at_import, loaded(), code, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.stderr.splitlines()[-1] == "[] [] 0"
 
     def test_every_exported_name_resolves(self):
         missing = [n for n in gaussmax.__all__ if not hasattr(gaussmax, n)]

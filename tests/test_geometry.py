@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from scipy.spatial import ConvexHull
+
 import oracles
 from gaussmax import geometry
 from gaussmax.geometry import GeometryKind
@@ -16,6 +18,22 @@ TRIANGLE_HS = [[[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0], [[1.0, 1.0], 1.0]]
 CUBE_HS = [[[-1.0, 0.0, 0.0], 0.0], [[0.0, -1.0, 0.0], 0.0],
            [[0.0, 0.0, -1.0], 0.0], [[1.0, 0.0, 0.0], 1.0],
            [[0.0, 1.0, 0.0], 1.0], [[0.0, 0.0, 1.0], 1.0]]
+SIMPLEX_HS = [[[-1.0, 0.0, 0.0], 0.0], [[0.0, -1.0, 0.0], 0.0],
+              [[0.0, 0.0, -1.0], 0.0], [[1.0, 1.0, 1.0], 1.0]]
+# The 4-d cross-polytope: each edge lies in 4 facets, so its k = 3 normal
+# cone is not simplicial.
+CROSS4_HS = [[list(signs), 1.0]
+             for signs in np.array(np.meshgrid(*[[-1.0, 1.0]] * 4)).T.reshape(-1, 4)]
+
+
+def box_hs(sides):
+    """prod_i [0, L_i] as 2d halfspaces."""
+    d = len(sides)
+    return ([[[-1.0 * (i == k) for k in range(d)], 0.0] for i in range(d)]
+            + [[[1.0 * (i == k) for k in range(d)], sides[i]] for i in range(d)])
+
+
+FIVE_CUBE_HS = box_hs([1.0] * 5)
 
 
 # ------------------------------------------------------------- rectangles
@@ -170,11 +188,141 @@ def test_cube_polytope_matches_rectangle():
 
 
 def test_polytope_deterministic_and_seed_sensitive():
-    a = geometry.polytope_g_coeffs(SQUARE_HS, reps=20_000, seed=3)
-    b = geometry.polytope_g_coeffs(SQUARE_HS, reps=20_000, seed=3)
+    # The 5-cube's edges have 4-d normal cones, which stay Monte Carlo.
+    a = geometry.polytope_g_coeffs(FIVE_CUBE_HS, reps=20_000, seed=3)
+    b = geometry.polytope_g_coeffs(FIVE_CUBE_HS, reps=20_000, seed=3)
     assert a.g == b.g and a.g_stderr == b.g_stderr
-    c = geometry.polytope_g_coeffs(SQUARE_HS, reps=20_000, seed=4)
+    c = geometry.polytope_g_coeffs(FIVE_CUBE_HS, reps=20_000, seed=4)
     assert c.g != a.g
+
+
+@pytest.mark.parametrize("hs", [SQUARE_HS, TRIANGLE_HS, CUBE_HS, SIMPLEX_HS,
+                                box_hs([0.5, 1.5, 2.5, 3.5]), CROSS4_HS],
+                         ids=["square", "triangle", "cube", "simplex",
+                              "box4", "cross4"])
+def test_polytope_exact_up_to_dimension_four(hs):
+    # Every normal cone in d <= 4 has k <= 3 or is a vertex cone, so
+    # nothing is sampled and neither reps nor seed can move a coefficient.
+    a = geometry.polytope_g_coeffs(hs, reps=1, seed=0)
+    b = geometry.polytope_g_coeffs(hs, reps=1000, seed=12345)
+    assert a.g == b.g
+    assert a.g_stderr == b.g_stderr == (0.0,) * (a.d0 + 1)
+    assert a.g[0] == 1.0
+
+
+def test_simplex_edge_coefficient_is_exact():
+    # 3 edges of length 1 with right-angle cones, 3 of length sqrt 2 whose
+    # cones open at arccos(-1/sqrt 3).
+    got = geometry.polytope_g_coeffs(SIMPLEX_HS, reps=1, seed=0)
+    want = 0.75 + 3.0 * math.sqrt(2.0) * math.acos(-1.0 / math.sqrt(3.0)) / (
+        2.0 * math.pi)
+    assert got.g[1] == pytest.approx(want, rel=0.0, abs=1e-14)
+    assert got.g[2] == pytest.approx((3.0 + math.sqrt(3.0)) / 4.0, rel=1e-14,
+                                  abs=0.0)
+    assert got.g[3] == pytest.approx(1.0 / 6.0, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("extra", ["none", "repeated", "touching"])
+@pytest.mark.parametrize("sides", [[1.3, 0.7], [1.3, 0.7, 2.0],
+                                   [1.3, 0.7, 2.0, 1.1]])
+def test_boxes_as_halfspaces_equal_rectangle_faces(sides, extra):
+    # Redundant rows join the active sets: a repeated (and a rescaled)
+    # facet, or -(x_0 + x_1) <= 0, which touches the box along x_0 = x_1 = 0.
+    d = len(sides)
+    hs = box_hs(sides)
+    hs += {"none": [],
+           "repeated": [hs[0], [[2.0 * a for a in hs[d][0]], 2.0 * hs[d][1]]],
+           "touching": [[[-1.0, -1.0] + [0.0] * (d - 2), 0.0]]}[extra]
+    got = geometry.polytope_g_coeffs(hs, reps=1, seed=0)
+    np.testing.assert_allclose(got.g, geometry.rectangle_faces(sides).g,
+                               rtol=1e-14, atol=0.0)
+
+
+def test_cross_polytope_intrinsic_volumes():
+    # Volume 2^4/4! and half of 16 regular tetrahedra of edge sqrt 2; the
+    # 32 triangles have dihedral angle 2 pi/3, so external angle 1/6.
+    got = geometry.polytope_g_coeffs(CROSS4_HS, reps=1, seed=0)
+    assert got.g[4] == pytest.approx(2.0 / 3.0, rel=1e-14, abs=0.0)
+    assert got.g[3] == pytest.approx(8.0 / 3.0, rel=1e-14, abs=0.0)
+    assert got.g[2] == pytest.approx(32.0 * math.sqrt(3.0) / 2.0 / 6.0,
+                                     rel=1e-14, abs=0.0)
+
+
+# ------------------------------------------------ exact external angles
+
+
+def vertex_cones(points):
+    """(generators, inner direction) of each vertex normal cone of a hull."""
+    hull = ConvexHull(points)
+    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
+    center = points[hull.vertices].mean(axis=0)
+    for v in points[hull.vertices]:
+        act = np.abs(normals @ v + offsets) <= 1e-9
+        yield normals[act], v - center
+
+
+def exact_fraction(gens, inner):
+    helper = {2: geometry._wedge_fraction, 3: geometry._solid_fraction}
+    return helper[gens.shape[1]](gens, inner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=hst.sampled_from([2, 3]), n=hst.integers(4, 24),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_vertex_angles_sum_to_one(d, n, seed):
+    # Gauss-Bonnet for polytopes: the vertex normal cones tile R^d.
+    points = np.random.default_rng(seed).standard_normal((n, d))
+    total = math.fsum(exact_fraction(gens, inner)
+                      for gens, inner in vertex_cones(points))
+    assert total == pytest.approx(1.0, rel=0.0, abs=1e-14)
+
+
+def _unit(rows):
+    rows = np.asarray(rows, dtype=float)
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+_PENTAGON = [[0.6 * math.cos(t), 0.6 * math.sin(t), 1.0]
+             for t in np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)]
+_SKEW = [[1.0, 0.2, 0.1], [0.3, 1.0, 0.4], [-0.2, 0.5, 1.0]]
+
+
+@pytest.mark.parametrize("ring, want", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 1.0 / 8.0),
+    ([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0]],
+     1.0 / 6.0),           # a cube's face seen from its center
+    (_PENTAGON, None),
+    (_SKEW, None),
+], ids=["octant", "cube_face", "pentagon", "skew"])
+@pytest.mark.parametrize("redundant", [False, True], ids=["plain", "redundant"])
+def test_solid_fraction_matches_girard(ring, want, redundant):
+    ring = _unit(ring)
+    girard = oracles.cone_solid_angle_fraction_3d(ring)
+    if want is not None:
+        assert girard == pytest.approx(want, rel=1e-14, abs=0.0)
+    gens = ring * np.linspace(0.5, 2.0, len(ring))[:, None]
+    if redundant:
+        # Interior and boundary generators, a repeated ray, shuffled order.
+        extra = [ring.sum(axis=0), ring[0] + ring[1], 3.0 * ring[1]]
+        gens = np.random.default_rng(0).permutation(np.vstack([gens, extra]))
+    got = geometry._solid_fraction(gens, ring.sum(axis=0))
+    assert got == pytest.approx(girard, rel=1e-13, abs=0.0)
+
+
+def test_wedge_fraction_with_redundant_rows():
+    a, b = np.array([1.0, 0.0]), np.array([math.cos(2.0), math.sin(2.0)])
+    gens = np.array([a + b, 2.0 * b, a, 0.5 * a + b])
+    want = oracles.cone_angle_fraction_2d(a, b)
+    got = geometry._wedge_fraction(gens, a + b)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("d, n, seed", [(2, 7, 3), (3, 9, 4)])
+def test_exact_angles_within_four_sigma_of_sampler(d, n, seed):
+    points = np.random.default_rng(seed).standard_normal((n, d))
+    for i, (gens, inner) in enumerate(vertex_cones(points)):
+        frac, se = geometry._cone_fraction(gens, d, 4000, seed, i)
+        assert abs(exact_fraction(gens, inner) - frac) <= 4.0 * se
 
 
 def test_polytope_invariant_to_halfspace_scaling():
