@@ -32,8 +32,9 @@ from .asympt import Z_delta_exponent, exponent_convex, exponent_general
 from .bounds import pbar_density, tail_bound
 from .geometry import (FaceDecomposition, polytope_g_coeffs, rectangle_faces,
                        sphere_surface)
+from .hermite import _check_int
 from .model import IsotropicModel, make_rational, make_squared_exponential
-from .randmat import expected_absdet_shifted_goe, goe_eigen_density
+from .randmat import MAX_SIZE, expected_absdet_shifted_goe, goe_eigen_density
 from .simulate import make_grid, validate_bound
 
 _COMMANDS = ("bound", "tail", "validate", "goe", "geom", "exponent")
@@ -119,21 +120,22 @@ class RunConfig:
                 raise ConfigError("abscissa min, max and step must be numbers")
         if self.u is not None and not all(map(_is_real, self.u)):
             raise ConfigError("every u entry must be a number")
-        if self.n is not None and not _is_integral(self.n):
-            raise ConfigError("n must be an integer")
-        for key in ("resolution", "refinements"):
-            v = getattr(self, key)
-            if v is not None and not all(map(_is_integral, v)):
-                raise ConfigError(f"every {key} entry must be an integer")
+        if self.command == "validate" and self.reps < 2:
+            raise ConfigError("validate needs reps >= 2 for a standard error")
+        if self.refinements is not None and not self.refinements:
+            raise ConfigError("refinements must be nonempty")
+        try:
+            if self.n is not None:
+                _check_int(self.n, 1, MAX_SIZE, "n")
+            for key in ("resolution", "refinements"):
+                for v in getattr(self, key) or ():
+                    _check_int(v, 1, math.inf, f"every {key} entry")
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_integral(v) -> bool:
-    """An int, or a float with an integral value such as JSON's 3.0."""
-    return _is_real(v) and (isinstance(v, int) or v.is_integer())
 
 
 def _abscissa_values(cfg: RunConfig, what: str) -> list:

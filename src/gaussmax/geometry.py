@@ -10,18 +10,18 @@ where sigma_hat_j is the fraction of the unit sphere of the face's normal
 space occupied by the outward normal cone (the external angle, so the g_j
 are intrinsic volumes).  For a rectangle these are exact elementary
 symmetric polynomials of the side lengths.  For a general bounded
-H-polytope the external angles are exact wherever the normal space has
-dimension k <= 3: 1/2 at k = 1, theta/(2 pi) at k = 2 and Omega/(4 pi) at
-k = 3; g_0 = 1 because the vertex normal cones tile R^d.  Only faces with
-k >= 4, which exist in d = 5 and 6, are estimated by Monte Carlo with
-reported standard errors.
+H-polytope one qhull hull of the polar gives the vertices, and the faces
+follow from the vertex-row incidences.  The external angles are exact
+wherever the normal space has dimension k <= 3: 1/2 at k = 1,
+theta/(2 pi) at k = 2 and Omega/(4 pi) at k = 3; g_0 = 1 because the
+vertex normal cones tile R^d.  Only faces with k >= 4, which exist in
+d = 5 and 6, are estimated by Monte Carlo with reported standard errors.
 
 kappa is the curvature regularity parameter of the set: 0 for convex sets,
 +inf for sets with inward corners ("whiskers"), 1/2 for the unit sphere.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -187,8 +187,22 @@ def _normalize_halfspaces(halfspaces):
     return A, b
 
 
-def _check_bounded_full_dim(A: np.ndarray, b: np.ndarray):
+def _vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vertices of {A x <= b}, sorted lexicographically; ValueError unless the
+    set is nonempty, full-dimensional and bounded.
+
+    About a Chebyshev center c with inradius r the set is
+    {x : y_i . (x - c) <= 1} with y_i = a_i / (b_i - a_i . c).  Each facet
+    n . y + e = 0 of the polar hull conv(y_i) (qhull; Barber, Dobkin &
+    Huhdanpaa, ACM TOMS 22, 1996) is dual to the vertex c - n / e, at
+    distance -1/e from c.  The set is bounded iff c lies strictly inside the
+    hull; a vertex farther than r / _GEOM_TOL counts as a free direction.
+    Copies from qhull triangulating the facet of a non-simple vertex are
+    merged, and each vertex is re-solved from the first full-rank d-subset
+    of its active rows, free of the hull's rounding.
+    """
     from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull, QhullError
 
     m, d = A.shape
     # Chebyshev center: max r s.t. A x + r <= b (rows are unit normals)
@@ -202,46 +216,33 @@ def _check_bounded_full_dim(A: np.ndarray, b: np.ndarray):
     if -res.fun <= _GEOM_TOL:
         raise ValueError("degenerate polytope: not full-dimensional "
                          f"(inradius {-res.fun:.2e})")
-    for i in range(d):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(d)
-            c[i] = sgn
-            r = linprog(c=c, A_ub=A, b_ub=b, bounds=[(None, None)] * d,
-                        method="highs")
-            if r.status == 3:
-                raise ValueError(f"unbounded polytope (free direction along axis {i})")
-
-
-def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m, d = A.shape
-    found = []
-    for combo in itertools.combinations(range(m), d):
-        sub = A[list(combo)]
-        if np.linalg.matrix_rank(sub, tol=_GEOM_TOL) < d:
-            continue
-        try:
-            v = np.linalg.solve(sub, b[list(combo)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(v)):
-            continue
-        if np.all(A @ v - b <= _GEOM_TOL * (1.0 + np.abs(v).max())):
-            found.append(v)
-    if not found:
-        raise ValueError("degenerate polytope: no vertices found")
+    c = res.x[:d]
+    y = A / (b - A @ c)[:, None]
+    try:
+        eq = (np.array([[1.0, -y.max()], [-1.0, y.min()]]) if d == 1
+              else ConvexHull(y).equations)
+    except QhullError:          # the y_i span a hyperplane at most
+        eq = np.zeros((1, d + 1))
+    if eq[:, -1].max() >= _GEOM_TOL / res.fun:
+        raise ValueError("unbounded polytope (the normals leave a free "
+                         "direction from the Chebyshev center)")
+    found = c - eq[:, :-1] / eq[:, -1:]
+    # One tolerance: the hull's rounding error scales with the largest vertex.
+    tol = _GEOM_TOL * (1.0 + np.abs(found).max())
     verts = []
-    for v in found:
-        if not any(np.linalg.norm(v - w) <= _GEOM_TOL * (1.0 + np.abs(v).max())
-                   for w in verts):
-            verts.append(v)
-    # Deterministic ordering: lexicographic by coordinates.
+    while len(found):
+        v = found[0]
+        found = found[np.linalg.norm(found - v, axis=1) > tol]
+        basis = []
+        for i in np.flatnonzero(np.abs(A @ v - b) <= tol):
+            if np.linalg.matrix_rank(A[basis + [i]], tol=_GEOM_TOL) > len(basis):
+                basis.append(i)
+        verts.append(np.linalg.solve(A[basis], b[basis]))
     verts.sort(key=lambda v: tuple(v))
     return np.array(verts)
 
 
 def _affine_rank(points: np.ndarray, scale: float) -> int:
-    if len(points) <= 1:
-        return 0
     centered = points - points.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
     return int(np.sum(svals > 1e-7 * max(1.0, scale)))
@@ -316,22 +317,17 @@ def _cone_fraction(gens: np.ndarray, k: int, reps: int, seed: int,
                    face_index: int) -> tuple[float, float]:
     """MC fraction of S^{k-1} covered by the cone spanned by ``gens`` rows.
 
-    gens live in R^k (coordinates of the face's normal space), rows unit-ish.
-    Returns (fraction, stderr).  Simplicial cones (len(gens) == k) use a
-    vectorized linear solve; larger generator sets fall back to NNLS.
+    gens live in R^k, k >= 2 (coordinates of the face's normal space).
+    Returns (fraction, stderr).  The cone's facets are the facets through 0
+    of conv({0} and the unit generators); a direction is in the cone iff it
+    lies on the inner side of each of them.
     """
-    from scipy.optimize import nnls
+    from scipy.spatial import ConvexHull
 
-    n_gen = len(gens)
-    simplicial = False
-    if n_gen == k:
-        try:
-            inv = np.linalg.inv(gens.T)
-            simplicial = np.isfinite(inv).all()
-        except np.linalg.LinAlgError:
-            simplicial = False
-    hits = 0
-    done = 0
+    unit = gens / np.linalg.norm(gens, axis=1)[:, None]
+    eq = ConvexHull(np.vstack([np.zeros(k), unit])).equations
+    facets = eq[np.abs(eq[:, -1]) <= _GEOM_TOL, :-1]
+    hits = done = 0
     batch = 1 << 17
     while done < reps:
         nb = min(batch, reps - done)
@@ -340,14 +336,7 @@ def _cone_fraction(gens: np.ndarray, k: int, reps: int, seed: int,
         norms = np.linalg.norm(z, axis=1)
         norms[norms == 0] = 1.0
         u = z / norms[:, None]
-        if simplicial:
-            lam = u @ inv.T          # solve gens.T @ lam = u for each row
-            hits += int(np.sum(np.all(lam >= -_GEOM_TOL, axis=1)))
-        else:
-            for row in u:
-                _, resid = nnls(gens.T, row)
-                if resid <= math.sqrt(_GEOM_TOL):
-                    hits += 1
+        hits += int(np.sum(np.all(u @ facets.T <= _GEOM_TOL, axis=1)))
         done += nb
     p = hits / reps
     return p, math.sqrt(p * (1.0 - p) / reps)
@@ -375,9 +364,10 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
 
     Notes
     -----
-    Vertices come from d-subsets of constraints; a face is recovered as the
-    set of vertices whose active constraints contain a given subset, with an
-    affine-rank check.  Face measures use SVD coordinates in the affine hull
+    Vertices are the duals of the facets of the polar hull
+    (:func:`_vertices`).  Faces are vertex sets found by descent: each
+    j-face is the part of a (j+1)-face on one constraint row, kept when its
+    affine rank is j.  Face measures use SVD coordinates in the affine hull
     (hull volume for j >= 2).  External angles are measured on the unit
     sphere of the face's normal space: exactly for k <= 3
     (:func:`_wedge_fraction`, :func:`_solid_fraction`) and by
@@ -392,32 +382,23 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
         raise ValueError(f"polytope dimension {d} exceeds cap {MAX_POLYTOPE_DIM}")
     if m < d + 1:
         raise ValueError("a bounded polytope needs at least d+1 halfspaces")
-    _check_bounded_full_dim(A, b)
-    verts = _enumerate_vertices(A, b)
+    verts = _vertices(A, b)
     scale = float(max(1.0, np.abs(verts).max()))
-    active = [frozenset(np.flatnonzero(np.abs(A @ v - b) <= _GEOM_TOL * scale))
-              for v in verts]
+    tight = np.array([np.abs(A @ v - b) <= _GEOM_TOL * scale for v in verts])
     # An interior point: b_i - a_i . center > 0 for every row i, so for a
     # face point x, (x - center) . a_i > 0 for each constraint active on x.
     center = verts.mean(axis=0)
 
-    # Collect faces as vertex-index sets keyed by dimension.
-    faces: dict[frozenset, int] = {}
-    all_idx = frozenset(range(len(verts)))
-    faces[all_idx] = d
-    for k in range(1, d + 1):
-        for combo in itertools.combinations(range(m), k):
-            cset = frozenset(combo)
-            members = [i for i, act in enumerate(active) if cset <= act]
-            if not members:
-                continue
-            key = frozenset(members)
-            if key in faces:
-                continue
-            j = _affine_rank(verts[members], scale)
-            if j != d - k:
-                continue  # this constraint subset does not define a (d-k)-face
-            faces[key] = j
+    # Faces as vertex-index sets, by descent: a j-face is the part of a
+    # (j+1)-face on some constraint row, with affine rank j.  Vertices
+    # (j = 0) are kept: they take face indices in the ordering below.
+    on_row = [frozenset(np.flatnonzero(col)) for col in tight.T]
+    faces = {frozenset(range(len(verts))): d}
+    level = list(faces)
+    for j in range(d - 1, -1, -1):
+        level = [cut for cut in {face & row for face in level for row in on_row}
+                 if cut and _affine_rank(verts[sorted(cut)], scale) == j]
+        faces.update(dict.fromkeys(level, j))
 
     # Deterministic face ordering for substream assignment.
     ordered = sorted(faces.items(), key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
@@ -438,8 +419,7 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
             # the two points of S^0.
             frac = 0.5
         elif k >= 2:
-            act = frozenset.intersection(*(active[i] for i in members))
-            gens_full = A[sorted(act)]
+            gens_full = A[tight[members].all(axis=0)]
             # Orthonormal coordinates of the normal space (row space).
             _, svals, vt = np.linalg.svd(gens_full, full_matrices=False)
             rank = int(np.sum(svals > _GEOM_TOL * max(1.0, svals.max())))

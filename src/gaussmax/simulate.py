@@ -16,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import streams
 from .bounds import tail_bound
@@ -105,6 +104,8 @@ def covariance_cholesky(m: IsotropicModel, grid: FieldGrid) -> CholeskyFactor:
     factorization retries with diagonal jitter escalating from 1e-12 by
     decades.  Failure at 1e-6 raises (degenerate model on this grid).
     """
+    import scipy.linalg
+
     if grid.count > MAX_GRID_POINTS:
         raise ValueError(f"grid exceeds {MAX_GRID_POINTS} points")
     p = grid.points

@@ -114,6 +114,39 @@ def cone_solid_angle_fraction_3d(ring) -> float:
     return (math.fsum(angles) - (n - 2) * math.pi) / (4.0 * math.pi)
 
 
+def polytope_vertices_brute(A, b, tol: float = 1e-9) -> np.ndarray:
+    """Vertices of {A x <= b} by solving every d-subset of rows: C(m, d) solves.
+
+    A full-rank subset whose solution satisfies every row within tol is a
+    vertex; the first solution found for each vertex is kept, and the
+    vertices are sorted lexicographically.
+    """
+    m, d = A.shape
+    verts = []
+    for combo in itertools.combinations(range(m), d):
+        sub = A[list(combo)]
+        if np.linalg.matrix_rank(sub, tol=tol) < d:
+            continue
+        v = np.linalg.solve(sub, b[list(combo)])
+        near = tol * (1.0 + np.abs(v).max())
+        if (np.all(A @ v - b <= near)
+                and not any(np.linalg.norm(v - w) <= near for w in verts)):
+            verts.append(v)
+    verts.sort(key=tuple)
+    return np.array(verts)
+
+
+def cone_hits_nnls(gens, u, tol: float = 1e-9) -> np.ndarray:
+    """Whether each row of u lies in the cone spanned by the rows of gens.
+
+    Nonnegative least squares: a row is a hit when its distance to the best
+    nonnegative combination of the generators is at most sqrt(tol).
+    """
+    from scipy.optimize import nnls
+
+    return np.array([nnls(gens.T, row)[1] <= math.sqrt(tol) for row in u])
+
+
 # --------------------------------------------------------------------- GOE
 
 def sample_goe_indep(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -68,6 +68,12 @@ class TestRunConfig:
         {"command": "validate", "resolution": [2.5]},
         {"command": "validate", "refinements": [1, True]},
         {"command": "validate", "refinements": [1, float("inf")]},
+        {"command": "goe", "n": 0},
+        {"command": "goe", "n": 61},
+        {"command": "validate", "resolution": [-3]},
+        {"command": "validate", "refinements": [0]},
+        {"command": "validate", "refinements": []},
+        {"command": "validate", "reps": 1},
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ConfigError):
@@ -421,12 +427,14 @@ class TestEntryPoint:
                                                   rel=1e-12)
 
     def test_polytope_modules_load_lazily(self):
-        # scipy.optimize and scipy.spatial serve only H-polytopes.
+        # scipy.optimize and scipy.spatial serve only H-polytopes and
+        # scipy.linalg only the sampler's Cholesky factor.
         script = (
             "import sys\n"
             "import gaussmax.cli\n"
             "def loaded():\n"
-            "    return [m for m in ('scipy.optimize', 'scipy.spatial')\n"
+            "    return [m for m in ('scipy.optimize', 'scipy.spatial',\n"
+            "                        'scipy.linalg')\n"
             "            if m in sys.modules]\n"
             "at_import = loaded()\n"
             f"code = gaussmax.cli.main(['bound', '--set', 'model={json.dumps(SQ_SPEC)}',\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 from scipy.spatial import ConvexHull
 
 import oracles
-from gaussmax import geometry
+from gaussmax import geometry, streams
 from gaussmax.geometry import GeometryKind
 
 SQUARE_HS = [[[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0],
@@ -20,10 +20,6 @@ CUBE_HS = [[[-1.0, 0.0, 0.0], 0.0], [[0.0, -1.0, 0.0], 0.0],
            [[0.0, 1.0, 0.0], 1.0], [[0.0, 0.0, 1.0], 1.0]]
 SIMPLEX_HS = [[[-1.0, 0.0, 0.0], 0.0], [[0.0, -1.0, 0.0], 0.0],
               [[0.0, 0.0, -1.0], 0.0], [[1.0, 1.0, 1.0], 1.0]]
-# The 4-d cross-polytope: each edge lies in 4 facets, so its k = 3 normal
-# cone is not simplicial.
-CROSS4_HS = [[list(signs), 1.0]
-             for signs in np.array(np.meshgrid(*[[-1.0, 1.0]] * 4)).T.reshape(-1, 4)]
 
 
 def box_hs(sides):
@@ -33,7 +29,21 @@ def box_hs(sides):
             + [[[1.0 * (i == k) for k in range(d)], sides[i]] for i in range(d)])
 
 
+def cross_hs(d):
+    """The cross-polytope |x|_1 <= 1 as its 2^d facets s . x <= 1."""
+    return [[list(signs), 1.0]
+            for signs in np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).T.reshape(-1, d)]
+
+
+def hull_hs(points):
+    """conv(points) as the halfspaces of its qhull facets."""
+    return [[row[:-1], -row[-1]] for row in ConvexHull(points).equations]
+
+
 FIVE_CUBE_HS = box_hs([1.0] * 5)
+# The 4-d cross-polytope: each edge lies in 4 facets, so its k = 3 normal
+# cone is not simplicial.
+CROSS4_HS = cross_hs(4)
 
 
 # ------------------------------------------------------------- rectangles
@@ -224,7 +234,7 @@ def test_simplex_edge_coefficient_is_exact():
 
 @pytest.mark.parametrize("extra", ["none", "repeated", "touching"])
 @pytest.mark.parametrize("sides", [[1.3, 0.7], [1.3, 0.7, 2.0],
-                                   [1.3, 0.7, 2.0, 1.1]])
+                                   [1.3, 0.7, 2.0, 1.1], [2e9, 3e9]])
 def test_boxes_as_halfspaces_equal_rectangle_faces(sides, extra):
     # Redundant rows join the active sets: a repeated (and a rescaled)
     # facet, or -(x_0 + x_1) <= 0, which touches the box along x_0 = x_1 = 0.
@@ -246,6 +256,69 @@ def test_cross_polytope_intrinsic_volumes():
     assert got.g[3] == pytest.approx(8.0 / 3.0, rel=1e-14, abs=0.0)
     assert got.g[2] == pytest.approx(32.0 * math.sqrt(3.0) / 2.0 / 6.0,
                                      rel=1e-14, abs=0.0)
+
+
+def test_segment_coefficients():
+    got = geometry.polytope_g_coeffs([[[1.0], 2.0], [[-1.0], 0.0]], reps=1,
+                                     seed=0)
+    assert got.g == (1.0, 2.0) and got.g_stderr == (0.0, 0.0)
+
+
+def _hull_cases():
+    rng = np.random.default_rng(7)
+    for d in range(2, 7):
+        points = rng.standard_normal((d + 6, d))
+        yield pytest.param(points, hull_hs(points), id=f"random{d}")
+    for d in (5, 6):
+        yield pytest.param(np.vstack([np.eye(d), -np.eye(d)]), cross_hs(d),
+                           id=f"cross{d}")
+
+
+@pytest.mark.parametrize("points, hs", _hull_cases())
+def test_top_coefficients_are_hull_volume_and_half_area(points, hs):
+    # g_d is the volume; each facet has external angle 1/2.
+    hull = ConvexHull(points)
+    d = points.shape[1]
+    got = geometry.polytope_g_coeffs(hs, reps=10, seed=0)
+    assert got.g[d] == pytest.approx(hull.volume, rel=1e-12, abs=0.0)
+    assert got.g[d - 1] == pytest.approx(hull.area / 2.0, rel=1e-12, abs=0.0)
+
+
+def test_six_cross_polytope_volume():
+    got = geometry.polytope_g_coeffs(cross_hs(6), reps=10, seed=0)
+    assert got.g[6] == pytest.approx(64.0 / 720.0, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("hs", [
+    *(pytest.param(hull_hs(np.random.default_rng(seed).standard_normal((n, d))),
+                   id=f"random{d}")
+      for d, n, seed in [(2, 9, 0), (3, 10, 1), (4, 9, 2), (5, 8, 3)]),
+    pytest.param(CROSS4_HS, id="cross4"),
+    pytest.param(box_hs([1.3, 0.7, 2.0]) + [[[-1.0, -1.0, 0.0], 0.0],
+                                            [[-1.0, 0.0, 0.0], 0.0]],
+                 id="box3_touching_repeated"),
+])
+def test_vertices_equal_brute_force(hs):
+    # Bit for bit: each vertex is solved from the same rows as in the
+    # exhaustive search, so the order and the coordinates agree.
+    A, b = geometry._normalize_halfspaces(hs)
+    np.testing.assert_array_equal(geometry._vertices(A, b),
+                                  oracles.polytope_vertices_brute(A, b))
+
+
+@pytest.mark.parametrize("signs", [(1.0, 1.0), (1.0, -1.0)])
+def test_cone_fraction_matches_nnls_hit_for_hit(signs):
+    # The 5-cross-polytope's edge from s_0 e_0 to s_1 e_1 lies in the 8
+    # facets with those two signs: its 4-d normal cone has 8 generators.
+    A, _ = geometry._normalize_halfspaces(cross_hs(5))
+    gens_full = A[(A[:, 0] * signs[0] > 0) & (A[:, 1] * signs[1] > 0)]
+    gens = gens_full @ np.linalg.svd(gens_full)[2][:4].T
+    reps = 200
+    for window in range(50):
+        frac, _ = geometry._cone_fraction(gens, 4, reps, 5, window)
+        z = streams.normals(5, streams.DOMAIN_DIRECTIONS, window * reps, reps, 4)
+        u = z / np.linalg.norm(z, axis=1)[:, None]
+        assert round(frac * reps) == oracles.cone_hits_nnls(gens, u).sum()
 
 
 # ------------------------------------------------ exact external angles
@@ -338,6 +411,16 @@ def test_polytope_rejects_unbounded():
         geometry.polytope_g_coeffs(
             [[[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0], [[-1.0, -1.0], 1.0]],
             reps=100, seed=0)
+
+
+@pytest.mark.parametrize("hs", [
+    [[[1.0, 0.0], 1.0], [[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0]],
+    [[[1.0, 0.0], 1.0], [[-1.0, 0.0], 0.0], [[1.0, 0.0], 2.0]],
+], ids=["half_strip", "strip"])
+def test_polytope_rejects_strip(hs):
+    # Bounded inradius, so the Chebyshev center exists, but y is free.
+    with pytest.raises(ValueError, match="unbounded"):
+        geometry.polytope_g_coeffs(hs, reps=100, seed=0)
 
 
 def test_polytope_rejects_empty_and_degenerate():
