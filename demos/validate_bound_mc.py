@@ -6,14 +6,13 @@ compared against the analytic tail bound, and the grid is refined to show
 the discretization has stabilized.  Grid maxima underestimate the continuous
 maximum, so "bound_respected" verdicts are conservative evidence.
 """
-from gaussmax import geometry, simulate
+from gaussmax import simulate
 from gaussmax.model import make_squared_exponential
 
 m = make_squared_exponential(0.5)
-square = geometry.rectangle_faces([1.0, 1.0])
 grid = simulate.make_grid((1.0, 1.0), 15)
 
-report = simulate.validate_bound(m, square, grid, (0.5, 1.0, 1.5, 2.0, 2.5),
+report = simulate.validate_bound(m, grid, (0.5, 1.0, 1.5, 2.0, 2.5),
                                  reps=4_000, seed=21, refinements=(1, 2))
 
 print("unit square, squared exponential c = 1/2, 4000 replicates,")

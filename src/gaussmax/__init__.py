@@ -5,8 +5,8 @@ The package is organized around one pipeline:
 
 - :mod:`gaussmax.model` — isotropic covariance profiles and their validity
   checks;
-- :mod:`gaussmax.hermite` — Hermite polynomials, Gaussian-weight tail
-  integrals, and quadrature;
+- :mod:`gaussmax.hermite` — Hermite polynomials and Gaussian-weight tail
+  integrals;
 - :mod:`gaussmax.randmat` — GOE eigenvalue densities and expected shifted
   absolute determinants;
 - :mod:`gaussmax.geometry` — face decompositions (g-coefficients) of
@@ -32,9 +32,8 @@ from .bounds import (BoundBreakdown, R_correction, T_series, TailBound,
 from .geometry import (FaceDecomposition, GeometryKind, angle_boundary_ratio,
                        kappa_of_angle_boundary, polytope_g_coeffs,
                        rectangle_faces, sphere_surface)
-from .hermite import (DEFAULT_RULE, HermiteKind, QuadratureRule,
-                      gauss_weight_integrate, gauss_weight_rule, hermite_eval,
-                      tail_integral_In, weighted_integral_Jn)
+from .hermite import (HermiteKind, hermite_eval, tail_integral_In,
+                      weighted_integral_Jn)
 from .model import (IsotropicModel, ModelValidation, make_rational,
                     make_squared_exponential, normalized, require_valid,
                     validate_model)
@@ -50,9 +49,8 @@ __all__ = [
     "IsotropicModel", "ModelValidation", "make_squared_exponential",
     "make_rational", "normalized", "require_valid", "validate_model",
     # hermite
-    "HermiteKind", "QuadratureRule", "DEFAULT_RULE", "hermite_eval",
-    "tail_integral_In", "weighted_integral_Jn", "gauss_weight_rule",
-    "gauss_weight_integrate",
+    "HermiteKind", "hermite_eval", "tail_integral_In",
+    "weighted_integral_Jn",
     # randmat
     "McEstimate", "goe_eigen_density", "expected_absdet_shifted_goe",
     "mc_absdet", "sample_goe",

@@ -21,7 +21,7 @@ with gamma = |rho'| / sqrt(rho'') in (0, 1].  At gamma = 1 the integrand is
 constant in y and the integral collapses analytically.  Otherwise the
 y-average is a fixed 64-node Gauss rule evaluated for a whole array of x at
 once on the (x, node) grid, and checked against the 128-node rule on the
-same grid (a relative gap beyond 1e-7 raises RuntimeError).
+same grid.
 
 The tail correction int_u^inf phi R_j needs no nested quadrature.  With
 s = sqrt(1 - gamma^2), the rotation a = gamma x - s y, b = s x + gamma y is
@@ -34,6 +34,11 @@ b >= (u - gamma a)/s.  Integrating b out leaves one integral per order,
 exact on all of [u, inf), with pref_j the prefactor of R_j above and
 Phi((gamma a - u)/s) the step 1{a >= u} at gamma = 1.
 
+R_j, the tail correction and ``sphere_pbar`` pass one gate, relative at
+every scale since these integrals fall to 1e-40 and below in the tails: a
+gap above 1e-7 of the larger magnitude between the value and a finer rule
+(128 Gauss nodes, or the halved tail panels) raises RuntimeError.
+
 T_j itself is evaluated with the Hermite kernel of :mod:`.hermite`
 (orthonormal values with exponentially damped intermediates and the
 log-space tail-integral table, shared with the GOE density in ``randmat``),
@@ -42,24 +47,22 @@ into the tails.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 from scipy.special import ndtr
 
 from .geometry import FaceDecomposition, GeometryKind, sphere_surface
-from .hermite import (DEFAULT_RULE, SQRT_2PI, HermiteKind, QuadratureRule,
-                      _check_int, _eval_all, _finite, _node_values,
-                      _norm_hermites, _tail_coefficients, _tail_sum,
-                      gauss_weight_integrate, gauss_weight_rule)
+from .hermite import (SQRT_2PI, HermiteKind, _check_int, _eval_all, _finite,
+                      _norm_hermites, _tail_coefficients, _tail_sum)
 from .model import IsotropicModel
 
 MAX_ORDER = 60
 MAX_SPHERE_DIM = 20
 _CHECK_REL_TOL = 1e-7
-_CHECK_SCALE_FLOOR = 1e-12
+_TINY = float(np.finfo(float).tiny)
 
 
 def _phi(x):
@@ -107,40 +110,51 @@ def T_series(j: int, v):
     return float(out) if np.ndim(v) == 0 else out
 
 
-@functools.lru_cache(maxsize=None)
-def _reference_rule(n: int) -> QuadratureRule:
-    """The rule an n-node rule is checked against: max(2n, 128) nodes."""
-    return gauss_weight_rule(max(2 * n, 128))
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight e^{-y^2/2}, exact for degree < 2n.
 
-
-def _integrate_rule_checked(f, rule: QuadratureRule, what: str,
-                            cross_check: bool):
-    """Weighted integral(s) of a vectorized f against e^{-y^2/2} dy.
-
-    f may return one integrand per leading index, shape (..., nodes); see
-    :func:`.hermite.gauss_weight_integrate`, whose non-finite check raises
-    ValueError for the rule value.  With ``cross_check`` each integral is
-    compared against the larger Gauss rule of :func:`_reference_rule` on the
-    same integrand; a relative disagreement beyond 1e-7 (on values of
-    non-negligible magnitude) raises RuntimeError, per the non-convergence
-    contract, and so does a non-finite reference value.
+    The e^{-t^2} Gauss-Hermite rule under the substitution y = sqrt(2) t.
     """
-    val = gauss_weight_integrate(f, rule)
-    if cross_check:
-        ref_rule = _reference_rule(rule.nodes.size)
-        ref = _node_values(f, ref_rule) @ ref_rule.weights
-        scale = np.maximum(np.abs(val), np.abs(ref))
-        bad = ~np.isfinite(ref) | ((scale > _CHECK_SCALE_FLOOR) &
-                                   (np.abs(val - ref) > _CHECK_REL_TOL * scale))
-        if bad.any():
-            i = np.argmax(bad)
-            at = f" at flat index {i}" if np.ndim(bad) else ""
-            raise RuntimeError(
-                f"quadrature non-convergent for {what}{at}: the "
-                f"{rule.nodes.size}-node rule gives {float(np.ravel(val)[i])!r}"
-                f", the {ref_rule.nodes.size}-node rule gives "
-                f"{float(np.ravel(ref)[i])!r}; increase the rule size")
-    return val
+    t, w = hermgauss(n)
+    return math.sqrt(2.0) * t, math.sqrt(2.0) * w
+
+
+_RULE = _gauss_rule(64)
+_CHECK_RULE = None   # 128 nodes, built by the first cross-check (0.1 s of CPU)
+
+
+def _checked(value, check, what: str):
+    """value, after the one quadrature gate of this module; elementwise.
+
+    A non-finite value raises ValueError; a non-finite check, or a gap
+    |value - check| above max(_TINY, 1e-7 max(|value|, |check|)), RuntimeError.
+    """
+    v, c = np.asarray(value, dtype=float), np.asarray(check, dtype=float)
+    bad, exc, why = ~np.isfinite(v), ValueError, "quadrature value not finite"
+    if not bad.any():
+        tol = np.maximum(_TINY,
+                         _CHECK_REL_TOL * np.maximum(np.abs(v), np.abs(c)))
+        bad = ~np.isfinite(c) | ~(np.abs(v - c) <= tol)
+        exc, why = RuntimeError, "quadrature non-convergent"
+    if bad.any():
+        i = int(np.argmax(bad))
+        at = f" at flat index {i}" if v.ndim else ""
+        raise exc(f"{why} for {what}{at}: value {float(v.flat[i])!r}, "
+                  f"check {float(c.flat[i])!r}")
+    return value
+
+
+def _gauss_average(f, what: str, cross_check: bool):
+    """int f(y) e^{-y^2/2} dy on _RULE, f mapping the nodes to (..., nodes).
+
+    Gated against _CHECK_RULE; without ``cross_check``, for finiteness only.
+    """
+    global _CHECK_RULE
+    if cross_check and _CHECK_RULE is None:
+        _CHECK_RULE = _gauss_rule(128)
+    val = f(_RULE[0]) @ _RULE[1]
+    check = f(_CHECK_RULE[0]) @ _CHECK_RULE[1] if cross_check else val
+    return _checked(val, check, what)
 
 
 def _pref(m: IsotropicModel, j: int) -> float:
@@ -157,13 +171,11 @@ def _gamma_s(m: IsotropicModel) -> tuple[float, float]:
     return gamma, math.sqrt(1.0 - gamma * gamma)
 
 
-def _R_values(m: IsotropicModel, j: int, x,
-              rule: QuadratureRule = DEFAULT_RULE,
-              cross_check: bool = True):
+def _R_values(m: IsotropicModel, j: int, x, cross_check: bool = True):
     """R_j at every entry of the finite float array x (0-d included).
 
     For gamma < 1 the y-average is one T_series call on the (x, node) grid
-    per rule; see :func:`R_correction`.
+    per Gauss rule; see :func:`R_correction`.
     """
     x = np.asarray(x, dtype=float)
     gamma, s = _gamma_s(m)
@@ -174,12 +186,11 @@ def _R_values(m: IsotropicModel, j: int, x,
             return T_series(j, (gamma * x[..., None] - s * y) / math.sqrt(2.0))
 
         what = f"R_{j}({float(x)})" if x.ndim == 0 else f"R_{j}"
-        integral = _integrate_rule_checked(f, rule, what, cross_check)
+        integral = _gauss_average(f, what, cross_check)
     return _pref(m, j) * integral
 
 
 def R_correction(m: IsotropicModel, j: int, x: float,
-                 rule: QuadratureRule = DEFAULT_RULE,
                  cross_check: bool = True) -> float:
     """The nonnegative correction term R_j(x) of the density bound.
 
@@ -188,13 +199,11 @@ def R_correction(m: IsotropicModel, j: int, x: float,
     m : IsotropicModel
     j : int, face dimension, 1 <= j <= 60.
     x : float, abscissa.
-    rule : QuadratureRule
-        Fixed Gauss rule for the y-average (gamma < 1 only).
     cross_check : bool
-        Verify the fixed rule against a Gauss rule with max(2n, 128) nodes
-        on the same integrand (a disagreement beyond 1e-7 relative raises
-        RuntimeError).  Hot loops that have already validated the rule at a
-        representative abscissa may switch this off.
+        For gamma < 1, check the 64-node Gauss value of the y-average against
+        the 128-node rule: a gap above 1e-7 of the larger magnitude raises
+        RuntimeError, however small R_j is (a non-finite value raises
+        ValueError either way).  Hot loops may switch the check off.
 
     Notes
     -----
@@ -204,7 +213,7 @@ def R_correction(m: IsotropicModel, j: int, x: float,
     clipped here.
     """
     j = _check_int(j, 1, MAX_ORDER, "order j")
-    return float(_R_values(m, j, _finite(x), rule, cross_check))
+    return float(_R_values(m, j, _finite(x), cross_check))
 
 
 @dataclass(frozen=True)
@@ -255,8 +264,8 @@ def pbar_density(m: IsotropicModel, geom: FaceDecomposition,
                  x: float) -> BoundBreakdown:
     """Full evaluation of the density bound pbar(x) with its breakdown.
 
-    Uses the default Gauss rule (with adaptive cross-check) for the
-    correction terms; for term-level control call R_correction directly.
+    The correction terms use the 64-node Gauss rule, checked against the
+    128-node rule; for term-level control call R_correction directly.
     """
     x = _finite(x)
     principal = _principal(m, geom, x)
@@ -288,7 +297,6 @@ class TailBound:
 
 
 _TAIL_PANELS = 24
-_TINY = float(np.finfo(float).tiny)
 _LEG_T, _LEG_W = np.polynomial.legendre.leggauss(16)
 
 
@@ -332,21 +340,11 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
                      + phi(u) sum_{j>=1} (|rho'|/pi)^{j/2} Hbar_{j-1}(u) g_j
 
     via the Hermite tail identity int_u^inf Hbar_j phi = Hbar_{j-1}(u) phi(u).
-    The correction mass is one 1-D integral per order: rotating (x, y) to
-    a = gamma x - s y, b = s x + gamma y (s = sqrt(1 - gamma^2)) keeps
-    phi(x) phi(y) = phi(a) phi(b), and x >= u becomes b >= (u - gamma a)/s,
-    so
-
-        int_u^inf phi(x) R_j(x) dx
-            = pref_j sqrt(2 pi) int phi(a) T_j(a/sqrt 2) Phi((gamma a - u)/s) da,
-
-    exact on all of [u, inf) (at s = 0, Phi(...) is the step 1{a >= u}).
-    It is summed with composite 16-point Gauss-Legendre rules (see
-    :func:`_tail_edges`) on 24 panels and on each panel halved; the halved
-    value is returned, and their difference must stay within 1e-7 |value|
-    (at least the smallest normal float) or RuntimeError is raised.  The
-    gate is relative because the mass falls to 1e-40 and below in the deep
-    tail, where any absolute floor would pass a rule that is far off.
+    The correction mass is the rotated 1-D integral per order of the module
+    docstring, exact on all of [u, inf).  It is summed with composite
+    16-point Gauss-Legendre rules (see :func:`_tail_edges`) on 24 panels and
+    on each panel halved; the halved value is returned after the gate of
+    :func:`_checked` against the unhalved one.
     """
     _require_polyhedral(geom)
     u = _finite(u, "u")
@@ -371,11 +369,7 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
             geom.g[j] * _pref(m, j) * float(T_series(j, a / math.sqrt(2.0)) @ w)
             for j in active))
     rough, comp = comp_by_rule
-    err = abs(comp - rough)
-    if not err <= max(_TINY, _CHECK_REL_TOL * abs(comp)):
-        raise RuntimeError(
-            f"quadrature non-convergent for the complementary tail at u={u}: "
-            f"value {comp!r}, error estimate {err:.2e}")
+    comp = _checked(comp, rough, f"the complementary tail at u={u}")
     return TailBound(pbar_tail=pE_tail + comp, pE_tail=pE_tail,
                      complementary=comp)
 
@@ -388,7 +382,7 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
                       + R_{d-1}(xt) ] phi(y) dy,
     with the shifted abscissa xt = x + (2|rho'|)^{-1/2} y and the surface
     measure |S^{d-1}| = 2 pi^{d/2}/Gamma(d/2) from
-    :func:`.geometry.sphere_surface`.  The y-average uses the default Gauss
+    :func:`.geometry.sphere_surface`.  The y-average uses the 64-node Gauss
     rule, checked against the 128-node rule; R_{d-1} is evaluated at all
     shifted abscissae of a rule at once.
 
@@ -410,10 +404,9 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
         return (coef * _eval_all(HermiteKind.MODIFIED, j, xt)[j]
                 + _R_values(m, j, xt, cross_check=False))
 
-    val = _integrate_rule_checked(f, DEFAULT_RULE,
-                                  f"sphere_pbar(d={d}, x={x})",
-                                  cross_check=True) / SQRT_2PI
-    return float(_phi(x)) * area * val
+    val = _gauss_average(f, f"sphere_pbar(d={d}, x={x})",
+                         cross_check=True) / SQRT_2PI
+    return float(_phi(x) * area * val)
 
 
 def complementary_decay_rate(m: IsotropicModel) -> float:

@@ -271,8 +271,8 @@ def _run_validate(cfg: RunConfig) -> _RunResult:
     if cfg.resolution is None:
         raise ConfigError("validate needs a grid resolution in the config")
     us = _abscissa_values(cfg, "validate")
-    grid = make_grid(cfg.geometry["sides"], cfg.resolution)
-    report = validate_bound(m, geom, grid, us, reps=cfg.reps, seed=cfg.seed,
+    grid = make_grid(geom.sides, cfg.resolution)
+    report = validate_bound(m, grid, us, reps=cfg.reps, seed=cfg.seed,
                             refinements=cfg.refinements)
     cols = ["u", "emp_mean", "emp_stderr", "pbar_tail", "pE_tail", "verdict"]
     rows = [[u, report.empirical[i].mean, report.empirical[i].stderr,

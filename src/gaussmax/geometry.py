@@ -214,8 +214,8 @@ def _vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     if res.status == 3 or not res.success:
         raise ValueError("degenerate halfspace system (no bounded Chebyshev center)")
     if -res.fun <= _GEOM_TOL:
-        raise ValueError("degenerate polytope: not full-dimensional "
-                         f"(inradius {-res.fun:.2e})")
+        raise ValueError("degenerate polytope: not full-dimensional (inradius "
+                         f"{-res.fun:.2e} with the offsets scaled into [-1, 1])")
     c = res.x[:d]
     y = A / (b - A @ c)[:, None]
     try:
@@ -382,6 +382,9 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
         raise ValueError(f"polytope dimension {d} exceeds cap {MAX_POLYTOPE_DIM}")
     if m < d + 1:
         raise ValueError("a bounded polytope needs at least d+1 halfspaces")
+    # Offsets scaled by 2^-e into [-1, 1] for the absolute tolerances below.
+    e = math.frexp(float(np.abs(b).max()))[1]
+    b = np.ldexp(b, -e)
     verts = _vertices(A, b)
     scale = float(max(1.0, np.abs(verts).max()))
     tight = np.array([np.abs(A @ v - b) <= _GEOM_TOL * scale for v in verts])
@@ -437,6 +440,7 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
         g[j] += measure * frac
         var[j] += (measure * se) ** 2
 
-    return FaceDecomposition(d=d, d0=d, g=tuple(g), kappa=0.0,
+    powers = e * np.arange(d + 1)          # g_j scales back by 2^{e j}
+    return FaceDecomposition(d=d, d0=d, g=tuple(np.ldexp(g, powers)), kappa=0.0,
                              kind=GeometryKind.H_POLYTOPE,
-                             g_stderr=tuple(np.sqrt(var)))
+                             g_stderr=tuple(np.ldexp(np.sqrt(var), powers)))

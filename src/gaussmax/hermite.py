@@ -3,13 +3,12 @@
 Two polynomial families appear throughout the package: the physicists'
 polynomials ``H_n`` (weight e^{-x^2}) and the unit-variance variant
 ``Hbar_n`` (weight e^{-x^2/2}), related by ``Hbar_n(x) = 2^{-n/2} H_n(x/sqrt 2)``.
-On top of them sit two integrals that the density bounds consume:
+On top of them sit two closed-form integrals that the density bounds
+consume (their other y-averages are Gauss rules in :mod:`.bounds`):
 
-* ``I_n(v) = int_v^inf e^{-t^2/2} H_n(t) dt`` (closed form, finite or v=-inf),
+* ``I_n(v) = int_v^inf e^{-t^2/2} H_n(t) dt`` (finite v or v = -inf),
 * ``J_n(x) = int e^{-y^2/2} H_n(a y + b x) dy = (2b)^n sqrt(2 pi) Hbar_n(x)``
-  for ``a^2 + b^2 = 1/2``,
-
-plus a Gaussian-weight quadrature utility for the remaining y-integrals.
+  for ``a^2 + b^2 = 1/2``.
 
 Everything is computed from one kernel: the orthonormal values
 ``u_k = c_k H_k`` with ``c_k = (2^k k! sqrt(pi))^{-1/2}``, whose three-term
@@ -26,11 +25,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from scipy.special import ndtr
 
 # From degree 268 on, the scale 1/c_n = (2^n n! sqrt(pi))^{1/2} of H_n
@@ -200,72 +197,3 @@ def weighted_integral_Jn(n: int, x, a: float, b: float):
         raise ValueError("weighted_integral_Jn requires a^2 + b^2 = 1/2 "
                          f"(got {a * a + b * b!r})")
     return (2.0 * b) ** n * SQRT_2PI * hermite_eval(HermiteKind.MODIFIED, n, x)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes/weights approximating ``int f(y) e^{-y^2/2} dy = sum w_i f(y_i)``."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float)).copy()
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float)).copy()
-        if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size < 1:
-            raise ValueError("nodes and weights must be equal-length 1-d arrays")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise ValueError("nodes and weights must be finite")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        total = float(weights.sum())
-        if abs(total - SQRT_2PI) > 1e-12 * SQRT_2PI:
-            raise ValueError(
-                f"weights sum to {total!r}, expected sqrt(2 pi); not a rule "
-                "for the weight e^{-y^2/2}"
-            )
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-
-def gauss_weight_rule(n: int = 64) -> QuadratureRule:
-    """n-point Gauss rule for the weight e^{-y^2/2}, exact for deg < 2n.
-
-    Built from the e^{-t^2} Gauss-Hermite rule by the substitution
-    y = sqrt(2) t.
-    """
-    if n < 1:
-        raise ValueError("need at least one node")
-    t, w = hermgauss(n)
-    return QuadratureRule(math.sqrt(2.0) * t, math.sqrt(2.0) * w)
-
-
-DEFAULT_RULE = gauss_weight_rule(64)
-
-
-def _node_values(f, rule: QuadratureRule) -> np.ndarray:
-    """f on all nodes at once, broadcast to shape (..., number of nodes)."""
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    return np.broadcast_to(vals, np.broadcast_shapes(vals.shape,
-                                                     rule.nodes.shape))
-
-
-def gauss_weight_integrate(f, rule: QuadratureRule = DEFAULT_RULE):
-    """Approximate ``int f(y) e^{-y^2/2} dy`` with the given rule.
-
-    ``f`` must be vectorized: it is called once, on the ndarray of all
-    nodes, and its result is broadcast to the nodes' shape (so a constant
-    is accepted).  A result of shape (..., number of nodes) holds one
-    integrand per leading index and gives an array of integrals of shape
-    (...); otherwise the result is a float.  A non-finite integrand value
-    at a node raises ValueError.
-    """
-    vals = _node_values(f, rule)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = rule.nodes[np.nonzero(~finite)[-1][0]]
-        raise ValueError(f"integrand not finite at node {bad!r}")
-    out = vals @ rule.weights
-    return float(out) if out.ndim == 0 else out

@@ -109,7 +109,8 @@ def sample_goe(n: int, rng: np.random.Generator) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-_MC_BATCH = 1 << 18
+# Matrix entries per mc_absdet batch: 32 MB of matrices at any n.
+_MC_BATCH_VALUES = 1 << 22
 
 
 def mc_absdet(n: int, nu: float, reps: int, seed: int) -> McEstimate:
@@ -127,7 +128,7 @@ def mc_absdet(n: int, nu: float, reps: int, seed: int) -> McEstimate:
     vals = np.empty(reps)
     done = 0
     while done < reps:
-        nb = min(_MC_BATCH, reps - done)
+        nb = min(max(1, _MC_BATCH_VALUES // (n * n)), reps - done)
         z = streams.normals(seed, streams.DOMAIN_GOE, done, nb, per_rep)
         mats = np.zeros((nb, n, n))
         mats[:, iu, ju] = z * scale

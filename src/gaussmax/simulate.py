@@ -19,7 +19,7 @@ import numpy as np
 
 from . import streams
 from .bounds import tail_bound
-from .geometry import FaceDecomposition, GeometryKind, rectangle_faces
+from .geometry import rectangle_faces
 from .hermite import _check_int
 from .model import IsotropicModel
 from .randmat import McEstimate
@@ -212,14 +212,14 @@ def _empirical_tail(maxima: np.ndarray, u_values, reps: int,
     return tuple(out)
 
 
-def validate_bound(m: IsotropicModel, geom: FaceDecomposition,
-                   grid: FieldGrid, u_values, reps: int, seed: int,
-                   refinements=(1, 2, 4)) -> ValidationReport:
+def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
+                   seed: int, refinements=(1, 2, 4)) -> ValidationReport:
     """Check empirical P{max > u} against the analytic tail bounds.
 
     Runs the sampler on the base grid and on refinements of it (resolution
     multiplied by each factor), estimates the exceedance probability at each
-    u, and compares the finest grid's estimates against pbar_tail / pE_tail.
+    u, and compares the finest grid's estimates against pbar_tail / pE_tail
+    of the grid's rectangle.
 
     Grid maxima underestimate the continuous maximum, so "bound_respected"
     is conservative evidence for the bound; the refinement sequence is
@@ -232,11 +232,7 @@ def validate_bound(m: IsotropicModel, geom: FaceDecomposition,
     refinements = tuple(int(k) for k in refinements)
     if not refinements or any(k < 1 for k in refinements):
         raise ValueError("refinement factors must be positive integers")
-    if geom.kind is GeometryKind.RECTANGLE and geom.sides is not None:
-        if (len(geom.sides) != len(grid.sides)
-                or any(abs(a - b) > 1e-12 for a, b in zip(geom.sides, grid.sides))):
-            raise ValueError("geometry sides do not match the grid rectangle")
-
+    geom = rectangle_faces(grid.sides)
     tails = [tail_bound(m, geom, u) for u in u_values]
     pbar_tails = tuple(t.pbar_tail for t in tails)
     pE_tails = tuple(t.pE_tail for t in tails)

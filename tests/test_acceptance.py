@@ -161,7 +161,7 @@ def test_09_monte_carlo_tail_validation():
     and halving the grid moves the estimates by less than 2 stderr."""
     t0 = time.monotonic()
     grid = simulate.make_grid((1.0, 1.0), 25)
-    report = simulate.validate_bound(SQ, SQUARE, grid, (1.0, 2.0, 2.5, 3.0),
+    report = simulate.validate_bound(SQ, grid, (1.0, 2.0, 2.5, 3.0),
                                      reps=10_000, seed=505,
                                      refinements=(1, 2))
     assert report.verdicts == ("bound_respected",) * 4

@@ -92,11 +92,24 @@ def test_R_correction_nonnegative_on_grid():
                 assert bounds.R_correction(m, j, float(x)) >= -1e-12
 
 
-def test_R_correction_cross_check_catches_bad_rule():
-    from gaussmax.hermite import gauss_weight_rule
-    bad = gauss_weight_rule(2)  # far too coarse for j = 4 integrands
-    with pytest.raises(RuntimeError):
-        bounds.R_correction(RAT, 4, 0.5, rule=bad, cross_check=True)
+def test_R_correction_cross_check_catches_bad_rule(monkeypatch):
+    # far too coarse for j = 4 integrands; sphere_pbar's outer y-average
+    # goes through the same check (one test id covers both callers)
+    monkeypatch.setattr(bounds, "_RULE", bounds._gauss_rule(2))
+    for call in (lambda: bounds.R_correction(RAT, 4, 0.5, cross_check=True),
+                 lambda: bounds.sphere_pbar(RAT, 5, 0.5)):
+        with pytest.raises(RuntimeError, match="non-convergent"):
+            call()
+
+
+def test_R_correction_gate_is_relative_in_the_tail(monkeypatch):
+    # R_1(20) is about 5e-20: an absolute floor would pass the 6-node
+    # value 2.7e-20, half the converged one
+    m = model.make_rational(1.0, 1.0)
+    assert bounds.R_correction(m, 1, 20.0) == pytest.approx(5.16e-20, rel=1e-2)
+    monkeypatch.setattr(bounds, "_RULE", bounds._gauss_rule(6))
+    with pytest.raises(RuntimeError, match="non-convergent for R_1"):
+        bounds.R_correction(m, 1, 20.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,18 +121,24 @@ def test_R_on_an_array_equals_scalar_R_correction(xs, j, m):
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_checked_quadrature_rejects_nonfinite_values():
-    rule = bounds.DEFAULT_RULE
-    with pytest.raises(ValueError):   # the rule value
-        bounds._integrate_rule_checked(lambda y: np.full(np.shape(y), np.nan),
-                                       rule, "nan integrand", cross_check=True)
-    # finite on the rule's nodes, NaN everywhere else: only the adaptive
-    # reference sees it
-    with pytest.raises(RuntimeError):
-        bounds._integrate_rule_checked(
-            lambda y: np.where(np.isin(y, rule.nodes), 0.0, np.nan),
-            rule, "nan off the nodes", cross_check=True)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not finite"):   # the value
+            bounds._checked(bad, 1.0, "a bad value")
+        with pytest.raises(ValueError, match="at flat index 1"):
+            bounds._checked(np.array([1.0, bad]), np.array([1.0, bad]), "x")
+        with pytest.raises(RuntimeError, match="non-convergent"):  # the check
+            bounds._checked(1.0, bad, "a bad check")
+
+
+def test_checked_gate_is_relative_and_elementwise():
+    value = np.array([1.0, 1e-30, 0.0])
+    assert bounds._checked(value, value * (1 + 5e-8), "x") is value
+    assert bounds._checked(0.0, 1e-310, "below the smallest normal") == 0.0
+    with pytest.raises(RuntimeError, match="for x at flat index 1"):
+        bounds._checked(value, np.array([1.0, 1.1e-30, 0.0]), "x")
+    with pytest.raises(RuntimeError, match="non-convergent for y: value"):
+        bounds._checked(1e-40, 2e-40, "y")
 
 
 @pytest.mark.parametrize("call", [

@@ -234,10 +234,13 @@ def test_simplex_edge_coefficient_is_exact():
 
 @pytest.mark.parametrize("extra", ["none", "repeated", "touching"])
 @pytest.mark.parametrize("sides", [[1.3, 0.7], [1.3, 0.7, 2.0],
-                                   [1.3, 0.7, 2.0, 1.1], [2e9, 3e9]])
+                                   [1.3, 0.7, 2.0, 1.1], [2e9, 3e9],
+                                   [1e-9, 1e-9], [1e-6, 1e-6],
+                                   [1e-300, 1e-300]])
 def test_boxes_as_halfspaces_equal_rectangle_faces(sides, extra):
     # Redundant rows join the active sets: a repeated (and a rescaled)
     # facet, or -(x_0 + x_1) <= 0, which touches the box along x_0 = x_1 = 0.
+    # Tiny and huge boxes pass because the offsets are rescaled first.
     d = len(sides)
     hs = box_hs(sides)
     hs += {"none": [],
@@ -434,6 +437,10 @@ def test_polytope_rejects_empty_and_degenerate():
             [[[1.0, 0.0], 0.0], [[-1.0, 0.0], 0.0],
              [[0.0, 1.0], 1.0], [[0.0, -1.0], 1.0]],
             reps=100, seed=0)  # x = 0 slab: not full-dimensional
+    # The offsets are rescaled, but not the aspect ratio: a 1 x 1e-9 box is
+    # still taken as flat.
+    with pytest.raises(ValueError, match="not full-dimensional"):
+        geometry.polytope_g_coeffs(box_hs([1.0, 1e-9]), reps=100, seed=0)
 
 
 def test_polytope_rejects_too_few_halfspaces_and_high_dim():

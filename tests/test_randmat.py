@@ -103,6 +103,15 @@ def test_mc_absdet_reproducible():
     assert c.mean != a.mean
 
 
+def test_mc_absdet_is_independent_of_the_batch_budget(monkeypatch):
+    want = randmat.mc_absdet(4, 0.3, 1_000, seed=5)
+    # 37 replicates per batch at n = 4, the last batch partial
+    monkeypatch.setattr(randmat, "_MC_BATCH_VALUES", 37 * 16 + 5)
+    assert randmat.mc_absdet(4, 0.3, 1_000, seed=5) == want
+    monkeypatch.setattr(randmat, "_MC_BATCH_VALUES", 1)   # one per batch
+    assert randmat.mc_absdet(4, 0.3, 1_000, seed=5) == want
+
+
 def test_mc_absdet_matches_analytic():
     est = randmat.mc_absdet(2, 1.0, 60_000, seed=3)
     want = randmat.expected_absdet_shifted_goe(2, 1.0)

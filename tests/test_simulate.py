@@ -6,14 +6,13 @@ import pytest
 from scipy import stats
 
 import oracles
-from gaussmax import geometry, simulate, streams
+from gaussmax import simulate, streams
 from gaussmax.model import make_rational, make_squared_exponential
 from gaussmax.simulate import (CholeskyFactor, FieldGrid, covariance_cholesky,
                                make_grid, sample_maxima, validate_bound)
 
 SQ = make_squared_exponential(0.5)
 RAT = make_rational(0.8, 1.0)
-SQUARE = geometry.rectangle_faces([1.0, 1.0])
 
 
 class TestMakeGrid:
@@ -179,7 +178,7 @@ class TestSampleMaxima:
 class TestValidateBound:
     def _report(self, **kw):
         grid = make_grid((1.0, 1.0), 8)
-        args = dict(m=SQ, geom=SQUARE, grid=grid, u_values=(1.0, 2.0),
+        args = dict(m=SQ, grid=grid, u_values=(1.0, 2.0),
                     reps=500, seed=11, refinements=(1, 2))
         args.update(kw)
         return validate_bound(**args)
@@ -218,15 +217,6 @@ class TestValidateBound:
         for e in rep.empirical:
             assert e.stderr == pytest.approx(
                 math.sqrt(e.mean * (1.0 - e.mean) / e.reps), rel=1e-12)
-
-    def test_geometry_sides_must_match_grid(self):
-        geom = geometry.rectangle_faces([1.0, 2.0])
-        with pytest.raises(ValueError, match="sides"):
-            self._report(geom=geom)
-
-    def test_sphere_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            self._report(geom=geometry.sphere_surface(2))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
