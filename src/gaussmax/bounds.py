@@ -20,8 +20,7 @@ R_j is a Gaussian average of the special function T_j,
 with gamma = |rho'| / sqrt(rho'') in (0, 1].  At gamma = 1 the integrand is
 constant in y and the integral collapses analytically.  Otherwise the
 y-average is a fixed 64-node Gauss rule evaluated for a whole array of x at
-once on the (x, node) grid, and checked against the 128-node rule on the
-same grid.
+once on the (x, node) grid, checked by the 128-node rule on that grid.
 
 The tail correction int_u^inf phi R_j needs no nested quadrature.  With
 s = sqrt(1 - gamma^2), the rotation a = gamma x - s y, b = s x + gamma y is
@@ -111,16 +110,13 @@ def T_series(j: int, v):
 
 
 def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss rule for the weight e^{-y^2/2}, exact for degree < 2n.
-
-    The e^{-t^2} Gauss-Hermite rule under the substitution y = sqrt(2) t.
-    """
+    """n-point rule for the weight e^{-y^2/2}: Gauss-Hermite at y = sqrt(2) t."""
     t, w = hermgauss(n)
     return math.sqrt(2.0) * t, math.sqrt(2.0) * w
 
 
 _RULE = _gauss_rule(64)
-_CHECK_RULE = None   # 128 nodes, built by the first cross-check (0.1 s of CPU)
+_CHECK_RULE = None  # built on first use: at import its eig spins BLAS, 0.09 s CPU
 
 
 def _checked(value, check, what: str):
@@ -132,8 +128,7 @@ def _checked(value, check, what: str):
     v, c = np.asarray(value, dtype=float), np.asarray(check, dtype=float)
     bad, exc, why = ~np.isfinite(v), ValueError, "quadrature value not finite"
     if not bad.any():
-        tol = np.maximum(_TINY,
-                         _CHECK_REL_TOL * np.maximum(np.abs(v), np.abs(c)))
+        tol = np.maximum(_TINY, _CHECK_REL_TOL * np.maximum(np.abs(v), np.abs(c)))
         bad = ~np.isfinite(c) | ~(np.abs(v - c) <= tol)
         exc, why = RuntimeError, "quadrature non-convergent"
     if bad.any():
@@ -145,10 +140,8 @@ def _checked(value, check, what: str):
 
 
 def _gauss_average(f, what: str, cross_check: bool):
-    """int f(y) e^{-y^2/2} dy on _RULE, f mapping the nodes to (..., nodes).
-
-    Gated against _CHECK_RULE; without ``cross_check``, for finiteness only.
-    """
+    """int f(y) e^{-y^2/2} dy on _RULE, f mapping the nodes to (..., nodes);
+    gated against _CHECK_RULE, or without ``cross_check`` for finiteness."""
     global _CHECK_RULE
     if cross_check and _CHECK_RULE is None:
         _CHECK_RULE = _gauss_rule(128)

@@ -187,16 +187,20 @@ def _normalize_halfspaces(halfspaces):
     return A, b
 
 
-def _vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vertices of {A x <= b}, sorted lexicographically; ValueError unless the
-    set is nonempty, full-dimensional and bounded.
+def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(verts, e): the vertices of {A x <= 2^-e b}, sorted lexicographically,
+    for the e that puts its inradius in [1/4, 1/2); ValueError unless the set
+    is nonempty, full-dimensional and bounded.
 
-    About a Chebyshev center c with inradius r the set is
+    HiGHS, with absolute tolerances, finds the Chebyshev center c with the
+    largest offset at 1, or, if the inradius r is below 2^-20 there (far
+    redundant rows), with the smallest nonzero one at 1.  About c the set is
     {x : y_i . (x - c) <= 1} with y_i = a_i / (b_i - a_i . c).  Each facet
     n . y + e = 0 of the polar hull conv(y_i) (qhull; Barber, Dobkin &
     Huhdanpaa, ACM TOMS 22, 1996) is dual to the vertex c - n / e, at
     distance -1/e from c.  The set is bounded iff c lies strictly inside the
-    hull; a vertex farther than r / _GEOM_TOL counts as a free direction.
+    hull; a vertex farther than r / _GEOM_TOL means a free direction or a
+    flat set, which cannot be told apart at that aspect ratio.
     Copies from qhull triangulating the facet of a non-simple vertex are
     merged, and each vertex is re-solved from the first full-rank d-subset
     of its active rows, free of the hull's rounding.
@@ -205,27 +209,38 @@ def _vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     from scipy.spatial import ConvexHull, QhullError
 
     m, d = A.shape
-    # Chebyshev center: max r s.t. A x + r <= b (rows are unit normals)
-    res = linprog(c=np.r_[np.zeros(d), -1.0],
-                  A_ub=np.c_[A, np.ones(m)], b_ub=b,
-                  bounds=[(None, None)] * d + [(0, None)], method="highs")
-    if res.status == 2:
-        raise ValueError("empty polytope (infeasible halfspace system)")
-    if res.status == 3 or not res.success:
-        raise ValueError("degenerate halfspace system (no bounded Chebyshev center)")
-    if -res.fun <= _GEOM_TOL:
-        raise ValueError("degenerate polytope: not full-dimensional (inradius "
-                         f"{-res.fun:.2e} with the offsets scaled into [-1, 1])")
-    c = res.x[:d]
-    y = A / (b - A @ c)[:, None]
+
+    def center(e):  # max r s.t. A x + r <= 2^-e b (rows are unit normals)
+        res = linprog(c=np.r_[np.zeros(d), -1.0], A_ub=np.c_[A, np.ones(m)],
+                      b_ub=np.ldexp(b, -e), method="highs",
+                      bounds=[(None, None)] * d + [(0, None)])
+        if res.status == 2:
+            raise ValueError("empty polytope (infeasible halfspace system)")
+        if res.status == 3 or not res.success:
+            raise ValueError("degenerate halfspace system (no Chebyshev center)")
+        return res.x[:d], -res.fun, e
+
+    top = math.frexp(np.abs(b).max())[1] - 1020     # 2^-e b stays finite
+    c, r, e = center(top + 1020)
+    if r < 2.0 ** -20 and b.any():
+        c, r, e = center(max(math.frexp(np.abs(b[b != 0]).min())[1], top))
+    k = max(math.frexp(r)[1] + 1, top - e)
+    c, e = np.ldexp(c, -k), e + k
+    b = np.ldexp(b, -e)
+    slack = b - A @ c
+    r = float(slack.min())
+    if r <= _GEOM_TOL:
+        raise ValueError(f"degenerate polytope: not full-dimensional (inradius "
+                         f"{r:.2e} after scaling by 2^{-e})")
+    y = A / slack[:, None]
     try:
         eq = (np.array([[1.0, -y.max()], [-1.0, y.min()]]) if d == 1
               else ConvexHull(y).equations)
     except QhullError:          # the y_i span a hyperplane at most
         eq = np.zeros((1, d + 1))
-    if eq[:, -1].max() >= _GEOM_TOL / res.fun:
-        raise ValueError("unbounded polytope (the normals leave a free "
-                         "direction from the Chebyshev center)")
+    if eq[:, -1].max() >= -_GEOM_TOL / r:
+        raise ValueError("degenerate polytope: unbounded or not full-dimensional"
+                         " (a vertex beyond 1e9 inradii from the center)")
     found = c - eq[:, :-1] / eq[:, -1:]
     # One tolerance: the hull's rounding error scales with the largest vertex.
     tol = _GEOM_TOL * (1.0 + np.abs(found).max())
@@ -239,13 +254,7 @@ def _vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
                 basis.append(i)
         verts.append(np.linalg.solve(A[basis], b[basis]))
     verts.sort(key=lambda v: tuple(v))
-    return np.array(verts)
-
-
-def _affine_rank(points: np.ndarray, scale: float) -> int:
-    centered = points - points.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    return int(np.sum(svals > 1e-7 * max(1.0, scale)))
+    return np.array(verts), e
 
 
 def _face_measure(verts: np.ndarray, j: int) -> float:
@@ -382,12 +391,11 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
         raise ValueError(f"polytope dimension {d} exceeds cap {MAX_POLYTOPE_DIM}")
     if m < d + 1:
         raise ValueError("a bounded polytope needs at least d+1 halfspaces")
-    # Offsets scaled by 2^-e into [-1, 1] for the absolute tolerances below.
-    e = math.frexp(float(np.abs(b).max()))[1]
+    # Scaled by 2^-e to an inradius in [1/4, 1/2); g_j scales back by 2^{e j}.
+    verts, e = _vertices(A, b)
     b = np.ldexp(b, -e)
-    verts = _vertices(A, b)
-    scale = float(max(1.0, np.abs(verts).max()))
-    tight = np.array([np.abs(A @ v - b) <= _GEOM_TOL * scale for v in verts])
+    tol = _GEOM_TOL * float(np.abs(verts).max())
+    tight = np.array([np.abs(A @ v - b) <= tol for v in verts])
     # An interior point: b_i - a_i . center > 0 for every row i, so for a
     # face point x, (x - center) . a_i > 0 for each constraint active on x.
     center = verts.mean(axis=0)
@@ -400,7 +408,8 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
     level = list(faces)
     for j in range(d - 1, -1, -1):
         level = [cut for cut in {face & row for face in level for row in on_row}
-                 if cut and _affine_rank(verts[sorted(cut)], scale) == j]
+                 if cut and np.linalg.matrix_rank(
+                     verts[sorted(cut)] - verts[min(cut)], tol=tol) == j]
         faces.update(dict.fromkeys(level, j))
 
     # Deterministic face ordering for substream assignment.
@@ -440,7 +449,7 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
         g[j] += measure * frac
         var[j] += (measure * se) ** 2
 
-    powers = e * np.arange(d + 1)          # g_j scales back by 2^{e j}
+    powers = e * np.arange(d + 1)
     return FaceDecomposition(d=d, d0=d, g=tuple(np.ldexp(g, powers)), kappa=0.0,
                              kind=GeometryKind.H_POLYTOPE,
                              g_stderr=tuple(np.ldexp(np.sqrt(var), powers)))

@@ -232,20 +232,24 @@ def test_simplex_edge_coefficient_is_exact():
     assert got.g[3] == pytest.approx(1.0 / 6.0, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("extra", ["none", "repeated", "touching"])
+@pytest.mark.parametrize("extra", ["none", "repeated", "touching", "far"])
 @pytest.mark.parametrize("sides", [[1.3, 0.7], [1.3, 0.7, 2.0],
                                    [1.3, 0.7, 2.0, 1.1], [2e9, 3e9],
                                    [1e-9, 1e-9], [1e-6, 1e-6],
-                                   [1e-300, 1e-300]])
+                                   [1e-300, 1e-300], [1.0, 1e-8]])
 def test_boxes_as_halfspaces_equal_rectangle_faces(sides, extra):
     # Redundant rows join the active sets: a repeated (and a rescaled)
-    # facet, or -(x_0 + x_1) <= 0, which touches the box along x_0 = x_1 = 0.
-    # Tiny and huge boxes pass because the offsets are rescaled first.
+    # facet, or -(x_0 + x_1) <= 0, which touches the box along x_0 = x_1 = 0;
+    # or they lie far out, x_0 <= 1e7 L_0 and x_0 <= 1e9 L_0.  The polytope
+    # is scaled by its own inradius, not by its largest offset, so neither
+    # its size nor far rows matter, and a 1 x 1e-8 box keeps its short edges.
     d = len(sides)
     hs = box_hs(sides)
+    e0 = [1.0] + [0.0] * (d - 1)
     hs += {"none": [],
            "repeated": [hs[0], [[2.0 * a for a in hs[d][0]], 2.0 * hs[d][1]]],
-           "touching": [[[-1.0, -1.0] + [0.0] * (d - 2), 0.0]]}[extra]
+           "touching": [[[-1.0, -1.0] + [0.0] * (d - 2), 0.0]],
+           "far": [[e0, 1e7 * sides[0]], [e0, 1e9 * sides[0]]]}[extra]
     got = geometry.polytope_g_coeffs(hs, reps=1, seed=0)
     np.testing.assert_allclose(got.g, geometry.rectangle_faces(sides).g,
                                rtol=1e-14, atol=0.0)
@@ -305,8 +309,9 @@ def test_vertices_equal_brute_force(hs):
     # Bit for bit: each vertex is solved from the same rows as in the
     # exhaustive search, so the order and the coordinates agree.
     A, b = geometry._normalize_halfspaces(hs)
-    np.testing.assert_array_equal(geometry._vertices(A, b),
-                                  oracles.polytope_vertices_brute(A, b))
+    verts, e = geometry._vertices(A, b)
+    np.testing.assert_array_equal(
+        verts, oracles.polytope_vertices_brute(A, np.ldexp(b, -e)))
 
 
 @pytest.mark.parametrize("signs", [(1.0, 1.0), (1.0, -1.0)])
@@ -437,8 +442,8 @@ def test_polytope_rejects_empty_and_degenerate():
             [[[1.0, 0.0], 0.0], [[-1.0, 0.0], 0.0],
              [[0.0, 1.0], 1.0], [[0.0, -1.0], 1.0]],
             reps=100, seed=0)  # x = 0 slab: not full-dimensional
-    # The offsets are rescaled, but not the aspect ratio: a 1 x 1e-9 box is
-    # still taken as flat.
+    # The scale is free, but not the aspect ratio: a 1 x 1e-9 box is as far
+    # from its center in inradii as a strip, and is rejected like one.
     with pytest.raises(ValueError, match="not full-dimensional"):
         geometry.polytope_g_coeffs(box_hs([1.0, 1e-9]), reps=100, seed=0)
 
