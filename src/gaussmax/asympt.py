@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hermite import _check_int, _finite
 from .model import IsotropicModel, normalized
 
 
@@ -144,7 +145,7 @@ _GRID_LO = 1e-3
 
 def _distance_setup(m: IsotropicModel, Delta: float):
     """Delta -> (normalized model, alpha, grid range, z -> 0 variance limit)."""
-    Delta = float(Delta)
+    Delta = _finite(Delta, "Delta")
     if not (Delta > 0):
         raise ValueError("Delta must be positive")
     mn, alpha = normalized(m)
@@ -344,8 +345,8 @@ def sigma2_separable_max(gammas, box, n_per_axis: int = 41):
         raise ValueError("box must have one (lo, hi) pair per profile")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box sides must have positive length")
-    axes = [np.linspace(-(hi - lo), hi - lo, int(n_per_axis))
-            for lo, hi in box]
+    n = _check_int(n_per_axis, 1, math.inf, "n_per_axis")
+    axes = [np.linspace(-(hi - lo), hi - lo, n) for lo, hi in box]
     G = np.ix_(*[np.asarray(g(ax), dtype=float)
                  for (g, _), ax in zip(gammas, axes)])
     G1 = np.ix_(*[np.asarray(g1(ax), dtype=float)
@@ -372,12 +373,8 @@ def pm_equiv_1d(v2k: float, vpp: float, k: int, x: float) -> float:
     with C_k = -v2k/(2k)! + (1/4) vpp^2 1_{k=2} and xi standard normal
     (E|xi|^p = 2^{p/2} Gamma((p+1)/2)/sqrt(pi)).
     """
-    v2k = float(v2k)
-    vpp = float(vpp)
-    k = int(k)
-    x = float(x)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    v2k, vpp, x = _finite(v2k, "v2k"), _finite(vpp, "vpp"), _finite(x, "x")
+    k = _check_int(k, 1, 85, "k")         # (2k)! stays a finite float
     if not v2k < 0:
         raise ValueError("v2k = v^(2k)(t0) must be negative at a maximum")
     if vpp > 0:

@@ -132,6 +132,10 @@ class RunConfig:
                     _check_int(v, 1, math.inf, f"every {key} entry")
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        ref = self.refinements or ()
+        if any(a >= b for a, b in zip(ref, ref[1:])):
+            raise ConfigError("refinements must be strictly increasing, so "
+                              "the last grid is the finest")
 
 
 def _is_real(v) -> bool:

@@ -48,17 +48,17 @@ class FaceDecomposition:
     Attributes
     ----------
     d : ambient dimension.
-    d0 : largest dimension with a nonempty face.
-    g : tuple of d0+1 nonnegative reals (g_0 .. g_{d0}).
+    g : tuple of 1 to d+1 nonnegative reals (g_0 .. g_{d0}).
     kappa : curvature regularity parameter (0 convex, may be +inf).
     kind : GeometryKind.
     g_stderr : per-coefficient MC standard errors for H-polytopes, 0.0 for
         each exact coefficient; None for kinds that are exact throughout.
     sides : rectangle side lengths (rectangle kind only).
+
+    ``d0``, the largest dimension with a nonempty face, is ``len(g) - 1``.
     """
 
     d: int
-    d0: int
     g: tuple
     kappa: float
     kind: GeometryKind
@@ -66,12 +66,16 @@ class FaceDecomposition:
     sides: tuple | None = None
 
     def __post_init__(self):
-        if len(self.g) != self.d0 + 1:
-            raise ValueError("g must have d0 + 1 entries")
+        if not 1 <= len(self.g) <= self.d + 1:
+            raise ValueError("g must have between 1 and d + 1 entries")
         if not all(math.isfinite(v) and v >= 0 for v in self.g):
             raise ValueError("g coefficients must be finite and nonnegative")
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
+
+    @property
+    def d0(self) -> int:
+        return len(self.g) - 1
 
 
 def rectangle_faces(sides) -> FaceDecomposition:
@@ -93,7 +97,7 @@ def rectangle_faces(sides) -> FaceDecomposition:
         coeffs = [c + length * (coeffs[i - 1] if i > 0 else 0.0)
                   for i, c in enumerate(coeffs)] + [length * coeffs[-1]]
     d = len(sides)
-    return FaceDecomposition(d=d, d0=d, g=tuple(coeffs), kappa=0.0,
+    return FaceDecomposition(d=d, g=tuple(coeffs), kappa=0.0,
                              kind=GeometryKind.RECTANGLE, sides=sides)
 
 
@@ -114,7 +118,7 @@ def sphere_surface(d: int) -> FaceDecomposition:
         raise ValueError(f"the surface measure of S^{d - 1} is not a positive "
                          f"finite float (got {area!r})")
     g = (0.0,) * (d - 1) + (area,)
-    return FaceDecomposition(d=d, d0=d - 1, g=g, kappa=0.5,
+    return FaceDecomposition(d=d, g=g, kappa=0.5,
                              kind=GeometryKind.SPHERE_SURFACE)
 
 
@@ -187,23 +191,26 @@ def _normalize_halfspaces(halfspaces):
     return A, b
 
 
-def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """(verts, e): the vertices of {A x <= 2^-e b}, sorted lexicographically,
-    for the e that puts its inradius in [1/4, 1/2); ValueError unless the set
-    is nonempty, full-dimensional and bounded.
+def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(verts, offsets, e) of {A x <= b} moved to its Chebyshev center c and
+    scaled by 2^-e, for the e that puts its inradius in [1/4, 1/2): the set
+    is {z : A z <= offsets} with offsets = 2^-e b - A c, and verts are its
+    vertices, sorted lexicographically.  ValueError unless the set is
+    nonempty, full-dimensional and bounded.
 
-    HiGHS, with absolute tolerances, finds the Chebyshev center c with the
-    largest offset at 1, or, if the inradius r is below 2^-20 there (far
-    redundant rows), with the smallest nonzero one at 1.  About c the set is
-    {x : y_i . (x - c) <= 1} with y_i = a_i / (b_i - a_i . c).  Each facet
-    n . y + e = 0 of the polar hull conv(y_i) (qhull; Barber, Dobkin &
-    Huhdanpaa, ACM TOMS 22, 1996) is dual to the vertex c - n / e, at
-    distance -1/e from c.  The set is bounded iff c lies strictly inside the
-    hull; a vertex farther than r / _GEOM_TOL means a free direction or a
-    flat set, which cannot be told apart at that aspect ratio.
-    Copies from qhull triangulating the facet of a non-simple vertex are
-    merged, and each vertex is re-solved from the first full-rank d-subset
-    of its active rows, free of the hull's rounding.
+    HiGHS, with absolute tolerances, finds c with the largest offset at 1,
+    or, if the inradius r is below 2^-20 there (far redundant rows), with
+    the smallest nonzero one at 1.  About c the set is {z : y_i . z <= 1}
+    with y_i = a_i / offset_i.  Each facet n . y + e = 0 of the polar hull
+    conv(y_i) (qhull; Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996) is dual
+    to the vertex -n / e, at distance -1/e from c.  The set is bounded iff
+    the origin lies strictly inside the hull; a vertex farther than
+    r / _GEOM_TOL means a free direction or a flat set, which cannot be told
+    apart at that aspect ratio.  Working about c keeps the coordinates, and
+    so the tolerance 1e-9 max|vertex|, at the set's own size wherever it
+    lies.  Copies from qhull triangulating the facet of a non-simple vertex
+    are merged, and each vertex is re-solved from the first full-rank
+    d-subset of its active rows, free of the hull's rounding.
     """
     from scipy.optimize import linprog
     from scipy.spatial import ConvexHull, QhullError
@@ -226,13 +233,12 @@ def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
         c, r, e = center(max(math.frexp(np.abs(b[b != 0]).min())[1], top))
     k = max(math.frexp(r)[1] + 1, top - e)
     c, e = np.ldexp(c, -k), e + k
-    b = np.ldexp(b, -e)
-    slack = b - A @ c
-    r = float(slack.min())
+    b = np.ldexp(b, -e) - A @ c
+    r = float(b.min())
     if r <= _GEOM_TOL:
         raise ValueError(f"degenerate polytope: not full-dimensional (inradius "
                          f"{r:.2e} after scaling by 2^{-e})")
-    y = A / slack[:, None]
+    y = A / b[:, None]
     try:
         eq = (np.array([[1.0, -y.max()], [-1.0, y.min()]]) if d == 1
               else ConvexHull(y).equations)
@@ -241,9 +247,9 @@ def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     if eq[:, -1].max() >= -_GEOM_TOL / r:
         raise ValueError("degenerate polytope: unbounded or not full-dimensional"
                          " (a vertex beyond 1e9 inradii from the center)")
-    found = c - eq[:, :-1] / eq[:, -1:]
+    found = -eq[:, :-1] / eq[:, -1:]
     # One tolerance: the hull's rounding error scales with the largest vertex.
-    tol = _GEOM_TOL * (1.0 + np.abs(found).max())
+    tol = _GEOM_TOL * np.abs(found).max()
     verts = []
     while len(found):
         v = found[0]
@@ -254,19 +260,19 @@ def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
                 basis.append(i)
         verts.append(np.linalg.solve(A[basis], b[basis]))
     verts.sort(key=lambda v: tuple(v))
-    return np.array(verts), e
+    return np.array(verts), b, e
 
 
 def _face_measure(verts: np.ndarray, j: int) -> float:
-    centered = verts - verts.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = vt[:j]
-    coords = centered @ basis.T
+    """j-measure of the face with these vertices: an edge's length, or for
+    j >= 2 the hull volume in SVD coordinates of the affine hull."""
     if j == 1:
-        return float(coords.max() - coords.min())
+        return float(np.linalg.norm(verts[1] - verts[0]))
     from scipy.spatial import ConvexHull
 
-    return float(ConvexHull(coords).volume)
+    centered = verts - verts.mean(axis=0)
+    basis = np.linalg.svd(centered, full_matrices=False)[2][:j]
+    return float(ConvexHull(centered @ basis.T).volume)
 
 
 def _wedge_fraction(gens: np.ndarray, inner: np.ndarray) -> float:
@@ -376,8 +382,9 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
     Vertices are the duals of the facets of the polar hull
     (:func:`_vertices`).  Faces are vertex sets found by descent: each
     j-face is the part of a (j+1)-face on one constraint row, kept when its
-    affine rank is j.  Face measures use SVD coordinates in the affine hull
-    (hull volume for j >= 2).  External angles are measured on the unit
+    affine rank is j.  An edge measures the distance between its two
+    vertices; a j >= 2 face, its hull volume in SVD coordinates of the
+    affine hull.  External angles are measured on the unit
     sphere of the face's normal space: exactly for k <= 3
     (:func:`_wedge_fraction`, :func:`_solid_fraction`) and by
     :func:`_cone_fraction` for k >= 4.  g_0 is 1 exactly: the vertex normal
@@ -391,14 +398,12 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
         raise ValueError(f"polytope dimension {d} exceeds cap {MAX_POLYTOPE_DIM}")
     if m < d + 1:
         raise ValueError("a bounded polytope needs at least d+1 halfspaces")
-    # Scaled by 2^-e to an inradius in [1/4, 1/2); g_j scales back by 2^{e j}.
-    verts, e = _vertices(A, b)
-    b = np.ldexp(b, -e)
+    # About the Chebyshev center, scaled by 2^-e to an inradius in
+    # [1/4, 1/2); g_j scales back by 2^{e j}.  The origin is interior:
+    # b_i > 0 for every row i, so a_i . x > 0 for each row active on x.
+    verts, b, e = _vertices(A, b)
     tol = _GEOM_TOL * float(np.abs(verts).max())
     tight = np.array([np.abs(A @ v - b) <= tol for v in verts])
-    # An interior point: b_i - a_i . center > 0 for every row i, so for a
-    # face point x, (x - center) . a_i > 0 for each constraint active on x.
-    center = verts.mean(axis=0)
 
     # Faces as vertex-index sets, by descent: a j-face is the part of a
     # (j+1)-face on some constraint row, with affine rank j.  Vertices
@@ -445,11 +450,11 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
                 frac, se = _cone_fraction(gens, k, reps, seed, face_index)
             else:
                 exact = _wedge_fraction if k == 2 else _solid_fraction
-                frac = exact(gens, basis @ (fverts[0] - center))
+                frac = exact(gens, basis @ fverts[0])
         g[j] += measure * frac
         var[j] += (measure * se) ** 2
 
     powers = e * np.arange(d + 1)
-    return FaceDecomposition(d=d, d0=d, g=tuple(np.ldexp(g, powers)), kappa=0.0,
+    return FaceDecomposition(d=d, g=tuple(np.ldexp(g, powers)), kappa=0.0,
                              kind=GeometryKind.H_POLYTOPE,
                              g_stderr=tuple(np.ldexp(np.sqrt(var), powers)))

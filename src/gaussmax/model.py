@@ -1,8 +1,9 @@
 """Isotropic covariance profiles rho(||s-t||^2) with certified derivatives.
 
-A model carries the profile rho (a function of the *squared* distance), its
-first two derivatives, their values at 0, and the shape constant
-``gamma = |rho'(0)| / sqrt(rho''(0)) in (0, 1]``.  Validity means:
+A model carries the profile rho (a function of the *squared* distance) and
+its first two derivatives.  Their values at 0 and the shape constant
+``gamma = |rho'(0)| / sqrt(rho''(0)) in (0, 1]`` are derived from those
+callables at construction, never passed in.  Validity means:
 
 * rho(0) = 1 (unit variance),
 * rho'(0) < 0 (non-degenerate gradient),
@@ -17,7 +18,7 @@ maximum of the field unchanged).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -27,22 +28,28 @@ import numpy as np
 class IsotropicModel:
     """Covariance profile of an isotropic field, E X(s)X(t) = rho(||s-t||^2).
 
-    Models are validated once, at construction: an instance that violates
-    the structural checks of :func:`require_valid` cannot be built, so no
-    downstream operation checks again.
+    The constructor takes the callables and ``monotone_flag`` only.  It sets
+    ``rho1_0 = rho1(0)``, ``rho2_0 = rho2(0)`` and
+    ``gamma = sqrt(rho1_0^2 / rho2_0)`` once, then validates: an instance
+    that violates the structural checks of :func:`require_valid` cannot be
+    built, so no downstream operation checks again.
     """
 
     rho: Callable
     rho1: Callable
     rho2: Callable
-    rho1_0: float
-    rho2_0: float
-    gamma: float
     monotone_flag: bool
-    family: str = "custom"
-    params: tuple = ()
+    rho1_0: float = field(init=False)
+    rho2_0: float = field(init=False)
+    gamma: float = field(init=False)
 
     def __post_init__(self):
+        r1, r2 = (float(np.asarray(f(0.0))) for f in (self.rho1, self.rho2))
+        object.__setattr__(self, "rho1_0", r1)
+        object.__setattr__(self, "rho2_0", r2)
+        # NaN when rho''(0) <= 0, which the checks then reject by name.
+        object.__setattr__(self, "gamma",
+                           math.sqrt(r1 ** 2 / r2) if r2 > 0 else math.nan)
         require_valid(self)
 
 
@@ -61,10 +68,7 @@ def make_squared_exponential(c: float) -> IsotropicModel:
     def rho2(x, c=c):
         return c * c * np.exp(-c * np.asarray(x))
 
-    return IsotropicModel(rho=rho, rho1=rho1, rho2=rho2,
-                          rho1_0=-c, rho2_0=c * c, gamma=1.0,
-                          monotone_flag=True,
-                          family="squared_exponential", params=(("c", c),))
+    return IsotropicModel(rho=rho, rho1=rho1, rho2=rho2, monotone_flag=True)
 
 
 def make_rational(c: float, beta: float) -> IsotropicModel:
@@ -84,11 +88,7 @@ def make_rational(c: float, beta: float) -> IsotropicModel:
         return (c * c * beta * (beta + 1.0)
                 * (1.0 + c * np.asarray(x)) ** (-beta - 2.0))
 
-    return IsotropicModel(rho=rho, rho1=rho1, rho2=rho2,
-                          rho1_0=-c * beta, rho2_0=c * c * beta * (beta + 1.0),
-                          gamma=math.sqrt(beta / (beta + 1.0)),
-                          monotone_flag=True,
-                          family="rational", params=(("c", c), ("beta", beta)))
+    return IsotropicModel(rho=rho, rho1=rho1, rho2=rho2, monotone_flag=True)
 
 
 def require_valid(m: IsotropicModel) -> IsotropicModel:
@@ -126,10 +126,7 @@ def normalized(m: IsotropicModel) -> tuple[IsotropicModel, float]:
         return f(np.asarray(x) / a2) / (a2 * a2)
 
     mn = IsotropicModel(rho=rho, rho1=rho1, rho2=rho2,
-                        rho1_0=m.rho1_0 / a2, rho2_0=m.rho2_0 / (a2 * a2),
-                        gamma=m.gamma, monotone_flag=m.monotone_flag,
-                        family=m.family,
-                        params=m.params + (("rescale", alpha),))
+                        monotone_flag=m.monotone_flag)
     return mn, alpha
 
 
@@ -190,17 +187,6 @@ def validate_model(m: IsotropicModel, grid=None) -> ModelValidation:
                                np.linspace(1.0, 50.0, 99)[1:]])
     grid = np.asarray(grid, dtype=float)
     checks = _structural_checks(m)
-
-    for name, f, at0 in (("rho1", m.rho1, m.rho1_0),
-                         ("rho2", m.rho2, m.rho2_0)):
-        v = float(np.asarray(f(0.0)))
-        checks.append(CheckResult(f"{name}(0) matches {name}_0",
-                                  abs(v - at0) <= 1e-12 * max(1.0, abs(at0)),
-                                  f"{name}(0) = {v!r} vs {at0!r}"))
-    gamma_ref = abs(m.rho1_0) / math.sqrt(m.rho2_0)
-    checks.append(CheckResult("gamma consistent with derivatives",
-                              abs(m.gamma - gamma_ref) <= 1e-12,
-                              f"gamma = {m.gamma!r} vs |rho'|/sqrt(rho'') = {gamma_ref!r}"))
 
     h = _FD_STEP
     for name, f, df in (("rho1 matches d/dx rho", m.rho, m.rho1),

@@ -13,7 +13,7 @@ of applying any bias correction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,21 +39,41 @@ _BATCH_ROWS = 256
 class FieldGrid:
     """Regular grid over the rectangle prod_i [0, L_i].
 
-    ``points`` has shape (count, d) with count = prod(resolution), ordered
-    lexicographically by axis indices; every axis with resolution >= 2
-    includes both endpoints 0 and L_i, so all rectangle vertices are grid
-    points.
+    Built from ``sides`` and ``resolution`` (points per axis: one positive
+    integer for every axis or one per axis, at most MAX_GRID_POINTS points
+    in all; a non-integral entry raises).  The read-only ``points`` follow
+    from them: shape (count, d) with count = prod(resolution),
+    ordered lexicographically by axis indices.  Every axis with resolution
+    >= 2 includes both endpoints 0 and L_i, so all rectangle vertices are
+    grid points; resolution 1 degenerates to the single coordinate 0.
     """
 
     sides: tuple
     resolution: tuple
-    points: np.ndarray
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = int(np.prod(self.resolution))
-        if self.points.shape != (n, len(self.sides)):
-            raise ValueError("points must have shape (prod(resolution), d)")
-        self.points.setflags(write=False)
+        sides = rectangle_faces(self.sides).sides
+        res = np.atleast_1d(self.resolution).tolist()
+        if len(res) == 1:
+            res *= len(sides)
+        if len(res) != len(sides):
+            raise ValueError("resolution must be one integer or one per axis")
+        res = tuple(_check_int(r, 1, math.inf, "every resolution entry")
+                    for r in res)
+        count = math.prod(res)
+        if count > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid has {count} points, beyond the dense-Cholesky cap "
+                f"{MAX_GRID_POINTS}; coarsen the resolution")
+        axes = [np.linspace(0.0, s, r) if r > 1 else np.zeros(1)
+                for s, r in zip(sides, res)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        points = np.stack([mm.ravel() for mm in mesh], axis=1)
+        points.setflags(write=False)
+        object.__setattr__(self, "sides", sides)
+        object.__setattr__(self, "resolution", res)
+        object.__setattr__(self, "points", points)
 
     @property
     def count(self) -> int:
@@ -61,27 +81,8 @@ class FieldGrid:
 
 
 def make_grid(sides, resolution) -> FieldGrid:
-    """Build a FieldGrid; ``resolution`` is points per axis (int or per-axis).
-
-    Resolution 1 on an axis degenerates to the single coordinate 0.
-    """
-    sides = rectangle_faces(sides).sides
-    res = np.atleast_1d(np.asarray(resolution, dtype=int))
-    if res.size == 1:
-        res = np.full(len(sides), int(res[0]))
-    if res.size != len(sides) or not np.all(res >= 1):
-        raise ValueError("resolution must be a positive integer per axis")
-    count = int(np.prod(res))
-    if count > MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid has {count} points, beyond the dense-Cholesky cap "
-            f"{MAX_GRID_POINTS}; coarsen the resolution")
-    axes = [np.linspace(0.0, s, r) if r > 1 else np.zeros(1)
-            for s, r in zip(sides, res)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([mm.ravel() for mm in mesh], axis=1)
-    return FieldGrid(sides=sides, resolution=tuple(int(r) for r in res),
-                     points=pts)
+    """The FieldGrid of ``sides`` at ``resolution`` points per axis."""
+    return FieldGrid(sides, resolution)
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,10 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     """Check empirical P{max > u} against the analytic tail bounds.
 
     Runs the sampler on the base grid and on refinements of it (resolution
-    multiplied by each factor), estimates the exceedance probability at each
-    u, and compares the finest grid's estimates against pbar_tail / pE_tail
-    of the grid's rectangle.
+    multiplied by each factor; the factors are integers and strictly
+    increasing, so the last grid is the finest), estimates the exceedance
+    probability at each u, and compares the finest grid's estimates against
+    pbar_tail / pE_tail of the grid's rectangle.
 
     Grid maxima underestimate the continuous maximum, so "bound_respected"
     is conservative evidence for the bound; the refinement sequence is
@@ -229,9 +231,12 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     u_values = tuple(float(u) for u in u_values)
     if not u_values:
         raise ValueError("need at least one u level")
-    refinements = tuple(int(k) for k in refinements)
-    if not refinements or any(k < 1 for k in refinements):
-        raise ValueError("refinement factors must be positive integers")
+    refinements = tuple(_check_int(k, 1, math.inf, "every refinement factor")
+                        for k in refinements)
+    if not refinements or any(a >= b for a, b in zip(refinements,
+                                                     refinements[1:])):
+        raise ValueError("refinement factors must be a nonempty, strictly "
+                         "increasing sequence")
     geom = rectangle_faces(grid.sides)
     tails = [tail_bound(m, geom, u) for u in u_values]
     pbar_tails = tuple(t.pbar_tail for t in tails)

@@ -42,10 +42,8 @@ def make_bump_model(a: float, b: float):
         return np.exp(-a * x) * (2.0 * b - 4.0 * a * b * x
                                  + a * a * (1.0 + b * x * x))
 
-    return IsotropicModel(
-        rho=rho, rho1=rho1, rho2=rho2, rho1_0=-a, rho2_0=a * a + 2.0 * b,
-        gamma=a / math.sqrt(a * a + 2.0 * b), monotone_flag=b <= a * a,
-        family="bump", params=(("a", a), ("b", b)))
+    return IsotropicModel(rho=rho, rho1=rho1, rho2=rho2,
+                          monotone_flag=b <= a * a)
 
 
 # ----------------------------------------------------------------- hermite

@@ -278,6 +278,14 @@ class TestSigma2Separable:
         assert val == pytest.approx(best, rel=1e-13)
         assert arg == pytest.approx(barg, abs=1e-12)
 
+    def test_n_per_axis_must_be_integral(self):
+        G, G1 = _gauss_profile()
+        pairs, box = [(G, G1), (G, G1)], [(0.0, 1.0), (0.0, 2.0)]
+        with pytest.raises(ValueError, match="n_per_axis"):
+            asympt.sigma2_separable_max(pairs, box, n_per_axis=2.7)
+        assert (asympt.sigma2_separable_max(pairs, box, n_per_axis=3.0)
+                == asympt.sigma2_separable_max(pairs, box, n_per_axis=3))
+
     def test_sweep_argmax_evaluates_back(self):
         G, G1 = _gauss_profile()
         pairs = [(G, G1), (G, G1)]
@@ -338,6 +346,12 @@ class TestPmEquiv1d:
         with pytest.raises(ValueError):
             asympt.pm_equiv_1d(v2k, vpp, k, x)
 
+    def test_k_must_be_integral(self):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            asympt.pm_equiv_1d(-6.0, -1.0, 2.7, 2.0)
+        assert (asympt.pm_equiv_1d(-6.0, -1.0, 3.0, 2.0)
+                == asympt.pm_equiv_1d(-6.0, -1.0, 3, 2.0))
+
     @given(v2k=st.floats(-50.0, -0.1), vpp=st.floats(-10.0, 0.0),
            k=st.integers(1, 4), x=st.floats(0.0, 8.0))
     @settings(max_examples=150, deadline=None)
@@ -346,3 +360,17 @@ class TestPmEquiv1d:
         assert np.isfinite(val) and val >= 0.0
         if x > 0.0:
             assert val > 0.0
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: asympt.pm_equiv_1d(-1.0, -0.5, 1, math.nan), "x"),
+    (lambda: asympt.pm_equiv_1d(-1.0, math.nan, 1, 2.0), "vpp"),
+    (lambda: asympt.pm_equiv_1d(-1.0, -0.5, 1, math.inf), "x"),
+    (lambda: asympt.sigma2_isotropic(RAT, math.inf), "Delta"),
+    (lambda: asympt.Z_delta_exponent(RAT, math.inf), "Delta"),
+    (lambda: asympt.sigma2_isotropic(RAT, math.nan), "Delta"),
+], ids=["pm_x_nan", "pm_vpp_nan", "pm_x_inf", "sigma2_inf", "Z_inf",
+        "sigma2_nan"])
+def test_nonfinite_inputs_raise(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call()

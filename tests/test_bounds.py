@@ -18,7 +18,7 @@ LOW_GAMMA = model.make_rational(1.0, 0.2)   # gamma = sqrt(1/6) = 0.41
 NEAR_ONE = model.make_rational(1.0, 1e4)    # gamma = 0.99995
 SQUARE = geometry.rectangle_faces([1.0, 1.0])
 CUBE = geometry.rectangle_faces([1.0, 1.0, 1.0])
-POINT = FaceDecomposition(d=1, d0=0, g=(1.0,), kappa=0.0,
+POINT = FaceDecomposition(d=1, g=(1.0,), kappa=0.0,
                           kind=GeometryKind.RECTANGLE)
 
 

@@ -301,6 +301,15 @@ class TestValidateCommand:
             "--set", "u=[1.0]", "--set", "resolution=[6,6]"])
         assert code == 2 and "rectangle" in err
 
+    def test_refinements_must_increase(self, capsys):
+        argv = [a.replace("refinements=[1]", "refinements=[2,1]")
+                for a in self.ARGS]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and "strictly increasing" in err
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            RunConfig.from_dict({"command": "validate",
+                                 "refinements": [1, 2, 2]})
+
     def test_requires_resolution(self, capsys):
         code, _, err = run_cli(capsys, [
             "validate", "--set", f"model={json.dumps(SQ_SPEC)}",

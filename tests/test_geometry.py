@@ -22,11 +22,12 @@ SIMPLEX_HS = [[[-1.0, 0.0, 0.0], 0.0], [[0.0, -1.0, 0.0], 0.0],
               [[0.0, 0.0, -1.0], 0.0], [[1.0, 1.0, 1.0], 1.0]]
 
 
-def box_hs(sides):
-    """prod_i [0, L_i] as 2d halfspaces."""
+def box_hs(sides, at=0.0):
+    """prod_i [at, at + L_i] as 2d halfspaces."""
     d = len(sides)
-    return ([[[-1.0 * (i == k) for k in range(d)], 0.0] for i in range(d)]
-            + [[[1.0 * (i == k) for k in range(d)], sides[i]] for i in range(d)])
+    return ([[[-1.0 * (i == k) for k in range(d)], -at] for i in range(d)]
+            + [[[1.0 * (i == k) for k in range(d)], at + sides[i]]
+               for i in range(d)])
 
 
 def cross_hs(d):
@@ -232,24 +233,34 @@ def test_simplex_edge_coefficient_is_exact():
     assert got.g[3] == pytest.approx(1.0 / 6.0, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("extra", ["none", "repeated", "touching", "far"])
-@pytest.mark.parametrize("sides", [[1.3, 0.7], [1.3, 0.7, 2.0],
-                                   [1.3, 0.7, 2.0, 1.1], [2e9, 3e9],
-                                   [1e-9, 1e-9], [1e-6, 1e-6],
-                                   [1e-300, 1e-300], [1.0, 1e-8]])
-def test_boxes_as_halfspaces_equal_rectangle_faces(sides, extra):
+_BOXES = [[1.3, 0.7], [1.3, 0.7, 2.0], [1.3, 0.7, 2.0, 1.1], [2e9, 3e9],
+          [1e-9, 1e-9], [1e-6, 1e-6], [1e-300, 1e-300], [1.0, 1e-8]]
+_EXTRAS = ["none", "repeated", "touching", "far"]
+
+
+@pytest.mark.parametrize("sides, at, extra", [
+    *(pytest.param(sides, 0.0, extra, id=f"sides{i}-{extra}")
+      for i, sides in enumerate(_BOXES) for extra in _EXTRAS),
+    # Unit boxes at (1e9, ...).  No touching row here: its slanted normal is
+    # rounded, which at 1e9 moves its plane about 1e-7 into the box.
+    *(pytest.param([1.0] * d, 1e9, extra, id=f"at1e9_{d}-{extra}")
+      for d in (2, 3) for extra in ("none", "repeated", "far")),
+])
+def test_boxes_as_halfspaces_equal_rectangle_faces(sides, at, extra):
     # Redundant rows join the active sets: a repeated (and a rescaled)
     # facet, or -(x_0 + x_1) <= 0, which touches the box along x_0 = x_1 = 0;
-    # or they lie far out, x_0 <= 1e7 L_0 and x_0 <= 1e9 L_0.  The polytope
-    # is scaled by its own inradius, not by its largest offset, so neither
-    # its size nor far rows matter, and a 1 x 1e-8 box keeps its short edges.
+    # or they lie far out, x_0 <= at + 1e7 L_0 and x_0 <= at + 1e9 L_0.
+    # The polytope is scaled by its own inradius about its own center, so
+    # neither its size, its place nor far rows matter, and a 1 x 1e-8 box
+    # keeps its short edges.
     d = len(sides)
-    hs = box_hs(sides)
+    hs = box_hs(sides, at)
     e0 = [1.0] + [0.0] * (d - 1)
     hs += {"none": [],
            "repeated": [hs[0], [[2.0 * a for a in hs[d][0]], 2.0 * hs[d][1]]],
            "touching": [[[-1.0, -1.0] + [0.0] * (d - 2), 0.0]],
-           "far": [[e0, 1e7 * sides[0]], [e0, 1e9 * sides[0]]]}[extra]
+           "far": [[e0, at + 1e7 * sides[0]],
+                   [e0, at + 1e9 * sides[0]]]}[extra]
     got = geometry.polytope_g_coeffs(hs, reps=1, seed=0)
     np.testing.assert_allclose(got.g, geometry.rectangle_faces(sides).g,
                                rtol=1e-14, atol=0.0)
@@ -309,9 +320,9 @@ def test_vertices_equal_brute_force(hs):
     # Bit for bit: each vertex is solved from the same rows as in the
     # exhaustive search, so the order and the coordinates agree.
     A, b = geometry._normalize_halfspaces(hs)
-    verts, e = geometry._vertices(A, b)
+    verts, offsets, _ = geometry._vertices(A, b)
     np.testing.assert_array_equal(
-        verts, oracles.polytope_vertices_brute(A, np.ldexp(b, -e)))
+        verts, oracles.polytope_vertices_brute(A, offsets))
 
 
 @pytest.mark.parametrize("signs", [(1.0, 1.0), (1.0, -1.0)])
@@ -463,11 +474,14 @@ def test_polytope_rejects_too_few_halfspaces_and_high_dim():
 
 def test_face_decomposition_validation():
     with pytest.raises(ValueError):
-        geometry.FaceDecomposition(d=2, d0=2, g=(1.0, 2.0), kappa=0.0,
-                                   kind=GeometryKind.RECTANGLE)  # len != d0+1
+        geometry.FaceDecomposition(d=2, g=(1.0, 2.0, 1.0, 1.0), kappa=0.0,
+                                   kind=GeometryKind.RECTANGLE)  # len > d+1
     with pytest.raises(ValueError):
-        geometry.FaceDecomposition(d=2, d0=2, g=(1.0, -2.0, 1.0), kappa=0.0,
+        geometry.FaceDecomposition(d=2, g=(), kappa=0.0,
                                    kind=GeometryKind.RECTANGLE)
     with pytest.raises(ValueError):
-        geometry.FaceDecomposition(d=2, d0=2, g=(1.0, 2.0, 1.0), kappa=-1.0,
+        geometry.FaceDecomposition(d=2, g=(1.0, -2.0, 1.0), kappa=0.0,
+                                   kind=GeometryKind.RECTANGLE)
+    with pytest.raises(ValueError):
+        geometry.FaceDecomposition(d=2, g=(1.0, 2.0, 1.0), kappa=-1.0,
                                    kind=GeometryKind.RECTANGLE)

@@ -47,7 +47,10 @@ def test_bump_model_is_valid_and_detects_nonmonotone():
     m = oracles.make_bump_model(0.5, 0.5)
     model.require_valid(m)
     assert not m.monotone_flag
-    assert m.gamma == pytest.approx(0.5 / math.sqrt(0.25 + 1.0))
+    # the oracle's closed forms: -a, a^2 + 2b and a / sqrt(a^2 + 2b)
+    assert m.rho1_0 == pytest.approx(-0.5, rel=1e-14)
+    assert m.rho2_0 == pytest.approx(0.25 + 1.0, rel=1e-14)
+    assert m.gamma == pytest.approx(0.5 / math.sqrt(0.25 + 1.0), rel=1e-14)
     # derivative closed forms against finite differences
     for x in [0.2, 1.0, 3.0]:
         assert float(m.rho1(x)) == pytest.approx(_fd_derivative(m.rho, x),
@@ -79,7 +82,7 @@ def test_require_valid_rejects_gamma_above_one():
             rho1=lambda x: -np.exp(-np.asarray(x)) * (np.cos(np.asarray(x))
                                                       + np.sin(np.asarray(x))),
             rho2=lambda x: 2.0 * np.exp(-np.asarray(x)) * np.sin(np.asarray(x)),
-            rho1_0=-1.0, rho2_0=0.0, gamma=float("inf"), monotone_flag=True)
+            monotone_flag=True)
 
 
 def test_require_valid_rejects_wrong_variance():
@@ -87,15 +90,40 @@ def test_require_valid_rejects_wrong_variance():
     with pytest.raises(ValueError):
         model.IsotropicModel(
             rho=lambda x: 2.0 * np.asarray(m.rho(x)), rho1=m.rho1, rho2=m.rho2,
-            rho1_0=m.rho1_0, rho2_0=m.rho2_0, gamma=m.gamma, monotone_flag=True)
+            monotone_flag=True)
 
 
 def test_require_valid_rejects_nonnegative_slope():
     m = model.make_squared_exponential(1.0)
     with pytest.raises(ValueError):
         model.IsotropicModel(
-            rho=m.rho, rho1=m.rho1, rho2=m.rho2,
-            rho1_0=0.0, rho2_0=m.rho2_0, gamma=m.gamma, monotone_flag=True)
+            rho=m.rho, rho1=lambda x: np.zeros(np.shape(x)), rho2=m.rho2,
+            monotone_flag=True)
+
+
+def test_derived_values_come_from_the_callables():
+    for m in (model.make_squared_exponential(0.7),
+              model.make_rational(0.8, 2.5), oracles.make_bump_model(0.5, 0.2),
+              model.normalized(model.make_rational(1.3, 2.5))[0]):
+        built = model.IsotropicModel(rho=m.rho, rho1=m.rho1, rho2=m.rho2,
+                                     monotone_flag=m.monotone_flag)
+        assert built.rho1_0 == m.rho1_0 == float(m.rho1(0.0))
+        assert built.rho2_0 == m.rho2_0 == float(m.rho2(0.0))
+        assert built.gamma == m.gamma == math.sqrt(m.rho1_0 ** 2 / m.rho2_0)
+
+
+@pytest.mark.parametrize("extra", [
+    {"rho1_0": -1.0, "rho2_0": 2.0, "gamma": 0.3},
+    {"rho1_0": -1.0, "rho2_0": 2.0, "gamma": math.sqrt(0.5),
+     "family": "rational"},
+], ids=["wrong_gamma", "family"])
+def test_derived_values_cannot_be_passed(extra):
+    # make_rational(1, 1) has rho'(0) = -1 and rho''(0) = 2, so gamma = 0.3
+    # would misstate every bound.
+    m = model.make_rational(1.0, 1.0)
+    with pytest.raises(TypeError):
+        model.IsotropicModel(rho=m.rho, rho1=m.rho1, rho2=m.rho2,
+                             monotone_flag=True, **extra)
 
 
 def test_validate_model_report():

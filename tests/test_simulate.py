@@ -67,14 +67,24 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(sides, res)
 
+    def test_resolution_must_be_integral(self):
+        with pytest.raises(ValueError, match="resolution"):
+            make_grid((1.0, 1.0), 2.7)
+        with pytest.raises(ValueError, match="resolution"):
+            make_grid((1.0, 1.0), (3, 2.7))
+        assert make_grid((1.0, 1.0), 3.0) == make_grid((1.0, 1.0), (3, 3))
+
     def test_points_are_read_only(self):
         g = make_grid((1.0,), 4)
         with pytest.raises(ValueError):
             g.points[0, 0] = 7.0
 
-    def test_fieldgrid_shape_validation(self):
-        with pytest.raises(ValueError):
-            FieldGrid(sides=(1.0,), resolution=(3,), points=np.zeros((2, 1)))
+    def test_points_follow_from_sides_and_resolution(self):
+        with pytest.raises(TypeError):
+            FieldGrid(sides=(1.0,), resolution=(3,), points=np.zeros((3, 1)))
+        g = FieldGrid((1.0, 2.0), 3)
+        assert g == make_grid((1.0, 2.0), (3, 3))
+        assert np.array_equal(g.points, make_grid((1.0, 2.0), 3).points)
 
 
 class TestCovarianceCholesky:
@@ -227,6 +237,19 @@ class TestValidateBound:
             self._report(refinements=(0,))
         with pytest.raises(ValueError):
             self._report(refinements=())
+
+    def test_refinements_must_be_integral(self):
+        with pytest.raises(ValueError, match="refinement"):
+            self._report(refinements=(1, 2.7))
+        base = dict(grid=make_grid((1.0,), 4), u_values=(1.0,), reps=20)
+        assert (self._report(refinements=(1, 3.0), **base)
+                == self._report(refinements=(1, 3), **base))
+
+    @pytest.mark.parametrize("refinements", [(4, 1), (1, 2, 2), (2, 1, 4)])
+    def test_refinements_must_increase(self, refinements):
+        # The verdicts score the last grid, which must be the finest.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            self._report(refinements=refinements)
 
     def test_notes_document_grid_bias(self):
         rep = self._report()
