@@ -255,8 +255,7 @@ def kappa_annulus(m: IsotropicModel, a: float, b: float, *,
         Also return ("segment", distance) or ("circle", theta) locating the
         winning supremum (distance in original units; theta in radians).
     """
-    a = float(a)
-    b = float(b)
+    a, b = _finite(a, "a"), _finite(b, "b")
     if not (0.0 < a < b):
         raise ValueError("need radii 0 < a < b")
     mn, alpha = normalized(m)

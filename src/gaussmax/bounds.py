@@ -42,7 +42,12 @@ T_j itself is evaluated with the Hermite kernel of :mod:`.hermite`
 (orthonormal values with exponentially damped intermediates and the
 log-space tail-integral table, shared with the GOE density in ``randmat``),
 which keeps the large cancellations between its two parts under control far
-into the tails.
+into the tails.  One private kernel, :func:`_T_rows`, evaluates any set of
+orders at an array of points from one recurrence, one damping exp and one
+normal CDF: ``tail_bound`` takes every active order from it once per rule,
+and ``T_series`` is its one-order view, so the formula exists once.  The
+normal CDF is the in-package Phi of :mod:`.hermite`; this module loads no
+SciPy.
 """
 from __future__ import annotations
 
@@ -51,11 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import ndtr
 
 from .geometry import FaceDecomposition, GeometryKind, sphere_surface
 from .hermite import (SQRT_2PI, HermiteKind, _check_int, _eval_all, _finite,
-                      _norm_hermites, _tail_coefficients, _tail_sum)
+                      _norm_hermites, _Phi, _tail_coefficients, _tail_sum)
 from .model import IsotropicModel
 
 MAX_ORDER = 60
@@ -89,7 +93,7 @@ def T_series(j: int, v):
 
     with c_{j-1} I_{j-1} from the log-space table of :mod:`.hermite`, so the
     subtraction loses no precision even deep in the right tail.  Vectorized
-    over v.
+    over v; the one-order view of :func:`_T_rows`.
 
     Parameters
     ----------
@@ -97,16 +101,31 @@ def T_series(j: int, v):
     v : float or ndarray.
     """
     j = _check_int(j, 1, MAX_ORDER, "order j")
-    varr = np.asarray(v, dtype=float)
-    u = _norm_hermites(j, varr)
-    ut = u * np.exp(-varr * varr / 4.0)
-    scale = math.sqrt(math.pi * j / 2.0)
-    out = (math.sqrt(math.pi) * np.sum(ut[:j] ** 2, axis=0)
-           - scale * ut[j] * _tail_sum(j - 1, ut))
-    B = _tail_coefficients(j - 1)[1]
-    if B:
-        out = out - scale * B * u[j] * ndtr(-varr)
+    out = _T_rows((j,), np.asarray(v, dtype=float))[0]
     return float(out) if np.ndim(v) == 0 else out
+
+
+def _T_rows(orders, v: np.ndarray) -> np.ndarray:
+    """T_j(v) for each j of ``orders`` (in 1..60), stacked on a new first axis.
+
+    One orthonormal recurrence up to max(orders), one damping exp and one
+    Phi serve every order; row j depends only on (j, v), so it is the same,
+    bit for bit, whichever other orders come along.
+    """
+    top = max(orders)
+    u = _norm_hermites(top, v)
+    ut = u * np.exp(-v * v / 4.0)
+    squares = np.cumsum(ut[:top] ** 2, axis=0)   # row j-1: sum_{k<j} ut_k^2
+    upper = _Phi(-v) if any(j % 2 for j in orders) else None  # 1 - Phi(v)
+    rows = np.empty((len(orders),) + v.shape)
+    for i, j in enumerate(orders):
+        scale = math.sqrt(math.pi * j / 2.0)
+        rows[i] = (math.sqrt(math.pi) * squares[j - 1]
+                   - scale * ut[j] * _tail_sum(j - 1, ut))
+        B = _tail_coefficients(j - 1)[1]
+        if B:       # j odd
+            rows[i] -= scale * B * u[j] * upper
+    return rows
 
 
 def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +353,8 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
 
     via the Hermite tail identity int_u^inf Hbar_j phi = Hbar_{j-1}(u) phi(u).
     The correction mass is the rotated 1-D integral per order of the module
-    docstring, exact on all of [u, inf).  It is summed with composite
+    docstring, exact on all of [u, inf); all active orders come from one
+    :func:`_T_rows` call per rule.  It is summed with composite
     16-point Gauss-Legendre rules (see :func:`_tail_edges`) on 24 panels and
     on each panel halved; the halved value is returned after the gate of
     :func:`_checked` against the unhalved one.
@@ -343,7 +363,7 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
     u = _finite(u, "u")
     hbar = _eval_all(HermiteKind.MODIFIED, max(geom.d0 - 1, 0), np.float64(u))
     phi_u = float(_phi(u))
-    pE_tail = geom.g[0] * float(ndtr(-u))
+    pE_tail = geom.g[0] * _Phi(-u)
     for j in range(1, geom.d0 + 1):
         pE_tail += _coef(m, j) * float(hbar[j - 1]) * geom.g[j] * phi_u
 
@@ -357,10 +377,11 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
     comp_by_rule = []
     for edges in (coarse, fine):
         a, w = _composite_rule(edges)
-        w = w * _phi(a) * (ndtr((gamma * a - u) / s) if s > 0.0 else 1.0)
+        w = w * _phi(a) * (_Phi((gamma * a - u) / s) if s > 0.0 else 1.0)
+        T = _T_rows(active, a / math.sqrt(2.0))
         comp_by_rule.append(SQRT_2PI * math.fsum(
-            geom.g[j] * _pref(m, j) * float(T_series(j, a / math.sqrt(2.0)) @ w)
-            for j in active))
+            geom.g[j] * _pref(m, j) * float(T_j @ w)
+            for j, T_j in zip(active, T)))
     rough, comp = comp_by_rule
     comp = _checked(comp, rough, f"the complementary tail at u={u}")
     return TailBound(pbar_tail=pE_tail + comp, pE_tail=pE_tail,

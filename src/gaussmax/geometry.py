@@ -194,9 +194,10 @@ def _normalize_halfspaces(halfspaces):
 def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """(verts, offsets, e) of {A x <= b} moved to its Chebyshev center c and
     scaled by 2^-e, for the e that puts its inradius in [1/4, 1/2): the set
-    is {z : A z <= offsets} with offsets = 2^-e b - A c, and verts are its
-    vertices, sorted lexicographically.  ValueError unless the set is
-    nonempty, full-dimensional and bounded.
+    is {z : A z <= offsets} with offsets = 2^-e b - A c (each rounded once
+    from its exact value), and verts are its vertices, sorted
+    lexicographically.  ValueError unless the set is nonempty,
+    full-dimensional and bounded.
 
     HiGHS, with absolute tolerances, finds c with the largest offset at 1,
     or, if the inradius r is below 2^-20 there (far redundant rows), with
@@ -212,6 +213,8 @@ def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
     are merged, and each vertex is re-solved from the first full-rank
     d-subset of its active rows, free of the hull's rounding.
     """
+    from fractions import Fraction
+
     from scipy.optimize import linprog
     from scipy.spatial import ConvexHull, QhullError
 
@@ -233,7 +236,12 @@ def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
         c, r, e = center(max(math.frexp(np.abs(b[b != 0]).min())[1], top))
     k = max(math.frexp(r)[1] + 1, top - e)
     c, e = np.ldexp(c, -k), e + k
-    b = np.ldexp(b, -e) - A @ c
+    # 2^-e b_i - a_i . c in exact rationals, rounded once: far from the
+    # origin the two parts agree in their leading digits, and a float
+    # difference would keep only ulp(|c|) of the offset.
+    b = np.array([float(Fraction(bi) - sum(Fraction(x) * Fraction(y)
+                                           for x, y in zip(ai, c)))
+                  for ai, bi in zip(A, np.ldexp(b, -e))])
     r = float(b.min())
     if r <= _GEOM_TOL:
         raise ValueError(f"degenerate polytope: not full-dimensional (inradius "

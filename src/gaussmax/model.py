@@ -45,6 +45,10 @@ class IsotropicModel:
 
     def __post_init__(self):
         r1, r2 = (float(np.asarray(f(0.0))) for f in (self.rho1, self.rho2))
+        # r1 ** 2 would raise OverflowError where r1 * r1 rounds to inf.
+        if math.isinf(r1 * r1) or math.isinf(r2):
+            raise ValueError("invalid model: rho'(0)^2 and rho''(0) must be "
+                             f"finite, got rho'(0) = {r1!r}, rho''(0) = {r2!r}")
         object.__setattr__(self, "rho1_0", r1)
         object.__setattr__(self, "rho2_0", r2)
         # NaN when rho''(0) <= 0, which the checks then reject by name.

@@ -18,7 +18,8 @@ before the n <= 60 cap, so everything is computed through
 w_n(nu) := e^{nu^2/2} q_n(nu) using the Hermite kernel of :mod:`.hermite`:
 orthonormal values u_k = c_k H_k(nu) (three-term recurrence,
 O(1)-conditioned), their damped companions u_k e^{-nu^2/4}, and the
-log-space table of the tail integrals I_n, the one ``bounds.T_series`` uses.
+log-space table of the tail integrals I_n, the one ``bounds.T_series`` uses,
+and the in-package normal CDF of :mod:`.hermite`, so no SciPy is loaded here.
 """
 from __future__ import annotations
 
@@ -26,11 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import streams
-from .hermite import (_check_int, _finite, _norm_hermites, _tail_coefficients,
-                      _tail_sum)
+from .hermite import (_check_int, _finite, _norm_hermites, _Phi,
+                      _tail_coefficients, _tail_sum)
 from .model import IsotropicModel
 
 MAX_SIZE = 60
@@ -52,7 +52,7 @@ def _rescaled_density(n: int, nu) -> np.ndarray:
     B = _tail_coefficients(n)[1]
     mid = -2.0 * _tail_sum(n, ut) * ut[n - 1]
     if n % 2 == 0:
-        mid = mid + u[n - 1] * B * (2.0 * ndtr(nu) - 1.0)
+        mid = mid + u[n - 1] * B * (2.0 * _Phi(nu) - 1.0)
     w = w + 0.5 * math.sqrt(n / 2.0) * mid
     if n % 2 == 1:
         w = w + u[n - 1] / _tail_coefficients(n - 1)[1]

@@ -9,12 +9,13 @@ depend on which batch produced them.
 Normals are produced by the inverse CDF, which consumes exactly one uniform
 (one 64-bit stream word) per normal.  A rejection sampler such as the
 ziggurat would consume a variable number of words and break the window
-alignment.
+alignment.  The inverse CDF is SciPy's ``ndtri``, imported on the first draw
+of normals, so the commands that draw none (``bound``, ``tail`` on
+rectangles, ``goe``) never load ``scipy.special``.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 # Domain tags keep unrelated consumers of the same user seed independent.
 DOMAIN_GOE = 0x676F65          # GOE matrix draws (mc_absdet)
@@ -72,6 +73,8 @@ def uniforms(seed: int, domain: int, start_rep: int, n_reps: int,
 def normals(seed: int, domain: int, start_rep: int, n_reps: int,
             per_rep: int) -> np.ndarray:
     """Standard-normal block; inverse-CDF transform of :func:`uniforms`."""
+    from scipy.special import ndtri
+
     u = uniforms(seed, domain, start_rep, n_reps, per_rep)
     # random() can return exactly 0.0; clamp so ndtri stays finite.
     return ndtri(np.maximum(u, 2.0 ** -54))

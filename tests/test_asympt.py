@@ -228,6 +228,12 @@ class TestKappaAnnulus:
         with pytest.raises(ValueError):
             asympt.kappa_annulus(SQ, a, b)
 
+    @pytest.mark.parametrize("a,b", [(1.0, math.inf), (1.0, math.nan),
+                                     (math.nan, 2.0), (-math.inf, 2.0)])
+    def test_rejects_nonfinite_radii(self, a, b):
+        with pytest.raises(ValueError, match="must be finite"):
+            asympt.kappa_annulus(make_rational(1.0, 1.0), a, b)
+
 
 def _gauss_profile():
     G = lambda h: np.exp(-np.asarray(h) ** 2)

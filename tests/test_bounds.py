@@ -59,6 +59,22 @@ def test_T_series_scalar_and_bounds():
         bounds.T_series(bounds.MAX_ORDER + 1, 0.0)
 
 
+@pytest.mark.parametrize("v", [np.linspace(-30.0, 30.0, 241),
+                               np.array([[-30.0, -7.5], [0.25, 30.0]]),
+                               np.float64(-12.5)])
+def test_T_rows_equal_T_series_bit_for_bit(v):
+    # Row j of the shared kernel depends on (j, v) alone, whichever other
+    # orders it computes alongside.
+    rows = bounds._T_rows(tuple(range(1, 13)), v)
+    some = bounds._T_rows((2, 5, 11), v)
+    for j in range(1, 13):
+        want = np.asarray(bounds.T_series(j, v))
+        assert np.isfinite(want).all()
+        assert rows[j - 1].tobytes() == want.tobytes()
+    for row, j in zip(some, (2, 5, 11)):
+        assert row.tobytes() == rows[j - 1].tobytes()
+
+
 # --------------------------------------------------------- correction terms
 
 def test_R_correction_against_critical_point_route():

@@ -436,22 +436,35 @@ class TestEntryPoint:
                                                   rel=1e-12)
 
     def test_polytope_modules_load_lazily(self):
-        # scipy.optimize and scipy.spatial serve only H-polytopes and
-        # scipy.linalg only the sampler's Cholesky factor.
+        # No SciPy module at all on the import, rectangle bound and tail,
+        # and goe paths: Phi is in the package.  scipy.special (ndtri) loads
+        # with the first normal draw, scipy.linalg with the sampler's
+        # Cholesky factor, scipy.optimize and scipy.spatial with H-polytopes.
+        model = f"model={json.dumps(SQ_SPEC)}"
+        rect = f"geometry={json.dumps(RECT_SPEC)}"
+        runs = [["bound", "--set", model, "--set", rect, "--set", "u=[0.5]"],
+                ["tail", "--set", model, "--set", rect, "--set", "u=[0.5]"],
+                ["goe", "--set", "n=1", "--set", "u=[0.3]"],
+                TestValidateCommand.ARGS]
         script = (
-            "import sys\n"
+            "import io, contextlib, json, sys\n"
             "import gaussmax.cli\n"
             "def loaded():\n"
-            "    return [m for m in ('scipy.optimize', 'scipy.spatial',\n"
-            "                        'scipy.linalg')\n"
-            "            if m in sys.modules]\n"
-            "at_import = loaded()\n"
-            f"code = gaussmax.cli.main(['bound', '--set', 'model={json.dumps(SQ_SPEC)}',\n"
-            f"    '--set', 'geometry={json.dumps(RECT_SPEC)}', '--set', 'u=[0.5]'])\n"
-            "print(at_import, loaded(), code, file=sys.stderr)\n")
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+            "report = [[0, loaded()]]\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = gaussmax.cli.main(argv)\n"
+            "    report.append([code, loaded()])\n"
+            "print(json.dumps(report))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
-        assert proc.stderr.splitlines()[-1] == "[] [] 0"
+        report = json.loads(proc.stdout)
+        assert report[:4] == [[0, []]] * 4      # import, bound, tail, goe
+        code, after_validate = report[4]
+        assert code == 0
+        assert {"scipy.special", "scipy.linalg"} <= set(after_validate)
 
     def test_every_exported_name_resolves(self):
         missing = [n for n in gaussmax.__all__ if not hasattr(gaussmax, n)]

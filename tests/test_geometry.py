@@ -266,6 +266,17 @@ def test_boxes_as_halfspaces_equal_rectangle_faces(sides, at, extra):
                                rtol=1e-14, atol=0.0)
 
 
+def test_far_square_with_touching_row_keeps_exact_offsets():
+    # The unit square at (2^30, 2^30) and -(x_0 + x_1) <= -2^31, which
+    # touches its corner: the centred offsets 2^-e b - A c cancel in their
+    # leading digits, so a float difference would lose ulp(2^30) of them.
+    at = 2.0 ** 30
+    hs = box_hs([1.0, 1.0], at) + [[[-1.0, -1.0], -2.0 * at]]
+    got = geometry.polytope_g_coeffs(hs, reps=1, seed=0)
+    assert got.g[1] == pytest.approx(2.0, rel=0.0, abs=1e-12)
+    assert got.g[2] == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
 def test_cross_polytope_intrinsic_volumes():
     # Volume 2^4/4! and half of 16 regular tetrahedra of edge sqrt 2; the
     # 32 triangles have dihedral angle 2 pi/3, so external angle 1/6.

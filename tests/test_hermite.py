@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import oracles
@@ -100,6 +101,55 @@ def test_tail_integral_vectorized():
     got = hermite.tail_integral_In(5, vs)
     want = [hermite.tail_integral_In(5, float(v)) for v in vs]
     np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+# ------------------------------------------------------------- normal CDF
+
+def test_Phi_matches_scipy_ndtr():
+    xs = np.linspace(-40.0, 40.0, 400_001)
+    got, want = hermite._Phi(xs), ndtr(xs)
+    normal = want >= np.finfo(float).tiny
+    assert normal.sum() > 380_000
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0)
+
+
+def _log_Phi_left(x):
+    """log Phi(x) for x < -30 from the Mills-ratio series (error < 1e-10)."""
+    x2 = x * x
+    return (-x2 / 2.0 - math.log(-x * math.sqrt(2.0 * math.pi))
+            + math.log1p(-1.0 / x2 + 3.0 / x2 ** 2 - 15.0 / x2 ** 3))
+
+
+def test_Phi_underflow_edge():
+    # Phi keeps subnormal values and reaches 0 near the x where the true
+    # value is 2^-1075, half the smallest subnormal (one ulp of erfc there
+    # moves the edge by ln 2/38.5 = 0.018 in x).  SciPy's ndtr flushes to 0
+    # earlier, from x = -37.68, so wherever Phi is 0 it is too.
+    lo, hi = -40.0, -30.0           # bisect for true Phi = 2^-1075
+    while hi - lo > 1e-13:
+        mid = (lo + hi) / 2.0
+        if _log_Phi_left(mid) < -1075 * math.log(2.0):
+            lo = mid
+        else:
+            hi = mid
+    assert hermite._Phi(hi + 0.02) > 0.0
+    assert hermite._Phi(hi - 0.02) == 0.0
+    xs = np.linspace(-39.0, -37.0, 20_001)
+    got, want = hermite._Phi(xs), ndtr(xs)
+    for vals in (got, want):
+        assert np.isfinite(vals).all() and (vals >= 0.0).all()
+    assert (np.diff(got) >= 0.0).all()
+    assert (want[got == 0.0] == 0.0).all()
+    assert hermite._Phi(-40.0) == 0.0 and ndtr(-40.0) == 0.0
+
+
+def test_Phi_types_and_limits():
+    assert type(hermite._Phi(0.5)) is float
+    assert type(hermite._Phi(np.float64(0.5))) is float
+    assert hermite._Phi(0.0) == 0.5
+    out = hermite._Phi(np.array([[-1.0, 0.0], [1.0, 2.0]]))
+    assert out.dtype == np.float64 and out.shape == (2, 2)
+    assert hermite._Phi([-np.inf, np.inf]).tolist() == [0.0, 1.0]
 
 
 # -------------------------------------------------------- weighted integrals

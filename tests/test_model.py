@@ -145,6 +145,32 @@ def test_make_rejects_bad_parameters():
         model.make_rational(-0.5, 1.0)
 
 
+@pytest.mark.parametrize("make,args", [
+    (model.make_squared_exponential, (1e200,)),
+    (model.make_squared_exponential,
+     (math.nextafter(math.sqrt(np.finfo(float).max), math.inf),)),
+    (model.make_rational, (1e200, 1.0)),
+])
+def test_slope_too_large_to_square_is_a_valueerror(make, args):
+    # rho'(0) ** 2 would raise a raw OverflowError in the gamma formula.
+    with pytest.raises(ValueError, match=r"rho'\(0\)\^2"):
+        make(*args)
+
+
+def test_gamma_formula_unchanged_up_to_the_overflow_edge():
+    # Every model that builds keeps gamma = sqrt(rho'(0)^2 / rho''(0)) to
+    # the bit, up to c = sqrt(max float), whose slope still squares.
+    edge = math.sqrt(np.finfo(float).max)
+    models = [model.make_squared_exponential(c)
+              for c in [*np.geomspace(1e-150, 1e150, 61), edge]]
+    models += [model.make_rational(c, beta)
+               for c in (1e-100, 0.3, 1.0, 7.0, 1e100)
+               for beta in (1e-3, 0.5, 1.0, 2.5, 1e3)]
+    for m in models:
+        r1, r2 = float(m.rho1(0.0)), float(m.rho2(0.0))
+        assert m.gamma.hex() == math.sqrt(r1 ** 2 / r2).hex()
+
+
 # --------------------------------------------------------- normalization
 
 @pytest.mark.parametrize("make,args", [
