@@ -1,9 +1,10 @@
 """Monte Carlo validation of the tail bound on the unit square.
 
-The field is sampled exactly on a regular grid (dense Cholesky of the
-covariance), the empirical exceedance probability of the grid maximum is
-compared against the analytic tail bound, and the grid is refined to show
-the discretization has stabilized.  Grid maxima underestimate the continuous
+The field is sampled exactly on a regular grid (the squared exponential's
+grid covariance is a Kronecker product, so one Cholesky factor per axis), the
+empirical exceedance probability of the grid maximum is compared against the
+analytic tail bound, and the grid is refined to show the discretization has
+stabilized.  Grid maxima underestimate the continuous
 maximum, so "bound_respected" verdicts are conservative evidence.
 """
 from gaussmax import simulate

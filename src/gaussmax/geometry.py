@@ -101,6 +101,9 @@ def rectangle_faces(sides) -> FaceDecomposition:
                              kind=GeometryKind.RECTANGLE, sides=sides)
 
 
+_SPHERE_UNDERFLOW_D = 456
+
+
 def sphere_surface(d: int) -> FaceDecomposition:
     """The unit sphere S^{d-1} in R^d: one (d-1)-dimensional stratum.
 
@@ -113,7 +116,10 @@ def sphere_surface(d: int) -> FaceDecomposition:
     """
     d = _check_int(d, 2, math.inf, "sphere dimension")
     # In log space: pi^{d/2} and Gamma(d/2) overflow separately from d = 344.
-    area = 2.0 * math.exp(d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0))
+    # The area falls for d >= 8 and leaves the floats from d = 456 on, so a
+    # larger d is not passed to lgamma, which overflows from d/2 ~ 2.6e305.
+    area = (2.0 * math.exp(d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0))
+            if d < _SPHERE_UNDERFLOW_D else 0.0)
     if not 0.0 < area < math.inf:
         raise ValueError(f"the surface measure of S^{d - 1} is not a positive "
                          f"finite float (got {area!r})")

@@ -1,10 +1,13 @@
 """Monte Carlo sampling of the field on rectangle grids, and bound validation.
 
-The field is sampled exactly on finite grids through a dense Cholesky factor
-of the covariance matrix (grids capped at 10^4 points — beyond that, coarsen
-rather than approximate silently).  Replicates draw from fixed per-replicate
-substreams, so results are bit-identical for a given (seed, reps, grid)
-regardless of batching.
+The field is sampled exactly on finite grids through a Cholesky factor of the
+covariance matrix (grids capped at 10^4 points — beyond that, coarsen rather
+than approximate silently).  Where the grid covariance is a Kronecker product
+of per-axis covariances (the squared exponential, on a grid with at least two
+axes of two or more points) the factor is kept as one small factor per axis
+and applied one axis at a time; otherwise it is one dense n x n factor.
+Replicates draw from fixed per-replicate substreams, so results are
+bit-identical for a given (seed, reps, grid) regardless of batching.
 
 Grid maxima underestimate the continuous maximum; the validation harness
 therefore reports a grid-refinement sequence to show stabilization instead
@@ -12,6 +15,7 @@ of applying any bias correction.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -26,6 +30,9 @@ from .randmat import McEstimate
 
 MAX_GRID_POINTS = 10_000
 JITTER_FLAG_LEVEL = 1e-9
+# Largest |rho(a + b) - rho(a) rho(b)| over the grid's offset table for which
+# the covariance is taken to be the Kronecker product of its axes.
+_SEPARABLE_TOL = 1e-12
 _JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # BLAS matmul results depend bitwise on the row count, so replicates are
 # always pushed through identically shaped (256, n) blocks: chunk boundaries
@@ -64,11 +71,9 @@ class FieldGrid:
         count = math.prod(res)
         if count > MAX_GRID_POINTS:
             raise ValueError(
-                f"grid has {count} points, beyond the dense-Cholesky cap "
+                f"grid has {count} points, beyond the sampling cap "
                 f"{MAX_GRID_POINTS}; coarsen the resolution")
-        axes = [np.linspace(0.0, s, r) if r > 1 else np.zeros(1)
-                for s, r in zip(sides, res)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*map(_axis_points, sides, res), indexing="ij")
         points = np.stack([mm.ravel() for mm in mesh], axis=1)
         points.setflags(write=False)
         object.__setattr__(self, "sides", sides)
@@ -80,6 +85,11 @@ class FieldGrid:
         return self.points.shape[0]
 
 
+def _axis_points(side: float, r: int) -> np.ndarray:
+    """The r coordinates of one grid axis: 0 to side inclusive, or just 0."""
+    return np.linspace(0.0, side, r) if r > 1 else np.zeros(1)
+
+
 def make_grid(sides, resolution) -> FieldGrid:
     """The FieldGrid of ``sides`` at ``resolution`` points per axis."""
     return FieldGrid(sides, resolution)
@@ -87,9 +97,15 @@ def make_grid(sides, resolution) -> FieldGrid:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular L with L L^T = covariance + jitter * identity."""
+    """Lower-triangular ``factors`` whose Kronecker product is the factor.
 
-    L: np.ndarray
+    One factor: the dense n x n L with L L^T = covariance + jitter * I.
+    One factor per grid axis, (L_1, ..., L_d): L_i L_i^T = C_i + jitter * I
+    for the axis covariance C_i, and the sampled covariance is
+    (C_1 + jitter I) ⊗ ... ⊗ (C_d + jitter I).
+    """
+
+    factors: tuple
     jitter: float
 
     @property
@@ -98,29 +114,65 @@ class CholeskyFactor:
         return self.jitter > JITTER_FLAG_LEVEL
 
 
+def _axis_covariances(m: IsotropicModel, grid: FieldGrid) -> list | None:
+    """Per-axis covariances C_i if the grid covariance is C_1 ⊗ ... ⊗ C_d.
+
+    Every grid covariance entry is rho(a_1 + ... + a_d) for a table entry of
+    squared axis offsets a_i = (k_i h_i)^2, and the Kronecker product's is
+    rho(a_1) ... rho(a_d).  The n entries of that table are compared, and
+    the answer is yes when they all agree to _SEPARABLE_TOL (absolute, on
+    correlations) and at least two axes have two or more points; else None.
+    """
+    if sum(r > 1 for r in grid.resolution) < 2:
+        return None
+    axes = list(map(_axis_points, grid.sides, grid.resolution))
+    sq = np.ix_(*[t * t for t in axes])     # every axis starts at 0
+    total = functools.reduce(np.add, sq)
+    product = functools.reduce(np.multiply, [m.rho(a) for a in sq])
+    if not np.all(np.abs(m.rho(total) - product) <= _SEPARABLE_TOL):
+        return None
+    return [np.asarray(m.rho((t[:, None] - t[None, :]) ** 2), dtype=float)
+            for t in axes]
+
+
 def covariance_cholesky(m: IsotropicModel, grid: FieldGrid) -> CholeskyFactor:
-    """Dense Cholesky factor of the grid covariance matrix.
+    """Cholesky factor of the grid covariance matrix, per axis where it can.
+
+    If the grid has at least two axes of two or more points and rho(a + b)
+    = rho(a) rho(b) holds to 1e-12 (absolute) on the grid's table of squared
+    axis offsets, the covariance is C_1 ⊗ ... ⊗ C_d and the factor is one
+    ``np.linalg.cholesky`` factor per axis.  Otherwise (every 1-D grid, every
+    non-separable model) it is one dense factor of the n x n matrix.
 
     Smooth covariances make nearly-singular matrices on fine grids; the
     factorization retries with diagonal jitter escalating from 1e-12 by
-    decades.  Failure at 1e-6 raises (degenerate model on this grid).
+    decades, one jitter for all axes: the smallest at which every axis
+    factorizes.  So a per-axis factor samples (C_1 + eps I) ⊗ ... ⊗
+    (C_d + eps I), not C + eps I; in two dimensions the two differ by
+    eps (C_1 ⊗ I + I ⊗ C_2) + eps^2 I, whose norm is at most
+    eps (|C_1| + |C_2|) + eps^2.  Failure at 1e-6 raises (degenerate model
+    on this grid).
     """
-    import scipy.linalg
+    covs = _axis_covariances(m, grid)
+    cholesky = np.linalg.cholesky
+    if covs is None:
+        import scipy.linalg
 
-    if grid.count > MAX_GRID_POINTS:
-        raise ValueError(f"grid exceeds {MAX_GRID_POINTS} points")
-    p = grid.points
-    sq = np.sum(p * p, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (p @ p.T)
-    np.maximum(d2, 0.0, out=d2)
-    cov = np.asarray(m.rho(d2), dtype=float)
+        p = grid.points
+        sq = np.sum(p * p, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (p @ p.T)
+        np.maximum(d2, 0.0, out=d2)
+        covs = [np.asarray(m.rho(d2), dtype=float)]
+        cholesky = functools.partial(scipy.linalg.cholesky, lower=True,
+                                     check_finite=False)
     for jitter in _JITTER_LADDER:
-        mat = cov if jitter == 0.0 else cov + jitter * np.eye(grid.count)
         try:
-            L = scipy.linalg.cholesky(mat, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError:
+            factors = tuple(
+                cholesky(c if jitter == 0.0 else c + jitter * np.eye(len(c)))
+                for c in covs)
+        except np.linalg.LinAlgError:   # scipy.linalg raises the same class
             continue
-        return CholeskyFactor(L=L, jitter=jitter)
+        return CholeskyFactor(factors=factors, jitter=jitter)
     raise ValueError(
         "covariance matrix is not positive definite even with jitter 1e-6; "
         "the model is degenerate on this grid")
@@ -133,12 +185,23 @@ def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int, seed: int,
     Replicate r uses its own counter window of the seeded stream, so the
     result is bit-identical for fixed (seed, reps, grid) no matter how the
     computation is batched.  ``factor`` may pass a precomputed Cholesky
-    factor (for example to reuse it across u-levels).
+    factor (for example to reuse it across u-levels); it must be this grid's:
+    one factor per axis of sizes ``grid.resolution``, or one of size
+    ``grid.count``.
+
+    Each block of normals, shaped (rows, *sizes), is multiplied by L_i^T
+    along axis i for every factor L_i; with one dense factor that is the
+    single product z @ L^T.
     """
     reps = _check_int(reps, 1, math.inf, "reps")
     if factor is None:
         factor = covariance_cholesky(m, grid)
-    lt = factor.L.T
+    sizes = tuple(len(f) for f in factor.factors)
+    if (sizes not in (grid.resolution, (grid.count,))
+            or any(f.shape != (k, k) for f, k in zip(factor.factors, sizes))):
+        raise ValueError(
+            f"factor of shapes {[f.shape for f in factor.factors]} does not "
+            f"fit a grid of resolution {grid.resolution}")
     n = grid.count
     out = np.empty(reps)
     done = 0
@@ -148,10 +211,11 @@ def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int, seed: int,
         if nb < _BATCH_ROWS:
             zp = np.zeros((_BATCH_ROWS, n))
             zp[:nb] = z
-            vals = (zp @ lt)[:nb]
-        else:
-            vals = z @ lt
-        out[done:done + nb] = vals.max(axis=1)
+            z = zp
+        vals = z.reshape(_BATCH_ROWS, *sizes)
+        for axis, f in enumerate(factor.factors, start=1):
+            vals = np.moveaxis(np.moveaxis(vals, axis, -1) @ f.T, -1, axis)
+        out[done:done + nb] = vals.reshape(_BATCH_ROWS, n)[:nb].max(axis=1)
         done += nb
     return out
 

@@ -76,5 +76,7 @@ def normals(seed: int, domain: int, start_rep: int, n_reps: int,
     from scipy.special import ndtri
 
     u = uniforms(seed, domain, start_rep, n_reps, per_rep)
-    # random() can return exactly 0.0; clamp so ndtri stays finite.
-    return ndtri(np.maximum(u, 2.0 ** -54))
+    # random() can return exactly 0.0; clamp so ndtri stays finite.  Both
+    # steps write into the uniforms' own buffer: no temporaries per block.
+    np.maximum(u, 2.0 ** -54, out=u)
+    return ndtri(u, out=u)

@@ -271,6 +271,29 @@ def tail_from_density_quad(density, u: float, cutoff: float = 45.0) -> float:
     return val
 
 
+# ----------------------------------------------------------- field sampler
+
+def grid_covariance_direct(m, points) -> np.ndarray:
+    """rho(|s - t|^2) for every pair of grid points, from the coordinate
+    differences of each pair (not the library's |s|^2 + |t|^2 - 2 s.t)."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.asarray(m.rho(np.sum(diff * diff, axis=-1)), dtype=float)
+
+
+def sample_maxima_dense(m, points, reps: int, seed: int,
+                        jitter: float = 1e-10) -> np.ndarray:
+    """Grid maxima of ``reps`` draws Z L^T, L = cholesky(C + jitter I) for
+    the full grid covariance C in one np.linalg.cholesky call, all rows in
+    one product.  Z comes from the package's field stream at ``seed``: the
+    same streams as the sampler under test, none of its factor code."""
+    from gaussmax import streams
+
+    cov = grid_covariance_direct(m, points)
+    L = np.linalg.cholesky(cov + jitter * np.eye(len(cov)))
+    z = streams.normals(seed, streams.DOMAIN_FIELD, 0, reps, len(cov))
+    return (z @ L.T).max(axis=1)
+
+
 # --------------------------------------------------------------- exponents
 
 def variance_ratio_direct(m, z: float) -> float:

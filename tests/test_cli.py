@@ -438,14 +438,19 @@ class TestEntryPoint:
     def test_polytope_modules_load_lazily(self):
         # No SciPy module at all on the import, rectangle bound and tail,
         # and goe paths: Phi is in the package.  scipy.special (ndtri) loads
-        # with the first normal draw, scipy.linalg with the sampler's
-        # Cholesky factor, scipy.optimize and scipy.spatial with H-polytopes.
+        # with the first normal draw, scipy.linalg with a dense Cholesky
+        # factor (a non-separable model: the squared exponential's per-axis
+        # factors use numpy), scipy.optimize and scipy.spatial with
+        # H-polytopes.
         model = f"model={json.dumps(SQ_SPEC)}"
         rect = f"geometry={json.dumps(RECT_SPEC)}"
+        rational = {"family": "rational", "c": 0.8, "beta": 1.0}
         runs = [["bound", "--set", model, "--set", rect, "--set", "u=[0.5]"],
                 ["tail", "--set", model, "--set", rect, "--set", "u=[0.5]"],
                 ["goe", "--set", "n=1", "--set", "u=[0.3]"],
-                TestValidateCommand.ARGS]
+                TestValidateCommand.ARGS,
+                [*TestValidateCommand.ARGS,
+                 "--set", f"model={json.dumps(rational)}"]]
         script = (
             "import io, contextlib, json, sys\n"
             "import gaussmax.cli\n"
@@ -464,7 +469,11 @@ class TestEntryPoint:
         assert report[:4] == [[0, []]] * 4      # import, bound, tail, goe
         code, after_validate = report[4]
         assert code == 0
-        assert {"scipy.special", "scipy.linalg"} <= set(after_validate)
+        assert "scipy.special" in after_validate
+        assert "scipy.linalg" not in after_validate
+        code, after_rational = report[5]
+        assert code == 0
+        assert "scipy.linalg" in after_rational
 
     def test_every_exported_name_resolves(self):
         missing = [n for n in gaussmax.__all__ if not hasattr(gaussmax, n)]

@@ -121,6 +121,16 @@ def test_sphere_surface_high_dimension():
         geometry.sphere_surface(10_000)    # underflows to 0
 
 
+@pytest.mark.parametrize("d", [456, 2 ** 60, 1e308, 10 ** 400],
+                         ids=["456", "2^60", "1e308", "10^400"])
+def test_sphere_surface_beyond_the_float_range_is_a_valueerror(d):
+    # The area is the smallest subnormal at d = 455 and 0 from 456 on;
+    # lgamma(d/2) itself overflows near d = 5e305, and 10^400 is no float.
+    assert geometry.sphere_surface(455).g[-1] > 0.0
+    with pytest.raises(ValueError, match="positive finite"):
+        geometry.sphere_surface(d)
+
+
 # ----------------------------------------------------------- angle boundary
 
 def test_angle_kappa_diverges():

@@ -1,5 +1,9 @@
 """Grid construction, exact field sampling, and the bound-validation harness."""
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from scipy import stats
 
 import oracles
 from gaussmax import simulate, streams
-from gaussmax.model import make_rational, make_squared_exponential
+from gaussmax.model import make_rational, make_squared_exponential, normalized
 from gaussmax.simulate import (CholeskyFactor, FieldGrid, covariance_cholesky,
                                make_grid, sample_maxima, validate_bound)
 
@@ -92,23 +96,25 @@ class TestCovarianceCholesky:
     def test_reconstructs_covariance(self, res):
         g = make_grid((1.0,), res)
         f = covariance_cholesky(SQ, g)
+        (L,) = f.factors
         t = g.points[:, 0]
         cov = np.asarray(SQ.rho((t[:, None] - t[None, :]) ** 2))
-        err = np.abs(f.L @ f.L.T - cov).max()
+        err = np.abs(L @ L.T - cov).max()
         assert err <= f.jitter + 1e-10
         assert np.allclose(np.diag(cov), 1.0)
 
     def test_lower_triangular(self):
         g = make_grid((1.0, 1.0), 5)
         f = covariance_cholesky(RAT, g)
-        assert np.allclose(f.L, np.tril(f.L))
-        assert np.all(np.diag(f.L) > 0.0)
+        (L,) = f.factors
+        assert np.allclose(L, np.tril(L))
+        assert np.all(np.diag(L) > 0.0)
 
     def test_flag_threshold(self):
         eye = np.eye(2)
-        assert CholeskyFactor(L=eye, jitter=0.0).flagged is False
-        assert CholeskyFactor(L=eye, jitter=1e-9).flagged is False
-        assert CholeskyFactor(L=eye, jitter=1e-8).flagged is True
+        assert CholeskyFactor((eye,), jitter=0.0).flagged is False
+        assert CholeskyFactor((eye,), jitter=1e-9).flagged is False
+        assert CholeskyFactor((eye,), jitter=1e-8).flagged is True
 
     def test_degenerate_model_raises(self):
         # pointwise-valid correlation that is not positive definite as a
@@ -117,6 +123,98 @@ class TestCovarianceCholesky:
         g = make_grid((12.0,), 60)
         with pytest.raises(ValueError, match="not positive definite"):
             covariance_cholesky(bump, g)
+
+
+class TestKroneckerFactor:
+    """Per-axis factors for separable covariances on grids of 2+ axes."""
+
+    @pytest.mark.parametrize("m,sides,res", [
+        (SQ, (1.0, 2.0), (6, 9)),
+        (SQ, (1.0, 1.0), (25, 25)),
+        (normalized(make_squared_exponential(3.0))[0], (0.5, 1.0, 0.7),
+         (4, 3, 5)),
+    ])
+    def test_reconstructs_dense_covariance(self, m, sides, res):
+        # (C_1 + eps I) ⊗ ... ⊗ (C_d + eps I) - C has entries at most
+        # (1 + eps)^d - 1; the separability check admits 1e-12 more.
+        g = make_grid(sides, res)
+        f = covariance_cholesky(m, g)
+        assert [len(L) for L in f.factors] == list(res)
+        kron = np.ones((1, 1))
+        for L in f.factors:
+            assert np.array_equal(L, np.tril(L))
+            kron = np.kron(kron, L @ L.T)
+        cov = oracles.grid_covariance_direct(m, g.points)
+        err = np.abs(kron - cov).max()
+        assert err <= (1.0 + f.jitter) ** len(res) - 1.0 + 1e-10
+
+    @pytest.mark.parametrize("m,sides,res,sizes", [
+        (SQ, (1.0, 1.0), (5, 6), (5, 6)),
+        (normalized(make_squared_exponential(3.0))[0], (1.0, 1.0), (4, 4),
+         (4, 4)),
+        (SQ, (1.0, 1.0, 1.0), (2, 3, 4), (2, 3, 4)),
+        (SQ, (1.0, 1.0, 1.0), (1, 3, 4), (1, 3, 4)),
+        (RAT, (1.0, 1.0), (5, 6), (30,)),
+        (oracles.make_bump_model(0.6, 0.5), (1.0, 1.0), (3, 3), (9,)),
+        (SQ, (1.0,), 7, (7,)),
+        (SQ, (1.0, 1.0), (1, 7), (7,)),   # one axis of 2+ points is 1-D
+        (RAT, (1.0,), 7, (7,)),
+    ])
+    def test_which_path(self, m, sides, res, sizes):
+        f = covariance_cholesky(m, make_grid(sides, res))
+        assert tuple(len(L) for L in f.factors) == sizes
+
+    def test_equals_dense_kronecker_product(self):
+        # The axis-by-axis products equal z @ (L_1 ⊗ L_2)^T up to rounding.
+        g = make_grid((1.0, 1.5), (7, 5))
+        f = covariance_cholesky(SQ, g)
+        dense = np.kron(*f.factors)
+        z = streams.normals(4, streams.DOMAIN_FIELD, 0, 300, g.count)
+        want = (z @ dense.T).max(axis=1)
+        got = sample_maxima(SQ, g, 300, 4, factor=f)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_agrees_in_law_with_dense_oracle(self):
+        # Independent streams (seeds 21 and 22), two-sample KS on maxima.
+        g = make_grid((1.0, 1.5), (6, 8))
+        assert len(covariance_cholesky(SQ, g).factors) == 2
+        kron = sample_maxima(SQ, g, 4000, 21)
+        dense = oracles.sample_maxima_dense(SQ, g.points, 4000, 22)
+        assert stats.ks_2samp(kron, dense).pvalue > 1e-3
+        for u in (0.5, 1.5, 2.5):
+            pk, pd = np.mean(kron > u), np.mean(dense > u)
+            se = math.sqrt((pk * (1 - pk) + pd * (1 - pd)) / 4000)
+            assert abs(pk - pd) < 4.0 * se + 1e-12
+
+    def test_prefix_and_batch_invariant_on_2d_grid(self):
+        g = make_grid((1.0, 2.0), (13, 7))
+        assert len(covariance_cholesky(SQ, g).factors) == 2
+        long = sample_maxima(SQ, g, 600, 5)
+        assert np.array_equal(sample_maxima(SQ, g, 257, 5), long[:257])
+        assert np.array_equal(sample_maxima(SQ, g, 256, 5), long[:256])
+        assert np.array_equal(sample_maxima(SQ, g, 3, 5), long[:3])
+
+    def test_bit_identical_across_blas_threads(self):
+        script = (
+            "import hashlib\n"
+            "from gaussmax import model, simulate\n"
+            "m = model.make_squared_exponential(0.5)\n"
+            "g = simulate.make_grid((1.0, 1.0), (25, 25))\n"
+            "mx = simulate.sample_maxima(m, g, 600, 3)\n"
+            "print(hashlib.sha256(mx.tobytes()).hexdigest())\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(
+                           simulate.__file__)))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        g = make_grid((1.0, 1.0), (25, 25))
+        here = hashlib.sha256(sample_maxima(SQ, g, 600, 3).tobytes())
+        assert digests == [here.hexdigest()] * 2
 
 
 class TestSampleMaxima:
@@ -147,6 +245,28 @@ class TestSampleMaxima:
         f = covariance_cholesky(SQ, g)
         assert np.array_equal(sample_maxima(SQ, g, 64, 9, factor=f),
                               sample_maxima(SQ, g, 64, 9))
+
+    @pytest.mark.parametrize("m,res,other", [
+        (SQ, (4, 4), (2, 8)),     # same point count, other axes
+        (SQ, (4, 4), (5, 5)),
+        (SQ, (2, 8), (8, 2)),
+        (RAT, (4, 4), (5, 5)),
+        (RAT, (4, 4), (16,)),     # a dense factor of 16 points fits
+    ])
+    def test_rejects_a_factor_of_another_grid(self, m, res, other):
+        f = covariance_cholesky(m, make_grid((1.0, 1.0), res))
+        g = make_grid((1.0,) * len(other), other)
+        if g.count == len(f.factors[0]):
+            assert sample_maxima(m, g, 3, 1, factor=f).shape == (3,)
+            return
+        with pytest.raises(ValueError, match="does not fit"):
+            sample_maxima(m, g, 3, 1, factor=f)
+
+    def test_rejects_a_malformed_factor(self):
+        g = make_grid((1.0, 1.0), (2, 3))
+        bad = CholeskyFactor((np.eye(2), np.ones((3, 2))), jitter=0.0)
+        with pytest.raises(ValueError, match="does not fit"):
+            sample_maxima(SQ, g, 3, 1, factor=bad)
 
     def test_rejects_nonpositive_reps(self):
         g = make_grid((1.0,), 2)
@@ -179,7 +299,7 @@ class TestSampleMaxima:
         g = make_grid((2.0,), 9)
         f = covariance_cholesky(SQ, g)
         z = streams.normals(7, streams.DOMAIN_FIELD, 0, 200, g.count)
-        vals = z @ f.L.T
+        vals = z @ f.factors[0].T
         sub = vals[:, ::2]  # every other point = the coarse 5-point grid
         assert np.all(sub.max(axis=1) <= vals.max(axis=1))
         assert np.any(sub.max(axis=1) < vals.max(axis=1))
