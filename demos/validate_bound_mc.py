@@ -17,10 +17,15 @@ report = simulate.validate_bound(m, grid, (0.5, 1.0, 1.5, 2.0, 2.5),
                                  reps=4_000, seed=21, refinements=(1, 2))
 
 print("unit square, squared exponential c = 1/2, 4000 replicates,")
-print("15x15 grid refined to 30x30\n")
-print(report.to_csv())
+print("15x15 grid refined to 30x30 (verdicts score the 30x30 grid)\n")
+print("    u   emp_mean  emp_stderr  pbar_tail   pE_tail  verdict")
+for u, e, pbar, pe, verdict in zip(report.u_values, report.empirical,
+                                   report.pbar_tails, report.pE_tails,
+                                   report.verdicts):
+    print(f"  {u:3.1f}  {e.mean:9.4f}  {e.stderr:10.4f}  {pbar:9.4f}  "
+          f"{pe:8.4f}  {verdict}")
 
-print("refinement sequence (empirical tail per grid):")
+print("\nrefinement sequence (empirical tail per grid):")
 for k, row in zip(report.refinement_factors, report.empirical_by_refinement):
     tails = "  ".join(f"{e.mean:.4f}" for e in row)
     print(f"  x{k:<2d} ({15 * k}x{15 * k}): {tails}")

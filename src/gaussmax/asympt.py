@@ -17,9 +17,10 @@ parameter units of the model handed in.
 
 Suprema over continuous ranges run on dense grids, log-spaced toward
 singular endpoints, with local refinement; 0/0 endpoint limits are injected
-as analytic candidates (never by dividing at tiny arguments).  Ratios with
-quartic-order cancellation are evaluated in extended precision where the
-model's callables support it (the built-in families do).
+as analytic candidates (never by dividing at tiny arguments), and no ratio
+is evaluated at a chord below _GRID_LO = 1e-3, where it is not resolved.
+Ratios with quartic-order cancellation are evaluated in extended precision
+where the model's callables support it (the built-in families do).
 """
 from __future__ import annotations
 
@@ -61,38 +62,39 @@ def exponent_general(sigma2: float, lambda_bar: float,
     """Assemble the generic rate 1 + 1/(sigma2 + lambda_bar * kappa^2).
 
     A zero denominator yields rate = +inf (perfect second-order agreement);
-    an infinite denominator yields the trivial rate 1.  Inputs must be
-    nonnegative.
+    an infinite one the trivial rate 1.  Inputs are finite and nonnegative,
+    but kappa may be +inf (whiskers); it is inert when lambda_bar = 0.
     """
-    vals = {"sigma2": float(sigma2), "lambda_bar": float(lambda_bar),
-            "kappa": float(kappa)}
-    for name, v in vals.items():
-        if math.isnan(v) or v < 0:
-            raise ValueError(f"{name} must be nonnegative, got {v}")
-    den = vals["sigma2"] + vals["lambda_bar"] * vals["kappa"] ** 2
+    c = ExponentComponents(sigma2=_finite(sigma2, "sigma2", 0.0),
+                           lambda_bar=_finite(lambda_bar, "lambda_bar", 0.0),
+                           kappa=_finite(kappa, "kappa", 0.0, math.inf))
+    try:
+        kappa2 = c.kappa ** 2
+    except OverflowError:               # a finite kappa above 1.34e154
+        kappa2 = math.inf
+    den = c.sigma2 + (c.lambda_bar * kappa2 if c.lambda_bar else 0.0)
     rate = math.inf if den == 0.0 else 1.0 + 1.0 / den
-    return ExponentReport(rate=rate,
-                          components=ExponentComponents(**vals),
-                          exact=False)
+    return ExponentReport(rate=rate, components=c, exact=False)
 
 
 def _grid_sup(f, lo: float, hi: float, n: int = 10000,
               candidates=(), refine: int = 3):
-    """Supremum of a vectorized scalar function on [lo, hi].
+    """Supremum of a vectorized scalar function on [lo, hi], 0 < lo.
 
     Dense grid (half log-spaced from lo, half linear), then ``refine``
     rounds of local 2001-point refinement around the running argmax.
     ``candidates`` are (value, argument) pairs injected after the search
-    (analytic endpoint limits).  Ties prefer the smaller argument.
+    (analytic endpoint limits).  Ties prefer the smaller argument.  With
+    lo >= hi only the candidates count, and without any it is (-inf, hi).
     """
-    if not (0.0 < lo < hi):
-        raise ValueError("need 0 < lo < hi for the grid supremum")
-    zs = np.unique(np.concatenate([np.geomspace(lo, hi, n // 2),
-                                   np.linspace(lo, hi, n - n // 2)]))
-    vals = np.asarray(f(zs), dtype=float)
-    i = int(np.argmax(vals))
-    best_v, best_z = float(vals[i]), float(zs[i])
-    for _ in range(refine):
+    best_v, best_z = -math.inf, hi
+    if lo < hi:
+        zs = np.unique(np.concatenate([np.geomspace(lo, hi, n // 2),
+                                       np.linspace(lo, hi, n - n // 2)]))
+        vals = np.asarray(f(zs), dtype=float)
+        i = int(np.argmax(vals))
+        best_v, best_z = float(vals[i]), float(zs[i])
+    for _ in range(refine if lo < hi else 0):
         a = float(zs[max(i - 1, 0)])
         b = float(zs[min(i + 1, len(zs) - 1)])
         zs = np.linspace(a, b, 2001)
@@ -111,8 +113,8 @@ def _sigma2_ratio(mn: IsotropicModel):
 
     Returns a vectorized callable of the normalized-unit distance z.  The
     numerator and denominator both vanish to fourth order at z = 0, so the
-    evaluation runs in extended precision; below z ~ 1e-3 even that is not
-    enough and callers must rely on the analytic z -> 0 candidate
+    evaluation runs in extended precision; below z = _GRID_LO = 1e-3 even
+    that is not enough and callers rely on the analytic z -> 0 candidate
     12 rho''(0) - 1 instead of grid points.
     """
 
@@ -140,7 +142,7 @@ def _chord_ratio(mn: IsotropicModel, scale: float):
     return ratio
 
 
-_GRID_LO = 1e-3
+_GRID_LO = 1e-3     # the shortest chord evaluated (normalized units)
 
 
 def _distance_setup(m: IsotropicModel, Delta: float):
@@ -149,8 +151,7 @@ def _distance_setup(m: IsotropicModel, Delta: float):
     if not (Delta > 0):
         raise ValueError("Delta must be positive")
     mn, alpha = normalized(m)
-    dn = alpha * Delta
-    return mn, alpha, (min(_GRID_LO, dn / 10.0), dn), 12.0 * mn.rho2_0 - 1.0
+    return mn, alpha, (_GRID_LO, alpha * Delta), 12.0 * mn.rho2_0 - 1.0
 
 
 def sigma2_isotropic(m: IsotropicModel, Delta: float, *,
@@ -216,7 +217,9 @@ def Z_delta_exponent(m: IsotropicModel, Delta: float) -> ExponentReport:
     """
     mn, alpha, (lo, hi), limit = _distance_setup(m, Delta)
     s2, z_s2 = _grid_sup(_sigma2_ratio(mn), lo, hi, candidates=[(limit, 0.0)])
-    ks, z_k = _grid_sup(_chord_ratio(mn, 1.0), lo, hi)
+    # The curvature ratio tends to -inf as z -> 0 (like -2/z).
+    ks, z_k = _grid_sup(_chord_ratio(mn, 1.0), lo, hi,
+                        candidates=[(-math.inf, 0.0)])
     kappa = max(ks, 0.0)
     z_big = s2 + kappa * kappa
     return ExponentReport(rate=1.0 + 1.0 / z_big,
@@ -261,7 +264,10 @@ def kappa_annulus(m: IsotropicModel, a: float, b: float, *,
     mn, alpha = normalized(m)
     an, bn = alpha * a, alpha * b
 
-    v1, z1 = _grid_sup(_chord_ratio(mn, -1.0), 2.0 * an, an + bn)
+    # Below the chord _GRID_LO (an sqrt(2 h) on the circle) both ratios are
+    # at most about 1/an, the h -> 0 candidate.
+    v1, z1 = _grid_sup(_chord_ratio(mn, -1.0), max(2.0 * an, _GRID_LO),
+                       an + bn)
 
     def circ(h):
         h = np.asarray(h, dtype=float)
@@ -269,7 +275,8 @@ def kappa_annulus(m: IsotropicModel, a: float, b: float, *,
         return (-2.0 * an * np.asarray(mn.rho1(x), float) * h
                 / (1.0 - np.asarray(mn.rho(x), float)))
 
-    v2, h2 = _grid_sup(circ, 1e-6, 2.0, candidates=[(1.0 / an, 0.0)])
+    h_lo = max(1e-6, 0.5 * min(_GRID_LO / an, 2.0) ** 2)
+    v2, h2 = _grid_sup(circ, h_lo, 2.0, candidates=[(1.0 / an, 0.0)])
     if v1 >= v2:
         val, where = v1, ("segment", z1 / alpha)
     else:
@@ -317,8 +324,7 @@ def sigma2_separable(gammas, s, t) -> float:
     """
     gammas = _profiles(gammas)
     d = len(gammas)
-    s = np.asarray(s, dtype=float).ravel()
-    t = np.asarray(t, dtype=float).ravel()
+    s, t = np.ravel(_finite(s, "s")), np.ravel(_finite(t, "t"))
     if s.shape != (d,) or t.shape != (d,):
         raise ValueError("s and t must have one coordinate per profile")
     if np.array_equal(s, t):
@@ -339,8 +345,8 @@ def sigma2_separable_max(gammas, box, n_per_axis: int = 41):
     excluded).
     """
     gammas = _profiles(gammas)
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    if len(box) != len(gammas):
+    box = [np.ravel(_finite(side, "every box side")) for side in box]
+    if len(box) != len(gammas) or any(len(side) != 2 for side in box):
         raise ValueError("box must have one (lo, hi) pair per profile")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box sides must have positive length")

@@ -101,7 +101,7 @@ def T_series(j: int, v):
     v : float or ndarray.
     """
     j = _check_int(j, 1, MAX_ORDER, "order j")
-    out = _T_rows((j,), np.asarray(v, dtype=float))[0]
+    out = _T_rows((j,), np.asarray(_finite(v, "v")))[0]
     return float(out) if np.ndim(v) == 0 else out
 
 
@@ -186,16 +186,17 @@ def _gamma_s(m: IsotropicModel) -> tuple[float, float]:
 def _R_values(m: IsotropicModel, j: int, x, cross_check: bool = True):
     """R_j at every entry of the finite float array x (0-d included).
 
-    For gamma < 1 the y-average is one T_series call on the (x, node) grid
+    For gamma < 1 the y-average is one T_j evaluation on the (x, node) grid
     per Gauss rule; see :func:`R_correction`.
     """
     x = np.asarray(x, dtype=float)
     gamma, s = _gamma_s(m)
     if s == 0.0:
-        integral = SQRT_2PI * T_series(j, gamma * x / math.sqrt(2.0))
+        integral = SQRT_2PI * _T_rows((j,), gamma * x / math.sqrt(2.0))[0]
     else:
         def f(y):
-            return T_series(j, (gamma * x[..., None] - s * y) / math.sqrt(2.0))
+            return _T_rows((j,), (gamma * x[..., None] - s * y)
+                           / math.sqrt(2.0))[0]
 
         what = f"R_{j}({float(x)})" if x.ndim == 0 else f"R_{j}"
         integral = _gauss_average(f, what, cross_check)

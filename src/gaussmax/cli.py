@@ -27,15 +27,15 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import __version__
+from . import __version__, streams
 from .asympt import Z_delta_exponent, exponent_convex, exponent_general
 from .bounds import pbar_density, tail_bound
 from .geometry import (FaceDecomposition, polytope_g_coeffs, rectangle_faces,
                        sphere_surface)
-from .hermite import _check_int
+from .hermite import _check_int, _finite
 from .model import IsotropicModel, make_rational, make_squared_exponential
 from .randmat import MAX_SIZE, expected_absdet_shifted_goe, goe_eigen_density
-from .simulate import make_grid, validate_bound
+from .simulate import _refinement_factors, make_grid, validate_bound
 
 _COMMANDS = ("bound", "tail", "validate", "goe", "geom", "exponent")
 _FORMATS = ("csv", "json")
@@ -102,44 +102,29 @@ class RunConfig:
             raise ConfigError(f"command must be one of {_COMMANDS}")
         if self.format not in _FORMATS:
             raise ConfigError(f"format must be one of {_FORMATS}")
-        for key in ("reps", "seed"):
-            v = getattr(self, key)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ConfigError(f"{key} must be a nonnegative integer")
-        if self.reps < 1:
-            raise ConfigError("reps must be positive")
-        if self.seed >= 2 ** 64:
-            raise ConfigError("seed must be below 2**64")
-        if self.abscissa is not None:
-            if (not isinstance(self.abscissa, dict)
-                    or set(self.abscissa) != {"min", "max", "step"}):
-                raise ConfigError(
-                    "abscissa must be an object with exactly the keys min, "
-                    "max, step")
-            if not all(map(_is_real, self.abscissa.values())):
-                raise ConfigError("abscissa min, max and step must be numbers")
-        if self.u is not None and not all(map(_is_real, self.u)):
-            raise ConfigError("every u entry must be a number")
-        if self.command == "validate" and self.reps < 2:
-            raise ConfigError("validate needs reps >= 2 for a standard error")
-        if self.refinements is not None and not self.refinements:
-            raise ConfigError("refinements must be nonempty")
+        if self.abscissa is not None and (
+                not isinstance(self.abscissa, dict)
+                or set(self.abscissa) != {"min", "max", "step"}):
+            raise ConfigError("abscissa must be an object with exactly the "
+                              "keys min, max, step")
         try:
+            # validate needs two replicates for a standard error.
+            _check_int(self.reps, 1 + (self.command == "validate"), math.inf,
+                       "reps")
+            streams.check_seed(self.seed)
+            if self.abscissa is not None:
+                _finite(list(self.abscissa.values()), "abscissa values")
+            if self.u is not None:
+                # A NaN level is a number: it fails its own row (exit 3).
+                _finite([v for v in self.u if v == v], "every u entry",
+                        -math.inf, math.inf)
             if self.n is not None:
                 _check_int(self.n, 1, MAX_SIZE, "n")
-            for key in ("resolution", "refinements"):
-                for v in getattr(self, key) or ():
-                    _check_int(v, 1, math.inf, f"every {key} entry")
-        except ValueError as e:
+            for v in self.resolution or ():
+                _check_int(v, 1, math.inf, "every resolution entry")
+            _refinement_factors(self.refinements)
+        except (TypeError, ValueError) as e:   # TypeError: a null list
             raise ConfigError(str(e)) from None
-        ref = self.refinements or ()
-        if any(a >= b for a, b in zip(ref, ref[1:])):
-            raise ConfigError("refinements must be strictly increasing, so "
-                              "the last grid is the finest")
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _abscissa_values(cfg: RunConfig, what: str) -> list:
@@ -147,17 +132,14 @@ def _abscissa_values(cfg: RunConfig, what: str) -> list:
     if cfg.u is not None and cfg.abscissa is not None:
         raise ConfigError("give either u or abscissa, not both")
     if cfg.u is not None:
-        vals = [float(v) for v in cfg.u]
-        if not vals:
+        if not cfg.u:
             raise ConfigError("u must be nonempty")
-        return vals
+        return list(cfg.u)
     if cfg.abscissa is None:
         raise ConfigError(f"{what} needs u or abscissa in the config")
-    lo = float(cfg.abscissa["min"])
-    hi = float(cfg.abscissa["max"])
-    step = float(cfg.abscissa["step"])
-    if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and hi >= lo):
-        raise ConfigError("abscissa needs finite min <= max and step > 0")
+    lo, hi, step = (_finite(cfg.abscissa[k]) for k in ("min", "max", "step"))
+    if not (step > 0 and hi >= lo):
+        raise ConfigError("abscissa needs min <= max and step > 0")
     vals, k = [], 0
     while True:
         v = lo + k * step
@@ -230,11 +212,11 @@ class _RunResult:
 
 
 def _sweep(values, label: str, row):
-    """(rows, errors) of row(v); a value that fails numerically is an error."""
+    """(rows, errors) of row(v); a v not finite or failing is an error."""
     rows, errors = [], []
     for v in values:
         try:
-            rows.append(row(v))
+            rows.append(row(_finite(v, label)))
         except (ValueError, RuntimeError, ArithmeticError) as e:
             errors.append(f"{label}={_fmt(v)}: {e}")
     return rows, errors
@@ -291,7 +273,7 @@ def _run_goe(cfg: RunConfig) -> _RunResult:
     nus = _abscissa_values(cfg, "goe")
 
     def row(nu):
-        return [int(cfg.n), float(nu), goe_eigen_density(cfg.n, nu),
+        return [int(cfg.n), nu, goe_eigen_density(cfg.n, nu),
                 expected_absdet_shifted_goe(cfg.n, nu)]
 
     return _RunResult(["n", "nu", "density", "absdet_mean"],
@@ -316,13 +298,12 @@ def _run_exponent(cfg: RunConfig) -> _RunResult:
     kind = spec["kind"]
     try:
         if kind == "general":
-            rep = exponent_general(float(spec["sigma2"]),
-                                   float(spec["lambda_bar"]),
-                                   float(spec["kappa"]))
+            rep = exponent_general(spec["sigma2"], spec["lambda_bar"],
+                                   spec["kappa"])
         elif kind == "convex":
             rep = exponent_convex(_build_model(cfg))
         elif kind == "z_delta":
-            rep = Z_delta_exponent(_build_model(cfg), float(spec["delta"]))
+            rep = Z_delta_exponent(_build_model(cfg), spec["delta"])
         else:
             raise ConfigError(f"unknown exponent kind {kind!r}")
     except KeyError as e:

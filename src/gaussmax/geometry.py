@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from . import streams
-from .hermite import _check_int
+from .hermite import _check_int, _finite
 
 MAX_POLYTOPE_DIM = 6
 _GEOM_TOL = 1e-9
@@ -66,12 +66,11 @@ class FaceDecomposition:
     sides: tuple | None = None
 
     def __post_init__(self):
-        if not 1 <= len(self.g) <= self.d + 1:
+        d = _check_int(self.d, 1, math.inf, "d")
+        _finite(self.g, "every g coefficient", 0.0)
+        _finite(self.kappa, "kappa", 0.0, math.inf)
+        if not 1 <= len(self.g) <= d + 1:
             raise ValueError("g must have between 1 and d + 1 entries")
-        if not all(math.isfinite(v) and v >= 0 for v in self.g):
-            raise ValueError("g coefficients must be finite and nonnegative")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
 
     @property
     def d0(self) -> int:
@@ -86,11 +85,9 @@ def rectangle_faces(sides) -> FaceDecomposition:
     polynomial: g_j = e_j(L_1, ..., L_d).  In particular g_0 = 1 and
     g_d = prod L_i.
     """
-    sides = tuple(float(s) for s in np.atleast_1d(np.asarray(sides, dtype=float)))
-    if len(sides) == 0:
-        raise ValueError("need at least one side length")
-    if not all(math.isfinite(s) and s > 0 for s in sides):
-        raise ValueError("side lengths must be positive and finite")
+    sides = tuple(np.atleast_1d(_finite(sides, "side lengths")).tolist())
+    if not sides or not all(s > 0 for s in sides):
+        raise ValueError("need one or more side lengths, all positive")
     coeffs = [1.0]
     for length in sides:
         # multiply the generating polynomial by (1 + length * z)
@@ -138,8 +135,7 @@ def kappa_of_angle_boundary(theta: float) -> float:
     ratio is identically 0 (t - s lies in the segment's feasible line); see
     :func:`angle_boundary_ratio`.
     """
-    theta = float(theta)
-    if not (0.0 < theta < math.pi):
+    if not 0.0 < _finite(theta, "theta") < math.pi:
         raise ValueError("theta must lie strictly between 0 and pi")
     return math.inf
 
@@ -153,12 +149,11 @@ def angle_boundary_ratio(theta: float, t_arc: float, s_arc: float) -> float:
     segment (t_arc != 0), where the feasible-direction cone C_t is the
     segment's spanning line.
     """
-    theta = float(theta)
-    if not (0.0 < theta < math.pi):
+    theta = _finite(theta, "theta")
+    if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie strictly between 0 and pi")
-    for name, arc in (("t_arc", t_arc), ("s_arc", s_arc)):
-        if not (-1.0 <= arc <= 1.0):
-            raise ValueError(f"{name} must lie in [-1, 1]")
+    t_arc = _finite(t_arc, "t_arc", -1.0, 1.0)
+    s_arc = _finite(s_arc, "s_arc", -1.0, 1.0)
     if t_arc == 0.0:
         raise ValueError("t must lie in a segment's relative interior (t_arc != 0)")
     if t_arc == s_arc:
@@ -182,18 +177,18 @@ def angle_boundary_ratio(theta: float, t_arc: float, s_arc: float) -> float:
 def _normalize_halfspaces(halfspaces):
     rows = []
     offs = []
-    for item in halfspaces:
-        a, b = item
-        a = np.asarray(a, dtype=float).ravel()
+    for a, b in halfspaces:
+        a = np.ravel(_finite(a, "every halfspace normal"))
         norm = np.linalg.norm(a)
-        if norm <= 0 or not np.all(np.isfinite(a)) or not math.isfinite(float(b)):
-            raise ValueError("each halfspace needs a finite nonzero normal and offset")
+        if not norm > 0:
+            raise ValueError("each halfspace needs a nonzero normal")
         rows.append(a / norm)
-        offs.append(float(b) / norm)
+        offs.append(_finite(b, "every halfspace offset") / norm)
     A = np.array(rows)
     b = np.array(offs)
-    if A.ndim != 2:
-        raise ValueError("halfspace normals must share one dimension")
+    if A.ndim != 2 or b.ndim != 1:
+        raise ValueError("halfspace normals must share one dimension, and "
+                         "each offset must be one number")
     return A, b
 
 

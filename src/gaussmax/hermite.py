@@ -21,9 +21,10 @@ The normal CDF Phi that these tail integrals need is here too,
 :func:`_Phi`, computed from the C library's ``erfc`` so that the bound,
 tail and GOE paths load no SciPy.
 
-The package's input checks live here as well: every integer range goes
-through :func:`_check_int` and every abscissa through :func:`_finite`, so a
-bad argument raises ValueError instead of producing a silent NaN.
+The package's input contract lives here too: every public integer passes
+:func:`_check_int` and every other public number :func:`_finite`, the one
+real-number check, so a bool, string, None, complex or NaN argument raises
+ValueError, naming the argument, instead of being coerced or returning NaN.
 """
 from __future__ import annotations
 
@@ -61,12 +62,32 @@ def _check_int(n, lo: int, cap, what: str) -> int:
     return int(n)
 
 
-def _finite(x, name: str = "x"):
-    """x as a float (scalar x) or float array; ValueError unless all finite."""
-    arr = np.asarray(x, dtype=float)
-    bad = arr[~np.isfinite(arr)]
-    if bad.size:
-        raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
+_FMAX = float(np.finfo(float).max)
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _finite(x, name: str = "x", lo: float = -_FMAX, hi: float = _FMAX):
+    """x as a float (scalar x) or float array; the one real-number check.
+
+    Accepts Python and NumPy ints and floats, int and float arrays, and
+    lists or tuples of them.  Anything else (a bool, str, None, complex...),
+    a NaN and an entry outside [lo, hi] raise ValueError naming ``name``.
+    The default bounds mean "finite"; an infinite bound admits its infinity.
+    """
+    for v in x if isinstance(x, (list, tuple)) else [x]:
+        if isinstance(v, bool) or not (isinstance(v, _REAL) or isinstance(
+                v, np.ndarray) and v.dtype.kind in "iuf"):
+            raise ValueError(f"{name} must be a real number, got {v!r}")
+    try:
+        arr = np.asarray(x, dtype=float)
+    except OverflowError:       # an int beyond the float range
+        raise ValueError(f"{name} must be finite, got {x!r}") from None
+    inside = (lo <= arr) & (arr <= hi)
+    if not inside.all():
+        span = ("finite" if (lo, hi) == (-_FMAX, _FMAX)
+                else f"in [{lo:.2g}, {hi:.2g}]")
+        raise ValueError(
+            f"{name} must be {span}, got {float(arr[~inside].flat[0])!r}")
     return float(arr) if arr.ndim == 0 else arr
 
 
@@ -83,10 +104,6 @@ def _Phi(x):
     out = 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float,
                             z.size).reshape(z.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def _check_degree(n: int) -> int:
-    return _check_int(n, 0, MAX_DEGREE, "polynomial degree")
 
 
 def _log_double_factorial(m: int) -> float:
@@ -180,7 +197,7 @@ def hermite_eval(kind: HermiteKind, n: int, x):
     float or ndarray matching the shape of x.
     """
     kind = HermiteKind(kind)
-    n = _check_degree(n)
+    n = _check_int(n, 0, MAX_DEGREE, "polynomial degree")
     vals = _eval_all(kind, n, _finite(x))[n]
     return float(vals) if np.ndim(x) == 0 else vals
 
@@ -192,13 +209,13 @@ def tail_integral_In(n: int, v):
     the full-line value ``1_{n even} 2^{n/2} (n-1)!! sqrt(2 pi)`` is returned.
     Any other non-finite v raises ValueError.
     """
-    n = _check_degree(n)
+    n = _check_int(n, 0, MAX_DEGREE, "polynomial degree")
     inv_cn = math.exp(-_log_ck(n))
     B = _tail_coefficients(n)[1]
-    if np.ndim(v) == 0 and float(v) == -math.inf:
+    if np.ndim(v) == 0 and _finite(v, "v", -math.inf) == -math.inf:
         return B * inv_cn
 
-    varr = np.asarray(_finite(v, "v"), dtype=float)
+    varr = np.asarray(_finite(v, "v"))
     damp = np.exp(-varr * varr / 4.0)
     ut = _norm_hermites(max(n - 1, 0), varr) * damp
     # Phi(-v) = 1 - Phi(v), accurate in both tails.
@@ -211,7 +228,8 @@ def weighted_integral_Jn(n: int, x, a: float, b: float):
 
     Closed form: ``(2b)^n sqrt(2 pi) Hbar_n(x)``.
     """
-    n = _check_degree(n)
+    n = _check_int(n, 0, MAX_DEGREE, "polynomial degree")
+    a, b = _finite(a, "a"), _finite(b, "b")
     if abs(a * a + b * b - 0.5) > 1e-12:
         raise ValueError("weighted_integral_Jn requires a^2 + b^2 = 1/2 "
                          f"(got {a * a + b * b!r})")

@@ -23,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from .hermite import _finite
+
 
 @dataclass(frozen=True)
 class IsotropicModel:
@@ -59,9 +61,9 @@ class IsotropicModel:
 
 def make_squared_exponential(c: float) -> IsotropicModel:
     """rho(x) = exp(-c x); gamma = 1 for every c > 0."""
-    c = float(c)
-    if not (c > 0) or not math.isfinite(c):
-        raise ValueError("c must be a positive finite real")
+    c = _finite(c, "c")
+    if not c > 0:
+        raise ValueError("c must be positive")
 
     def rho(x, c=c):
         return np.exp(-c * np.asarray(x))
@@ -77,10 +79,9 @@ def make_squared_exponential(c: float) -> IsotropicModel:
 
 def make_rational(c: float, beta: float) -> IsotropicModel:
     """rho(x) = (1 + c x)^(-beta); gamma = sqrt(beta/(beta+1)) < 1."""
-    c = float(c)
-    beta = float(beta)
-    if not (c > 0 and beta > 0) or not (math.isfinite(c) and math.isfinite(beta)):
-        raise ValueError("c and beta must be positive finite reals")
+    c, beta = _finite(c, "c"), _finite(beta, "beta")
+    if not (c > 0 and beta > 0):
+        raise ValueError("c and beta must be positive")
 
     def rho(x, c=c, beta=beta):
         return (1.0 + c * np.asarray(x)) ** (-beta)
@@ -189,7 +190,7 @@ def validate_model(m: IsotropicModel, grid=None) -> ModelValidation:
     if grid is None:
         grid = np.concatenate([np.geomspace(1e-3, 1.0, 40),
                                np.linspace(1.0, 50.0, 99)[1:]])
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(_finite(grid, "grid"))
     checks = _structural_checks(m)
 
     h = _FD_STEP

@@ -36,10 +36,6 @@ from .model import IsotropicModel
 MAX_SIZE = 60
 
 
-def _check_size(n: int, cap: int = MAX_SIZE) -> int:
-    return _check_int(n, 1, cap, "matrix size")
-
-
 def _rescaled_density(n: int, nu) -> np.ndarray:
     """w_n(nu) = e^{nu^2/2} q_n(nu), vectorized over nu."""
     nu = np.asarray(nu, dtype=float)
@@ -72,8 +68,8 @@ def goe_eigen_density(n: int, nu):
     -------
     float or ndarray
     """
-    n = _check_size(n)
-    nu_arr = np.asarray(_finite(nu, "nu"), dtype=float)
+    n = _check_int(n, 1, MAX_SIZE, "matrix size")
+    nu_arr = np.asarray(_finite(nu, "nu"))
     out = np.exp(-nu_arr ** 2 / 2.0) * _rescaled_density(n, nu_arr)
     return float(out) if np.ndim(nu) == 0 else out
 
@@ -85,8 +81,8 @@ def expected_absdet_shifted_goe(n: int, nu):
     through the e^{nu^2/2}-rescaled form so large nu neither under- nor
     overflows.  Requires n <= 59 (needs the density at size n+1).
     """
-    n = _check_size(n, cap=MAX_SIZE - 1)
-    nu_arr = np.asarray(_finite(nu, "nu"), dtype=float)
+    n = _check_int(n, 1, MAX_SIZE - 1, "matrix size")
+    nu_arr = np.asarray(_finite(nu, "nu"))
     coef = 2.0 ** 1.5 * math.gamma((n + 3) / 2.0) / (n + 1)
     out = coef * _rescaled_density(n + 1, nu_arr)
     return float(out) if np.ndim(nu) == 0 else out
@@ -104,7 +100,7 @@ class McEstimate:
 
 def sample_goe(n: int, rng: np.random.Generator) -> np.ndarray:
     """One GOE draw: symmetric, diagonal N(0,1), off-diagonal N(0,1/2)."""
-    n = _check_size(n)
+    n = _check_int(n, 1, MAX_SIZE, "matrix size")
     a = rng.standard_normal((n, n))
     return (a + a.T) / 2.0
 
@@ -119,7 +115,8 @@ def mc_absdet(n: int, nu: float, reps: int, seed: int) -> McEstimate:
     Replicate r consumes a fixed window of the (seed, GOE-domain) stream, so
     the estimate is bit-identical however the replicates are batched.
     """
-    n = _check_size(n)
+    n = _check_int(n, 1, MAX_SIZE, "matrix size")
+    nu = _finite(nu, "nu")
     reps = _check_int(reps, 2, math.inf, "reps")   # stderr needs 2 samples
     per_rep = n * (n + 1) // 2
     iu, ju = np.triu_indices(n)
@@ -153,7 +150,8 @@ def conditional_hessian_sample(model: IsotropicModel, j: int, x: float,
     with G_j a j x j GOE matrix and xi an independent standard normal
     (rho', rho'' at 0).
     """
-    j = _check_size(j)
+    j = _check_int(j, 1, MAX_SIZE, "matrix size")
+    x = _finite(x)
     rp = model.rho1_0
     rpp = model.rho2_0
     g = sample_goe(j, rng)

@@ -24,7 +24,7 @@ import numpy as np
 from . import streams
 from .bounds import tail_bound
 from .geometry import rectangle_faces
-from .hermite import _check_int
+from .hermite import _check_int, _finite
 from .model import IsotropicModel
 from .randmat import McEstimate
 
@@ -61,7 +61,8 @@ class FieldGrid:
 
     def __post_init__(self):
         sides = rectangle_faces(self.sides).sides
-        res = np.atleast_1d(self.resolution).tolist()
+        res = self.resolution
+        res = [res] if np.ndim(res) == 0 else list(res)
         if len(res) == 1:
             res *= len(sides)
         if len(res) != len(sides):
@@ -241,16 +242,6 @@ class ValidationReport:
     jitters: tuple
     notes: tuple
 
-    def to_csv(self) -> str:
-        lines = ["u,emp_mean,emp_stderr,pbar_tail,pE_tail,verdict"]
-        for i, u in enumerate(self.u_values):
-            e = self.empirical[i]
-            lines.append(",".join([
-                f"{u:.17g}", f"{e.mean:.17g}", f"{e.stderr:.17g}",
-                f"{self.pbar_tails[i]:.17g}", f"{self.pE_tails[i]:.17g}",
-                self.verdicts[i]]))
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "u_values": list(self.u_values),
@@ -277,6 +268,17 @@ def _empirical_tail(maxima: np.ndarray, u_values, reps: int,
     return tuple(out)
 
 
+def _refinement_factors(refinements) -> tuple:
+    """The factors as ints >= 1, nonempty and strictly increasing, so that
+    the last grid is the finest."""
+    out = tuple(_check_int(k, 1, math.inf, "every refinement factor")
+                for k in refinements)
+    if not out or any(a >= b for a, b in zip(out, out[1:])):
+        raise ValueError("refinement factors must be a nonempty, strictly "
+                         "increasing sequence, so the last grid is the finest")
+    return out
+
+
 def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
                    seed: int, refinements=(1, 2, 4)) -> ValidationReport:
     """Check empirical P{max > u} against the analytic tail bounds.
@@ -292,15 +294,10 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     reported to show the discretization has stabilized.
     """
     reps = _check_int(reps, 2, math.inf, "reps")
-    u_values = tuple(float(u) for u in u_values)
+    u_values = tuple(_finite(u, "every u value") for u in u_values)
     if not u_values:
         raise ValueError("need at least one u level")
-    refinements = tuple(_check_int(k, 1, math.inf, "every refinement factor")
-                        for k in refinements)
-    if not refinements or any(a >= b for a, b in zip(refinements,
-                                                     refinements[1:])):
-        raise ValueError("refinement factors must be a nonempty, strictly "
-                         "increasing sequence")
+    refinements = _refinement_factors(refinements)
     geom = rectangle_faces(grid.sides)
     tails = [tail_bound(m, geom, u) for u in u_values]
     pbar_tails = tuple(t.pbar_tail for t in tails)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .hermite import _check_int
+
 # Domain tags keep unrelated consumers of the same user seed independent.
 DOMAIN_GOE = 0x676F65          # GOE matrix draws (mc_absdet)
 DOMAIN_FIELD = 0x666C64        # Gaussian-field replicates (sample_maxima)
@@ -25,11 +27,9 @@ DOMAIN_DIRECTIONS = 0x646972   # unit directions for solid-angle estimation
 _BLOCK = 4  # uint64 words per Philox counter increment
 
 
-def check_seed(seed) -> None:
-    """Raise ValueError unless ``seed`` is an int (not a bool) in [0, 2^64)."""
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= seed < 2 ** 64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+def check_seed(seed) -> int:
+    """seed as an int; ValueError unless it is an integer in [0, 2^64)."""
+    return _check_int(seed, 0, 2 ** 64 - 1, "seed")
 
 
 def uniforms(seed: int, domain: int, start_rep: int, n_reps: int,
@@ -53,15 +53,17 @@ def uniforms(seed: int, domain: int, start_rep: int, n_reps: int,
     ndarray, shape (n_reps, per_rep)
         Row ``i`` depends only on (seed, domain, start_rep+i, per_rep).
     """
-    check_seed(seed)
-    if per_rep <= 0:
-        raise ValueError("per_rep must be positive")
-    if n_reps < 0 or start_rep < 0:
-        raise ValueError("replicate indices must be nonnegative")
+    seed = check_seed(seed)
+    domain = _check_int(domain, 0, 2 ** 64 - 1, "domain")
+    n_reps = _check_int(n_reps, 0, 2 ** 64 - 1, "n_reps")
+    per_rep = _check_int(per_rep, 1, 2 ** 64 - 1, "per_rep")
+    # Round up to whole counter blocks so each replicate starts on one; the
+    # first replicate's block index must fit the 64-bit counter word.
+    w = _BLOCK * ((per_rep + _BLOCK - 1) // _BLOCK)
+    start_rep = _check_int(start_rep, 0, (2 ** 64 - 1) // (w // _BLOCK),
+                           "start_rep")
     if n_reps == 0:
         return np.empty((0, per_rep))
-    # Round up to whole counter blocks so each replicate starts on one.
-    w = _BLOCK * ((per_rep + _BLOCK - 1) // _BLOCK)
     bitgen = np.random.Philox(
         key=np.array([seed, domain], dtype=np.uint64),
         counter=np.array([start_rep * (w // _BLOCK), 0, 0, 0], dtype=np.uint64),

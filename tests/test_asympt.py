@@ -150,7 +150,28 @@ class TestZDeltaExponent:
 
     def test_small_window_approaches_convex_rate(self):
         rep = asympt.Z_delta_exponent(SQ, 1e-3)
-        assert abs(rep.rate - 1.5) < 2e-3
+        assert abs(rep.rate - 1.5) < 1e-9
+
+    @pytest.mark.parametrize("m", [SQ, RAT], ids=["SQ", "RAT"])
+    @pytest.mark.parametrize("delta", [1e-300, 1e-8, 1e-4, 1e-3, 1.0, 10.0])
+    def test_monotone_rate_is_the_convex_rate_at_every_scale(self, m, delta):
+        # The ratios are never evaluated below their resolvable chord 1e-3;
+        # a window below it is its z -> 0 limit.
+        want = asympt.exponent_convex(m).rate
+        assert asympt.Z_delta_exponent(m, delta).rate == pytest.approx(
+            want, abs=1e-9)
+        assert asympt.sigma2_isotropic(m, delta) == pytest.approx(
+            asympt.exponent_convex(m).components.sigma2, rel=1e-9)
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-8, 1e-4, 1e-3])
+    def test_tiny_windows_of_a_nonmonotone_model_are_warning_free(self, delta):
+        # RuntimeWarnings are errors in this suite; the z -> 0 limits win.
+        mn, _ = normalized(BUMP)
+        limit = 12.0 * mn.rho2_0 - 1.0
+        rep = asympt.Z_delta_exponent(BUMP, delta)
+        assert rep.components.kappa == 0.0
+        assert rep.components.sigma2 == pytest.approx(limit, rel=1e-6)
+        assert asympt.sigma2_isotropic(BUMP, delta) == rep.components.sigma2
 
     def test_bump_has_active_curvature_term(self):
         rep = asympt.Z_delta_exponent(BUMP, 2.0)
@@ -188,6 +209,15 @@ class TestKappaAnnulus:
         assert val == pytest.approx(1.0, rel=1e-12)
         assert arg[0] == "circle"
         assert arg[1] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("m", [SQ, RAT, BUMP], ids=["SQ", "RAT", "BUMP"])
+    def test_tiny_inner_radius_is_the_circle_limit(self, m, a):
+        # No chord below 1e-3 is evaluated, so no warning; 1/a_n wins.
+        _, alpha = normalized(m)
+        val, arg = asympt.kappa_annulus(m, a, 2.0 * a, return_argmax=True)
+        assert val == pytest.approx(1.0 / (alpha * a), rel=1e-12)
+        assert arg == ("circle", 0.0)
 
     def test_squared_exponential_rescaled(self):
         # c = 3: normalized inner radius sqrt(6), circle limit 1/sqrt(6)

@@ -378,3 +378,42 @@ def test_complementary_terms_decay_faster_than_principal():
         return math.fsum(b.complementary_by_j) / b.pbar
 
     assert share(10.0) < 1e-6 * share(2.0)
+
+
+# ------------------------------------------------ properties of the bounds
+#
+# Over the two built-in families with c, beta in [0.1, 10], boxes of 1 to 4
+# sides in [0.1, 10], and levels where phi is a normal float (|x| <= 37.5).
+
+MODELS = hst.one_of(
+    hst.builds(model.make_squared_exponential, hst.floats(0.1, 10.0)),
+    hst.builds(model.make_rational, hst.floats(0.1, 10.0),
+               hst.floats(0.1, 10.0)))
+BOXES = hst.builds(geometry.rectangle_faces,
+                   hst.lists(hst.floats(0.1, 10.0), min_size=1, max_size=4))
+LEVELS = hst.floats(-37.5, 37.5)
+PROPERTY = settings(max_examples=50, deadline=None, database=None,
+                    derandomize=True)
+
+
+@given(m=MODELS, geom=BOXES, x=LEVELS)
+@PROPERTY
+def test_property_pbar_dominates_pE_and_is_nonnegative(m, geom, x):
+    b = bounds.pbar_density(m, geom, x)
+    scale = math.fsum(map(abs, b.principal_by_j + b.complementary_by_j))
+    assert b.pbar >= b.pE
+    assert b.pbar >= -1e-12 * scale
+
+
+@given(m=MODELS, geom=BOXES, x=LEVELS)
+@PROPERTY
+def test_property_pE_density_is_the_breakdown_pE(m, geom, x):
+    assert bounds.pE_density(m, geom, x) == bounds.pbar_density(m, geom, x).pE
+
+
+@given(m=MODELS, geom=BOXES, u1=LEVELS, u2=LEVELS)
+@PROPERTY
+def test_property_pbar_tail_does_not_increase(m, geom, u1, u2):
+    lo, hi = sorted((u1, u2))
+    assert (bounds.tail_bound(m, geom, lo).pbar_tail
+            >= bounds.tail_bound(m, geom, hi).pbar_tail * (1.0 - 1e-7))

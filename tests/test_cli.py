@@ -83,6 +83,25 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({"command": "validate", "n": 3.0,
                                    "resolution": [4.0, 5], "refinements": [1.0]})
         assert cfg.n == 3.0 and cfg.resolution == (4.0, 5)
+        # reps and seed pass the same integer check as n.
+        cfg = RunConfig.from_dict({"command": "validate", "reps": 3.0,
+                                   "seed": 5.0})
+        assert cfg.reps == 3.0 and cfg.seed == 5.0
+
+    @pytest.mark.parametrize("bad", [
+        {"command": "validate", "refinements": None},
+        {"command": "tail", "u": [[1.0]]},
+        {"command": "tail", "u": [1.0, None]},
+        {"command": "bound", "abscissa": {"min": "0", "max": 1, "step": 1}},
+        {"command": "bound", "abscissa": {"min": 0, "max": True, "step": 1}},
+        {"command": "bound", "abscissa": {"min": 0, "max": 1,
+                                          "step": float("nan")}},
+        {"command": "tail", "seed": 1.5},
+        {"command": "tail", "reps": "3"},
+    ])
+    def test_rejects_what_is_not_a_real_number(self, bad):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(bad)
 
     def test_not_a_dict(self):
         with pytest.raises(ConfigError):
@@ -268,6 +287,22 @@ class TestBoundCommand:
         assert code == 2 and "family" in err
 
 
+@pytest.mark.parametrize("model, geom", [
+    ({"family": "squared_exponential", "c": "0.5"}, RECT_SPEC),
+    ({"family": "rational", "c": 1.0, "beta": True}, RECT_SPEC),
+    (SQ_SPEC, {"kind": "rectangle", "sides": ["1", True]}),
+    (SQ_SPEC, {"kind": "rectangle", "sides": [1.0, True]}),
+    (SQ_SPEC, {"kind": "halfspaces", "halfspaces": [
+        [[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0], [[1.0, 1.0], "1"]]}),
+], ids=["c_str", "beta_bool", "sides_str_bool", "sides_bool",
+        "offset_str"])
+def test_model_and_geometry_numbers_must_be_real(capsys, model, geom):
+    code, out, err = run_cli(capsys, [
+        "tail", "--set", f"model={json.dumps(model)}",
+        "--set", f"geometry={json.dumps(geom)}", "--set", "u=[1.0]"])
+    assert code == 2 and out == "" and "must be a real number" in err
+
+
 class TestValidateCommand:
     ARGS = ["validate", "--set", f"model={json.dumps(SQ_SPEC)}",
             "--set", f"geometry={json.dumps(RECT_SPEC)}",
@@ -389,6 +424,26 @@ class TestExponentCommand:
             'exponent={"kind":"general","sigma2":-1.0,"lambda_bar":0,'
             '"kappa":0}'])
         assert code == 2
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"general","sigma2":true,"lambda_bar":0,"kappa":0}',
+        '{"kind":"general","sigma2":"2","lambda_bar":0,"kappa":0}',
+        '{"kind":"z_delta","delta":"2.0"}',
+    ], ids=["sigma2_bool", "sigma2_str", "delta_str"])
+    def test_non_real_values_are_config_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, [
+            "exponent", "--set", f"model={json.dumps(SQ_SPEC)}",
+            "--set", f"exponent={spec}"])
+        assert code == 2 and out == "" and "must be a real number" in err
+
+    def test_infinite_kappa_is_the_trivial_rate(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "exponent", "--set",
+            'exponent={"kind":"general","sigma2":2.0,"lambda_bar":1.0,'
+            '"kappa":Infinity}'])
+        assert code == 0
+        _, rows = data_rows(out)
+        assert float(rows[0][0]) == 1.0
 
 
 class TestOutputPlumbing:

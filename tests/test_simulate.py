@@ -376,20 +376,6 @@ class TestValidateBound:
         assert rep.notes
         assert "underestimate" in rep.notes[0]
 
-    def test_csv_round_trip(self):
-        rep = self._report()
-        lines = rep.to_csv().strip().split("\n")
-        assert lines[0] == "u,emp_mean,emp_stderr,pbar_tail,pE_tail,verdict"
-        assert len(lines) == 1 + len(rep.u_values)
-        for i, line in enumerate(lines[1:]):
-            u, mean, se, pbar, pE, verdict = line.split(",")
-            assert float(u) == rep.u_values[i]
-            assert float(mean) == rep.empirical[i].mean
-            assert float(se) == rep.empirical[i].stderr
-            assert float(pbar) == rep.pbar_tails[i]
-            assert float(pE) == rep.pE_tails[i]
-            assert verdict == rep.verdicts[i]
-
     def test_json_dict_shape(self):
         rep = self._report()
         d = rep.to_json_dict()

@@ -95,3 +95,13 @@ def test_window_property(seed, start, n, per):
 def test_library_callers_reject_bad_seeds(call, seed):
     with pytest.raises(ValueError, match="seed"):
         call(seed)
+
+
+@pytest.mark.parametrize("start, per", [(2 ** 63, 8), (2 ** 64, 1)])
+def test_start_beyond_the_64_bit_counter_is_a_valueerror(start, per):
+    # The first replicate's counter block start_rep * ceil(per_rep / 4)
+    # must be a 64-bit word; the last one that fits still draws.
+    with pytest.raises(ValueError, match="start_rep"):
+        streams.uniforms(0, streams.DOMAIN_GOE, start, 1, per)
+    last = streams.uniforms(0, streams.DOMAIN_GOE, start - 1, 1, per)
+    assert last.shape == (1, per)
