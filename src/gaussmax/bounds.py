@@ -51,6 +51,7 @@ SciPy.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,6 +73,25 @@ def _phi(x):
     return np.exp(-np.square(x) / 2.0) / SQRT_2PI
 
 
+def _in_floats(power):
+    """``power(m, j)``, a power of the model's constants, with ValueError
+    where it overflows (OverflowError or inf) instead of a raw error or a
+    silent inf downstream."""
+    @functools.wraps(power)
+    def checked(m: IsotropicModel, j: int) -> float:
+        try:
+            value = power(m, j)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(
+                f"the order-{j} term of the bound overflows: rho'(0) = "
+                f"{m.rho1_0!r} and rho''(0) = {m.rho2_0!r} are too large")
+        return value
+    return checked
+
+
+@_in_floats
 def _coef(m: IsotropicModel, j: int) -> float:
     """The weight (|rho'|/pi)^{j/2} of the j-th Hermite term."""
     return (abs(m.rho1_0) / math.pi) ** (j / 2.0)
@@ -169,6 +189,7 @@ def _gauss_average(f, what: str, cross_check: bool):
     return _checked(val, check, what)
 
 
+@_in_floats
 def _pref(m: IsotropicModel, j: int) -> float:
     """The prefactor (2 rho''/(pi |rho'|))^{j/2} Gamma((j+1)/2)/pi of R_j."""
     return ((2.0 * m.rho2_0 / (math.pi * abs(m.rho1_0))) ** (j / 2.0)

@@ -179,7 +179,10 @@ def _normalize_halfspaces(halfspaces):
     offs = []
     for a, b in halfspaces:
         a = np.ravel(_finite(a, "every halfspace normal"))
-        norm = np.linalg.norm(a)
+        # Scaled by a power of two first, so entries near the float maximum
+        # do not overflow the sum of squares; the scaling is exact.
+        e = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+        norm = math.ldexp(float(np.linalg.norm(np.ldexp(a, -e))), e)
         if not norm > 0:
             raise ValueError("each halfspace needs a nonzero normal")
         rows.append(a / norm)

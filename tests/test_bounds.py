@@ -172,6 +172,16 @@ def test_entry_points_reject_nonfinite_abscissa(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("c,sides", [(1e154, [1.0, 1.0]),
+                                     (1e154, [1.0] * 6), (1e100, [1.0] * 10)])
+def test_model_constants_too_large_for_the_bound_raise(c, sides):
+    # rho''(0) = c^2 is finite, but the order-j powers of the model constants
+    # leave the floats: once as a silent inf pbar, once as OverflowError.
+    m = model.make_squared_exponential(c)
+    with pytest.raises(ValueError, match="overflows"):
+        bounds.pbar_density(m, geometry.rectangle_faces(sides), 1.0)
+
+
 # ----------------------------------------------------------- density bounds
 
 @settings(max_examples=40, deadline=None)

@@ -445,6 +445,19 @@ def test_polytope_invariant_to_halfspace_scaling():
     np.testing.assert_allclose(a.g, b.g, rtol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-320])
+def test_polytope_halfspaces_near_the_float_limits(scale):
+    # The row norms of these normals overflow (or underflow) as a plain
+    # sum of squares; the triangle must still give its unscaled g exactly.
+    tri = [[[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0], [[1.0, 1.0], 1.0]]
+    scaled = [[[scale * a for a in row], scale * off] for row, off in tri]
+    got = geometry.polytope_g_coeffs(scaled, reps=1000, seed=1)
+    want = geometry.polytope_g_coeffs(tri, reps=1000, seed=1)
+    assert got.g == want.g
+    assert want.g == pytest.approx((1.0, 1.0 + math.sqrt(0.5), 0.5),
+                                   rel=1e-15)
+
+
 def test_polytope_rejects_unbounded():
     # Missing the upper bounds: a quadrant, unbounded.
     with pytest.raises(ValueError):

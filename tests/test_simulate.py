@@ -135,15 +135,17 @@ class TestKroneckerFactor:
          (4, 3, 5)),
     ])
     def test_reconstructs_dense_covariance(self, m, sides, res):
-        # (C_1 + eps I) ⊗ ... ⊗ (C_d + eps I) - C has entries at most
-        # (1 + eps)^d - 1; the separability check admits 1e-12 more.
+        # (C_1 + E_1) ⊗ ... ⊗ (C_d + E_d) - C, with every |E_i| entry at
+        # most 1e-12 certified, has entries within the bound below; the
+        # separability check admits 1e-12 more.
         g = make_grid(sides, res)
         f = covariance_cholesky(m, g)
-        assert [len(L) for L in f.factors] == list(res)
+        assert f.jitter == 0.0
+        assert [len(F) for F in f.factors] == list(res)
         kron = np.ones((1, 1))
-        for L in f.factors:
-            assert np.array_equal(L, np.tril(L))
-            kron = np.kron(kron, L @ L.T)
+        for F, n in zip(f.factors, res):
+            assert F.ndim == 2 and F.shape[0] == n and 1 <= F.shape[1] <= n
+            kron = np.kron(kron, F @ F.T)
         cov = oracles.grid_covariance_direct(m, g.points)
         err = np.abs(kron - cov).max()
         assert err <= (1.0 + f.jitter) ** len(res) - 1.0 + 1e-10
@@ -165,11 +167,12 @@ class TestKroneckerFactor:
         assert tuple(len(L) for L in f.factors) == sizes
 
     def test_equals_dense_kronecker_product(self):
-        # The axis-by-axis products equal z @ (L_1 ⊗ L_2)^T up to rounding.
+        # The axis-by-axis products equal z @ (F_1 ⊗ F_2)^T up to rounding,
+        # for z of prod(ranks) normals per replicate.
         g = make_grid((1.0, 1.5), (7, 5))
         f = covariance_cholesky(SQ, g)
         dense = np.kron(*f.factors)
-        z = streams.normals(4, streams.DOMAIN_FIELD, 0, 300, g.count)
+        z = streams.normals(4, streams.DOMAIN_FIELD, 0, 300, math.prod(f.ranks))
         want = (z @ dense.T).max(axis=1)
         got = sample_maxima(SQ, g, 300, 4, factor=f)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -185,6 +188,51 @@ class TestKroneckerFactor:
             pk, pd = np.mean(kron > u), np.mean(dense > u)
             se = math.sqrt((pk * (1 - pk) + pd * (1 - pd)) / 4000)
             assert abs(pk - pd) < 4.0 * se + 1e-12
+
+    @pytest.mark.parametrize("res", [25, 50])
+    def test_agrees_in_law_with_dense_oracle_on_bench_grids(self, res):
+        g = make_grid((1.0, 1.0), res)
+        low_rank = sample_maxima(SQ, g, 2000, 31)
+        dense = oracles.sample_maxima_dense(SQ, g.points, 2000, 32)
+        assert stats.ks_2samp(low_rank, dense).pvalue > 1e-3
+
+    @pytest.mark.parametrize("res", [25, 50, 100])
+    def test_ranks_stay_small_on_fine_grids(self, res):
+        f = covariance_cholesky(SQ, make_grid((1.0, 1.0), res))
+        assert all(1 <= r <= 9 for r in f.ranks)
+
+    def test_indefinite_axis_covariance_raises(self):
+        # Unit diagonal, |entries| <= 1, but v^T C v = -2.4 at v = (1, -1, 1).
+        c = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        with pytest.raises(ValueError, match="not positive definite"):
+            simulate._pivoted_cholesky(c)
+
+    def test_draws_prod_ranks_normals_per_replicate(self, monkeypatch):
+        calls = []
+        normals = streams.normals
+
+        def recording(seed, domain, start_rep, n_reps, per_rep):
+            calls.append(per_rep)
+            return normals(seed, domain, start_rep, n_reps, per_rep)
+
+        monkeypatch.setattr(streams, "normals", recording)
+        g = make_grid((1.0, 1.0), (25, 50))
+        f = covariance_cholesky(SQ, g)
+        sample_maxima(SQ, g, 300, 1, factor=f)
+        assert calls == [math.prod(f.ranks)] * 2
+        assert math.prod(f.ranks) < g.count // 10
+
+    @pytest.mark.parametrize("m,sides,res,digest", [
+        (RAT, (1.0, 1.5), (6, 5),
+         "57444600385f861320e0f900d79e93bd08846bc17a6e446ab2ca0fb989aba15d"),
+        (SQ, (2.0,), 9,
+         "797bdc72519b4082035f3d50c9573bb2618ab14071957c29547c8119fd3138ca"),
+    ])
+    def test_dense_path_bits_unchanged(self, m, sides, res, digest):
+        # Digests taken before the per-axis factors became low rank: the
+        # dense path (non-separable models, 1-D grids) keeps its bits.
+        mx = sample_maxima(m, make_grid(sides, res), 300, 4)
+        assert hashlib.sha256(mx.tobytes()).hexdigest() == digest
 
     def test_prefix_and_batch_invariant_on_2d_grid(self):
         g = make_grid((1.0, 2.0), (13, 7))
@@ -263,10 +311,12 @@ class TestSampleMaxima:
             sample_maxima(m, g, 3, 1, factor=f)
 
     def test_rejects_a_malformed_factor(self):
+        # Axis sizes fit the grid; the ranks or the array shape do not.
         g = make_grid((1.0, 1.0), (2, 3))
-        bad = CholeskyFactor((np.eye(2), np.ones((3, 2))), jitter=0.0)
-        with pytest.raises(ValueError, match="does not fit"):
-            sample_maxima(SQ, g, 3, 1, factor=bad)
+        for second in (np.ones((3, 4)), np.ones(3), np.ones((3, 0))):
+            bad = CholeskyFactor((np.eye(2), second), jitter=0.0)
+            with pytest.raises(ValueError, match="does not fit"):
+                sample_maxima(SQ, g, 3, 1, factor=bad)
 
     def test_rejects_nonpositive_reps(self):
         g = make_grid((1.0,), 2)
@@ -376,6 +426,13 @@ class TestValidateBound:
         assert rep.notes
         assert "underestimate" in rep.notes[0]
 
+    def test_notes_name_per_axis_ranks(self):
+        assert self._report().notes[1:] == tuple(
+            f"refinement x{k}: per-axis factors of rank (8, 8), covariance "
+            "entries within 1e-12" for k in (1, 2))
+        # the dense path has no ranks to report
+        assert len(self._report(m=RAT, reps=100).notes) == 1
+
     def test_json_dict_shape(self):
         rep = self._report()
         d = rep.to_json_dict()
@@ -387,8 +444,10 @@ class TestValidateBound:
         assert len(d["empirical_by_refinement"]) == 2
 
     def test_refined_grid_estimates_dominate_coarse(self):
-        # more grid points -> pathwise larger maxima -> weakly larger tails,
-        # up to Monte Carlo noise (same reps but different draws); allow 2 se
+        # more grid points -> larger maxima -> weakly larger tails, up to
+        # Monte Carlo noise; allow 2 se.  Both grids have per-axis ranks
+        # (8, 8), so they read the same normals (common random numbers),
+        # but the two factors map them to different fields.
         rep = self._report(reps=2000)
         coarse, fine = rep.empirical_by_refinement
         for c, f in zip(coarse, fine):
