@@ -77,11 +77,13 @@ def exponent_general(sigma2: float, lambda_bar: float,
     return ExponentReport(rate=rate, components=c, exact=False)
 
 
-def _grid_sup(f, lo: float, hi: float, n: int = 10000,
-              candidates=(), refine: int = 3):
+_SUP_POINTS, _SUP_ROUNDS = 10000, 3     # _grid_sup's grid and refinements
+
+
+def _grid_sup(f, lo: float, hi: float, candidates=()):
     """Supremum of a vectorized scalar function on [lo, hi], 0 < lo.
 
-    Dense grid (half log-spaced from lo, half linear), then ``refine``
+    Dense grid (half log-spaced from lo, half linear), then _SUP_ROUNDS
     rounds of local 2001-point refinement around the running argmax.
     ``candidates`` are (value, argument) pairs injected after the search
     (analytic endpoint limits).  Ties prefer the smaller argument.  With
@@ -89,12 +91,13 @@ def _grid_sup(f, lo: float, hi: float, n: int = 10000,
     """
     best_v, best_z = -math.inf, hi
     if lo < hi:
+        n = _SUP_POINTS
         zs = np.unique(np.concatenate([np.geomspace(lo, hi, n // 2),
                                        np.linspace(lo, hi, n - n // 2)]))
         vals = np.asarray(f(zs), dtype=float)
         i = int(np.argmax(vals))
         best_v, best_z = float(vals[i]), float(zs[i])
-    for _ in range(refine if lo < hi else 0):
+    for _ in range(_SUP_ROUNDS if lo < hi else 0):
         a = float(zs[max(i - 1, 0)])
         b = float(zs[min(i + 1, len(zs) - 1)])
         zs = np.linspace(a, b, 2001)

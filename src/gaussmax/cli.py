@@ -39,6 +39,7 @@ from .simulate import _refinement_factors, make_grid, validate_bound
 
 _COMMANDS = ("bound", "tail", "validate", "goe", "geom", "exponent")
 _FORMATS = ("csv", "json")
+_MAX_SWEEP_ROWS = 10 ** 6   # rows an abscissa min/max/step sweep may expand to
 
 
 class ConfigError(ValueError):
@@ -140,10 +141,14 @@ def _abscissa_values(cfg: RunConfig, what: str) -> list:
     lo, hi, step = (_finite(cfg.abscissa[k]) for k in ("min", "max", "step"))
     if not (step > 0 and hi >= lo):
         raise ConfigError("abscissa needs min <= max and step > 0")
+    top = hi + 1e-9 * max(1.0, abs(hi), step)
+    if not (top - lo) / step < _MAX_SWEEP_ROWS:
+        raise ConfigError(f"abscissa expands to more than {_MAX_SWEEP_ROWS} "
+                          "rows; raise step or narrow min..max")
     vals, k = [], 0
     while True:
         v = lo + k * step
-        if v > hi + 1e-9 * max(1.0, abs(hi), step):
+        if v > top:
             break
         vals.append(v)
         k += 1

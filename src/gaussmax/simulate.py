@@ -1,16 +1,17 @@
 """Monte Carlo sampling of the field on rectangle grids, and bound validation.
 
 The field is sampled exactly on finite grids through a factor F of the grid
-covariance C = F F^T (grids capped at 10^4 points — beyond that, coarsen
-rather than approximate silently).  Where C is a Kronecker product of
-per-axis covariances (the squared exponential, on a grid with at least two
-axes of two or more points) the factor is one low-rank pivoted-Cholesky
-factor per axis, of shape (n_i, r_i), applied one axis at a time: a
-replicate draws r_1 ... r_d normals, not one per grid point, and smooth
-fields have r_i of 8 or 9 on 25 to 100 points.  Otherwise it is one dense
-n x n Cholesky factor.  Replicates draw from fixed per-replicate substreams,
-so results are bit-identical for a given (seed, reps, grid) regardless of
-batching.
+covariance, C = F F^T to 1e-12 per entry (grids capped at 10^4 points —
+beyond that, coarsen rather than approximate silently).  Every factor comes
+from one certified low-rank pivoted Cholesky.  Where C is a Kronecker
+product of per-axis covariances (every 1-D grid, and the squared
+exponential on any grid) there is one factor per axis, of shape
+(n_i, r_i), applied one axis at a time; otherwise (``rational`` on 2+ axes
+of 2+ points) there is one factor of shape (n, r).  A replicate draws
+r_1 ... r_d normals, not one per grid point: smooth fields have r_i of 8 or
+9 on 25 to 100 points per axis.  Replicates draw from fixed per-replicate
+substreams, so results are bit-identical for a given (seed, reps, grid)
+regardless of batching.
 
 Grid maxima underestimate the continuous maximum; the validation harness
 therefore reports a grid-refinement sequence to show stabilization instead
@@ -32,17 +33,17 @@ from .model import IsotropicModel
 from .randmat import McEstimate
 
 MAX_GRID_POINTS = 10_000
-JITTER_FLAG_LEVEL = 1e-9
 # Largest |rho(a + b) - rho(a) rho(b)| over the grid's offset table for which
 # the covariance is taken to be the Kronecker product of its axes; also the
-# certified bound on every entry of C_i - F_i F_i^T for a per-axis factor.
+# certified bound on every entry of C - F F^T for every factor F of a
+# covariance C, per axis or dense.
 _SEPARABLE_TOL = 1e-12
-_JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # BLAS matmul results depend bitwise on the row count, so replicates are
 # always pushed through same-shape blocks of 256 rows: chunk boundaries
 # sit at fixed multiples of 256 and the last block is zero-padded.  That
 # makes each replicate's maximum a pure function of (seed, grid, replicate
-# index), independent of reps and of how calls are split.
+# index), independent of reps and of how calls are split.  A factor also
+# grows, and is certified, by blocks of 256 columns and rows.
 _BATCH_ROWS = 256
 
 
@@ -104,21 +105,15 @@ def make_grid(sides, resolution) -> FieldGrid:
 class CholeskyFactor:
     """``factors`` F_i whose Kronecker product F samples the grid covariance.
 
-    One factor: the dense, lower-triangular n x n L with L L^T = covariance
-    + jitter * I.  One factor per grid axis, (F_1, ..., F_d): F_i has shape
-    (n_i, r_i), 1 <= r_i <= n_i, and every entry of C_i - F_i F_i^T is
-    certified to be at most 1e-12 in absolute value for the axis covariance
-    C_i; jitter is 0.0, and the sampled covariance is
-    (F_1 F_1^T) ⊗ ... ⊗ (F_d F_d^T).
+    Each F_i has shape (n_i, r_i), 1 <= r_i <= n_i, and every entry of
+    C_i - F_i F_i^T is certified to be at most 1e-12 in absolute value for
+    the covariance C_i it factors.  One factor per grid axis, (F_1, ...,
+    F_d), when the grid covariance is C_1 ⊗ ... ⊗ C_d (the sampled
+    covariance is then (F_1 F_1^T) ⊗ ... ⊗ (F_d F_d^T)); otherwise one
+    factor of the dense n x n covariance.
     """
 
     factors: tuple
-    jitter: float
-
-    @property
-    def flagged(self) -> bool:
-        """True when the jitter is large enough to distort tail estimates."""
-        return self.jitter > JITTER_FLAG_LEVEL
 
     @property
     def ranks(self) -> tuple:
@@ -127,25 +122,28 @@ class CholeskyFactor:
         return tuple(f.shape[1] for f in self.factors)
 
 
-def _axis_covariances(m: IsotropicModel, grid: FieldGrid) -> list | None:
-    """Per-axis covariances C_i if the grid covariance is C_1 ⊗ ... ⊗ C_d.
+def _grid_covariances(m: IsotropicModel, grid: FieldGrid) -> list:
+    """The covariances to factor: [C_1, ..., C_d] if the grid covariance is
+    C_1 ⊗ ... ⊗ C_d, else [C] for the dense n x n covariance C.
 
     Every grid covariance entry is rho(a_1 + ... + a_d) for a table entry of
     squared axis offsets a_i = (k_i h_i)^2, and the Kronecker product's is
     rho(a_1) ... rho(a_d).  The n entries of that table are compared, and
-    the answer is yes when they all agree to _SEPARABLE_TOL (absolute, on
-    correlations) and at least two axes have two or more points; else None.
+    the covariance is taken to be the product when they all agree to
+    _SEPARABLE_TOL (absolute, on correlations).  Every 1-D grid passes.
     """
-    if sum(r > 1 for r in grid.resolution) < 2:
-        return None
     axes = list(map(_axis_points, grid.sides, grid.resolution))
     sq = np.ix_(*[t * t for t in axes])     # every axis starts at 0
     total = functools.reduce(np.add, sq)
     product = functools.reduce(np.multiply, [m.rho(a) for a in sq])
-    if not np.all(np.abs(m.rho(total) - product) <= _SEPARABLE_TOL):
-        return None
-    return [np.asarray(m.rho((t[:, None] - t[None, :]) ** 2), dtype=float)
-            for t in axes]
+    if np.all(np.abs(m.rho(total) - product) <= _SEPARABLE_TOL):
+        return [m.rho((t[:, None] - t[None, :]) ** 2) for t in axes]
+    cov = np.empty((grid.count, grid.count))
+    for i in range(0, grid.count, _BATCH_ROWS):     # a block of rows at a time
+        d2 = functools.reduce(np.add, [(x[i:i + _BATCH_ROWS, None] - x) ** 2
+                                       for x in grid.points.T])
+        cov[i:i + _BATCH_ROWS] = m.rho(d2)
+    return [cov]
 
 
 def _pivoted_cholesky(c: np.ndarray) -> np.ndarray:
@@ -155,67 +153,51 @@ def _pivoted_cholesky(c: np.ndarray) -> np.ndarray:
     Greedy pivoted Cholesky (Harbrecht, Peters & Schneider 2012, Appl.
     Numer. Math. 62, 428-440): each step pivots on the largest remaining
     diagonal entry, and the loop stops once that entry is <= _SEPARABLE_TOL.
-    The residual is then checked entry by entry, which an indefinite c fails.
+    F grows by blocks of columns, and the residual is then checked entry by
+    entry, a block of rows at a time, which an indefinite c fails; neither
+    step makes an n x n temporary.
     """
+    c = np.asarray(c, dtype=float)
     n = len(c)
-    f = np.zeros((n, n))
+    f = np.empty((n, 0))
     rest = np.diag(c).copy()
     r = 0
     while r < n:
         p = int(np.argmax(rest))
         if not rest[p] > _SEPARABLE_TOL:
             break
+        if r == f.shape[1]:
+            f = np.hstack([f, np.empty((n, min(_BATCH_ROWS, n - r)))])
         f[:, r] = (c[:, p] - f[:, :r] @ f[p, :r]) / math.sqrt(rest[p])
         rest -= f[:, r] ** 2
         r += 1
     f = f[:, :r]
-    if not np.all(np.abs(c - f @ f.T) <= _SEPARABLE_TOL):
-        raise ValueError(
-            f"axis covariance is not positive definite to {_SEPARABLE_TOL:g} "
-            "per entry; the model is degenerate on this grid")
+    for i in range(0, n, _BATCH_ROWS):
+        rows = slice(i, i + _BATCH_ROWS)
+        if not np.all(np.abs(c[rows] - f[rows] @ f.T) <= _SEPARABLE_TOL):
+            raise ValueError(
+                f"covariance is not positive definite to {_SEPARABLE_TOL:g} "
+                "per entry; the model is degenerate on this grid")
     return f
 
 
 def covariance_cholesky(m: IsotropicModel, grid: FieldGrid) -> CholeskyFactor:
-    """Factor of the grid covariance matrix, per axis where it can.
+    """Certified low-rank factor of the grid covariance matrix.
 
-    If the grid has at least two axes of two or more points and rho(a + b)
-    = rho(a) rho(b) holds to 1e-12 (absolute) on the grid's table of squared
-    axis offsets, the covariance is C_1 ⊗ ... ⊗ C_d and the factor is one
-    pivoted-Cholesky factor F_i of shape (n_i, r_i) per axis, with every
-    entry of C_i - F_i F_i^T certified to 1e-12 and jitter 0.0.  A smooth
-    covariance has small numerical rank r_i, so a replicate then draws
-    r_1 ... r_d normals.
-
-    Otherwise (every 1-D grid, every non-separable model) it is one dense
-    lower-triangular factor of the n x n matrix.  Smooth covariances make
-    nearly-singular matrices on fine grids; that factorization retries with
-    diagonal jitter escalating from 1e-12 by decades.  Failure at 1e-6, or
-    an axis covariance that fails its certificate, raises (degenerate model
-    on this grid).
+    If rho(a + b) = rho(a) rho(b) holds to 1e-12 (absolute) on the grid's
+    table of squared axis offsets (every 1-D grid; the squared exponential
+    on any grid), the covariance is C_1 ⊗ ... ⊗ C_d and the factor is one
+    pivoted-Cholesky factor F_i of shape (n_i, r_i) per axis.  Otherwise
+    (a non-separable model such as ``rational`` on 2+ axes of 2+ points)
+    it is one pivoted-Cholesky factor of shape (n, r) of the dense n x n
+    covariance.  Either way every entry of the factored covariance minus
+    F_i F_i^T is certified to 1e-12, and a smooth covariance has small
+    numerical rank, so a replicate draws r_1 ... r_d normals.  A covariance
+    that fails its certificate (a model that is not positive definite on
+    this grid) raises ValueError.
     """
-    covs = _axis_covariances(m, grid)
-    if covs is not None:
-        return CholeskyFactor(factors=tuple(map(_pivoted_cholesky, covs)),
-                              jitter=0.0)
-    import scipy.linalg
-
-    p = grid.points
-    sq = np.sum(p * p, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (p @ p.T)
-    np.maximum(d2, 0.0, out=d2)
-    cov = np.asarray(m.rho(d2), dtype=float)
-    for jitter in _JITTER_LADDER:
-        try:
-            L = scipy.linalg.cholesky(
-                cov if jitter == 0.0 else cov + jitter * np.eye(len(cov)),
-                lower=True, check_finite=False)
-        except np.linalg.LinAlgError:   # scipy.linalg raises the same class
-            continue
-        return CholeskyFactor(factors=(L,), jitter=jitter)
-    raise ValueError(
-        "covariance matrix is not positive definite even with jitter 1e-6; "
-        "the model is degenerate on this grid")
+    return CholeskyFactor(
+        factors=tuple(map(_pivoted_cholesky, _grid_covariances(m, grid))))
 
 
 def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int, seed: int,
@@ -231,8 +213,8 @@ def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int, seed: int,
 
     A replicate draws prod(r_i) normals.  Each block of them, shaped
     (rows, r_1, ..., r_d), is multiplied by F_i^T along axis i for every
-    factor F_i, which expands it to (rows, n_1, ..., n_d); with one dense
-    factor that is the single product z @ L^T.
+    factor F_i, which expands it to (rows, n_1, ..., n_d); with one factor
+    of the dense covariance that is the single product z @ F^T.
     """
     reps = _check_int(reps, 1, math.inf, "reps")
     if factor is None:
@@ -282,7 +264,6 @@ class ValidationReport:
     verdicts: tuple
     refinement_factors: tuple
     empirical_by_refinement: tuple
-    jitters: tuple
     notes: tuple
 
     def to_json_dict(self) -> dict:
@@ -296,7 +277,6 @@ class ValidationReport:
             "empirical_by_refinement": [
                 [asdict(e) for e in row]
                 for row in self.empirical_by_refinement],
-            "jitters": list(self.jitters),
             "notes": list(self.notes),
         }
 
@@ -335,8 +315,8 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     Grid maxima underestimate the continuous maximum, so "bound_respected"
     is conservative evidence for the bound; the refinement sequence is
     reported to show the discretization has stabilized.  For every
-    refinement sampled through per-axis factors, a note names their ranks
-    and the certified bound on the covariance entries.
+    refinement a note names the ranks of its factors and the certified bound
+    on each factored covariance's entries.
     """
     reps = _check_int(reps, 2, math.inf, "reps")
     u_values = tuple(_finite(u, "every u value") for u in u_values)
@@ -349,7 +329,6 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     pE_tails = tuple(t.pE_tail for t in tails)
 
     emp_by_ref = []
-    jitters = []
     notes = ["grid maxima underestimate the continuous maximum; verdicts "
              "compare the finest grid and the refinement sequence shows "
              "stabilization"]
@@ -359,15 +338,8 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
         factor = covariance_cholesky(m, g)
         maxima = sample_maxima(m, g, reps, seed, factor=factor)
         emp_by_ref.append(_empirical_tail(maxima, u_values, reps, seed))
-        jitters.append(factor.jitter)
-        if len(factor.factors) > 1:
-            notes.append(f"refinement x{k}: per-axis factors of rank "
-                         f"{factor.ranks}, covariance entries within "
-                         f"{_SEPARABLE_TOL:g}")
-        if factor.flagged:
-            notes.append(f"refinement x{k}: Cholesky needed jitter "
-                         f"{factor.jitter:g} (above the reporting threshold); "
-                         "tail estimates may be distorted at fine tolerances")
+        notes.append(f"refinement x{k}: factors of rank {factor.ranks}, "
+                     f"covariance entries within {_SEPARABLE_TOL:g}")
 
     final = emp_by_ref[-1]
     verdicts = tuple(
@@ -378,4 +350,4 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
                             verdicts=verdicts,
                             refinement_factors=refinements,
                             empirical_by_refinement=tuple(emp_by_ref),
-                            jitters=tuple(jitters), notes=tuple(notes))
+                            notes=tuple(notes))

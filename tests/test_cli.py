@@ -255,6 +255,32 @@ class TestBoundCommand:
             "--set", f"geometry={json.dumps(RECT_SPEC)}", "--set", setting])
         assert code == 2 and "config error" in err and out == ""
 
+    @pytest.mark.parametrize("abscissa", [
+        {"min": 0.0, "max": 1.0, "step": 1e-300},
+        {"min": 0.0, "max": 0.0, "step": 1e-300},   # the end tolerance alone
+        {"min": -1e308, "max": 1e308, "step": 1.0},
+        {"min": 0.0, "max": 1.0, "step": 1e-6},     # 1,000,001 rows
+    ])
+    def test_oversized_abscissa_sweep_exits_at_once(self, abscissa):
+        # More than 10^6 rows is a config error before any row is built.  A
+        # subprocess with a 2 GiB address-space limit and a timeout, so a
+        # sweep that does start building fails this test without taking
+        # the machine's memory.
+        def limit_memory():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussmax.cli", "bound",
+             "--set", f"model={json.dumps(SQ_SPEC)}",
+             "--set", f"geometry={json.dumps(RECT_SPEC)}",
+             "--set", f"abscissa={json.dumps(abscissa)}"],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=limit_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr and "10" in proc.stderr
+        assert proc.stdout == ""
+
     def test_abscissa_expansion_and_columns(self, capsys):
         code, out, _ = run_cli(capsys, [
             "bound", "--set", f"model={json.dumps(SQ_SPEC)}",
@@ -493,10 +519,10 @@ class TestEntryPoint:
     def test_polytope_modules_load_lazily(self):
         # No SciPy module at all on the import, rectangle bound and tail,
         # and goe paths: Phi is in the package.  scipy.special (ndtri) loads
-        # with the first normal draw, scipy.linalg with a dense Cholesky
-        # factor (a non-separable model: the squared exponential's per-axis
-        # factors use numpy), scipy.optimize and scipy.spatial with
-        # H-polytopes.
+        # with the first normal draw, scipy.optimize and scipy.spatial with
+        # H-polytopes.  No command loads scipy.linalg: every grid factor,
+        # per axis or of a non-separable model's dense covariance, is the
+        # package's pivoted Cholesky in numpy.
         model = f"model={json.dumps(SQ_SPEC)}"
         rect = f"geometry={json.dumps(RECT_SPEC)}"
         rational = {"family": "rational", "c": 0.8, "beta": 1.0}
@@ -528,7 +554,7 @@ class TestEntryPoint:
         assert "scipy.linalg" not in after_validate
         code, after_rational = report[5]
         assert code == 0
-        assert "scipy.linalg" in after_rational
+        assert all("scipy.linalg" not in mods for _, mods in report)
 
     def test_every_exported_name_resolves(self):
         missing = [n for n in gaussmax.__all__ if not hasattr(gaussmax, n)]

@@ -130,11 +130,11 @@ ROWS = {
         lambda: dict(sides=[1.0, 2.0], resolution=(3, 2)),
         ("sides", "resolution")),
     "simulate.CholeskyFactor": (
-        lambda: dict(factors=(np.eye(3),), jitter=0.0), ()),
+        lambda: dict(factors=(np.eye(3),)), ()),
     "simulate.ValidationReport": (
         lambda: dict(u_values=(), empirical=(), pbar_tails=(), pE_tails=(),
                      verdicts=(), refinement_factors=(1,),
-                     empirical_by_refinement=(), jitters=(), notes=()), ()),
+                     empirical_by_refinement=(), notes=()), ()),
     "simulate.make_grid": (
         lambda: dict(sides=[1.0, 2.0], resolution=(3, 2)),
         ("sides", "resolution")),

@@ -100,55 +100,51 @@ class TestCovarianceCholesky:
         t = g.points[:, 0]
         cov = np.asarray(SQ.rho((t[:, None] - t[None, :]) ** 2))
         err = np.abs(L @ L.T - cov).max()
-        assert err <= f.jitter + 1e-10
+        assert err <= 1e-12
         assert np.allclose(np.diag(cov), 1.0)
 
-    def test_lower_triangular(self):
-        g = make_grid((1.0, 1.0), 5)
-        f = covariance_cholesky(RAT, g)
-        (L,) = f.factors
-        assert np.allclose(L, np.tril(L))
-        assert np.all(np.diag(L) > 0.0)
-
-    def test_flag_threshold(self):
-        eye = np.eye(2)
-        assert CholeskyFactor((eye,), jitter=0.0).flagged is False
-        assert CholeskyFactor((eye,), jitter=1e-9).flagged is False
-        assert CholeskyFactor((eye,), jitter=1e-8).flagged is True
-
     def test_degenerate_model_raises(self):
-        # pointwise-valid correlation that is not positive definite as a
-        # covariance on a wide grid: the jitter ladder must give up loudly
+        # Pointwise-valid correlations that are not positive definite as a
+        # covariance on the grid must fail the factor's certificate loudly.
+        # The smallest eigenvalue is -2.7 on 60 points of [0, 12], but only
+        # -7.5e-8 on 10 points of [0, 1], where a diagonal jitter of 1e-7
+        # would hide it.
         bump = oracles.make_bump_model(0.6, 0.5)
-        g = make_grid((12.0,), 60)
-        with pytest.raises(ValueError, match="not positive definite"):
-            covariance_cholesky(bump, g)
+        for g in (make_grid((12.0,), 60), make_grid((1.0,), 10)):
+            with pytest.raises(ValueError, match="not positive definite"):
+                covariance_cholesky(bump, g)
 
 
 class TestKroneckerFactor:
-    """Per-axis factors for separable covariances on grids of 2+ axes."""
+    """Certified pivoted-Cholesky factors: per axis for separable
+    covariances, one of the dense covariance otherwise."""
 
     @pytest.mark.parametrize("m,sides,res", [
         (SQ, (1.0, 2.0), (6, 9)),
         (SQ, (1.0, 1.0), (25, 25)),
         (normalized(make_squared_exponential(3.0))[0], (0.5, 1.0, 0.7),
          (4, 3, 5)),
+        (RAT, (1.0, 1.0), (25, 25)),
+        (RAT, (2.0,), 40),
+        (oracles.make_bump_model(0.6, 0.5), (1.0, 1.0), (3, 3)),
     ])
     def test_reconstructs_dense_covariance(self, m, sides, res):
-        # (C_1 + E_1) ⊗ ... ⊗ (C_d + E_d) - C, with every |E_i| entry at
-        # most 1e-12 certified, has entries within the bound below; the
-        # separability check admits 1e-12 more.
+        # One factor: every entry of C - F F^T is certified to 1e-12.  With
+        # d > 1 per-axis factors, (C_1 + E_1) ⊗ ... ⊗ (C_d + E_d) - C, with
+        # every |E_i| entry at most 1e-12, has entries within d * 1e-12 to
+        # first order, and the separability check admits 1e-12 more.
         g = make_grid(sides, res)
         f = covariance_cholesky(m, g)
-        assert f.jitter == 0.0
-        assert [len(F) for F in f.factors] == list(res)
+        sizes = [len(F) for F in f.factors]
+        assert sizes in (list(g.resolution), [g.count])
         kron = np.ones((1, 1))
-        for F, n in zip(f.factors, res):
+        for F, n in zip(f.factors, sizes):
             assert F.ndim == 2 and F.shape[0] == n and 1 <= F.shape[1] <= n
             kron = np.kron(kron, F @ F.T)
         cov = oracles.grid_covariance_direct(m, g.points)
         err = np.abs(kron - cov).max()
-        assert err <= (1.0 + f.jitter) ** len(res) - 1.0 + 1e-10
+        d = len(f.factors)
+        assert err <= (d + (d > 1)) * 1e-12
 
     @pytest.mark.parametrize("m,sides,res,sizes", [
         (SQ, (1.0, 1.0), (5, 6), (5, 6)),
@@ -158,11 +154,14 @@ class TestKroneckerFactor:
         (SQ, (1.0, 1.0, 1.0), (1, 3, 4), (1, 3, 4)),
         (RAT, (1.0, 1.0), (5, 6), (30,)),
         (oracles.make_bump_model(0.6, 0.5), (1.0, 1.0), (3, 3), (9,)),
-        (SQ, (1.0,), 7, (7,)),
-        (SQ, (1.0, 1.0), (1, 7), (7,)),   # one axis of 2+ points is 1-D
-        (RAT, (1.0,), 7, (7,)),
+        (SQ, (1.0,), 7, (7,)),            # one axis: its axis factor
+        (SQ, (1.0, 1.0), (1, 7), (1, 7)),  # per axis, the first of one point
+        (RAT, (1.0,), 7, (7,)),           # every 1-D grid is separable
+        (RAT, (1.0, 1.0), (1, 7), (1, 7)),
     ])
     def test_which_path(self, m, sides, res, sizes):
+        # The separability check alone picks per-axis factors or one factor
+        # of the dense covariance.
         f = covariance_cholesky(m, make_grid(sides, res))
         assert tuple(len(L) for L in f.factors) == sizes
 
@@ -189,11 +188,16 @@ class TestKroneckerFactor:
             se = math.sqrt((pk * (1 - pk) + pd * (1 - pd)) / 4000)
             assert abs(pk - pd) < 4.0 * se + 1e-12
 
-    @pytest.mark.parametrize("res", [25, 50])
-    def test_agrees_in_law_with_dense_oracle_on_bench_grids(self, res):
+    @pytest.mark.parametrize("m,res,seeds", [
+        pytest.param(SQ, 25, (31, 32), id="25"),
+        pytest.param(SQ, 50, (31, 32), id="50"),
+        pytest.param(RAT, 25, (33, 34), id="rational-25"),
+    ])
+    def test_agrees_in_law_with_dense_oracle_on_bench_grids(self, m, res,
+                                                            seeds):
         g = make_grid((1.0, 1.0), res)
-        low_rank = sample_maxima(SQ, g, 2000, 31)
-        dense = oracles.sample_maxima_dense(SQ, g.points, 2000, 32)
+        low_rank = sample_maxima(m, g, 2000, seeds[0])
+        dense = oracles.sample_maxima_dense(m, g.points, 2000, seeds[1])
         assert stats.ks_2samp(low_rank, dense).pvalue > 1e-3
 
     @pytest.mark.parametrize("res", [25, 50, 100])
@@ -223,14 +227,21 @@ class TestKroneckerFactor:
         assert math.prod(f.ranks) < g.count // 10
 
     @pytest.mark.parametrize("m,sides,res,digest", [
-        (RAT, (1.0, 1.5), (6, 5),
-         "57444600385f861320e0f900d79e93bd08846bc17a6e446ab2ca0fb989aba15d"),
-        (SQ, (2.0,), 9,
-         "797bdc72519b4082035f3d50c9573bb2618ab14071957c29547c8119fd3138ca"),
+        pytest.param(
+            RAT, (1.0, 1.5), (6, 5),
+            "6439db7fd74859c1efe2dbb5d003352c7dd6317eb389af19010990c944f417e0",
+            id="rational-6x5"),
+        pytest.param(
+            SQ, (2.0,), 9,
+            "a2d2fc22f694bffc29d4066ed8a2c7bc381e9598c6a05c2637f8c3f3b529e3c8",
+            id="sqexp-9"),
     ])
-    def test_dense_path_bits_unchanged(self, m, sides, res, digest):
-        # Digests taken before the per-axis factors became low rank: the
-        # dense path (non-separable models, 1-D grids) keeps its bits.
+    def test_sampler_bits_pinned(self, m, sides, res, digest):
+        # Digests retaken when the dense jitter-ladder Cholesky was deleted
+        # and every grid got a pivoted-Cholesky factor.  Both grids have
+        # full rank (30 and 9), but the factor's columns now follow the
+        # pivot order instead of a lower-triangular L, so a non-separable
+        # model and a 1-D grid moved their bits once.  They pin them now.
         mx = sample_maxima(m, make_grid(sides, res), 300, 4)
         assert hashlib.sha256(mx.tobytes()).hexdigest() == digest
 
@@ -243,13 +254,16 @@ class TestKroneckerFactor:
         assert np.array_equal(sample_maxima(SQ, g, 3, 5), long[:3])
 
     def test_bit_identical_across_blas_threads(self):
+        # The squared exponential on 25 x 25 (per-axis factors) and the
+        # rational model on 40 x 40 (one factor of the dense covariance).
         script = (
             "import hashlib\n"
             "from gaussmax import model, simulate\n"
-            "m = model.make_squared_exponential(0.5)\n"
-            "g = simulate.make_grid((1.0, 1.0), (25, 25))\n"
-            "mx = simulate.sample_maxima(m, g, 600, 3)\n"
-            "print(hashlib.sha256(mx.tobytes()).hexdigest())\n")
+            "for m, res in ((model.make_squared_exponential(0.5), 25),\n"
+            "               (model.make_rational(0.8, 1.0), 40)):\n"
+            "    g = simulate.make_grid((1.0, 1.0), (res, res))\n"
+            "    mx = simulate.sample_maxima(m, g, 600, 3)\n"
+            "    print(hashlib.sha256(mx.tobytes()).hexdigest())\n")
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -259,10 +273,11 @@ class TestKroneckerFactor:
             proc = subprocess.run([sys.executable, "-c", script], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout.strip())
-        g = make_grid((1.0, 1.0), (25, 25))
-        here = hashlib.sha256(sample_maxima(SQ, g, 600, 3).tobytes())
-        assert digests == [here.hexdigest()] * 2
+            digests.append(proc.stdout.split())
+        here = [hashlib.sha256(sample_maxima(
+                    m, make_grid((1.0, 1.0), (res, res)), 600, 3).tobytes())
+                .hexdigest() for m, res in ((SQ, 25), (RAT, 40))]
+        assert digests == [here] * 2
 
 
 class TestSampleMaxima:
@@ -314,7 +329,7 @@ class TestSampleMaxima:
         # Axis sizes fit the grid; the ranks or the array shape do not.
         g = make_grid((1.0, 1.0), (2, 3))
         for second in (np.ones((3, 4)), np.ones(3), np.ones((3, 0))):
-            bad = CholeskyFactor((np.eye(2), second), jitter=0.0)
+            bad = CholeskyFactor((np.eye(2), second))
             with pytest.raises(ValueError, match="does not fit"):
                 sample_maxima(SQ, g, 3, 1, factor=bad)
 
@@ -348,7 +363,7 @@ class TestSampleMaxima:
         # grid maxima therefore underestimate the continuous maximum
         g = make_grid((2.0,), 9)
         f = covariance_cholesky(SQ, g)
-        z = streams.normals(7, streams.DOMAIN_FIELD, 0, 200, g.count)
+        z = streams.normals(7, streams.DOMAIN_FIELD, 0, 200, f.ranks[0])
         vals = z @ f.factors[0].T
         sub = vals[:, ::2]  # every other point = the coarse 5-point grid
         assert np.all(sub.max(axis=1) <= vals.max(axis=1))
@@ -371,7 +386,7 @@ class TestValidateBound:
         assert all(len(row) == 2 for row in rep.empirical_by_refinement)
         assert rep.empirical == rep.empirical_by_refinement[-1]
         assert rep.refinement_factors == (1, 2)
-        assert len(rep.jitters) == 2
+        assert len(rep.notes) == 3     # the grid-bias note, one per grid
         assert all(v in ("bound_respected", "inconclusive") for v in rep.verdicts)
         # this configuration demonstrably respects the bound
         assert rep.verdicts == ("bound_respected", "bound_respected")
@@ -428,17 +443,24 @@ class TestValidateBound:
 
     def test_notes_name_per_axis_ranks(self):
         assert self._report().notes[1:] == tuple(
-            f"refinement x{k}: per-axis factors of rank (8, 8), covariance "
-            "entries within 1e-12" for k in (1, 2))
-        # the dense path has no ranks to report
-        assert len(self._report(m=RAT, reps=100).notes) == 1
+            f"refinement x{k}: factors of rank (8, 8), covariance entries "
+            "within 1e-12" for k in (1, 2))
+        # a non-separable model has one factor of the dense covariance
+        notes = self._report(m=RAT, reps=100).notes
+        assert len(notes) == 3
+        for k, note in zip((1, 2), notes[1:]):
+            r = covariance_cholesky(
+                RAT, make_grid((1.0, 1.0), 8 * k)).ranks
+            assert len(r) == 1 and note == (
+                f"refinement x{k}: factors of rank {r}, covariance entries "
+                "within 1e-12")
 
     def test_json_dict_shape(self):
         rep = self._report()
         d = rep.to_json_dict()
         assert set(d) == {"u_values", "empirical", "pbar_tails", "pE_tails",
                           "verdicts", "refinement_factors",
-                          "empirical_by_refinement", "jitters", "notes"}
+                          "empirical_by_refinement", "notes"}
         assert d["u_values"] == [1.0, 2.0]
         assert d["empirical"][0]["reps"] == 500
         assert len(d["empirical_by_refinement"]) == 2
