@@ -36,7 +36,7 @@ MAX_GRID_POINTS = 10_000
 # Largest |rho(a + b) - rho(a) rho(b)| over the grid's offset table for which
 # the covariance is taken to be the Kronecker product of its axes; also the
 # certified bound on every entry of C - F F^T for every factor F of a
-# covariance C, per axis or dense.
+# covariance C, per axis or dense (the pivoting stops at half of it).
 _SEPARABLE_TOL = 1e-12
 # BLAS matmul results depend bitwise on the row count, so replicates are
 # always pushed through same-shape blocks of 256 rows: chunk boundaries
@@ -148,37 +148,89 @@ def _grid_covariances(m: IsotropicModel, grid: FieldGrid) -> list:
 
 def _pivoted_cholesky(c: np.ndarray) -> np.ndarray:
     """Low-rank factor F, shape (n, r), with every entry of c - F F^T at most
-    _SEPARABLE_TOL in absolute value; ValueError if no such F is found.
+    _SEPARABLE_TOL in absolute value; ValueError if no such F is found.  c
+    is symmetric, and only its lower triangle is used.
 
     Greedy pivoted Cholesky (Harbrecht, Peters & Schneider 2012, Appl.
     Numer. Math. 62, 428-440): each step pivots on the largest remaining
-    diagonal entry, and the loop stops once that entry is <= _SEPARABLE_TOL.
-    F grows by blocks of columns, and the residual is then checked entry by
-    entry, a block of rows at a time, which an indefinite c fails; neither
-    step makes an n x n temporary.
+    diagonal entry, and the loop stops once that entry is at most half of
+    _SEPARABLE_TOL, which leaves the check a margin for rounding.  Pivots
+    come in blocks of _BATCH_ROWS, as in LAPACK's ?pstrf: within a block a
+    column is the pivot's residual column less a matrix-vector product with
+    the block's earlier columns, and after a full block the residual of the
+    rows not yet pivoted is brought up to date by matrix products, so a
+    factor of high rank costs BLAS-3 work, not one pass over F per column.
+    c - F F^T is checked entry by entry as it is formed: each block's pivot
+    columns against every row not pivoted before the block, then the rows
+    never pivoted against each other (where an indefinite c fails), which
+    covers every entry once.  A factor of one block is checked against c
+    itself.
     """
     c = np.asarray(c, dtype=float)
     n = len(c)
-    f = np.empty((n, 0))
+    rows = np.arange(n)     # rows of c not yet pivoted, ascending
+    a = c                   # their residual; only its lower triangle is kept
+    buf = None              # the residual's storage once a block is done
     rest = np.diag(c).copy()
-    r = 0
-    while r < n:
-        p = int(np.argmax(rest))
-        if not rest[p] > _SEPARABLE_TOL:
+    panels = []             # (rows, pivots among them, their columns of F)
+    while True:
+        m = len(rows)
+        g = np.empty((m, min(_BATCH_ROWS, m)))
+        raw = np.empty((g.shape[1], m))     # the pivots' residual columns
+        piv = []
+        while len(piv) < g.shape[1]:
+            p = int(np.argmax(rest))
+            if not rest[p] > _SEPARABLE_TOL / 2:
+                break
+            j = len(piv)
+            raw[j] = np.concatenate((a[p, :p], a[p:, p]))
+            g[:, j] = col = (raw[j] - g[:, :j] @ g[p, :j]) / math.sqrt(rest[p])
+            rest -= col ** 2
+            piv.append(p)
+        k = len(piv)
+        _certify(raw[:k].T - g[:, :k] @ g[piv, :k].T)
+        panels.append((rows, piv, g[:, :k]))
+        keep = np.ones(m, dtype=bool)
+        keep[piv] = False
+        idx = np.flatnonzero(keep)
+        if k < g.shape[1] or not len(idx):
             break
-        if r == f.shape[1]:
-            f = np.hstack([f, np.empty((n, min(_BATCH_ROWS, n - r)))])
-        f[:, r] = (c[:, p] - f[:, :r] @ f[p, :r]) / math.sqrt(rest[p])
-        rest -= f[:, r] ** 2
-        r += 1
-    f = f[:, :r]
-    for i in range(0, n, _BATCH_ROWS):
-        rows = slice(i, i + _BATCH_ROWS)
-        if not np.all(np.abs(c[rows] - f[rows] @ f.T) <= _SEPARABLE_TOL):
-            raise ValueError(
-                f"covariance is not positive definite to {_SEPARABLE_TOL:g} "
-                "per entry; the model is degenerate on this grid")
+        # Residual of the kept rows less this block's g g^T, written a block
+        # of rows at a time over the old residual's storage: kept row i is
+        # old row idx[i] >= i, so no row is overwritten before it is read.
+        m = len(idx)
+        if buf is None:
+            buf = np.empty(m * m)
+        new, g = buf[:m * m].reshape(m, m), g[keep]
+        for i in range(0, m, _BATCH_ROWS):
+            stop = min(i + _BATCH_ROWS, m)
+            new[i:stop, :stop] = (a[np.ix_(idx[i:stop], idx[:stop])]
+                                  - g[i:stop] @ g[:stop].T)
+        a, rows, rest = new, rows[keep], rest[keep]
+        del new
+    g = g[idx, :k]          # the rows never pivoted, against each other
+    for i in range(0, len(idx), _BATCH_ROWS):
+        stop = min(i + _BATCH_ROWS, len(idx))
+        _certify(np.tril(a[np.ix_(idx[i:stop], idx[:stop])]
+                         - g[i:stop] @ g[:stop].T, i))
+    del a, buf
+    if len(panels) == 1:
+        return panels[0][2]
+    f = np.zeros((n, sum(len(piv) for _, piv, _ in panels)))
+    k = 0
+    for rows, piv, g in panels:
+        f[rows, k:k + len(piv)] = g
+        k += len(piv)
     return f
+
+
+def _certify(residual: np.ndarray) -> None:
+    """ValueError unless every entry of a piece of c - F F^T is within
+    _SEPARABLE_TOL."""
+    if not np.all(np.abs(residual) <= _SEPARABLE_TOL):
+        raise ValueError(
+            f"covariance is not positive definite to {_SEPARABLE_TOL:g} "
+            "per entry; the model is degenerate on this grid")
 
 
 def covariance_cholesky(m: IsotropicModel, grid: FieldGrid) -> CholeskyFactor:

@@ -1,5 +1,6 @@
 """Command-line interface: config merging, output formats, exit codes."""
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -265,7 +266,9 @@ class TestBoundCommand:
         # More than 10^6 rows is a config error before any row is built.  A
         # subprocess with a 2 GiB address-space limit and a timeout, so a
         # sweep that does start building fails this test without taking
-        # the machine's memory.
+        # the machine's memory.  One BLAS thread, so that the buffers BLAS
+        # allocates per thread at import stay far below the limit on hosts
+        # with many cores.
         def limit_memory():
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -276,6 +279,8 @@ class TestBoundCommand:
              "--set", f"geometry={json.dumps(RECT_SPEC)}",
              "--set", f"abscissa={json.dumps(abscissa)}"],
             capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                     OMP_NUM_THREADS="1"),
             preexec_fn=limit_memory)
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr and "10" in proc.stderr

@@ -127,6 +127,11 @@ class TestKroneckerFactor:
         (RAT, (1.0, 1.0), (25, 25)),
         (RAT, (2.0,), 40),
         (oracles.make_bump_model(0.6, 0.5), (1.0, 1.0), (3, 3)),
+        # Full rank, so the pivots fill several blocks of 256: rank 900 of
+        # the rational model at a spacing near its correlation length, and
+        # rank 600 on a 1-D grid.
+        (make_rational(1.0, 1.0), (30.0, 30.0), (30, 30)),
+        (SQ, (600.0,), 600),
     ])
     def test_reconstructs_dense_covariance(self, m, sides, res):
         # One factor: every entry of C - F F^T is certified to 1e-12.  With
@@ -208,6 +213,16 @@ class TestKroneckerFactor:
     def test_indefinite_axis_covariance_raises(self):
         # Unit diagonal, |entries| <= 1, but v^T C v = -2.4 at v = (1, -1, 1).
         c = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        with pytest.raises(ValueError, match="not positive definite"):
+            simulate._pivoted_cholesky(c)
+
+    def test_indefinite_past_the_first_block_raises(self):
+        # 298 unit pivots fill one block of 256 and part of the next.  The
+        # last two diagonal entries, 1e-13, are below the pivoting threshold,
+        # and their off-diagonal entry 1e-9 makes c indefinite there.
+        c = np.eye(300)
+        c[298, 298] = c[299, 299] = 1e-13
+        c[298, 299] = c[299, 298] = 1e-9
         with pytest.raises(ValueError, match="not positive definite"):
             simulate._pivoted_cholesky(c)
 
