@@ -152,19 +152,15 @@ def _pivoted_cholesky(c: np.ndarray) -> np.ndarray:
     is symmetric, and only its lower triangle is used.
 
     Greedy pivoted Cholesky (Harbrecht, Peters & Schneider 2012, Appl.
-    Numer. Math. 62, 428-440): each step pivots on the largest remaining
-    diagonal entry, and the loop stops once that entry is at most half of
-    _SEPARABLE_TOL, which leaves the check a margin for rounding.  Pivots
-    come in blocks of _BATCH_ROWS, as in LAPACK's ?pstrf: within a block a
-    column is the pivot's residual column less a matrix-vector product with
-    the block's earlier columns, and after a full block the residual of the
-    rows not yet pivoted is brought up to date by matrix products, so a
-    factor of high rank costs BLAS-3 work, not one pass over F per column.
-    c - F F^T is checked entry by entry as it is formed: each block's pivot
-    columns against every row not pivoted before the block, then the rows
-    never pivoted against each other (where an indefinite c fails), which
-    covers every entry once.  A factor of one block is checked against c
-    itself.
+    Numer. Math. 62, 428-440), blocked as LAPACK's ?pstrf: each step pivots
+    on the largest remaining diagonal entry, until that entry is at most
+    half of _SEPARABLE_TOL (a margin for rounding in the check).  Within a
+    block of _BATCH_ROWS pivots a column is corrected by the block's
+    earlier columns only; after the block, matrix products update the
+    residual of the rows not yet pivoted.  Every entry of c - F F^T is
+    checked once as it is formed: each block's pivot columns against the
+    rows not pivoted before it, then the rows never pivoted against each
+    other, where an indefinite c fails.
     """
     c = np.asarray(c, dtype=float)
     n = len(c)
@@ -225,7 +221,7 @@ def _pivoted_cholesky(c: np.ndarray) -> np.ndarray:
 
 
 def _certify(residual: np.ndarray) -> None:
-    """ValueError unless every entry of a piece of c - F F^T is within
+    """ValueError unless every entry of this part of c - F F^T is within
     _SEPARABLE_TOL."""
     if not np.all(np.abs(residual) <= _SEPARABLE_TOL):
         raise ValueError(
