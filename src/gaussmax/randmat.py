@@ -131,10 +131,15 @@ def mc_absdet(n: int, nu: float, reps: int, seed: int) -> McEstimate:
         mats[:, iu, ju] = z * scale
         mats[:, ju, iu] = mats[:, iu, ju]
         mats[:, diag, diag] -= nu
-        vals[done:done + nb] = np.abs(np.linalg.det(mats))
+        with np.errstate(over="ignore"):
+            vals[done:done + nb] = np.abs(np.linalg.det(mats))
         done += nb
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(reps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(vals.mean())
+        stderr = float(vals.std(ddof=1) / math.sqrt(reps))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ValueError(f"nu = {nu!r} makes the determinants or their "
+                         "variance overflow the floats")
     return McEstimate(mean=mean, stderr=stderr, reps=reps, seed=int(seed))
 
 

@@ -263,6 +263,12 @@ def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int, seed: int,
     (rows, r_1, ..., r_d), is multiplied by F_i^T along axis i for every
     factor F_i, which expands it to (rows, n_1, ..., n_d); with one factor
     of the dense covariance that is the single product z @ F^T.
+
+    The bits also depend on the BLAS thread count once a factor's rank
+    reaches a few hundred: at 1 and 2 OpenBLAS threads the results agree up
+    to rank 200 but differ at ranks 400 and 600, so at such ranks they are
+    reproducible for a fixed thread count only.  The last bits of tail
+    normals follow NumPy's ``log`` dispatch (see ``streams._ndtri``).
     """
     reps = _check_int(reps, 1, math.inf, "reps")
     if factor is None:

@@ -523,28 +523,38 @@ class TestEntryPoint:
 
     def test_polytope_modules_load_lazily(self):
         # No SciPy module at all on the import, rectangle bound and tail,
-        # and goe paths: Phi is in the package.  scipy.special (ndtri) loads
-        # with the first normal draw, scipy.optimize and scipy.spatial with
-        # H-polytopes.  No command loads scipy.linalg: every grid factor,
-        # per axis or of a non-separable model's dense covariance, is the
-        # package's pivoted Cholesky in numpy.
+        # goe, validate on both model families and mc_absdet: Phi, the
+        # inverse normal CDF of the stream normals and every grid factor are
+        # in the package.  Only H-polytopes load SciPy, for scipy.optimize
+        # and scipy.spatial; that run comes last, as modules stay loaded.
         model = f"model={json.dumps(SQ_SPEC)}"
         rect = f"geometry={json.dumps(RECT_SPEC)}"
         rational = {"family": "rational", "c": 0.8, "beta": 1.0}
+        triangle = {"kind": "halfspaces", "halfspaces": [
+            [[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0], [[1.0, 1.0], 1.0]]}
         runs = [["bound", "--set", model, "--set", rect, "--set", "u=[0.5]"],
                 ["tail", "--set", model, "--set", rect, "--set", "u=[0.5]"],
                 ["goe", "--set", "n=1", "--set", "u=[0.3]"],
                 TestValidateCommand.ARGS,
                 [*TestValidateCommand.ARGS,
-                 "--set", f"model={json.dumps(rational)}"]]
+                 "--set", f"model={json.dumps(rational)}"],
+                "mc_absdet",
+                ["tail", "--set", model,
+                 "--set", f"geometry={json.dumps(triangle)}",
+                 "--set", "u=[0.5]"]]
         script = (
             "import io, contextlib, json, sys\n"
             "import gaussmax.cli\n"
+            "from gaussmax import randmat\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules\n"
             "                  if m == 'scipy' or m.startswith('scipy.'))\n"
             "report = [[0, loaded()]]\n"
             f"for argv in {runs!r}:\n"
+            "    if argv == 'mc_absdet':\n"
+            "        randmat.mc_absdet(3, 0.5, 100, 1)\n"
+            "        report.append([0, loaded()])\n"
+            "        continue\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = gaussmax.cli.main(argv)\n"
             "    report.append([code, loaded()])\n"
@@ -552,14 +562,12 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         report = json.loads(proc.stdout)
-        assert report[:4] == [[0, []]] * 4      # import, bound, tail, goe
-        code, after_validate = report[4]
+        # import, bound, tail, goe, validate (both families), mc_absdet
+        assert report[:7] == [[0, []]] * 7
+        code, after_polytope = report[7]
         assert code == 0
-        assert "scipy.special" in after_validate
-        assert "scipy.linalg" not in after_validate
-        code, after_rational = report[5]
-        assert code == 0
-        assert all("scipy.linalg" not in mods for _, mods in report)
+        assert "scipy.optimize" in after_polytope
+        assert "scipy.spatial" in after_polytope
 
     def test_every_exported_name_resolves(self):
         missing = [n for n in gaussmax.__all__ if not hasattr(gaussmax, n)]

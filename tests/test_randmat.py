@@ -112,6 +112,20 @@ def test_mc_absdet_is_independent_of_the_batch_budget(monkeypatch):
     assert randmat.mc_absdet(4, 0.3, 1_000, seed=5) == want
 
 
+@pytest.mark.parametrize("nu", [1e100, 1e160, -1e160])
+def test_mc_absdet_overflow_raises_naming_nu(nu):
+    # At 1e100 the determinants (about nu^2) are finite but their variance
+    # is not; at 1e160 the determinants themselves overflow.
+    with pytest.raises(ValueError, match="nu"):
+        randmat.mc_absdet(2, nu, 10, 1)
+
+
+def test_mc_absdet_pinned_value():
+    # Taken before the overflow check was added: in-range nu is unchanged.
+    est = randmat.mc_absdet(3, 0.5, 5_000, seed=7)
+    assert (est.mean, est.stderr) == (1.3637043581646409, 0.025066433104477433)
+
+
 def test_mc_absdet_matches_analytic():
     est = randmat.mc_absdet(2, 1.0, 60_000, seed=3)
     want = randmat.expected_absdet_shifted_goe(2, 1.0)

@@ -1,9 +1,14 @@
 """Counter-based substreams: determinism, batching, independence."""
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 import gaussmax.streams as streams
 from gaussmax import geometry, model, randmat, simulate
@@ -105,3 +110,107 @@ def test_start_beyond_the_64_bit_counter_is_a_valueerror(start, per):
         streams.uniforms(0, streams.DOMAIN_GOE, start, 1, per)
     last = streams.uniforms(0, streams.DOMAIN_GOE, start - 1, 1, per)
     assert last.shape == (1, per)
+
+
+# ------------------------------------------- in-package inverse normal CDF
+# SciPy's ndtri runs the same Cephes algorithm and is the oracle here.
+
+def _clamped_stream(seed, n_reps=16_384, per_rep=64):
+    """2^20 stream uniforms, clamped as streams.normals clamps them."""
+    u = streams.uniforms(seed, streams.DOMAIN_FIELD, 0, n_reps, per_rep)
+    return np.maximum(u, 2.0 ** -54).reshape(-1)
+
+
+def _ulps(a, b):
+    """Distance in units in the last place; a and b share their signs."""
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def _far_tail(n, seed):
+    """Log-uniform values on [2^-54, e^-32], the x >= 8 branch, and 1 - y."""
+    y = np.exp(np.random.default_rng(seed).uniform(
+        np.log(2.0 ** -54), -32.0, n))
+    return np.concatenate([y, 1.0 - y])
+
+
+def test_ndtri_central_branch_is_bit_identical():
+    y = _clamped_stream(21)
+    central = (y > streams._EXPM2) & (y <= streams._UPPER)
+    assert central.sum() > 700_000
+    got = streams._ndtri(y.copy())
+    assert np.array_equal(got[central], ndtri(y[central]))
+
+
+def test_ndtri_tails_within_8_ulp():
+    y = np.concatenate([_clamped_stream(22), _far_tail(100_000, 22)])
+    tail = (y <= streams._EXPM2) | (y > streams._UPPER)
+    assert _ulps(streams._ndtri(y[tail]), ndtri(y[tail])).max() <= 8
+
+
+def _edges():
+    e32 = np.exp(-32.0)
+    points = [2.0 ** -54, e32, streams._EXPM2, streams._UPPER, 1.0 - e32]
+    out = [1.0 - 2.0 ** -53]
+    for p in points:
+        out += [np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)]
+    return np.array(sorted(x for x in out if x >= 2.0 ** -54))
+
+
+def test_ndtri_branch_edges_within_8_ulp():
+    y = _edges()
+    assert _ulps(streams._ndtri(y.copy()), ndtri(y)).max() <= 8
+
+
+def test_ndtri_is_odd_about_one_half():
+    y = np.concatenate([_clamped_stream(23, 4_096), _edges()])
+    exact = (1.0 - (1.0 - y)) == y       # 1 - y loses no bits
+    # Except the one pair Cephes splits: e^-2 is a tail value but 1 - e^-2
+    # a central one, and the two branches differ there by 1 ulp (in SciPy
+    # too).
+    exact &= (y != streams._EXPM2) & (y != streams._UPPER)
+    y = y[exact]
+    assert y.size > 200_000
+    assert np.array_equal(streams._ndtri(1.0 - y), -streams._ndtri(y.copy()))
+
+
+def test_ndtri_monotone_on_sorted_input():
+    # Adjacent floats near the e^-2 edges may step back by a few ulp, as in
+    # SciPy; the edges themselves sit among stream values far wider apart.
+    e32 = np.exp(-32.0)
+    edges = [2.0 ** -54, e32, streams._EXPM2, streams._UPPER, 1.0 - e32,
+             1.0 - 2.0 ** -53]
+    y = np.sort(np.concatenate([_clamped_stream(24), edges,
+                                _far_tail(10_000, 24)]))
+    assert np.all(np.diff(streams._ndtri(y)) >= 0.0)
+
+
+def test_ndtri_matches_scipy_bitwise_without_avx512_log():
+    # NumPy's AVX-512 float64 log differs from the C library's in the last
+    # bit.  With that dispatch off, both run the same operations on the same
+    # log, so every value must agree: the coefficients and operation order
+    # are pinned, and the log is the only source of difference.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:                                      # NumPy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    off = [f for f in __cpu_dispatch__ if "AVX512" in f or f == "X86_V4"]
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from scipy.special import ndtri\n"
+        "from gaussmax import streams\n"
+        "u = streams.uniforms(25, streams.DOMAIN_FIELD, 0, 16384, 64)\n"
+        "y = np.maximum(u, 2.0 ** -54).reshape(-1)\n"
+        "g = np.random.default_rng(25).uniform(np.log(2.0 ** -54), -32.0,"
+        " 100_000)\n"
+        "y = np.concatenate([y, np.exp(g), 1.0 - np.exp(g)])\n"
+        "got = streams._ndtri(y.copy())\n"
+        "print(json.dumps([int(y.size), int(np.sum(got != ndtri(y)))]))\n")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    size, differ = json.loads(proc.stdout)
+    assert size >= 1_000_000
+    assert differ == 0
