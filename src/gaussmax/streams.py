@@ -40,7 +40,7 @@ _Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
        8.63602421390890590575E1, -2.25462687854119370527E2,
        2.00260212380060660359E2, -8.20372256168333339912E1,
        1.59056225126211695515E1, -1.18331621121330003142E0)
-# Tail for 2 <= x < 8, i.e. e^-32 < u <= e^-2.
+# Tail for 2 <= s < 8, i.e. e^-32 < u <= e^-2.
 _P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
        5.71628192246421288162E1, 4.40805073893200834700E1,
        1.46849561928858024014E1, 2.18663306850790267539E0,
@@ -50,7 +50,7 @@ _Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
        4.13172038254672030440E1, 1.50425385692907503408E1,
        2.50464946208309415979E0, -1.42182922854787788574E-1,
        -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-# Tail for x >= 8, i.e. u <= e^-32.
+# Tail for s >= 8, i.e. u <= e^-32.
 _P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
        3.93881025292474443415E0, 1.33303460815807542389E0,
        2.01485389549179081538E-1, 1.23716634817820021358E-2,

@@ -196,7 +196,7 @@ def test_ndtri_matches_scipy_bitwise_without_avx512_log():
         from numpy.core._multiarray_umath import __cpu_dispatch__
     off = [f for f in __cpu_dispatch__ if "AVX512" in f or f == "X86_V4"]
     script = (
-        "import json, sys\n"
+        "import json\n"
         "import numpy as np\n"
         "from scipy.special import ndtri\n"
         "from gaussmax import streams\n"
