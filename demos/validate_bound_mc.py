@@ -13,7 +13,7 @@ from gaussmax import simulate
 from gaussmax.model import make_squared_exponential
 
 m = make_squared_exponential(0.5)
-grid = simulate.make_grid((1.0, 1.0), 25)
+grid = simulate.FieldGrid((1.0, 1.0), 25)
 
 report = simulate.validate_bound(m, grid, (0.5, 1.0, 1.5, 2.0, 2.5),
                                  reps=10_000, seed=21, refinements=(1, 2, 4))

@@ -39,9 +39,8 @@ from .model import (IsotropicModel, ModelValidation, make_rational,
                     validate_model)
 from .randmat import (McEstimate, expected_absdet_shifted_goe,
                       goe_eigen_density, mc_absdet, sample_goe)
-from .simulate import (CholeskyFactor, FieldGrid, ValidationReport,
-                       covariance_cholesky, make_grid, sample_maxima,
-                       validate_bound)
+from .simulate import (FieldGrid, ValidationReport, covariance_cholesky,
+                       sample_maxima, validate_bound)
 
 __all__ = [
     "__version__",
@@ -66,6 +65,6 @@ __all__ = [
     "kappa_annulus", "sigma2_separable", "sigma2_separable_max",
     "pm_equiv_1d",
     # simulate
-    "FieldGrid", "CholeskyFactor", "ValidationReport", "make_grid",
-    "covariance_cholesky", "sample_maxima", "validate_bound",
+    "FieldGrid", "ValidationReport", "covariance_cholesky", "sample_maxima",
+    "validate_bound",
 ]

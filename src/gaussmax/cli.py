@@ -35,7 +35,7 @@ from .geometry import (FaceDecomposition, polytope_g_coeffs, rectangle_faces,
 from .hermite import _check_int, _finite
 from .model import IsotropicModel, make_rational, make_squared_exponential
 from .randmat import MAX_SIZE, expected_absdet_shifted_goe, goe_eigen_density
-from .simulate import _refinement_factors, make_grid, validate_bound
+from .simulate import FieldGrid, _refinement_factors, validate_bound
 
 _COMMANDS = ("bound", "tail", "validate", "goe", "geom", "exponent")
 _FORMATS = ("csv", "json")
@@ -262,14 +262,14 @@ def _run_validate(cfg: RunConfig) -> _RunResult:
     if cfg.resolution is None:
         raise ConfigError("validate needs a grid resolution in the config")
     us = _abscissa_values(cfg, "validate")
-    grid = make_grid(geom.sides, cfg.resolution)
+    grid = FieldGrid(geom.sides, cfg.resolution)
     report = validate_bound(m, grid, us, reps=cfg.reps, seed=cfg.seed,
                             refinements=cfg.refinements)
     cols = ["u", "emp_mean", "emp_stderr", "pbar_tail", "pE_tail", "verdict"]
     rows = [[u, report.empirical[i].mean, report.empirical[i].stderr,
              report.pbar_tails[i], report.pE_tails[i], report.verdicts[i]]
             for i, u in enumerate(report.u_values)]
-    return _RunResult(cols, rows, [], {"report": report.to_json_dict()})
+    return _RunResult(cols, rows, [], {"report": dataclasses.asdict(report)})
 
 
 def _run_goe(cfg: RunConfig) -> _RunResult:

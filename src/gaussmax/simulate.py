@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,32 +94,6 @@ class FieldGrid:
 def _axis_points(side: float, r: int) -> np.ndarray:
     """The r coordinates of one grid axis: 0 to side inclusive, or just 0."""
     return np.linspace(0.0, side, r) if r > 1 else np.zeros(1)
-
-
-def make_grid(sides, resolution) -> FieldGrid:
-    """The FieldGrid of ``sides`` at ``resolution`` points per axis."""
-    return FieldGrid(sides, resolution)
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """``factors`` F_i whose Kronecker product F samples the grid covariance.
-
-    Each F_i has shape (n_i, r_i), 1 <= r_i <= n_i, and every entry of
-    C_i - F_i F_i^T is certified to be at most 1e-12 in absolute value for
-    the covariance C_i it factors.  One factor per grid axis, (F_1, ...,
-    F_d), when the grid covariance is C_1 ⊗ ... ⊗ C_d (the sampled
-    covariance is then (F_1 F_1^T) ⊗ ... ⊗ (F_d F_d^T)); otherwise one
-    factor of the dense n x n covariance.
-    """
-
-    factors: tuple
-
-    @property
-    def ranks(self) -> tuple:
-        """Normals per replicate along each factor; their product is the
-        number a replicate draws."""
-        return tuple(f.shape[1] for f in self.factors)
 
 
 def _grid_covariances(m: IsotropicModel, grid: FieldGrid) -> list:
@@ -229,40 +203,34 @@ def _certify(residual: np.ndarray) -> None:
             "per entry; the model is degenerate on this grid")
 
 
-def covariance_cholesky(m: IsotropicModel, grid: FieldGrid) -> CholeskyFactor:
-    """Certified low-rank factor of the grid covariance matrix.
+def covariance_cholesky(m: IsotropicModel, grid: FieldGrid) -> tuple:
+    """Certified low-rank factors of the grid covariance matrix.
 
     If rho(a + b) = rho(a) rho(b) holds to 1e-12 (absolute) on the grid's
     table of squared axis offsets (every 1-D grid; the squared exponential
-    on any grid), the covariance is C_1 ⊗ ... ⊗ C_d and the factor is one
-    pivoted-Cholesky factor F_i of shape (n_i, r_i) per axis.  Otherwise
+    on any grid), the covariance is C_1 ⊗ ... ⊗ C_d and the result is one
+    pivoted-Cholesky factor F_i of shape (n_i, r_i) per axis, so that
+    (F_1 F_1^T) ⊗ ... ⊗ (F_d F_d^T) is the sampled covariance.  Otherwise
     (a non-separable model such as ``rational`` on 2+ axes of 2+ points)
-    it is one pivoted-Cholesky factor of shape (n, r) of the dense n x n
-    covariance.  Either way every entry of the factored covariance minus
-    F_i F_i^T is certified to 1e-12, and a smooth covariance has small
-    numerical rank, so a replicate draws r_1 ... r_d normals.  A covariance
-    that fails its certificate (a model that is not positive definite on
-    this grid) raises ValueError.
+    it is the 1-tuple of one pivoted-Cholesky factor of shape (n, r) of the
+    dense n x n covariance.  Either way every entry of the factored
+    covariance minus F_i F_i^T is certified to 1e-12, and a smooth
+    covariance has small numerical rank r_i, the factor's column count, so
+    a replicate draws r_1 ... r_d normals.  A covariance that fails its
+    certificate (a model that is not positive definite on this grid) raises
+    ValueError.
     """
-    return CholeskyFactor(
-        factors=tuple(map(_pivoted_cholesky, _grid_covariances(m, grid))))
+    return tuple(map(_pivoted_cholesky, _grid_covariances(m, grid)))
 
 
-def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int, seed: int,
-                  factor: CholeskyFactor | None = None) -> np.ndarray:
-    """Maxima of ``reps`` independent field draws on the grid.
+def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int,
+                  seed: int) -> np.ndarray:
+    """Maxima of ``reps`` independent draws of the field of ``m`` on the
+    grid, sampled through ``covariance_cholesky(m, grid)``.
 
     Replicate r uses its own counter window of the seeded stream, so the
     result is bit-identical for fixed (seed, reps, grid) no matter how the
-    computation is batched.  ``factor`` may pass a precomputed factor (for
-    example to reuse it across u-levels); it must be this grid's: 2-D
-    factors of shapes (n_i, r_i) with 1 <= r_i <= n_i, whose row counts are
-    ``grid.resolution`` or ``(grid.count,)``.
-
-    A replicate draws prod(r_i) normals.  Each block of them, shaped
-    (rows, r_1, ..., r_d), is multiplied by F_i^T along axis i for every
-    factor F_i, which expands it to (rows, n_1, ..., n_d); with one factor
-    of the dense covariance that is the single product z @ F^T.
+    computation is batched.
 
     The bits also depend on the BLAS thread count once a factor's rank
     reaches a few hundred: at 1 and 2 OpenBLAS threads the results agree up
@@ -271,18 +239,21 @@ def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int, seed: int,
     normals follow NumPy's ``log`` dispatch (see ``streams._ndtri``).
     """
     reps = _check_int(reps, 1, math.inf, "reps")
-    if factor is None:
-        factor = covariance_cholesky(m, grid)
-    shapes = [np.shape(f) for f in factor.factors]
-    if (any(len(s) != 2 or not 1 <= s[1] <= s[0] for s in shapes)
-            or tuple(s[0] for s in shapes) not in (grid.resolution,
-                                                   (grid.count,))):
-        raise ValueError(
-            f"factor of shapes {shapes} does not fit a grid of resolution "
-            f"{grid.resolution}")
-    ranks = factor.ranks
+    return _block_maxima(covariance_cholesky(m, grid), reps, seed)
+
+
+def _block_maxima(factors: tuple, reps: int, seed: int) -> np.ndarray:
+    """Maxima of ``reps`` field draws through ``factors``, one block of
+    _BATCH_ROWS replicates at a time.
+
+    A replicate draws prod(r_i) normals.  Each block of them, shaped
+    (rows, r_1, ..., r_d), is multiplied by F_i^T along axis i for every
+    factor F_i, which expands it to (rows, n_1, ..., n_d); with one factor
+    of the dense covariance that is the single product z @ F^T.
+    """
+    ranks = tuple(f.shape[1] for f in factors)
     per_rep = math.prod(ranks)
-    n = grid.count
+    n = math.prod(f.shape[0] for f in factors)
     out = np.empty(reps)
     done = 0
     while done < reps:
@@ -293,7 +264,7 @@ def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int, seed: int,
             zp[:nb] = z
             z = zp
         vals = z.reshape(_BATCH_ROWS, *ranks)
-        for axis, f in enumerate(factor.factors, start=1):
+        for axis, f in enumerate(factors, start=1):
             vals = np.moveaxis(np.moveaxis(vals, axis, -1) @ f.T, -1, axis)
         out[done:done + nb] = vals.reshape(_BATCH_ROWS, n)[:nb].max(axis=1)
         done += nb
@@ -319,20 +290,6 @@ class ValidationReport:
     refinement_factors: tuple
     empirical_by_refinement: tuple
     notes: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "u_values": list(self.u_values),
-            "empirical": [asdict(e) for e in self.empirical],
-            "pbar_tails": list(self.pbar_tails),
-            "pE_tails": list(self.pE_tails),
-            "verdicts": list(self.verdicts),
-            "refinement_factors": list(self.refinement_factors),
-            "empirical_by_refinement": [
-                [asdict(e) for e in row]
-                for row in self.empirical_by_refinement],
-            "notes": list(self.notes),
-        }
 
 
 def _empirical_tail(maxima: np.ndarray, u_values, reps: int,
@@ -387,12 +344,12 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
              "compare the finest grid and the refinement sequence shows "
              "stabilization"]
     for k in refinements:
-        g = grid if k == 1 else make_grid(
-            grid.sides, tuple(r * k for r in grid.resolution))
-        factor = covariance_cholesky(m, g)
-        maxima = sample_maxima(m, g, reps, seed, factor=factor)
+        factors = covariance_cholesky(
+            m, FieldGrid(grid.sides, tuple(r * k for r in grid.resolution)))
+        maxima = _block_maxima(factors, reps, seed)
         emp_by_ref.append(_empirical_tail(maxima, u_values, reps, seed))
-        notes.append(f"refinement x{k}: factors of rank {factor.ranks}, "
+        ranks = tuple(f.shape[1] for f in factors)
+        notes.append(f"refinement x{k}: factors of rank {ranks}, "
                      f"covariance entries within {_SEPARABLE_TOL:g}")
 
     final = emp_by_ref[-1]

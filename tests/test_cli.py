@@ -1,4 +1,5 @@
 """Command-line interface: config merging, output formats, exit codes."""
+import hashlib
 import json
 import os
 import shutil
@@ -359,6 +360,20 @@ class TestValidateCommand:
         assert payload["report"]["verdicts"][0] in ("bound_respected",
                                                     "inconclusive")
         assert payload["rows"][0][1] == payload["report"]["empirical"][0]["mean"]
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("json",
+         "db1b9eb8e19de5d967dee3c14360e383fd20bafb70a7fc831fe80f55753c2f94"),
+        ("csv",
+         "10474c9c2cd74c6b9aec694a6434a352ff0283ca4bdde542a121d716b3fae16f"),
+    ])
+    def test_output_bytes_pinned(self, capsys, fmt, digest):
+        # Digests of the full stdout, taken while ValidationReport still
+        # had its own hand-written JSON serializer; the report is now
+        # emitted through dataclasses.asdict, byte for byte the same.
+        code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_requires_rectangle(self, capsys):
         code, _, err = run_cli(capsys, [

@@ -32,7 +32,7 @@ BAD = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "True": True,
 SQ = model.make_squared_exponential(0.5)
 RAT = model.make_rational(1.0, 1.0)
 SQUARE = geometry.rectangle_faces([1.0, 1.0])
-GRID = simulate.make_grid((1.0,), 3)
+GRID = simulate.FieldGrid((1.0,), 3)
 TRIANGLE = [[[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0], [[1.0, 1.0], 1.0]]
 
 
@@ -129,15 +129,10 @@ ROWS = {
     "simulate.FieldGrid": (
         lambda: dict(sides=[1.0, 2.0], resolution=(3, 2)),
         ("sides", "resolution")),
-    "simulate.CholeskyFactor": (
-        lambda: dict(factors=(np.eye(3),)), ()),
     "simulate.ValidationReport": (
         lambda: dict(u_values=(), empirical=(), pbar_tails=(), pE_tails=(),
                      verdicts=(), refinement_factors=(1,),
                      empirical_by_refinement=(), notes=()), ()),
-    "simulate.make_grid": (
-        lambda: dict(sides=[1.0, 2.0], resolution=(3, 2)),
-        ("sides", "resolution")),
     "simulate.covariance_cholesky": (lambda: dict(m=SQ, grid=GRID), ()),
     "simulate.sample_maxima": (
         lambda: dict(m=SQ, grid=GRID, reps=4, seed=0), ("reps", "seed")),

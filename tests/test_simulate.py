@@ -1,4 +1,5 @@
 """Grid construction, exact field sampling, and the bound-validation harness."""
+import dataclasses
 import hashlib
 import math
 import os
@@ -12,16 +13,21 @@ from scipy import stats
 import oracles
 from gaussmax import simulate, streams
 from gaussmax.model import make_rational, make_squared_exponential, normalized
-from gaussmax.simulate import (CholeskyFactor, FieldGrid, covariance_cholesky,
-                               make_grid, sample_maxima, validate_bound)
+from gaussmax.simulate import (FieldGrid, covariance_cholesky, sample_maxima,
+                               validate_bound)
 
 SQ = make_squared_exponential(0.5)
 RAT = make_rational(0.8, 1.0)
 
 
+def ranks(factors):
+    """The normals per replicate along each factor: its column count."""
+    return tuple(F.shape[1] for F in factors)
+
+
 class TestMakeGrid:
     def test_shapes_and_ordering(self):
-        g = make_grid((2.0, 3.0), (4, 5))
+        g = FieldGrid((2.0, 3.0), (4, 5))
         assert g.sides == (2.0, 3.0)
         assert g.resolution == (4, 5)
         assert g.count == 20
@@ -32,32 +38,32 @@ class TestMakeGrid:
         assert np.allclose(g.points[5:10, 0], 2.0 / 3.0)
 
     def test_scalar_resolution_broadcasts(self):
-        g = make_grid((1.0, 2.0), 3)
+        g = FieldGrid((1.0, 2.0), 3)
         assert g.resolution == (3, 3)
         assert g.count == 9
 
     def test_endpoints_and_vertices_present(self):
-        g = make_grid((1.5, 0.5), (4, 3))
+        g = FieldGrid((1.5, 0.5), (4, 3))
         pts = {tuple(np.round(p, 12)) for p in g.points}
         for vx in [(0.0, 0.0), (0.0, 0.5), (1.5, 0.0), (1.5, 0.5)]:
             assert vx in pts
 
     def test_resolution_one_degenerates_to_origin(self):
-        g = make_grid((5.0,), 1)
+        g = FieldGrid((5.0,), 1)
         assert g.points.shape == (1, 1)
         assert g.points[0, 0] == 0.0
 
     def test_axis_spacing_is_uniform(self):
-        g = make_grid((2.0,), 9)
+        g = FieldGrid((2.0,), 9)
         diffs = np.diff(g.points[:, 0])
         assert np.allclose(diffs, diffs[0])
         assert g.points[0, 0] == 0.0 and g.points[-1, 0] == 2.0
 
     def test_point_cap_enforced(self):
         with pytest.raises(ValueError, match="coarsen"):
-            make_grid((1.0, 1.0), (101, 101))
+            FieldGrid((1.0, 1.0), (101, 101))
         # exactly at the cap is fine
-        assert make_grid((1.0, 1.0), 100).count == 10_000
+        assert FieldGrid((1.0, 1.0), 100).count == 10_000
 
     @pytest.mark.parametrize("sides,res", [
         ((), 3),
@@ -69,17 +75,17 @@ class TestMakeGrid:
     ])
     def test_rejects_bad_arguments(self, sides, res):
         with pytest.raises(ValueError):
-            make_grid(sides, res)
+            FieldGrid(sides, res)
 
     def test_resolution_must_be_integral(self):
         with pytest.raises(ValueError, match="resolution"):
-            make_grid((1.0, 1.0), 2.7)
+            FieldGrid((1.0, 1.0), 2.7)
         with pytest.raises(ValueError, match="resolution"):
-            make_grid((1.0, 1.0), (3, 2.7))
-        assert make_grid((1.0, 1.0), 3.0) == make_grid((1.0, 1.0), (3, 3))
+            FieldGrid((1.0, 1.0), (3, 2.7))
+        assert FieldGrid((1.0, 1.0), 3.0) == FieldGrid((1.0, 1.0), (3, 3))
 
     def test_points_are_read_only(self):
-        g = make_grid((1.0,), 4)
+        g = FieldGrid((1.0,), 4)
         with pytest.raises(ValueError):
             g.points[0, 0] = 7.0
 
@@ -87,16 +93,16 @@ class TestMakeGrid:
         with pytest.raises(TypeError):
             FieldGrid(sides=(1.0,), resolution=(3,), points=np.zeros((3, 1)))
         g = FieldGrid((1.0, 2.0), 3)
-        assert g == make_grid((1.0, 2.0), (3, 3))
-        assert np.array_equal(g.points, make_grid((1.0, 2.0), 3).points)
+        assert g == FieldGrid((1.0, 2.0), (3, 3))
+        assert np.array_equal(g.points, FieldGrid((1.0, 2.0), 3).points)
 
 
 class TestCovarianceCholesky:
     @pytest.mark.parametrize("res", [5, 10, 25])
     def test_reconstructs_covariance(self, res):
-        g = make_grid((1.0,), res)
+        g = FieldGrid((1.0,), res)
         f = covariance_cholesky(SQ, g)
-        (L,) = f.factors
+        (L,) = f
         t = g.points[:, 0]
         cov = np.asarray(SQ.rho((t[:, None] - t[None, :]) ** 2))
         err = np.abs(L @ L.T - cov).max()
@@ -110,7 +116,7 @@ class TestCovarianceCholesky:
         # -7.5e-8 on 10 points of [0, 1], where a diagonal jitter of 1e-7
         # would hide it.
         bump = oracles.make_bump_model(0.6, 0.5)
-        for g in (make_grid((12.0,), 60), make_grid((1.0,), 10)):
+        for g in (FieldGrid((12.0,), 60), FieldGrid((1.0,), 10)):
             with pytest.raises(ValueError, match="not positive definite"):
                 covariance_cholesky(bump, g)
 
@@ -138,17 +144,17 @@ class TestKroneckerFactor:
         # d > 1 per-axis factors, (C_1 + E_1) ⊗ ... ⊗ (C_d + E_d) - C, with
         # every |E_i| entry at most 1e-12, has entries within d * 1e-12 to
         # first order, and the separability check admits 1e-12 more.
-        g = make_grid(sides, res)
+        g = FieldGrid(sides, res)
         f = covariance_cholesky(m, g)
-        sizes = [len(F) for F in f.factors]
+        sizes = [len(F) for F in f]
         assert sizes in (list(g.resolution), [g.count])
         kron = np.ones((1, 1))
-        for F, n in zip(f.factors, sizes):
+        for F, n in zip(f, sizes):
             assert F.ndim == 2 and F.shape[0] == n and 1 <= F.shape[1] <= n
             kron = np.kron(kron, F @ F.T)
         cov = oracles.grid_covariance_direct(m, g.points)
         err = np.abs(kron - cov).max()
-        d = len(f.factors)
+        d = len(f)
         assert err <= (d + (d > 1)) * 1e-12
 
     @pytest.mark.parametrize("m,sides,res,sizes", [
@@ -167,24 +173,24 @@ class TestKroneckerFactor:
     def test_which_path(self, m, sides, res, sizes):
         # The separability check alone picks per-axis factors or one factor
         # of the dense covariance.
-        f = covariance_cholesky(m, make_grid(sides, res))
-        assert tuple(len(L) for L in f.factors) == sizes
+        f = covariance_cholesky(m, FieldGrid(sides, res))
+        assert tuple(len(L) for L in f) == sizes
 
     def test_equals_dense_kronecker_product(self):
         # The axis-by-axis products equal z @ (F_1 ⊗ F_2)^T up to rounding,
         # for z of prod(ranks) normals per replicate.
-        g = make_grid((1.0, 1.5), (7, 5))
+        g = FieldGrid((1.0, 1.5), (7, 5))
         f = covariance_cholesky(SQ, g)
-        dense = np.kron(*f.factors)
-        z = streams.normals(4, streams.DOMAIN_FIELD, 0, 300, math.prod(f.ranks))
+        dense = np.kron(*f)
+        z = streams.normals(4, streams.DOMAIN_FIELD, 0, 300, math.prod(ranks(f)))
         want = (z @ dense.T).max(axis=1)
-        got = sample_maxima(SQ, g, 300, 4, factor=f)
+        got = sample_maxima(SQ, g, 300, 4)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_agrees_in_law_with_dense_oracle(self):
         # Independent streams (seeds 21 and 22), two-sample KS on maxima.
-        g = make_grid((1.0, 1.5), (6, 8))
-        assert len(covariance_cholesky(SQ, g).factors) == 2
+        g = FieldGrid((1.0, 1.5), (6, 8))
+        assert len(covariance_cholesky(SQ, g)) == 2
         kron = sample_maxima(SQ, g, 4000, 21)
         dense = oracles.sample_maxima_dense(SQ, g.points, 4000, 22)
         assert stats.ks_2samp(kron, dense).pvalue > 1e-3
@@ -200,15 +206,15 @@ class TestKroneckerFactor:
     ])
     def test_agrees_in_law_with_dense_oracle_on_bench_grids(self, m, res,
                                                             seeds):
-        g = make_grid((1.0, 1.0), res)
+        g = FieldGrid((1.0, 1.0), res)
         low_rank = sample_maxima(m, g, 2000, seeds[0])
         dense = oracles.sample_maxima_dense(m, g.points, 2000, seeds[1])
         assert stats.ks_2samp(low_rank, dense).pvalue > 1e-3
 
     @pytest.mark.parametrize("res", [25, 50, 100])
     def test_ranks_stay_small_on_fine_grids(self, res):
-        f = covariance_cholesky(SQ, make_grid((1.0, 1.0), res))
-        assert all(1 <= r <= 9 for r in f.ranks)
+        f = covariance_cholesky(SQ, FieldGrid((1.0, 1.0), res))
+        assert all(1 <= r <= 9 for r in ranks(f))
 
     def test_indefinite_axis_covariance_raises(self):
         # Unit diagonal, |entries| <= 1, but v^T C v = -2.4 at v = (1, -1, 1).
@@ -235,11 +241,11 @@ class TestKroneckerFactor:
             return normals(seed, domain, start_rep, n_reps, per_rep)
 
         monkeypatch.setattr(streams, "normals", recording)
-        g = make_grid((1.0, 1.0), (25, 50))
+        g = FieldGrid((1.0, 1.0), (25, 50))
         f = covariance_cholesky(SQ, g)
-        sample_maxima(SQ, g, 300, 1, factor=f)
-        assert calls == [math.prod(f.ranks)] * 2
-        assert math.prod(f.ranks) < g.count // 10
+        sample_maxima(SQ, g, 300, 1)
+        assert calls == [math.prod(ranks(f))] * 2
+        assert math.prod(ranks(f)) < g.count // 10
 
     @pytest.mark.parametrize("m,sides,res,digest", [
         pytest.param(
@@ -257,12 +263,12 @@ class TestKroneckerFactor:
         # full rank (30 and 9), but the factor's columns now follow the
         # pivot order instead of a lower-triangular L, so a non-separable
         # model and a 1-D grid moved their bits once.  They pin them now.
-        mx = sample_maxima(m, make_grid(sides, res), 300, 4)
+        mx = sample_maxima(m, FieldGrid(sides, res), 300, 4)
         assert hashlib.sha256(mx.tobytes()).hexdigest() == digest
 
     def test_prefix_and_batch_invariant_on_2d_grid(self):
-        g = make_grid((1.0, 2.0), (13, 7))
-        assert len(covariance_cholesky(SQ, g).factors) == 2
+        g = FieldGrid((1.0, 2.0), (13, 7))
+        assert len(covariance_cholesky(SQ, g)) == 2
         long = sample_maxima(SQ, g, 600, 5)
         assert np.array_equal(sample_maxima(SQ, g, 257, 5), long[:257])
         assert np.array_equal(sample_maxima(SQ, g, 256, 5), long[:256])
@@ -276,7 +282,7 @@ class TestKroneckerFactor:
             "from gaussmax import model, simulate\n"
             "for m, res in ((model.make_squared_exponential(0.5), 25),\n"
             "               (model.make_rational(0.8, 1.0), 40)):\n"
-            "    g = simulate.make_grid((1.0, 1.0), (res, res))\n"
+            "    g = simulate.FieldGrid((1.0, 1.0), (res, res))\n"
             "    mx = simulate.sample_maxima(m, g, 600, 3)\n"
             "    print(hashlib.sha256(mx.tobytes()).hexdigest())\n")
         digests = []
@@ -290,14 +296,14 @@ class TestKroneckerFactor:
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.split())
         here = [hashlib.sha256(sample_maxima(
-                    m, make_grid((1.0, 1.0), (res, res)), 600, 3).tobytes())
+                    m, FieldGrid((1.0, 1.0), (res, res)), 600, 3).tobytes())
                 .hexdigest() for m, res in ((SQ, 25), (RAT, 40))]
         assert digests == [here] * 2
 
 
 class TestSampleMaxima:
     def test_bitwise_deterministic(self):
-        g = make_grid((1.0, 1.0), 5)
+        g = FieldGrid((1.0, 1.0), 5)
         a = sample_maxima(SQ, g, 137, 42)
         b = sample_maxima(SQ, g, 137, 42)
         assert np.array_equal(a, b)
@@ -305,7 +311,7 @@ class TestSampleMaxima:
     def test_prefix_consistent_across_reps(self):
         # replicate r is a pure function of (seed, grid, r): growing the run
         # must extend, not reshuffle
-        g = make_grid((1.5,), 2)
+        g = FieldGrid((1.5,), 2)
         short = sample_maxima(SQ, g, 300, 5)
         long = sample_maxima(SQ, g, 500, 5)
         assert np.array_equal(short, long[:300])
@@ -314,47 +320,17 @@ class TestSampleMaxima:
                               sample_maxima(SQ, g, 256, 5))
 
     def test_seed_sensitivity(self):
-        g = make_grid((1.0,), 3)
+        g = FieldGrid((1.0,), 3)
         assert not np.array_equal(sample_maxima(SQ, g, 50, 1),
                                   sample_maxima(SQ, g, 50, 2))
 
-    def test_precomputed_factor_matches(self):
-        g = make_grid((1.0, 1.0), 4)
-        f = covariance_cholesky(SQ, g)
-        assert np.array_equal(sample_maxima(SQ, g, 64, 9, factor=f),
-                              sample_maxima(SQ, g, 64, 9))
-
-    @pytest.mark.parametrize("m,res,other", [
-        (SQ, (4, 4), (2, 8)),     # same point count, other axes
-        (SQ, (4, 4), (5, 5)),
-        (SQ, (2, 8), (8, 2)),
-        (RAT, (4, 4), (5, 5)),
-        (RAT, (4, 4), (16,)),     # a dense factor of 16 points fits
-    ])
-    def test_rejects_a_factor_of_another_grid(self, m, res, other):
-        f = covariance_cholesky(m, make_grid((1.0, 1.0), res))
-        g = make_grid((1.0,) * len(other), other)
-        if g.count == len(f.factors[0]):
-            assert sample_maxima(m, g, 3, 1, factor=f).shape == (3,)
-            return
-        with pytest.raises(ValueError, match="does not fit"):
-            sample_maxima(m, g, 3, 1, factor=f)
-
-    def test_rejects_a_malformed_factor(self):
-        # Axis sizes fit the grid; the ranks or the array shape do not.
-        g = make_grid((1.0, 1.0), (2, 3))
-        for second in (np.ones((3, 4)), np.ones(3), np.ones((3, 0))):
-            bad = CholeskyFactor((np.eye(2), second))
-            with pytest.raises(ValueError, match="does not fit"):
-                sample_maxima(SQ, g, 3, 1, factor=bad)
-
     def test_rejects_nonpositive_reps(self):
-        g = make_grid((1.0,), 2)
+        g = FieldGrid((1.0,), 2)
         with pytest.raises(ValueError):
             sample_maxima(SQ, g, 0, 1)
 
     def test_single_point_marginal_is_standard_normal(self):
-        g = make_grid((1.0,), 1)
+        g = FieldGrid((1.0,), 1)
         mx = sample_maxima(SQ, g, 10_000, 2024)
         ks = stats.kstest(mx, "norm")
         assert ks.pvalue > 1e-3
@@ -362,7 +338,7 @@ class TestSampleMaxima:
 
     def test_two_point_joint_law(self):
         # max of a correlated pair: P(max <= u) = Phi_2(u, u; rho)
-        g = make_grid((1.5,), 2)
+        g = FieldGrid((1.5,), 2)
         rho = float(SQ.rho(1.5 ** 2))
         mx = sample_maxima(SQ, g, 20_000, 77)
         mvn = stats.multivariate_normal(mean=[0.0, 0.0],
@@ -376,10 +352,10 @@ class TestSampleMaxima:
     def test_subgrid_maximum_never_exceeds_full(self):
         # the same draw restricted to a subset of points has a smaller max;
         # grid maxima therefore underestimate the continuous maximum
-        g = make_grid((2.0,), 9)
+        g = FieldGrid((2.0,), 9)
         f = covariance_cholesky(SQ, g)
-        z = streams.normals(7, streams.DOMAIN_FIELD, 0, 200, f.ranks[0])
-        vals = z @ f.factors[0].T
+        z = streams.normals(7, streams.DOMAIN_FIELD, 0, 200, f[0].shape[1])
+        vals = z @ f[0].T
         sub = vals[:, ::2]  # every other point = the coarse 5-point grid
         assert np.all(sub.max(axis=1) <= vals.max(axis=1))
         assert np.any(sub.max(axis=1) < vals.max(axis=1))
@@ -387,7 +363,7 @@ class TestSampleMaxima:
 
 class TestValidateBound:
     def _report(self, **kw):
-        grid = make_grid((1.0, 1.0), 8)
+        grid = FieldGrid((1.0, 1.0), 8)
         args = dict(m=SQ, grid=grid, u_values=(1.0, 2.0),
                     reps=500, seed=11, refinements=(1, 2))
         args.update(kw)
@@ -414,7 +390,7 @@ class TestValidateBound:
             assert v == expect
 
     def test_deterministic(self):
-        assert self._report().to_json_dict() == self._report().to_json_dict()
+        assert self._report() == self._report()
 
     def test_low_threshold_saturates(self):
         rep = self._report(u_values=(-5.0,), reps=100, refinements=(1,))
@@ -441,7 +417,7 @@ class TestValidateBound:
     def test_refinements_must_be_integral(self):
         with pytest.raises(ValueError, match="refinement"):
             self._report(refinements=(1, 2.7))
-        base = dict(grid=make_grid((1.0,), 4), u_values=(1.0,), reps=20)
+        base = dict(grid=FieldGrid((1.0,), 4), u_values=(1.0,), reps=20)
         assert (self._report(refinements=(1, 3.0), **base)
                 == self._report(refinements=(1, 3), **base))
 
@@ -464,19 +440,18 @@ class TestValidateBound:
         notes = self._report(m=RAT, reps=100).notes
         assert len(notes) == 3
         for k, note in zip((1, 2), notes[1:]):
-            r = covariance_cholesky(
-                RAT, make_grid((1.0, 1.0), 8 * k)).ranks
+            r = ranks(covariance_cholesky(RAT, FieldGrid((1.0, 1.0), 8 * k)))
             assert len(r) == 1 and note == (
                 f"refinement x{k}: factors of rank {r}, covariance entries "
                 "within 1e-12")
 
     def test_json_dict_shape(self):
         rep = self._report()
-        d = rep.to_json_dict()
+        d = dataclasses.asdict(rep)     # what the CLI emits
         assert set(d) == {"u_values", "empirical", "pbar_tails", "pE_tails",
                           "verdicts", "refinement_factors",
                           "empirical_by_refinement", "notes"}
-        assert d["u_values"] == [1.0, 2.0]
+        assert d["u_values"] == (1.0, 2.0)
         assert d["empirical"][0]["reps"] == 500
         assert len(d["empirical_by_refinement"]) == 2
 

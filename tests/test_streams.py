@@ -90,7 +90,7 @@ def test_window_property(seed, start, n, per):
 @pytest.mark.parametrize("call", [
     lambda s: randmat.mc_absdet(2, 0.0, 10, seed=s),
     lambda s: simulate.sample_maxima(model.make_squared_exponential(0.5),
-                                     simulate.make_grid((1.0,), 3), 2, s),
+                                     simulate.FieldGrid((1.0,), 3), 2, s),
     lambda s: geometry.polytope_g_coeffs(
         [[[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0], [[1.0, 1.0], 1.0]],
         reps=10, seed=s),
