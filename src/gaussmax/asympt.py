@@ -284,6 +284,7 @@ def kappa_annulus(m: IsotropicModel, a: float, b: float, *,
         val, where = v1, ("segment", z1 / alpha)
     else:
         val, where = v2, ("circle", math.acos(max(-1.0, 1.0 - h2)))
+    val = _finite(val, f"kappa_annulus(a={a!r}, b={b!r})")
     if return_argmax:
         return val, where
     return val

@@ -122,6 +122,7 @@ def T_series(j: int, v):
     """
     j = _check_int(j, 1, MAX_ORDER, "order j")
     out = _T_rows((j,), np.asarray(_finite(v, "v")))[0]
+    _checked(out, out, f"T_{j}({float(v)})" if np.ndim(v) == 0 else f"T_{j}")
     return float(out) if np.ndim(v) == 0 else out
 
 
@@ -159,13 +160,15 @@ _CHECK_RULE = None  # built on first use: at import its eig spins BLAS, 0.09 s C
 
 
 def _checked(value, check, what: str):
-    """value, after the one quadrature gate of this module; elementwise.
+    """value, after the one gate of this module; elementwise.
 
     A non-finite value raises ValueError; a non-finite check, or a gap
     |value - check| above max(_TINY, 1e-7 max(|value|, |check|)), RuntimeError.
+    A quadrature passes its cross-check; a value with none passes itself,
+    which tests finiteness alone.
     """
     v, c = np.asarray(value, dtype=float), np.asarray(check, dtype=float)
-    bad, exc, why = ~np.isfinite(v), ValueError, "quadrature value not finite"
+    bad, exc, why = ~np.isfinite(v), ValueError, "value not finite"
     if not bad.any():
         tol = np.maximum(_TINY, _CHECK_REL_TOL * np.maximum(np.abs(v), np.abs(c)))
         bad = ~np.isfinite(c) | ~(np.abs(v - c) <= tol)
@@ -212,14 +215,15 @@ def _R_values(m: IsotropicModel, j: int, x, cross_check: bool = True):
     """
     x = np.asarray(x, dtype=float)
     gamma, s = _gamma_s(m)
+    what = f"R_{j}({float(x)})" if x.ndim == 0 else f"R_{j}"
     if s == 0.0:
         integral = SQRT_2PI * _T_rows((j,), gamma * x / math.sqrt(2.0))[0]
+        _checked(integral, integral, what)
     else:
         def f(y):
             return _T_rows((j,), (gamma * x[..., None] - s * y)
                            / math.sqrt(2.0))[0]
 
-        what = f"R_{j}({float(x)})" if x.ndim == 0 else f"R_{j}"
         integral = _gauss_average(f, what, cross_check)
     return _pref(m, j) * integral
 
@@ -280,8 +284,9 @@ def _principal(m: IsotropicModel, geom: FaceDecomposition, x: float) -> list:
     _require_polyhedral(geom)
     phi = float(_phi(x))
     hbar = _eval_all(HermiteKind.MODIFIED, geom.d0, np.float64(x))
-    return [phi * geom.g[0]] + [phi * _coef(m, j) * float(hbar[j]) * geom.g[j]
-                                for j in range(1, geom.d0 + 1)]
+    terms = [phi * geom.g[0]] + [phi * _coef(m, j) * float(hbar[j]) * geom.g[j]
+                                 for j in range(1, geom.d0 + 1)]
+    return _checked(terms, terms, f"the pE terms at x={x!r}")
 
 
 def pE_density(m: IsotropicModel, geom: FaceDecomposition, x: float) -> float:

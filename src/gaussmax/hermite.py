@@ -199,7 +199,7 @@ def hermite_eval(kind: HermiteKind, n: int, x):
     kind = HermiteKind(kind)
     n = _check_int(n, 0, MAX_DEGREE, "polynomial degree")
     vals = _eval_all(kind, n, _finite(x))[n]
-    return float(vals) if np.ndim(x) == 0 else vals
+    return _finite(vals, f"hermite_eval({kind.value!r}, {n}, {x!r})")
 
 
 def tail_integral_In(n: int, v):
@@ -220,7 +220,7 @@ def tail_integral_In(n: int, v):
     ut = _norm_hermites(max(n - 1, 0), varr) * damp
     # Phi(-v) = 1 - Phi(v), accurate in both tails.
     out = (damp * _tail_sum(n, ut) + B * _Phi(-varr)) * inv_cn
-    return float(out) if np.ndim(v) == 0 else out
+    return _finite(out, f"tail_integral_In({n}, {v!r})")
 
 
 def weighted_integral_Jn(n: int, x, a: float, b: float):
@@ -233,4 +233,6 @@ def weighted_integral_Jn(n: int, x, a: float, b: float):
     if abs(a * a + b * b - 0.5) > 1e-12:
         raise ValueError("weighted_integral_Jn requires a^2 + b^2 = 1/2 "
                          f"(got {a * a + b * b!r})")
-    return (2.0 * b) ** n * SQRT_2PI * hermite_eval(HermiteKind.MODIFIED, n, x)
+    return _finite((2.0 * b) ** n * SQRT_2PI
+                   * hermite_eval(HermiteKind.MODIFIED, n, x),
+                   f"weighted_integral_Jn({n}, {x!r}, {a!r}, {b!r})")

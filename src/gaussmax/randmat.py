@@ -71,7 +71,7 @@ def goe_eigen_density(n: int, nu):
     n = _check_int(n, 1, MAX_SIZE, "matrix size")
     nu_arr = np.asarray(_finite(nu, "nu"))
     out = np.exp(-nu_arr ** 2 / 2.0) * _rescaled_density(n, nu_arr)
-    return float(out) if np.ndim(nu) == 0 else out
+    return _finite(out, f"goe_eigen_density({n}, {nu!r})")
 
 
 def expected_absdet_shifted_goe(n: int, nu):
@@ -85,7 +85,7 @@ def expected_absdet_shifted_goe(n: int, nu):
     nu_arr = np.asarray(_finite(nu, "nu"))
     coef = 2.0 ** 1.5 * math.gamma((n + 3) / 2.0) / (n + 1)
     out = coef * _rescaled_density(n + 1, nu_arr)
-    return float(out) if np.ndim(nu) == 0 else out
+    return _finite(out, f"expected_absdet_shifted_goe({n}, {nu!r})")
 
 
 @dataclass(frozen=True)

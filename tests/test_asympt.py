@@ -264,6 +264,12 @@ class TestKappaAnnulus:
         with pytest.raises(ValueError, match="must be finite"):
             asympt.kappa_annulus(make_rational(1.0, 1.0), a, b)
 
+    def test_limit_past_the_floats_raises(self):
+        # The theta -> 0 limit 1/a of a subnormal inner radius is inf.
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="kappa_annulus"):
+            asympt.kappa_annulus(SQ, 1e-320, 0.5)
+
 
 def _gauss_profile():
     G = lambda h: np.exp(-np.asarray(h) ** 2)

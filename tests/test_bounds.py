@@ -172,6 +172,23 @@ def test_entry_points_reject_nonfinite_abscissa(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bounds.pE_density(SQ, SQUARE, 1e155),
+    lambda: bounds.pbar_density(SQ, SQUARE, 1e155),
+    lambda: bounds.pbar_density(SQ, geometry.rectangle_faces([1.0] * 6), 1e52),
+    lambda: bounds.R_correction(SQ, 2, 1e308),      # gamma = 1
+    lambda: bounds.T_series(3, 1e154),
+    lambda: bounds.T_series(60, 1e6),
+], ids=["pE_density", "pbar_density", "pbar_density-6-box", "R_correction",
+        "T_series-3", "T_series-60"])
+def test_overflow_past_the_floats_raises(call):
+    # Finite abscissae whose terms leave the floats: with the overflow
+    # warnings silenced, as outside the test suite, each used to return NaN.
+    with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                  match="not finite"):
+        call()
+
+
 @pytest.mark.parametrize("c,sides", [(1e154, [1.0, 1.0]),
                                      (1e154, [1.0] * 6), (1e100, [1.0] * 10)])
 def test_model_constants_too_large_for_the_bound_raise(c, sides):

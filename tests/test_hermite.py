@@ -242,3 +242,16 @@ def test_integral_floats_and_numpy_integers_are_integers():
     want = hermite.hermite_eval(HermiteKind.MODIFIED, 3, 1.0)
     assert hermite.hermite_eval(HermiteKind.MODIFIED, 3.0, 1.0) == want
     assert hermite.hermite_eval(HermiteKind.MODIFIED, np.int64(3), 1.0) == want
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: hermite.hermite_eval("physicists", 5, 1e62), "hermite_eval"),
+    (lambda: hermite.tail_integral_In(5, 1e78), "tail_integral_In"),
+    (lambda: hermite.weighted_integral_Jn(2, 1e154, 0.5, 0.5),
+     "weighted_integral_Jn"),
+], ids=["hermite_eval", "tail_integral_In", "weighted_integral_Jn"])
+def test_results_past_the_floats_raise_naming_the_call(call, name):
+    # With the overflow warnings silenced, as outside the test suite, these
+    # finite inputs used to return inf or NaN.
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=name):
+        call()

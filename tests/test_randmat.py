@@ -120,6 +120,18 @@ def test_mc_absdet_overflow_raises_naming_nu(nu):
         randmat.mc_absdet(2, nu, 10, 1)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: randmat.goe_eigen_density(10, 1e35), "goe_eigen_density"),
+    (lambda: randmat.expected_absdet_shifted_goe(10, 1e31),
+     "expected_absdet_shifted_goe"),
+], ids=["goe_eigen_density", "expected_absdet_shifted_goe"])
+def test_results_past_the_floats_raise_naming_the_call(call, name):
+    # With the overflow warnings silenced, as outside the test suite, the
+    # density used to return NaN and the determinant inf.
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=name):
+        call()
+
+
 def test_mc_absdet_pinned_value():
     # Taken before the overflow check was added: in-range nu is unchanged.
     est = randmat.mc_absdet(3, 0.5, 5_000, seed=7)
