@@ -182,7 +182,8 @@ class TestKroneckerFactor:
         g = FieldGrid((1.0, 1.5), (7, 5))
         f = covariance_cholesky(SQ, g)
         dense = np.kron(*f)
-        z = streams.normals(4, streams.DOMAIN_FIELD, 0, 300, math.prod(ranks(f)))
+        z = streams.normals(4, streams.DOMAIN_FIELD, 0, 300,
+                            math.prod(ranks(f)))
         want = (z @ dense.T).max(axis=1)
         got = sample_maxima(SQ, g, 300, 4)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
