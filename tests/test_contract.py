@@ -6,8 +6,10 @@ plus the names the modules keep to themselves (``streams.uniforms``,
 ``randmat.conditional_hessian_sample``, ...).  Each must have a row in
 ``ROWS``: a set of valid keyword arguments and the names of its numeric
 parameters.  A callable without a row fails ``test_every_target_has_a_row``,
-so a new entry point cannot skip the contract.  The CLI has its own
-configuration tests in ``test_cli.py``.
+so a new entry point cannot skip the contract.  ``RETIRED`` maps a deleted
+entry point to the call that replaced it; its row keeps running on that call
+under the old name, and the old name must stay gone from the package.  The
+CLI has its own configuration tests in ``test_cli.py``.
 
 The contract: with the other arguments valid, each numeric parameter set to
 each value of ``BAD`` raises ValueError or TypeError, with every warning an
@@ -133,6 +135,9 @@ ROWS = {
         lambda: dict(u_values=(), empirical=(), pbar_tails=(), pE_tails=(),
                      verdicts=(), refinement_factors=(1,),
                      empirical_by_refinement=(), notes=()), ()),
+    "simulate.make_grid": (
+        lambda: dict(sides=[1.0, 2.0], resolution=(3, 2)),
+        ("sides", "resolution")),
     "simulate.covariance_cholesky": (lambda: dict(m=SQ, grid=GRID), ()),
     "simulate.sample_maxima": (
         lambda: dict(m=SQ, grid=GRID, reps=4, seed=0), ("reps", "seed")),
@@ -172,7 +177,13 @@ def _targets() -> dict:
     return found
 
 
-TARGETS = _targets()
+# Deleted entry point -> the call its callers make now.
+RETIRED = {
+    "simulate.make_grid":
+        lambda sides, resolution: simulate.FieldGrid(sides, resolution),
+}
+
+TARGETS = {**_targets(), **RETIRED}
 
 
 def _leaf_paths(value, path=()):
@@ -222,6 +233,13 @@ def test_every_target_has_a_row():
 def test_targets_include_all_of_dunder_all():
     exported = {n for n in gaussmax.__all__ if n != "__version__"}
     assert exported <= {key.split(".")[1] for key in TARGETS}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_names_stay_gone(name):
+    module, attr = name.split(".")
+    assert not hasattr(importlib.import_module(f"gaussmax.{module}"), attr)
+    assert attr not in gaussmax.__all__
 
 
 @pytest.mark.parametrize("name", sorted(ROWS))
