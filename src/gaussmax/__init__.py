@@ -38,7 +38,7 @@ from .model import (IsotropicModel, ModelValidation, make_rational,
                     make_squared_exponential, normalized, require_valid,
                     validate_model)
 from .randmat import (McEstimate, expected_absdet_shifted_goe,
-                      goe_eigen_density, mc_absdet, sample_goe)
+                      goe_eigen_density, mc_absdet)
 from .simulate import (FieldGrid, ValidationReport, covariance_cholesky,
                        sample_maxima, validate_bound)
 
@@ -52,7 +52,7 @@ __all__ = [
     "weighted_integral_Jn",
     # randmat
     "McEstimate", "goe_eigen_density", "expected_absdet_shifted_goe",
-    "mc_absdet", "sample_goe",
+    "mc_absdet",
     # geometry
     "FaceDecomposition", "GeometryKind", "rectangle_faces", "sphere_surface",
     "polytope_g_coeffs", "kappa_of_angle_boundary", "angle_boundary_ratio",

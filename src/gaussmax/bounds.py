@@ -19,8 +19,9 @@ R_j is a Gaussian average of the special function T_j,
 
 with gamma = |rho'| / sqrt(rho'') in (0, 1].  At gamma = 1 the integrand is
 constant in y and the integral collapses analytically.  Otherwise the
-y-average is a fixed 64-node Gauss rule evaluated for a whole array of x at
-once on the (x, node) grid, checked by the 128-node rule on that grid.
+y-average is a fixed 64-node Gauss rule, checked by the 128-node rule.
+``sphere_pbar`` averages R_j over a Gaussian shift of x, which only widens
+this y-average, so it too is one such 1-D rule.
 
 The tail correction int_u^inf phi R_j needs no nested quadrature.  With
 s = sqrt(1 - gamma^2), the rotation a = gamma x - s y, b = s x + gamma y is
@@ -207,27 +208,6 @@ def _gamma_s(m: IsotropicModel) -> tuple[float, float]:
     return gamma, math.sqrt(1.0 - gamma * gamma)
 
 
-def _R_values(m: IsotropicModel, j: int, x, cross_check: bool = True):
-    """R_j at every entry of the finite float array x (0-d included).
-
-    For gamma < 1 the y-average is one T_j evaluation on the (x, node) grid
-    per Gauss rule; see :func:`R_correction`.
-    """
-    x = np.asarray(x, dtype=float)
-    gamma, s = _gamma_s(m)
-    what = f"R_{j}({float(x)})" if x.ndim == 0 else f"R_{j}"
-    if s == 0.0:
-        integral = SQRT_2PI * _T_rows((j,), gamma * x / math.sqrt(2.0))[0]
-        _checked(integral, integral, what)
-    else:
-        def f(y):
-            return _T_rows((j,), (gamma * x[..., None] - s * y)
-                           / math.sqrt(2.0))[0]
-
-        integral = _gauss_average(f, what, cross_check)
-    return _pref(m, j) * integral
-
-
 def R_correction(m: IsotropicModel, j: int, x: float,
                  cross_check: bool = True) -> float:
     """The nonnegative correction term R_j(x) of the density bound.
@@ -241,7 +221,8 @@ def R_correction(m: IsotropicModel, j: int, x: float,
         For gamma < 1, check the 64-node Gauss value of the y-average against
         the 128-node rule: a gap above 1e-7 of the larger magnitude raises
         RuntimeError, however small R_j is (a non-finite value raises
-        ValueError either way).  Hot loops may switch the check off.
+        ValueError either way).  Without it the 64-node value is checked
+        for finiteness only.
 
     Notes
     -----
@@ -251,7 +232,18 @@ def R_correction(m: IsotropicModel, j: int, x: float,
     clipped here.
     """
     j = _check_int(j, 1, MAX_ORDER, "order j")
-    return float(_R_values(m, j, _finite(x), cross_check))
+    x = _finite(x)
+    gamma, s = _gamma_s(m)
+    what = f"R_{j}({x})"
+    if s == 0.0:
+        v = np.float64(gamma * x / math.sqrt(2.0))
+        integral = SQRT_2PI * _T_rows((j,), v)[0]
+        _checked(integral, integral, what)
+    else:
+        integral = _gauss_average(
+            lambda y: _T_rows((j,), (gamma * x - s * y) / math.sqrt(2.0))[0],
+            what, cross_check)
+    return float(_pref(m, j) * integral)
 
 
 @dataclass(frozen=True)
@@ -421,11 +413,13 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     pbar(x) = phi(x) |S^{d-1}|
               * int [ (|rho'|/pi)^{(d-1)/2} Hbar_{d-1}(xt)
                       + R_{d-1}(xt) ] phi(y) dy,
-    with the shifted abscissa xt = x + (2|rho'|)^{-1/2} y and the surface
-    measure |S^{d-1}| = 2 pi^{d/2}/Gamma(d/2) from
-    :func:`.geometry.sphere_surface`.  The y-average uses the 64-node Gauss
-    rule, checked against the 128-node rule; R_{d-1} is evaluated at all
-    shifted abscissae of a rule at once.
+    with the shifted abscissa xt = x + a y, a = (2|rho'|)^{-1/2}, and the
+    surface measure |S^{d-1}| = 2 pi^{d/2}/Gamma(d/2) from
+    :func:`.geometry.sphere_surface`.  R_{d-1} is itself a Gaussian
+    average of T_{d-1}((gamma x - s y)/sqrt 2), and two independent
+    Gaussians add: its shift average is that average with s replaced by
+    sigma = hypot(gamma a, s).  So the bound is one 1-D y-average on the
+    64-node Gauss rule, checked against the 128-node rule.
 
     Parameters
     ----------
@@ -437,13 +431,15 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     x = _finite(x)
     j = d - 1
     area = sphere_surface(d).g[j]
-    coef = _coef(m, j)
+    coef, pref = _coef(m, j), SQRT_2PI * _pref(m, j)
+    gamma, s = _gamma_s(m)
     shift = (2.0 * abs(m.rho1_0)) ** -0.5
+    sigma = math.hypot(gamma * shift, s)
 
     def f(y):
-        xt = x + shift * y
-        return (coef * _eval_all(HermiteKind.MODIFIED, j, xt)[j]
-                + _R_values(m, j, xt, cross_check=False))
+        return (coef * _eval_all(HermiteKind.MODIFIED, j, x + shift * y)[j]
+                + pref * _T_rows((j,), (gamma * x - sigma * y)
+                                 / math.sqrt(2.0))[0])
 
     val = _gauss_average(f, f"sphere_pbar(d={d}, x={x})",
                          cross_check=True) / SQRT_2PI

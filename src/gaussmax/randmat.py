@@ -1,4 +1,4 @@
-"""GOE eigenvalue density, expected |det| of shifted GOE, and MC oracles.
+"""GOE eigenvalue density, expected |det| of shifted GOE, and its MC estimate.
 
 The n x n Gaussian Orthogonal Ensemble (diagonal variance 1, off-diagonal
 variance 1/2) has one-point eigenvalue density q_n with the expected-count
@@ -31,7 +31,6 @@ import numpy as np
 from . import streams
 from .hermite import (_check_int, _finite, _norm_hermites, _Phi,
                       _tail_coefficients, _tail_sum)
-from .model import IsotropicModel
 
 MAX_SIZE = 60
 
@@ -98,13 +97,6 @@ class McEstimate:
     seed: int
 
 
-def sample_goe(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One GOE draw: symmetric, diagonal N(0,1), off-diagonal N(0,1/2)."""
-    n = _check_int(n, 1, MAX_SIZE, "matrix size")
-    a = rng.standard_normal((n, n))
-    return (a + a.T) / 2.0
-
-
 # Matrix entries per mc_absdet batch: 32 MB of matrices at any n.
 _MC_BATCH_VALUES = 1 << 22
 
@@ -142,24 +134,3 @@ def mc_absdet(n: int, nu: float, reps: int, seed: int) -> McEstimate:
                          "variance overflow the floats")
     return McEstimate(mean=mean, stderr=stderr, reps=reps, seed=int(seed))
 
-
-def conditional_hessian_sample(model: IsotropicModel, j: int, x: float,
-                               rng: np.random.Generator) -> np.ndarray:
-    """Draw from the law of the field's Hessian at a critical point of level x.
-
-    For a unit-variance isotropic model the conditional Hessian given
-    {X(t) = x, X'(t) = 0} is distributed as
-
-        sqrt(8 rho'') G_j + 2 sqrt(rho'' - rho'^2) xi I_j + 2 rho' x I_j
-
-    with G_j a j x j GOE matrix and xi an independent standard normal
-    (rho', rho'' at 0).
-    """
-    j = _check_int(j, 1, MAX_SIZE, "matrix size")
-    x = _finite(x)
-    rp = model.rho1_0
-    rpp = model.rho2_0
-    g = sample_goe(j, rng)
-    xi = rng.standard_normal()
-    shift = 2.0 * math.sqrt(max(rpp - rp * rp, 0.0)) * xi + 2.0 * rp * x
-    return math.sqrt(8.0 * rpp) * g + shift * np.eye(j)

@@ -9,7 +9,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 import oracles
-from gaussmax import bounds, geometry, model
+from gaussmax import bounds, geometry, hermite, model
 from gaussmax.geometry import FaceDecomposition, GeometryKind
 
 SQ = model.make_squared_exponential(0.5)
@@ -109,7 +109,7 @@ def test_R_correction_nonnegative_on_grid():
 
 
 def test_R_correction_cross_check_catches_bad_rule(monkeypatch):
-    # far too coarse for j = 4 integrands; sphere_pbar's outer y-average
+    # far too coarse for j = 4 integrands; sphere_pbar's y-average
     # goes through the same check (one test id covers both callers)
     monkeypatch.setattr(bounds, "_RULE", bounds._gauss_rule(2))
     for call in (lambda: bounds.R_correction(RAT, 4, 0.5, cross_check=True),
@@ -126,15 +126,6 @@ def test_R_correction_gate_is_relative_in_the_tail(monkeypatch):
     monkeypatch.setattr(bounds, "_RULE", bounds._gauss_rule(6))
     with pytest.raises(RuntimeError, match="non-convergent for R_1"):
         bounds.R_correction(m, 1, 20.0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(xs=hst.lists(hst.floats(-10.0, 15.0), min_size=1, max_size=12),
-       j=hst.integers(1, 6), m=hst.sampled_from([SQ, RAT, LOW_GAMMA]))
-def test_R_on_an_array_equals_scalar_R_correction(xs, j, m):
-    got = bounds._R_values(m, j, np.array(xs))
-    want = [bounds.R_correction(m, j, x) for x in xs]
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_checked_quadrature_rejects_nonfinite_values():
@@ -380,6 +371,27 @@ def test_sphere_pbar_first_principles():
         got = bounds.sphere_pbar(m, d, x)
         want = oracles.sphere_pbar_goe_path(m, d, x)
         assert got == pytest.approx(want, rel=1e-7)
+
+
+@pytest.mark.parametrize("m", [SQ, RAT, LOW_GAMMA], ids=["SQ", "RAT", "LOW"])
+def test_sphere_pbar_equals_the_nested_average_node_by_node(m):
+    # sphere_pbar folds the shift average into the correction's own
+    # y-average; the nested form, a 128-node Gauss-Hermite rule over public
+    # hermite_eval and R_correction calls, must agree.
+    t, w = np.polynomial.hermite.hermgauss(128)
+    shift = (2.0 * abs(m.rho1_0)) ** -0.5
+    for d in (2, 3, 5, 12):
+        j = d - 1
+        coef = (abs(m.rho1_0) / math.pi) ** (j / 2.0)
+        area = geometry.sphere_surface(d).g[j]
+        for x in (-2.0, 0.5, 3.0, 6.0):
+            xt = x + shift * math.sqrt(2.0) * t
+            terms = (coef * hermite.hermite_eval("modified", j, xt)
+                     + [bounds.R_correction(m, j, float(v)) for v in xt])
+            want = (norm.pdf(x) * area * math.fsum(w * terms)
+                    / math.sqrt(math.pi))
+            assert bounds.sphere_pbar(m, d, x) == pytest.approx(want,
+                                                                rel=1e-12)
 
 
 def test_sphere_pbar_dim_checks():

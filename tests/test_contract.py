@@ -3,7 +3,7 @@
 The targets are found by introspection: every public (no leading
 underscore) callable defined in a ``gaussmax`` module, which is ``__all__``
 plus the names the modules keep to themselves (``streams.uniforms``,
-``randmat.conditional_hessian_sample``, ...).  Each must have a row in
+``model.CheckResult``, ...).  Each must have a row in
 ``ROWS``: a set of valid keyword arguments and the names of its numeric
 parameters.  A callable without a row fails ``test_every_target_has_a_row``,
 so a new entry point cannot skip the contract.  ``RETIRED`` maps a deleted
@@ -120,14 +120,9 @@ ROWS = {
     "randmat.goe_eigen_density": (lambda: dict(n=3, nu=0.5), ("n", "nu")),
     "randmat.expected_absdet_shifted_goe": (
         lambda: dict(n=3, nu=0.5), ("n", "nu")),
-    "randmat.sample_goe": (
-        lambda: dict(n=3, rng=np.random.default_rng(0)), ("n",)),
     "randmat.mc_absdet": (
         lambda: dict(n=2, nu=0.5, reps=10, seed=0),
         ("n", "nu", "reps", "seed")),
-    "randmat.conditional_hessian_sample": (
-        lambda: dict(model=SQ, j=2, x=1.0, rng=np.random.default_rng(0)),
-        ("j", "x")),
     "simulate.FieldGrid": (
         lambda: dict(sides=[1.0, 2.0], resolution=(3, 2)),
         ("sides", "resolution")),

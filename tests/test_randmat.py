@@ -7,7 +7,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 import oracles
-from gaussmax import model, randmat
+from gaussmax import randmat
 
 
 # ------------------------------------------------------------- densities
@@ -142,37 +142,6 @@ def test_mc_absdet_matches_analytic():
     est = randmat.mc_absdet(2, 1.0, 60_000, seed=3)
     want = randmat.expected_absdet_shifted_goe(2, 1.0)
     assert abs(est.mean - want) < 3.0 * est.stderr
-
-
-def test_sample_goe_moments():
-    rng = np.random.default_rng(0)
-    mats = np.stack([randmat.sample_goe(3, rng) for _ in range(30_000)])
-    assert np.allclose(mats, np.transpose(mats, (0, 2, 1)))
-    var_diag = mats[:, 0, 0].var()
-    var_off = mats[:, 0, 1].var()
-    assert var_diag == pytest.approx(1.0, abs=0.03)
-    assert var_off == pytest.approx(0.5, abs=0.02)
-
-
-def test_conditional_hessian_moments():
-    # Hessian | {level x, flat gradient}: mean 2 rho' x I, Var(diag)
-    # = 12 rho'' - 4 rho'^2, Var(offdiag) = 4 rho'', Cov(diag_i, diag_j)
-    # = 4 (rho'' - rho'^2).
-    m = model.make_rational(0.8, 1.0)  # gamma < 1, so the diag covariance != 0
-    x = 1.3
-    rng = np.random.default_rng(5)
-    mats = np.stack([randmat.conditional_hessian_sample(m, 3, x, rng)
-                     for _ in range(40_000)])
-    rp, rpp = m.rho1_0, m.rho2_0
-    mean = mats.mean(axis=0)
-    np.testing.assert_allclose(mean, 2.0 * rp * x * np.eye(3), atol=0.08)
-    d0 = mats[:, 0, 0]
-    d1 = mats[:, 1, 1]
-    off = mats[:, 0, 1]
-    assert d0.var() == pytest.approx(12.0 * rpp - 4.0 * rp * rp, rel=0.05)
-    assert off.var() == pytest.approx(4.0 * rpp, rel=0.05)
-    assert np.cov(d0, d1)[0, 1] == pytest.approx(4.0 * (rpp - rp * rp),
-                                                 rel=0.12)
 
 
 def test_mc_absdet_argument_checks():
