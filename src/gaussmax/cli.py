@@ -35,7 +35,8 @@ from .geometry import (FaceDecomposition, polytope_g_coeffs, rectangle_faces,
 from .hermite import _check_int, _finite
 from .model import IsotropicModel, make_rational, make_squared_exponential
 from .randmat import MAX_SIZE, expected_absdet_shifted_goe, goe_eigen_density
-from .simulate import FieldGrid, _refinement_factors, validate_bound
+from .simulate import (FieldGrid, _refined_grids, _refinement_factors,
+                       validate_bound)
 
 _COMMANDS = ("bound", "tail", "validate", "goe", "geom", "exponent")
 _FORMATS = ("csv", "json")
@@ -119,8 +120,8 @@ class RunConfig:
                 # A NaN level is a number: it fails its own row (exit 3).
                 _finite([v for v in self.u if v == v], "every u entry",
                         -math.inf, math.inf)
-            if self.n is not None:
-                _check_int(self.n, 1, MAX_SIZE, "n")
+            if self.n is not None:   # absdet_mean needs the size n + 1
+                _check_int(self.n, 1, MAX_SIZE - 1, "n")
             for v in self.resolution or ():
                 _check_int(v, 1, math.inf, "every resolution entry")
             _refinement_factors(self.refinements)
@@ -173,12 +174,17 @@ def _build_model(cfg: RunConfig) -> IsotropicModel:
     raise ConfigError(f"unknown model family {family!r}")
 
 
-def _build_geometry(cfg: RunConfig) -> FaceDecomposition:
+def _geometry_spec(cfg: RunConfig) -> dict:
     spec = cfg.geometry
     if spec is None:
         raise ConfigError(f"{cfg.command} needs a geometry in the config")
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("geometry must be an object with a kind key")
+    return spec
+
+
+def _build_geometry(cfg: RunConfig) -> FaceDecomposition:
+    spec = _geometry_spec(cfg)
     kind = spec["kind"]
     extra = set(spec) - {"kind", "sides", "d", "halfspaces"}
     if extra:
@@ -256,13 +262,18 @@ def _run_tail(cfg: RunConfig) -> _RunResult:
 
 def _run_validate(cfg: RunConfig) -> _RunResult:
     m = _build_model(cfg)
-    geom = _build_geometry(cfg)
-    if cfg.geometry.get("kind") != "rectangle":
+    # the kind before the geometry: a polytope is costly to build
+    if _geometry_spec(cfg)["kind"] != "rectangle":
         raise ConfigError("validate needs a rectangle geometry")
+    geom = _build_geometry(cfg)
     if cfg.resolution is None:
         raise ConfigError("validate needs a grid resolution in the config")
     us = _abscissa_values(cfg, "validate")
-    grid = FieldGrid(geom.sides, cfg.resolution)
+    try:    # every grid up front: one past the cap is a config error
+        grid = FieldGrid(geom.sides, cfg.resolution)
+        _refined_grids(grid, cfg.refinements)
+    except ValueError as e:
+        raise ConfigError(f"bad grid: {e}") from None
     report = validate_bound(m, grid, us, reps=cfg.reps, seed=cfg.seed,
                             refinements=cfg.refinements)
     cols = ["u", "emp_mean", "emp_stderr", "pbar_tail", "pE_tail", "verdict"]

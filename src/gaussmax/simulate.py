@@ -313,6 +313,13 @@ def _refinement_factors(refinements) -> tuple:
     return out
 
 
+def _refined_grids(grid: FieldGrid, refinements) -> list:
+    """The grid with its resolution times each factor; ValueError if one is
+    beyond MAX_GRID_POINTS."""
+    return [FieldGrid(grid.sides, tuple(r * k for r in grid.resolution))
+            for k in refinements]
+
+
 def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
                    seed: int, refinements=(1, 2, 4)) -> ValidationReport:
     """Check empirical P{max > u} against the analytic tail bounds.
@@ -321,7 +328,9 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     multiplied by each factor; the factors are integers and strictly
     increasing, so the last grid is the finest), estimates the exceedance
     probability at each u, and compares the finest grid's estimates against
-    pbar_tail / pE_tail of the grid's rectangle.
+    pbar_tail / pE_tail of the grid's rectangle.  Every refined grid is
+    built first, so one beyond the 10^4-point cap raises ValueError before
+    any covariance is factored.
 
     Grid maxima underestimate the continuous maximum, so "bound_respected"
     is conservative evidence for the bound; the refinement sequence is
@@ -334,6 +343,7 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     if not u_values:
         raise ValueError("need at least one u level")
     refinements = _refinement_factors(refinements)
+    grids = _refined_grids(grid, refinements)   # raises before any factor
     geom = rectangle_faces(grid.sides)
     tails = [tail_bound(m, geom, u) for u in u_values]
     pbar_tails = tuple(t.pbar_tail for t in tails)
@@ -343,9 +353,8 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     notes = ["grid maxima underestimate the continuous maximum; verdicts "
              "compare the finest grid and the refinement sequence shows "
              "stabilization"]
-    for k in refinements:
-        factors = covariance_cholesky(
-            m, FieldGrid(grid.sides, tuple(r * k for r in grid.resolution)))
+    for k, refined in zip(refinements, grids):
+        factors = covariance_cholesky(m, refined)
         maxima = _block_maxima(factors, reps, seed)
         emp_by_ref.append(_empirical_tail(maxima, u_values, reps, seed))
         ranks = tuple(f.shape[1] for f in factors)

@@ -190,16 +190,12 @@ class TestGoeCommand:
         cfg = RunConfig.from_dict(echoed)
         assert cfg.to_dict() == echoed
 
-    def test_per_row_failure_keeps_sweep_going(self, capsys):
+    def test_n_past_the_absdet_size_is_config_error(self, capsys):
+        # absdet_mean needs the density at size n + 1, so n stops at 59.
         code, out, err = run_cli(
             capsys, ["goe", "--set", "n=60", "--set", "u=[0.0,1.0]"])
-        assert code == 3
-        assert "numeric failure" in err
-        assert "# error:" in out
-        # header still emitted, no data rows survive
-        header, rows = data_rows(out)
-        assert header == ["n", "nu", "density", "absdet_mean"]
-        assert rows == []
+        assert code == 2 and out == ""
+        assert "config error: n must be an integer in [1, 59]" in err
 
     def test_nonfinite_level_is_a_row_failure(self, capsys):
         code, out, err = run_cli(
@@ -391,6 +387,19 @@ class TestValidateCommand:
             RunConfig.from_dict({"command": "validate",
                                  "refinements": [1, 2, 2]})
 
+    @pytest.mark.parametrize("resolution, refinements, why", [
+        ("[40,40]", "[1,2,3]", "grid has 14400 points"),
+        ("[101,100]", "[1]", "grid has 10100 points"),
+        ("[5,5,5]", "[1]", "one integer or one per axis")])
+    def test_bad_grid_is_config_error(self, capsys, resolution, refinements,
+                                      why):
+        argv = [a.replace("resolution=[6,6]", f"resolution={resolution}")
+                 .replace("refinements=[1]", f"refinements={refinements}")
+                for a in self.ARGS]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "config error: bad grid: " in err and why in err
+
     def test_requires_resolution(self, capsys):
         code, _, err = run_cli(capsys, [
             "validate", "--set", f"model={json.dumps(SQ_SPEC)}",
@@ -542,6 +551,7 @@ class TestEntryPoint:
         # inverse normal CDF of the stream normals and every grid factor are
         # in the package.  Only H-polytopes load SciPy, for scipy.optimize
         # and scipy.spatial; that run comes last, as modules stay loaded.
+        # validate refuses a polytope as a config error without loading it.
         model = f"model={json.dumps(SQ_SPEC)}"
         rect = f"geometry={json.dumps(RECT_SPEC)}"
         rational = {"family": "rational", "c": 0.8, "beta": 1.0}
@@ -554,6 +564,8 @@ class TestEntryPoint:
                 [*TestValidateCommand.ARGS,
                  "--set", f"model={json.dumps(rational)}"],
                 "mc_absdet",
+                [*TestValidateCommand.ARGS,
+                 "--set", f"geometry={json.dumps(triangle)}"],
                 ["tail", "--set", model,
                  "--set", f"geometry={json.dumps(triangle)}",
                  "--set", "u=[0.5]"]]
@@ -579,7 +591,9 @@ class TestEntryPoint:
         report = json.loads(proc.stdout)
         # import, bound, tail, goe, validate (both families), mc_absdet
         assert report[:7] == [[0, []]] * 7
-        code, after_polytope = report[7]
+        # validate refuses a polytope before it builds one
+        assert report[7] == [2, []]
+        code, after_polytope = report[8]
         assert code == 0
         assert "scipy.optimize" in after_polytope
         assert "scipy.spatial" in after_polytope

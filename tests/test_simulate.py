@@ -428,6 +428,20 @@ class TestValidateBound:
         with pytest.raises(ValueError, match="strictly increasing"):
             self._report(refinements=refinements)
 
+    def test_grid_past_the_cap_raises_before_any_factor(self, monkeypatch):
+        # 40 x 40 refined by 3 is 14,400 points: no coarser grid is factored
+        # and sampled before that is found.
+        calls, factor = [], simulate.covariance_cholesky
+
+        def spy(m, grid):
+            calls.append(grid.resolution)
+            return factor(m, grid)
+
+        monkeypatch.setattr(simulate, "covariance_cholesky", spy)
+        with pytest.raises(ValueError, match="sampling cap"):
+            self._report(grid=FieldGrid((1.0, 1.0), 40), refinements=(1, 2, 3))
+        assert calls == []
+
     def test_notes_document_grid_bias(self):
         rep = self._report()
         assert rep.notes
