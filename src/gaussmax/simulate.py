@@ -343,7 +343,7 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     if not u_values:
         raise ValueError("need at least one u level")
     refinements = _refinement_factors(refinements)
-    grids = _refined_grids(grid, refinements)   # raises before any factor
+    grids = _refined_grids(grid, refinements)
     geom = rectangle_faces(grid.sides)
     tails = [tail_bound(m, geom, u) for u in u_values]
     pbar_tails = tuple(t.pbar_tail for t in tails)
