@@ -21,7 +21,7 @@ with gamma = |rho'| / sqrt(rho'') in (0, 1].  At gamma = 1 the integrand is
 constant in y and the integral collapses analytically.  Otherwise the
 y-average is a fixed 64-node Gauss rule, checked by the 128-node rule.
 ``sphere_pbar`` averages R_j over a Gaussian shift of x, which only widens
-this y-average, so it too is one such 1-D rule.
+this y-average, so it too is one 1-D average, on composite panels.
 
 The tail correction int_u^inf phi R_j needs no nested quadrature.  With
 s = sqrt(1 - gamma^2), the rotation a = gamma x - s y, b = s x + gamma y is
@@ -37,7 +37,7 @@ Phi((gamma a - u)/s) the step 1{a >= u} at gamma = 1.
 R_j, the tail correction and ``sphere_pbar`` pass one gate, relative at
 every scale since these integrals fall to 1e-40 and below in the tails: a
 gap above 1e-7 of the larger magnitude between the value and a finer rule
-(128 Gauss nodes, or the halved tail panels) raises RuntimeError.
+(128 Gauss nodes, or halved panels) raises RuntimeError.
 
 T_j itself is evaluated with the Hermite kernel of :mod:`.hermite`
 (orthonormal values with exponentially damped intermediates and the
@@ -150,14 +150,15 @@ def _T_rows(orders, v: np.ndarray) -> np.ndarray:
     return rows
 
 
+@functools.cache
 def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point rule for the weight e^{-y^2/2}: Gauss-Hermite at y = sqrt(2) t."""
+    """n-point rule for the weight e^{-y^2/2}: Gauss-Hermite at y = sqrt(2) t.
+    Cached: the 128-node check rule is built once, on first use (0.09 s CPU)."""
     t, w = hermgauss(n)
     return math.sqrt(2.0) * t, math.sqrt(2.0) * w
 
 
 _RULE = _gauss_rule(64)
-_CHECK_RULE = None  # built on first use: at import its eig spins BLAS, 0.09 s CPU
 
 
 def _checked(value, check, what: str):
@@ -180,17 +181,6 @@ def _checked(value, check, what: str):
         raise exc(f"{why} for {what}{at}: value {float(v.flat[i])!r}, "
                   f"check {float(c.flat[i])!r}")
     return value
-
-
-def _gauss_average(f, what: str, cross_check: bool):
-    """int f(y) e^{-y^2/2} dy on _RULE, f mapping the nodes to (..., nodes);
-    gated against _CHECK_RULE, or without ``cross_check`` for finiteness."""
-    global _CHECK_RULE
-    if cross_check and _CHECK_RULE is None:
-        _CHECK_RULE = _gauss_rule(128)
-    val = f(_RULE[0]) @ _RULE[1]
-    check = f(_CHECK_RULE[0]) @ _CHECK_RULE[1] if cross_check else val
-    return _checked(val, check, what)
 
 
 @_in_floats
@@ -234,16 +224,16 @@ def R_correction(m: IsotropicModel, j: int, x: float,
     j = _check_int(j, 1, MAX_ORDER, "order j")
     x = _finite(x)
     gamma, s = _gamma_s(m)
-    what = f"R_{j}({x})"
     if s == 0.0:
         v = np.float64(gamma * x / math.sqrt(2.0))
-        integral = SQRT_2PI * _T_rows((j,), v)[0]
-        _checked(integral, integral, what)
+        integral = check = SQRT_2PI * _T_rows((j,), v)[0]
     else:
-        integral = _gauss_average(
-            lambda y: _T_rows((j,), (gamma * x - s * y) / math.sqrt(2.0))[0],
-            what, cross_check)
-    return float(_pref(m, j) * integral)
+        def average(y, weights):
+            return _T_rows((j,), (gamma * x - s * y) / math.sqrt(2.0))[0] @ weights
+
+        integral = average(*_RULE)
+        check = average(*_gauss_rule(128)) if cross_check else integral
+    return float(_pref(m, j) * _checked(integral, check, f"R_{j}({x})"))
 
 
 @dataclass(frozen=True)
@@ -418,8 +408,11 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     :func:`.geometry.sphere_surface`.  R_{d-1} is itself a Gaussian
     average of T_{d-1}((gamma x - s y)/sqrt 2), and two independent
     Gaussians add: its shift average is that average with s replaced by
-    sigma = hypot(gamma a, s).  So the bound is one 1-D y-average on the
-    64-node Gauss rule, checked against the 128-node rule.
+    sigma = hypot(gamma a, s).  So the bound is one 1-D y-average: the
+    Hermite part, a polynomial in y, on the 64-node Gauss rule, and the
+    correction part on 24 Gauss-Legendre panels like :func:`tail_bound`'s,
+    each halved, plus panels one unit of T_j's argument wide where T_j
+    steps.  The sum is gated against the 128-node rule and unhalved panels.
 
     Parameters
     ----------
@@ -435,14 +428,25 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     gamma, s = _gamma_s(m)
     shift = (2.0 * abs(m.rho1_0)) ** -0.5
     sigma = math.hypot(gamma * shift, s)
-
-    def f(y):
-        return (coef * _eval_all(HermiteKind.MODIFIED, j, x + shift * y)[j]
-                + pref * _T_rows((j,), (gamma * x - sigma * y)
-                                 / math.sqrt(2.0))[0])
-
-    val = _gauss_average(f, f"sphere_pbar(d={d}, x={x})",
-                         cross_check=True) / SQRT_2PI
+    # |T_j(v)| phi(y), v = (gamma x - sigma y)/sqrt 2, is below |v|^j phi(y)
+    # for v < 0 and falls like e^{-v^2/2} phi(y), which peaks at y = peak,
+    # for v > 0; T_j steps and oscillates within |v| <= sqrt(2j) + 4.
+    pad, peak = 12.0 + math.sqrt(j), sigma * gamma * x / (2.0 + sigma ** 2)
+    lo, hi = min(0.0, peak) - pad, max(0.0, peak) + pad
+    coarse, unit = np.linspace(lo, hi, _TAIL_PANELS + 1), 2 ** 0.5 / sigma
+    if unit < coarse[1] - coarse[0]:
+        reach = math.ceil(math.sqrt(2.0 * j) + 4.0)
+        local = gamma * x / sigma + unit * np.arange(-reach, reach + 1)
+        coarse = np.unique(np.clip(np.concatenate([coarse, local]), lo, hi))
+    fine = np.sort(np.concatenate([coarse, (coarse[:-1] + coarse[1:]) / 2.0]))
+    sums = []
+    for (nodes, weights), edges in ((_RULE, fine), (_gauss_rule(128), coarse)):
+        y, w = _composite_rule(edges)
+        T = _T_rows((j,), (gamma * x - sigma * y) / math.sqrt(2.0))[0]
+        hbar = _eval_all(HermiteKind.MODIFIED, j, x + shift * nodes)[j]
+        sums.append(coef * (hbar @ weights) / SQRT_2PI
+                    + pref * (T @ (w * _phi(y))))
+    val = _checked(*sums, f"sphere_pbar(d={d}, x={x})")
     return float(_phi(x) * area * val)
 
 

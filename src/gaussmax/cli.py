@@ -36,7 +36,7 @@ from .hermite import _check_int, _finite
 from .model import IsotropicModel, make_rational, make_squared_exponential
 from .randmat import MAX_SIZE, expected_absdet_shifted_goe, goe_eigen_density
 from .simulate import (FieldGrid, _refined_grids, _refinement_factors,
-                       validate_bound)
+                       _validate_on_grids)
 
 _COMMANDS = ("bound", "tail", "validate", "goe", "geom", "exponent")
 _FORMATS = ("csv", "json")
@@ -270,12 +270,11 @@ def _run_validate(cfg: RunConfig) -> _RunResult:
         raise ConfigError("validate needs a grid resolution in the config")
     us = _abscissa_values(cfg, "validate")
     try:    # every grid up front: one past the cap is a config error
-        grid = FieldGrid(geom.sides, cfg.resolution)
-        _refined_grids(grid, cfg.refinements)
+        grids = _refined_grids(FieldGrid(geom.sides, cfg.resolution),
+                               cfg.refinements)
     except ValueError as e:
         raise ConfigError(f"bad grid: {e}") from None
-    report = validate_bound(m, grid, us, reps=cfg.reps, seed=cfg.seed,
-                            refinements=cfg.refinements)
+    report = _validate_on_grids(m, grids, us, reps=cfg.reps, seed=cfg.seed)
     cols = ["u", "emp_mean", "emp_stderr", "pbar_tail", "pE_tail", "verdict"]
     rows = [[u, report.empirical[i].mean, report.empirical[i].stderr,
              report.pbar_tails[i], report.pE_tails[i], report.verdicts[i]]

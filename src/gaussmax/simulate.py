@@ -313,11 +313,11 @@ def _refinement_factors(refinements) -> tuple:
     return out
 
 
-def _refined_grids(grid: FieldGrid, refinements) -> list:
-    """The grid with its resolution times each factor; ValueError if one is
-    beyond MAX_GRID_POINTS."""
-    return [FieldGrid(grid.sides, tuple(r * k for r in grid.resolution))
-            for k in refinements]
+def _refined_grids(grid: FieldGrid, refinements) -> dict:
+    """{k: the grid with its resolution times k} for each checked factor k;
+    ValueError if one is beyond MAX_GRID_POINTS."""
+    return {k: FieldGrid(grid.sides, tuple(r * k for r in grid.resolution))
+            for k in _refinement_factors(refinements)}
 
 
 def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
@@ -338,13 +338,19 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     refinement a note names the ranks of its factors and the certified bound
     on each factored covariance's entries.
     """
+    return _validate_on_grids(m, _refined_grids(grid, refinements),
+                              u_values, reps, seed)
+
+
+def _validate_on_grids(m: IsotropicModel, grids: dict, u_values, reps: int,
+                       seed: int) -> ValidationReport:
+    """:func:`validate_bound` on the grids of :func:`_refined_grids`."""
     reps = _check_int(reps, 2, math.inf, "reps")
     u_values = tuple(_finite(u, "every u value") for u in u_values)
     if not u_values:
         raise ValueError("need at least one u level")
-    refinements = _refinement_factors(refinements)
-    grids = _refined_grids(grid, refinements)
-    geom = rectangle_faces(grid.sides)
+    refinements = tuple(grids)
+    geom = rectangle_faces(grids[refinements[0]].sides)
     tails = [tail_bound(m, geom, u) for u in u_values]
     pbar_tails = tuple(t.pbar_tail for t in tails)
     pE_tails = tuple(t.pE_tail for t in tails)
@@ -353,7 +359,7 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     notes = ["grid maxima underestimate the continuous maximum; verdicts "
              "compare the finest grid and the refinement sequence shows "
              "stabilization"]
-    for k, refined in zip(refinements, grids):
+    for k, refined in grids.items():
         factors = covariance_cholesky(m, refined)
         maxima = _block_maxima(factors, reps, seed)
         emp_by_ref.append(_empirical_tail(maxima, u_values, reps, seed))
