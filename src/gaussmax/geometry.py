@@ -10,12 +10,14 @@ where sigma_hat_j is the fraction of the unit sphere of the face's normal
 space occupied by the outward normal cone (the external angle, so the g_j
 are intrinsic volumes).  For a rectangle these are exact elementary
 symmetric polynomials of the side lengths.  For a general bounded
-H-polytope one qhull hull of the polar gives the vertices, and the faces
-follow from the vertex-row incidences.  The external angles are exact
-wherever the normal space has dimension k <= 3: 1/2 at k = 1,
-theta/(2 pi) at k = 2 and Omega/(4 pi) at k = 3; g_0 = 1 because the
-vertex normal cones tile R^d.  Only faces with k >= 4, which exist in
-d = 5 and 6, are estimated by Monte Carlo with reported standard errors.
+H-polytope the double-description method gives the vertices, the faces
+follow from the vertex-row incidences, and each face is measured from its
+facets by the pyramid formula; all of it is NumPy, with no hull or LP
+library.  The external angles are exact wherever the normal space has
+dimension k <= 3: 1/2 at k = 1, theta/(2 pi) at k = 2 and Omega/(4 pi) at
+k = 3; g_0 = 1 because the vertex normal cones tile R^d.  Only faces with
+k >= 4, which exist in d = 5 and 6, are estimated by Monte Carlo with
+reported standard errors.
 
 kappa is the curvature regularity parameter of the set: 0 for convex sets,
 +inf for sets with inward corners ("whiskers"), 1/2 for the unit sphere.
@@ -195,96 +197,209 @@ def _normalize_halfspaces(halfspaces):
     return A, b
 
 
+_RAY_TOL = 1e-12
+
+
+def _extreme_rays(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rays, on) of the pointed cone {z : M z <= 0}, M with unit rows: its
+    extreme rays, as unit rows, and on[r, i] whether ray r lies on row i.
+
+    The double-description method (Motzkin, Raiffa, Thompson & Thrall 1953;
+    Fukuda & Prodon, LNCS 1120, 1996).  It starts from the simplicial cone
+    of n independent rows, picked by pivoted Gram-Schmidt, whose rays are
+    the columns of -M_B^-1, and adds the other rows one at a time.  A ray
+    with |m . z| <= _RAY_TOL lies on row m; the rays beyond it are dropped,
+    and each adjacent pair across it gives the ray where their 2-face meets
+    it.  Two rays are adjacent when they lie on n - 2 or more common rows
+    and no third ray lies on all of those: a combinatorial test, one matrix
+    product over every candidate pair.  After each row, a ray more than
+    _RAY_TOL / 100 off a row it lies on is solved again, as the null vector
+    of all those rows.
+    """
+    m, n = M.shape
+    residual = M.copy()
+    basis = []
+    for _ in range(n):
+        i = int(np.argmax(np.linalg.norm(residual, axis=1)))
+        q = residual[i] / np.linalg.norm(residual[i])
+        residual -= np.outer(residual @ q, q)
+        basis.append(i)
+    rays = -np.linalg.inv(M[basis]).T
+    rays /= np.linalg.norm(rays, axis=1)[:, None]
+    on = np.zeros((n, m), dtype=bool)
+    on[:, basis] = ~np.eye(n, dtype=bool)
+    for i in np.setdiff1d(np.arange(m), basis):
+        s = rays @ M[i]
+        out, into = s > _RAY_TOL, s < -_RAY_TOL
+        on[~out & ~into, i] = True
+        if out.any():
+            p, q = np.flatnonzero(out), np.flatnonzero(into)
+            pi, qi = np.nonzero(on[p].astype(float) @ on[q].T.astype(float)
+                                >= n - 2)
+            p, q = p[pi], q[qi]
+            shared = on[p] & on[q]
+            covers = shared.astype(float) @ (~on).T.astype(float) == 0
+            adjacent = covers.sum(axis=1) == 2       # only p and q themselves
+            p, q, shared = p[adjacent], q[adjacent], shared[adjacent]
+            shared[:, i] = True
+            new = s[p, None] * rays[q] - s[q, None] * rays[p]
+            rays = np.vstack([rays[~out],
+                              new / np.linalg.norm(new, axis=1)[:, None]])
+            on = np.vstack([on[~out], shared])
+        # A ray off one of its rows by more than rounding (a combination,
+        # or a first solve from ill-conditioned rows) is solved again, as
+        # the null vector of all the rows it lies on, so that errors do not
+        # build up from row to row.
+        off = np.abs(np.where(on, rays @ M.T, 0.0)).max(axis=1) > _RAY_TOL / 100
+        if off.any():
+            null = np.linalg.svd(np.where(on[off][:, :, None], M, 0.0))[2][:, -1]
+            rays[off] = null * np.sign(np.einsum("ij,ij->i", null,
+                                                 rays[off]))[:, None]
+    return rays, on
+
+
+def _solve_on(A: np.ndarray, b: np.ndarray, rows) -> np.ndarray:
+    """The x with a_i . x = b_i on the first full-rank d-subset of ``rows``."""
+    basis = []
+    for i in rows:
+        if np.linalg.matrix_rank(A[basis + [i]], tol=_GEOM_TOL) > len(basis):
+            basis.append(i)
+    return np.linalg.solve(A[basis], b[basis])
+
+
 def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(verts, offsets, e) of {A x <= b} moved to its Chebyshev center c and
-    scaled by 2^-e, for the e that puts its inradius in [1/4, 1/2): the set
-    is {z : A z <= offsets} with offsets = 2^-e b - A c (each rounded once
-    from its exact value), and verts are its vertices, sorted
+    """(verts, offsets, e) of {A x <= b} moved to its vertex mean c and
+    scaled by 2^-e, for the e that puts the smallest offset in [1/4, 1/2):
+    the set is {z : A z <= offsets} with offsets = 2^-e b - A c (each
+    rounded once from its exact value), and verts are its vertices, sorted
     lexicographically.  ValueError unless the set is nonempty,
     full-dimensional and bounded.
 
-    HiGHS, with absolute tolerances, finds c with the largest offset at 1,
-    or, if the inradius r is below 2^-20 there (far redundant rows), with
-    the smallest nonzero one at 1.  About c the set is {z : y_i . z <= 1}
-    with y_i = a_i / offset_i.  Each facet n . y + e = 0 of the polar hull
-    conv(y_i) (qhull; Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996) is dual
-    to the vertex -n / e, at distance -1/e from c.  The set is bounded iff
-    the origin lies strictly inside the hull; a vertex farther than
-    r / _GEOM_TOL means a free direction or a flat set, which cannot be told
-    apart at that aspect ratio.  Working about c keeps the coordinates, and
-    so the tolerance 1e-9 max|vertex|, at the set's own size wherever it
-    lies.  Copies from qhull triangulating the facet of a non-simple vertex
-    are merged, and each vertex is re-solved from the first full-rank
-    d-subset of its active rows, free of the hull's rounding.
+    The vertices are the extreme rays (x, t), t > 0, of the cone
+    {(x, t) : A x - b t <= 0, t >= 0} (:func:`_extreme_rays`), each solved
+    from the rows it lies on.  The set is unbounded if A has rank below d
+    or a ray has t = 0, and empty if no ray has t > 0.  A first pass, at
+    the scale of the largest offset, finds c; where far redundant rows
+    shrink the set below the rays' tolerance there (the smallest offset
+    about c is below 2^-20), it is repeated at the scale of the smallest
+    nonzero offset.  A second pass about c, at the set's own size, finds
+    the vertices; one farther than 1e9 inradii means a free direction or a
+    flat set, which cannot be told apart at that aspect ratio.  Vertices
+    within 1e-9 max|vertex| are merged, and each is re-solved from the
+    first full-rank d-subset of the rows active on it within that
+    tolerance.
     """
     from fractions import Fraction
 
-    from scipy.optimize import linprog
-    from scipy.spatial import ConvexHull, QhullError
-
     m, d = A.shape
+    if np.linalg.matrix_rank(A, tol=_GEOM_TOL) < d:
+        raise ValueError("unbounded polytope: the halfspace normals span "
+                         f"fewer than {d} dimensions")
 
-    def center(e):  # max r s.t. A x + r <= 2^-e b (rows are unit normals)
-        res = linprog(c=np.r_[np.zeros(d), -1.0], A_ub=np.c_[A, np.ones(m)],
-                      b_ub=np.ldexp(b, -e), method="highs",
-                      bounds=[(None, None)] * d + [(0, None)])
-        if res.status == 2:
+    def corners(offsets):
+        M = np.vstack([np.c_[A, -offsets], -np.eye(d + 1)[-1:]])   # t >= 0
+        rays, on = _extreme_rays(M / np.linalg.norm(M, axis=1)[:, None])
+        t = rays[:, -1]
+        if not (t > _RAY_TOL).any():
             raise ValueError("empty polytope (infeasible halfspace system)")
-        if res.status == 3 or not res.success:
-            raise ValueError("degenerate halfspace system (no Chebyshev center)")
-        return res.x[:d], -res.fun, e
+        if (t <= _RAY_TOL).any():
+            raise ValueError("unbounded polytope: a direction is left free")
+        return np.array([_solve_on(A, offsets, np.flatnonzero(row[:m]))
+                         for row in on])
+
+    def centred(e, c):
+        # 2^-e b_i - a_i . c in exact rationals, rounded once: far from the
+        # origin the two parts agree in their leading digits, and a float
+        # difference would keep only ulp(|c|) of the offset.
+        return np.array([float(Fraction(bi) - sum(Fraction(x) * Fraction(y)
+                                                  for x, y in zip(ai, c)))
+                         for ai, bi in zip(A, np.ldexp(b, -e))])
 
     top = math.frexp(np.abs(b).max())[1] - 1020     # 2^-e b stays finite
-    c, r, e = center(top + 1020)
+    e = top + 1020
+    c = corners(np.ldexp(b, -e)).mean(axis=0)
+    r = float(centred(e, c).min())
     if r < 2.0 ** -20 and b.any():
-        c, r, e = center(max(math.frexp(np.abs(b[b != 0]).min())[1], top))
-    k = max(math.frexp(r)[1] + 1, top - e)
-    c, e = np.ldexp(c, -k), e + k
-    # 2^-e b_i - a_i . c in exact rationals, rounded once: far from the
-    # origin the two parts agree in their leading digits, and a float
-    # difference would keep only ulp(|c|) of the offset.
-    b = np.array([float(Fraction(bi) - sum(Fraction(x) * Fraction(y)
-                                           for x, y in zip(ai, c)))
-                  for ai, bi in zip(A, np.ldexp(b, -e))])
+        e = max(math.frexp(np.abs(b[b != 0]).min())[1], top)
+        c = corners(np.ldexp(b, -e)).mean(axis=0)
+        r = float(centred(e, c).min())
+    if r > 0:
+        k = max(math.frexp(r)[1] + 1, top - e)
+        c, e = np.ldexp(c, -k), e + k
+    b = centred(e, c)
     r = float(b.min())
     if r <= _GEOM_TOL:
         raise ValueError(f"degenerate polytope: not full-dimensional (inradius "
                          f"{r:.2e} after scaling by 2^{-e})")
-    y = A / b[:, None]
-    try:
-        eq = (np.array([[1.0, -y.max()], [-1.0, y.min()]]) if d == 1
-              else ConvexHull(y).equations)
-    except QhullError:          # the y_i span a hyperplane at most
-        eq = np.zeros((1, d + 1))
-    if eq[:, -1].max() >= -_GEOM_TOL / r:
+    found = corners(b)
+    if np.linalg.norm(found, axis=1).max() >= r / _GEOM_TOL:
         raise ValueError("degenerate polytope: unbounded or not full-dimensional"
                          " (a vertex beyond 1e9 inradii from the center)")
-    found = -eq[:, :-1] / eq[:, -1:]
-    # One tolerance: the hull's rounding error scales with the largest vertex.
+    # One tolerance: rounding error scales with the largest vertex.
     tol = _GEOM_TOL * np.abs(found).max()
     verts = []
     while len(found):
         v = found[0]
         found = found[np.linalg.norm(found - v, axis=1) > tol]
-        basis = []
-        for i in np.flatnonzero(np.abs(A @ v - b) <= tol):
-            if np.linalg.matrix_rank(A[basis + [i]], tol=_GEOM_TOL) > len(basis):
-                basis.append(i)
-        verts.append(np.linalg.solve(A[basis], b[basis]))
+        verts.append(_solve_on(A, b, np.flatnonzero(np.abs(A @ v - b) <= tol)))
     verts.sort(key=lambda v: tuple(v))
     return np.array(verts), b, e
 
 
-def _face_measure(verts: np.ndarray, j: int) -> float:
-    """j-measure of the face with these vertices: an edge's length, or for
-    j >= 2 the hull volume in SVD coordinates of the affine hull."""
-    if j == 1:
-        return float(np.linalg.norm(verts[1] - verts[0]))
-    from scipy.spatial import ConvexHull
+def _face_lattice(verts: np.ndarray, tight: np.ndarray, tol: float):
+    """(dims, facets): each face, as a frozenset of vertex indices, mapped to
+    its dimension and to the list of its facets.
 
-    centered = verts - verts.mean(axis=0)
-    basis = np.linalg.svd(centered, full_matrices=False)[2][:j]
-    return float(ConvexHull(centered @ basis.T).volume)
+    Faces are found by descent: a j-face is the part of a (j+1)-face on some
+    constraint row (``tight[v, i]``: vertex v is on row i), with affine rank
+    j, and the facets of a face are exactly those parts.  Vertices (j = 0)
+    are kept: they take face indices in the ordering of the caller.
+    """
+    d = verts.shape[1]
+    on_row = [frozenset(np.flatnonzero(col)) for col in tight.T]
+    level = [frozenset(range(len(verts)))]
+    dims, facets = {level[0]: d}, {}
+    for j in range(d - 1, -1, -1):
+        rank = {}
+        for face in level:
+            cuts = {face & row for row in on_row} - {face, frozenset()}
+            for cut in cuts - rank.keys():
+                rank[cut] = np.linalg.matrix_rank(
+                    verts[sorted(cut)] - verts[min(cut)], tol=tol)
+            facets[face] = [cut for cut in cuts if rank[cut] == j]
+        level = [cut for cut, r in rank.items() if r == j]
+        dims.update(dict.fromkeys(level, j))
+    return dims, facets
+
+
+def _face_measures(verts: np.ndarray, dims: dict, facets: dict) -> dict:
+    """The j-measure of every face of dimension j >= 1, bottom-up.
+
+    An edge measures the distance between its two vertices.  A j-face F,
+    j >= 2, is the union of the pyramids from its vertex mean p over its
+    facets G, so vol_j(F) = (1/j) sum_G dist(p, aff G) vol_{j-1}(G), with
+    each facet measured once before the faces above it.  The distance is
+    the part of p - (G's vertex mean) orthogonal to G's directions, whose
+    orthonormal basis comes from the SVD of G's centred vertices.
+    """
+    measure, frame = {}, {}
+    for face, j in sorted(dims.items(), key=lambda kv: kv[1]):
+        if j == 0:
+            continue
+        pts = verts[sorted(face)]
+        p = pts.mean(axis=0)
+        if j == 1:
+            measure[face] = float(np.linalg.norm(pts[1] - pts[0]))
+        else:
+            heights = []
+            for g in facets[face]:
+                mean, basis = frame[g]
+                w = p - mean
+                heights.append(float(np.linalg.norm(w - (basis @ w) @ basis))
+                               * measure[g])
+            measure[face] = math.fsum(heights) / j
+        frame[face] = (p, np.linalg.svd(pts - p, full_matrices=False)[2][:j])
+    return measure
 
 
 def _wedge_fraction(gens: np.ndarray, inner: np.ndarray) -> float:
@@ -301,14 +416,38 @@ def _wedge_fraction(gens: np.ndarray, inner: np.ndarray) -> float:
     return theta / (2.0 * math.pi)
 
 
+def _hull_ring(points: np.ndarray) -> list:
+    """Indices of the vertices of the hull of 2-D points, in cyclic order.
+
+    Andrew's monotone chain (Inf. Process. Lett. 9, 1979): the lower and
+    upper chains of the points sorted by (x, y), each dropping a point
+    that does not turn left, so repeated and collinear points go too.
+    """
+    def chain(order):
+        out = []
+        for i in order:
+            while len(out) >= 2:
+                a = points[out[-1]] - points[out[-2]]
+                b = points[i] - points[out[-2]]
+                if a[0] * b[1] - a[1] * b[0] > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    order = np.lexsort((points[:, 1], points[:, 0])).tolist()
+    return chain(order) + chain(order[::-1])
+
+
 def _solid_fraction(gens: np.ndarray, inner: np.ndarray) -> float:
     """Omega/(4 pi) for the cone in R^3 spanned by the rows of ``gens``.
 
     ``inner`` is any vector with inner . g > 0 for every row.  Projecting
     each generator centrally onto the plane inner . y = 1 maps the cone to a
-    convex polygon whose vertices are the extreme generators; the 2-D hull
-    lists them in cyclic order.  The fan of triangles (e_0, e_i, e_{i+1})
-    tiles the cone, and each triangle of unit generators a, b, c has
+    convex polygon whose vertices are the extreme generators; the monotone
+    chain of :func:`_hull_ring` lists them in cyclic order.  The fan of
+    triangles (e_0, e_i, e_{i+1}) tiles the cone, and each triangle of unit
+    generators a, b, c has
     (Van Oosterom & Strackee, IEEE Trans. Biomed. Eng. 30, 1983)
 
         tan(Omega/2) = |det(a, b, c)| / (1 + a.b + b.c + c.a).
@@ -323,11 +462,9 @@ def _solid_fraction(gens: np.ndarray, inner: np.ndarray) -> float:
     """
     ring = gens
     if len(gens) > 3:
-        from scipy.spatial import ConvexHull
-
         plane = np.linalg.svd(inner[None, :])[2][1:]   # orthonormal, _|_ inner
         flat = (gens @ plane.T) / (gens @ inner)[:, None]
-        ring = gens[ConvexHull(flat).vertices]
+        ring = gens[_hull_ring(flat)]
     ring = ring / np.linalg.norm(ring, axis=1)[:, None]
     tri = np.stack([np.broadcast_to(ring[0], ring[2:].shape), ring[1:-1],
                     ring[2:]], axis=1)                     # (triangle, vertex, xyz)
@@ -344,16 +481,13 @@ def _cone_fraction(gens: np.ndarray, k: int, reps: int, seed: int,
                    face_index: int) -> tuple[float, float]:
     """MC fraction of S^{k-1} covered by the cone spanned by ``gens`` rows.
 
-    gens live in R^k, k >= 2 (coordinates of the face's normal space).
-    Returns (fraction, stderr).  The cone's facets are the facets through 0
-    of conv({0} and the unit generators); a direction is in the cone iff it
-    lies on the inner side of each of them.
+    gens live in R^k, k >= 2 (coordinates of the face's normal space), and
+    span it.  Returns (fraction, stderr).  The outward unit normals of the
+    cone's facets are the extreme rays of its polar {z : gens . z <= 0}
+    (:func:`_extreme_rays`); a direction is in the cone iff it lies on the
+    inner side of each of them.
     """
-    from scipy.spatial import ConvexHull
-
-    unit = gens / np.linalg.norm(gens, axis=1)[:, None]
-    eq = ConvexHull(np.vstack([np.zeros(k), unit])).equations
-    facets = eq[np.abs(eq[:, -1]) <= _GEOM_TOL, :-1]
+    facets = _extreme_rays(gens / np.linalg.norm(gens, axis=1)[:, None])[0]
     hits = done = 0
     batch = 1 << 17
     while done < reps:
@@ -391,12 +525,14 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
 
     Notes
     -----
-    Vertices are the duals of the facets of the polar hull
-    (:func:`_vertices`).  Faces are vertex sets found by descent: each
-    j-face is the part of a (j+1)-face on one constraint row, kept when its
-    affine rank is j.  An edge measures the distance between its two
-    vertices; a j >= 2 face, its hull volume in SVD coordinates of the
-    affine hull.  External angles are measured on the unit
+    Vertices are the extreme rays of the homogenized cone, found by the
+    double-description method (:func:`_vertices`).  Faces are vertex sets
+    found by descent, and with them each face's facets: each j-face is the
+    part of a (j+1)-face on one constraint row, kept when its affine rank
+    is j (:func:`_face_lattice`).  An edge measures the distance between
+    its two vertices; a j >= 2 face, the sum of the pyramids from its
+    vertex mean over its facets, computed bottom-up so each face is measured
+    once (:func:`_face_measures`).  External angles are measured on the unit
     sphere of the face's normal space: exactly for k <= 3
     (:func:`_wedge_fraction`, :func:`_solid_fraction`) and by
     :func:`_cone_fraction` for k >= 4.  g_0 is 1 exactly: the vertex normal
@@ -410,27 +546,18 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
         raise ValueError(f"polytope dimension {d} exceeds cap {MAX_POLYTOPE_DIM}")
     if m < d + 1:
         raise ValueError("a bounded polytope needs at least d+1 halfspaces")
-    # About the Chebyshev center, scaled by 2^-e to an inradius in
+    # About the vertex mean, scaled by 2^-e to a smallest offset in
     # [1/4, 1/2); g_j scales back by 2^{e j}.  The origin is interior:
     # b_i > 0 for every row i, so a_i . x > 0 for each row active on x.
     verts, b, e = _vertices(A, b)
     tol = _GEOM_TOL * float(np.abs(verts).max())
     tight = np.array([np.abs(A @ v - b) <= tol for v in verts])
 
-    # Faces as vertex-index sets, by descent: a j-face is the part of a
-    # (j+1)-face on some constraint row, with affine rank j.  Vertices
-    # (j = 0) are kept: they take face indices in the ordering below.
-    on_row = [frozenset(np.flatnonzero(col)) for col in tight.T]
-    faces = {frozenset(range(len(verts))): d}
-    level = list(faces)
-    for j in range(d - 1, -1, -1):
-        level = [cut for cut in {face & row for face in level for row in on_row}
-                 if cut and np.linalg.matrix_rank(
-                     verts[sorted(cut)] - verts[min(cut)], tol=tol) == j]
-        faces.update(dict.fromkeys(level, j))
+    dims, facets = _face_lattice(verts, tight, tol)
+    measure = _face_measures(verts, dims, facets)
 
     # Deterministic face ordering for substream assignment.
-    ordered = sorted(faces.items(), key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
+    ordered = sorted(dims.items(), key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
 
     g = np.zeros(d + 1)
     var = np.zeros(d + 1)
@@ -439,8 +566,6 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
         if j == 0:
             continue
         members = sorted(key)
-        fverts = verts[members]
-        measure = _face_measure(fverts, j)
         k = d - j
         frac, se = 1.0, 0.0
         if k == 1:
@@ -462,9 +587,9 @@ def polytope_g_coeffs(halfspaces, reps: int, seed: int) -> FaceDecomposition:
                 frac, se = _cone_fraction(gens, k, reps, seed, face_index)
             else:
                 exact = _wedge_fraction if k == 2 else _solid_fraction
-                frac = exact(gens, basis @ fverts[0])
-        g[j] += measure * frac
-        var[j] += (measure * se) ** 2
+                frac = exact(gens, basis @ verts[members[0]])
+        g[j] += measure[key] * frac
+        var[j] += (measure[key] * se) ** 2
 
     powers = e * np.arange(d + 1)
     return FaceDecomposition(d=d, g=tuple(np.ldexp(g, powers)), kappa=0.0,

@@ -134,6 +134,19 @@ def polytope_vertices_brute(A, b, tol: float = 1e-9) -> np.ndarray:
     return np.array(verts)
 
 
+def face_measure_qhull(verts, j: int) -> float:
+    """j-measure of the face with these vertices: an edge's length, or for
+    j >= 2 the qhull hull volume in SVD coordinates of the affine hull."""
+    verts = np.asarray(verts, dtype=float)
+    if j == 1:
+        return float(np.linalg.norm(verts[1] - verts[0]))
+    from scipy.spatial import ConvexHull
+
+    centered = verts - verts.mean(axis=0)
+    basis = np.linalg.svd(centered, full_matrices=False)[2][:j]
+    return float(ConvexHull(centered @ basis.T).volume)
+
+
 def cone_hits_nnls(gens, u, tol: float = 1e-9) -> np.ndarray:
     """Whether each row of u lies in the cone spanned by the rows of gens.
 

@@ -328,6 +328,63 @@ def test_six_cross_polytope_volume():
     assert got.g[6] == pytest.approx(64.0 / 720.0, rel=1e-14, abs=0.0)
 
 
+def _many_facet_hulls():
+    # Random hulls with 41 to 125 facets.
+    for d, n, k in [(5, 11, 0), (5, 14, 0), (5, 17, 0), (6, 10, 2), (6, 12, 0),
+                    (6, 15, 1)]:
+        points = np.random.default_rng(100 * d + 10 * n + k).standard_normal((n, d))
+        yield pytest.param(points, id=f"hull{d}_{n}")
+
+
+@pytest.mark.parametrize("points", _many_facet_hulls())
+def test_many_facet_hulls_in_five_and_six_dimensions(points):
+    hull = ConvexHull(points)
+    d = points.shape[1]
+    hs = hull_hs(points)
+    assert 40 <= len(hs) <= 130
+    # The vertices come back about their mean and scaled by 2^-e; each is
+    # one of the hull's points, to the geometry's tolerance.
+    A, b = geometry._normalize_halfspaces(hs)
+    verts, _, e = geometry._vertices(A, b)
+    got = np.ldexp(verts, e)
+    want = points[hull.vertices]
+    assert len(got) == len(want)
+    gaps = np.linalg.norm((got - got.mean(axis=0))[:, None]
+                          - (want - want.mean(axis=0))[None], axis=2)
+    assert gaps.min(axis=0).max() <= geometry._GEOM_TOL * np.abs(want).max()
+    geom = geometry.polytope_g_coeffs(hs, reps=10, seed=0)
+    assert geom.g[d] == pytest.approx(hull.volume, rel=1e-12, abs=0.0)
+    assert geom.g[d - 1] == pytest.approx(hull.area / 2.0, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d, n, seed", [(3, 12, 0), (4, 12, 1), (5, 11, 2),
+                                        (6, 10, 3)])
+def test_pyramid_measures_equal_qhull_volumes(d, n, seed):
+    # Every face j >= 2 of a random hull, measured from its facets by the
+    # pyramid formula, against the hull volume in its own affine hull.
+    points = np.random.default_rng(seed).standard_normal((n, d))
+    A, b = geometry._normalize_halfspaces(hull_hs(points))
+    verts, offsets, _ = geometry._vertices(A, b)
+    tol = geometry._GEOM_TOL * np.abs(verts).max()
+    tight = np.abs(verts @ A.T - offsets) <= tol
+    dims, facets = geometry._face_lattice(verts, tight, tol)
+    measures = geometry._face_measures(verts, dims, facets)
+    for face, j in dims.items():
+        if j >= 2:
+            want = oracles.face_measure_qhull(verts[sorted(face)], j)
+            assert measures[face] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_thin_box_with_far_rows_equals_rectangle_faces():
+    # At the scale of the largest offset, 1e9, the 1 x 1e-8 box is 1e-17
+    # thick, below the rays' tolerance; its center is found again at the
+    # scale of the smallest nonzero offset, 1e-8.
+    hs = box_hs([1.0, 1e-8]) + [[[1.0, 0.0], 1e7], [[1.0, 0.0], 1e9]]
+    got = geometry.polytope_g_coeffs(hs, reps=1, seed=0)
+    np.testing.assert_allclose(got.g, geometry.rectangle_faces([1.0, 1e-8]).g,
+                               rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("hs", [
     *(pytest.param(hull_hs(np.random.default_rng(seed).standard_normal((n, d))),
                    id=f"random{d}")
@@ -460,7 +517,7 @@ def test_polytope_halfspaces_near_the_float_limits(scale):
 
 def test_polytope_rejects_unbounded():
     # Missing the upper bounds: a quadrant, unbounded.
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unbounded"):
         geometry.polytope_g_coeffs(
             [[[-1.0, 0.0], 0.0], [[0.0, -1.0], 0.0], [[-1.0, -1.0], 1.0]],
             reps=100, seed=0)
@@ -477,12 +534,12 @@ def test_polytope_rejects_strip(hs):
 
 
 def test_polytope_rejects_empty_and_degenerate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty"):
         geometry.polytope_g_coeffs(
             [[[1.0, 0.0], -1.0], [[-1.0, 0.0], -1.0],
              [[0.0, 1.0], 1.0], [[0.0, -1.0], 1.0]],
             reps=100, seed=0)  # x <= -1 and x >= 1: empty
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not full-dimensional"):
         geometry.polytope_g_coeffs(
             [[[1.0, 0.0], 0.0], [[-1.0, 0.0], 0.0],
              [[0.0, 1.0], 1.0], [[0.0, -1.0], 1.0]],
