@@ -19,7 +19,9 @@ R_j is a Gaussian average of the special function T_j,
 
 with gamma = |rho'| / sqrt(rho'') in (0, 1].  At gamma = 1 the integrand is
 constant in y and the integral collapses analytically.  Otherwise the
-y-average is a fixed 64-node Gauss rule, checked by the 128-node rule.
+y-average is a fixed 64-node Gauss rule, checked by the 128-node rule; both
+rules come from Newton's method on the Hermite recurrence, with no
+eigensolver.
 ``sphere_pbar`` averages R_j over a Gaussian shift of x, which only widens
 this y-average, so it too is one 1-D average, on composite panels.
 
@@ -46,7 +48,9 @@ which keeps the large cancellations between its two parts under control far
 into the tails.  One private kernel, :func:`_T_rows`, evaluates any set of
 orders at an array of points from one recurrence, one damping exp and one
 normal CDF: ``tail_bound`` takes every active order from it once per rule,
-and ``T_series`` is its one-order view, so the formula exists once.  The
+as ``pbar_density`` does at each abscissa, and ``T_series`` is its one-order
+view, so the formula exists once.  ``R_correction`` is likewise the
+one-order view of the R_j body, :func:`_R_values`.  The
 normal CDF is the in-package Phi of :mod:`.hermite`; this module loads no
 SciPy.
 """
@@ -57,7 +61,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .geometry import FaceDecomposition, GeometryKind, sphere_surface
 from .hermite import (SQRT_2PI, HermiteKind, _check_int, _eval_all, _finite,
@@ -153,9 +156,36 @@ def _T_rows(orders, v: np.ndarray) -> np.ndarray:
 @functools.cache
 def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point rule for the weight e^{-y^2/2}: Gauss-Hermite at y = sqrt(2) t.
-    Cached: the 128-node check rule is built once, on first use (0.09 s CPU)."""
-    t, w = hermgauss(n)
-    return math.sqrt(2.0) * t, math.sqrt(2.0) * w
+
+    The nodes t are the roots of the orthonormal u_n of :mod:`.hermite`,
+    found by Newton's method on that recurrence (u_n' = sqrt(2n) u_{n-1})
+    from Tricomi's asymptotic guesses, and the weights are the Christoffel
+    numbers 1/sum_{k<n} u_k(t)^2 (Townsend, Trogdon & Olver 2016).  No
+    eigensolver runs: the dense Golub-Welsch eigenproblem wakes LAPACK's
+    thread pool, which then spins.  Cached; the 128-node check rule is
+    built on first use.
+    """
+    m, nu = n // 2, 2 * n + 1
+    # theta - sin(theta) = (4m - 4k + 3) pi/nu, k = 1..m: one guess per
+    # positive root, smallest first.
+    rhs = (4 * m - 4 * np.arange(1, m + 1) + 3) * math.pi / nu
+    theta = np.full(m, math.pi / 2.0)
+    for _ in range(10):
+        theta -= (theta - np.sin(theta) - rhs) / (1.0 - np.cos(theta))
+    tau = np.cos(theta / 2.0) ** 2
+    t = np.sqrt(nu * tau - (5.0 / (4.0 * (1.0 - tau) ** 2)
+                            - 1.0 / (1.0 - tau) - 1.0) / (3.0 * nu))
+    t = np.concatenate([np.zeros(n % 2), t])     # the root 0 of odd n
+    while True:
+        u = _norm_hermites(n, t)
+        step = u[n] / (math.sqrt(2.0 * n) * u[n - 1])
+        t = t - step
+        if np.all(np.abs(step) <= 1e-15 * np.abs(t)):
+            break
+    w = 1.0 / np.sum(np.square(_norm_hermites(n - 1, t)), axis=0)
+    nodes = np.concatenate([-t[n % 2:][::-1], t])    # mirror the roots > 0
+    weights = np.concatenate([w[n % 2:][::-1], w])
+    return math.sqrt(2.0) * nodes, math.sqrt(2.0) * weights
 
 
 _RULE = _gauss_rule(64)
@@ -222,18 +252,29 @@ def R_correction(m: IsotropicModel, j: int, x: float,
     clipped here.
     """
     j = _check_int(j, 1, MAX_ORDER, "order j")
-    x = _finite(x)
+    return _R_values(m, (j,), _finite(x), cross_check)[0]
+
+
+def _R_values(m: IsotropicModel, orders, x: float, cross_check: bool) -> list:
+    """R_j(x) for each j of ``orders`` (in 1..60) at one finite x.
+
+    One :func:`_T_rows` call per rule serves every order; each row is dotted
+    with the weights on its own and gated under its own name, so each value
+    is, bit for bit, the :func:`R_correction` of its order.
+    """
     gamma, s = _gamma_s(m)
     if s == 0.0:
         v = np.float64(gamma * x / math.sqrt(2.0))
-        integral = check = SQRT_2PI * _T_rows((j,), v)[0]
+        integrals = checks = SQRT_2PI * _T_rows(orders, v)
     else:
         def average(y, weights):
-            return _T_rows((j,), (gamma * x - s * y) / math.sqrt(2.0))[0] @ weights
+            T = _T_rows(orders, (gamma * x - s * y) / math.sqrt(2.0))
+            return [row @ weights for row in T]
 
-        integral = average(*_RULE)
-        check = average(*_gauss_rule(128)) if cross_check else integral
-    return float(_pref(m, j) * _checked(integral, check, f"R_{j}({x})"))
+        integrals = average(*_RULE)
+        checks = average(*_gauss_rule(128)) if cross_check else integrals
+    return [float(_pref(m, j) * _checked(integral, check, f"R_{j}({x})"))
+            for j, integral, check in zip(orders, integrals, checks)]
 
 
 @dataclass(frozen=True)
@@ -291,8 +332,10 @@ def pbar_density(m: IsotropicModel, geom: FaceDecomposition,
     x = _finite(x)
     principal = _principal(m, geom, x)
     phi = float(_phi(x))
-    complementary = [0.0] + [max(0.0, phi * R_correction(m, j, x) * geom.g[j])
-                             for j in range(1, geom.d0 + 1)]
+    orders = range(1, geom.d0 + 1)
+    R = _R_values(m, orders, x, True) if orders else []
+    complementary = [0.0] + [max(0.0, phi * R_j * geom.g[j])
+                             for j, R_j in zip(orders, R)]
     pE = math.fsum(principal)
     pbar = pE + math.fsum(complementary)
     return BoundBreakdown(x=x, principal_by_j=tuple(principal),

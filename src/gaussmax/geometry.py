@@ -352,22 +352,23 @@ def _face_lattice(verts: np.ndarray, tight: np.ndarray, tol: float):
 
     Faces are found by descent: a j-face is the part of a (j+1)-face on some
     constraint row (``tight[v, i]``: vertex v is on row i), with affine rank
-    j, and the facets of a face are exactly those parts.  Vertices (j = 0)
-    are kept: they take face indices in the ordering of the caller.
+    j, and the facets of a face are exactly those parts.  A cut is ranked
+    once for the whole descent: one too small for the level it was met at
+    is met again, and kept, lower down.  Vertices (j = 0) are kept: they
+    take face indices in the ordering of the caller.
     """
     d = verts.shape[1]
     on_row = [frozenset(np.flatnonzero(col)) for col in tight.T]
     level = [frozenset(range(len(verts)))]
-    dims, facets = {level[0]: d}, {}
+    dims, facets, rank = {level[0]: d}, {}, {}
     for j in range(d - 1, -1, -1):
-        rank = {}
         for face in level:
             cuts = {face & row for row in on_row} - {face, frozenset()}
             for cut in cuts - rank.keys():
                 rank[cut] = np.linalg.matrix_rank(
                     verts[sorted(cut)] - verts[min(cut)], tol=tol)
             facets[face] = [cut for cut in cuts if rank[cut] == j]
-        level = [cut for cut, r in rank.items() if r == j]
+        level = list(dict.fromkeys(cut for face in level for cut in facets[face]))
         dims.update(dict.fromkeys(level, j))
     return dims, facets
 

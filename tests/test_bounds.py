@@ -108,6 +108,20 @@ def test_R_correction_nonnegative_on_grid():
                 assert bounds.R_correction(m, j, float(x)) >= -1e-12
 
 
+@pytest.mark.parametrize("m", [SQ, RAT], ids=["sq_exp", "rational"])
+@pytest.mark.parametrize("geom", [CUBE, geometry.rectangle_faces(
+    [1.0, 0.5, 2.0, 1.5, 0.7])], ids=["cube", "box5"])
+def test_pbar_density_equals_its_one_order_view(m, geom):
+    # pbar_density takes every order from one kernel pass per rule; each
+    # term is the R_correction of its order, bit for bit.
+    for x in (-4.0, -0.5, 0.0, 0.7, 3.0, 8.0, 20.0):
+        got = bounds.pbar_density(m, geom, x).complementary_by_j
+        phi = float(bounds._phi(x))
+        for j in range(1, geom.d0 + 1):
+            want = max(0.0, phi * bounds.R_correction(m, j, x) * geom.g[j])
+            assert got[j] == want, (x, j)
+
+
 def test_R_correction_cross_check_catches_bad_rule(monkeypatch):
     # far too coarse for j = 4 integrands; sphere_pbar's y-average
     # goes through the same check (one test id covers both callers)

@@ -375,6 +375,32 @@ def test_pyramid_measures_equal_qhull_volumes(d, n, seed):
             assert measures[face] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_face_lattice_ranks_each_cut_once(monkeypatch):
+    # 151 facets and 1,567 faces.  Each cut of a face by a row is itself a
+    # face, and each is ranked once for the whole descent: one SVD for each
+    # of the 1,566 faces below the hull (2,834 when ranked per level).
+    hs = hull_hs(np.random.default_rng(5).standard_normal((15, 6)))
+    A, b = geometry._normalize_halfspaces(hs)
+    verts, offsets, _ = geometry._vertices(A, b)
+    tol = geometry._GEOM_TOL * np.abs(verts).max()
+    tight = np.abs(verts @ A.T - offsets) <= tol
+    ranked, matrix_rank = [], np.linalg.matrix_rank
+
+    def counted(M, tol=None):
+        ranked.append(M.shape)
+        return matrix_rank(M, tol=tol)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    dims, _ = geometry._face_lattice(verts, tight, tol)
+    monkeypatch.undo()
+    assert len(ranked) == len(dims) - 1 == 1566
+    got = geometry.polytope_g_coeffs(hs, reps=10, seed=0)
+    assert [g.hex() for g in got.g] == [
+        "0x1.0000000000000p+0", "0x1.703a7f96ced47p+2", "0x1.95ed3b8ff77bbp+4",
+        "0x1.6b613ec4d1658p+5", "0x1.3e5c3bff589b9p+5", "0x1.37dc2299e0260p+4",
+        "0x1.21d0ca6a25ce9p+2"]
+
+
 def test_thin_box_with_far_rows_equals_rectangle_faces():
     # At the scale of the largest offset, 1e9, the 1 x 1e-8 box is 1e-17
     # thick, below the rays' tolerance; its center is found again at the

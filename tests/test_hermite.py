@@ -190,6 +190,28 @@ def test_rule_is_exact_on_polynomials():
         assert abs(nodes ** (2 * k + 1) @ weights) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 16, 32, 64, 127, 128])
+def test_rule_matches_golub_welsch(n):
+    # NumPy's eigenvalue construction, an independent reference, against
+    # Newton's method on the recurrence (built afresh, past the cache).
+    nodes, weights = bounds._gauss_rule.__wrapped__(n)
+    t, w = np.polynomial.hermite.hermgauss(n)
+    np.testing.assert_array_max_ulp(nodes, math.sqrt(2.0) * t, maxulp=3)
+    np.testing.assert_allclose(weights, math.sqrt(2.0) * w, rtol=2e-13, atol=0)
+
+
+def test_rule_builds_without_an_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    with pytest.raises(AssertionError, match="eigensolver"):
+        np.polynomial.hermite.hermgauss(8)     # the patch takes hold
+    nodes, weights = bounds._gauss_rule.__wrapped__(96)
+    assert weights.sum() == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-13)
+
+
 def test_adaptive_agrees_with_rule_on_smooth_integrand():
     f = lambda y: math.cos(0.7 * y) + 0.1 * y * y
     nodes, weights = bounds._RULE
