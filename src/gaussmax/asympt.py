@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import _check_int, _finite
+from .hermite import _check_int, _finite, _sorted_unique
 from .model import IsotropicModel, normalized
 
 
@@ -92,8 +92,8 @@ def _grid_sup(f, lo: float, hi: float, candidates=()):
     best_v, best_z = -math.inf, hi
     if lo < hi:
         n = _SUP_POINTS
-        zs = np.unique(np.concatenate([np.geomspace(lo, hi, n // 2),
-                                       np.linspace(lo, hi, n - n // 2)]))
+        zs = _sorted_unique(np.concatenate([np.geomspace(lo, hi, n // 2),
+                                            np.linspace(lo, hi, n - n // 2)]))
         vals = np.asarray(f(zs), dtype=float)
         i = int(np.argmax(vals))
         best_v, best_z = float(vals[i]), float(zs[i])

@@ -64,7 +64,8 @@ import numpy as np
 
 from .geometry import FaceDecomposition, GeometryKind, sphere_surface
 from .hermite import (SQRT_2PI, HermiteKind, _check_int, _eval_all, _finite,
-                      _norm_hermites, _Phi, _tail_coefficients, _tail_sum)
+                      _norm_hermites, _Phi, _sorted_unique, _tail_coefficients,
+                      _tail_sum)
 from .model import IsotropicModel
 
 MAX_ORDER = 60
@@ -390,7 +391,7 @@ def _tail_edges(u: float, gamma: float, s: float, j_max: int) -> np.ndarray:
         steps = width * 2.0 ** np.arange(math.ceil(math.log2(panel / width)))
         local = u / gamma + np.concatenate([-steps, [0.0], steps])
         inside = local[(local > lo) & (local < hi)]
-        edges = np.unique(np.concatenate([edges, inside]))
+        edges = _sorted_unique(np.concatenate([edges, inside]))
     return edges
 
 
@@ -480,7 +481,8 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     if unit < coarse[1] - coarse[0]:
         reach = math.ceil(math.sqrt(2.0 * j) + 4.0)
         local = gamma * x / sigma + unit * np.arange(-reach, reach + 1)
-        coarse = np.unique(np.clip(np.concatenate([coarse, local]), lo, hi))
+        coarse = _sorted_unique(
+            np.clip(np.concatenate([coarse, local]), lo, hi))
     fine = np.sort(np.concatenate([coarse, (coarse[:-1] + coarse[1:]) / 2.0]))
     sums = []
     for (nodes, weights), edges in ((_RULE, fine), (_gauss_rule(128), coarse)):

@@ -228,7 +228,9 @@ def _extreme_rays(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rays /= np.linalg.norm(rays, axis=1)[:, None]
     on = np.zeros((n, m), dtype=bool)
     on[:, basis] = ~np.eye(n, dtype=bool)
-    for i in np.setdiff1d(np.arange(m), basis):
+    rest = np.ones(m, dtype=bool)
+    rest[basis] = False
+    for i in np.flatnonzero(rest):
         s = rays @ M[i]
         out, into = s > _RAY_TOL, s < -_RAY_TOL
         on[~out & ~into, i] = True

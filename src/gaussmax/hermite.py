@@ -91,6 +91,16 @@ def _finite(x, name: str = "x", lo: float = -_FMAX, hi: float = _FMAX):
     return float(arr) if arr.ndim == 0 else arr
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array in ascending order, as np.unique
+    gives them.  np.unique imports ``numpy.ma`` on first use (NumPy 2.4),
+    a cost this sort and compare avoids."""
+    x = np.sort(x)
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _Phi(x):
     """The standard normal CDF, Phi(x) = erfc(-x/sqrt 2)/2, elementwise.
 

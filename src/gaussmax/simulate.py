@@ -11,7 +11,10 @@ of 2+ points) there is one factor of shape (n, r).  A replicate draws
 r_1 ... r_d normals, not one per grid point: smooth fields have r_i of 8 or
 9 on 25 to 100 points per axis.  Replicates draw from fixed per-replicate
 substreams, so results are bit-identical for a given (seed, reps, grid)
-regardless of batching.
+regardless of batching.  One pass over blocks of 256 replicates samples
+every grid of a validation: each block draws its normals once for all grids
+with the same r_1 ... r_d, and per-axis fields are formed and reduced to
+their maxima a cache-sized slice of the block at a time.
 
 Grid maxima underestimate the continuous maximum; the validation harness
 therefore reports a grid-refinement sequence to show stabilization instead
@@ -45,6 +48,9 @@ _SEPARABLE_TOL = 1e-12
 # index), independent of reps and of how calls are split.  A factor also
 # grows, and is certified, by blocks of 256 columns and rows.
 _BATCH_ROWS = 256
+# Field values per slice of a block on which the last per-axis product and
+# the maximum run (13 rows at 50 x 50), so a slice stays in cache.
+_SLICE_VALUES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -239,35 +245,54 @@ def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int,
     normals follow NumPy's ``log`` dispatch (see ``streams._ndtri``).
     """
     reps = _check_int(reps, 1, math.inf, "reps")
-    return _block_maxima(covariance_cholesky(m, grid), reps, seed)
+    return _sample_grids([covariance_cholesky(m, grid)], reps, seed)[0]
 
 
-def _block_maxima(factors: tuple, reps: int, seed: int) -> np.ndarray:
-    """Maxima of ``reps`` field draws through ``factors``, one block of
-    _BATCH_ROWS replicates at a time.
+def _sample_grids(factor_sets: list, reps: int, seed: int) -> list:
+    """Maxima of ``reps`` field draws through each tuple of factors in
+    ``factor_sets``, one block of _BATCH_ROWS replicates at a time.
 
-    A replicate draws prod(r_i) normals.  Each block of them, shaped
-    (rows, r_1, ..., r_d), is multiplied by F_i^T along axis i for every
-    factor F_i, which expands it to (rows, n_1, ..., n_d); with one factor
-    of the dense covariance that is the single product z @ F^T.
+    A replicate draws prod(r_i) normals from its own stream window, which
+    depends on that product alone, so each block draws them once for every
+    tuple with that product and those tuples share the draw.
     """
-    ranks = tuple(f.shape[1] for f in factors)
-    per_rep = math.prod(ranks)
-    n = math.prod(f.shape[0] for f in factors)
-    out = np.empty(reps)
-    done = 0
-    while done < reps:
+    ranks = [tuple(f.shape[1] for f in fs) for fs in factor_sets]
+    out = [np.empty(reps) for _ in factor_sets]
+    for done in range(0, reps, _BATCH_ROWS):
         nb = min(_BATCH_ROWS, reps - done)
-        z = streams.normals(seed, streams.DOMAIN_FIELD, done, nb, per_rep)
-        if nb < _BATCH_ROWS:
-            zp = np.zeros((_BATCH_ROWS, per_rep))
-            zp[:nb] = z
-            z = zp
-        vals = z.reshape(_BATCH_ROWS, *ranks)
-        for axis, f in enumerate(factors, start=1):
-            vals = np.moveaxis(np.moveaxis(vals, axis, -1) @ f.T, -1, axis)
-        out[done:done + nb] = vals.reshape(_BATCH_ROWS, n)[:nb].max(axis=1)
-        done += nb
+        # the last block is zero-padded to _BATCH_ROWS rows
+        draws = {p: np.zeros((_BATCH_ROWS, p))
+                 for p in map(math.prod, ranks)}
+        for p, z in draws.items():
+            z[:nb] = streams.normals(seed, streams.DOMAIN_FIELD, done, nb, p)
+        for fs, r, o in zip(factor_sets, ranks, out):
+            o[done:done + nb] = _block_field_maxima(
+                fs, draws[math.prod(r)].reshape(_BATCH_ROWS, *r), nb)
+    return out
+
+
+def _block_field_maxima(factors: tuple, z: np.ndarray, nb: int) -> np.ndarray:
+    """Maxima of the first ``nb`` fields of one block of normals z, shaped
+    (_BATCH_ROWS, r_1, ..., r_d), each multiplied by F_i^T along axis i for
+    every factor F_i.
+
+    One factor (a 1-D grid, or the dense covariance) is one product z @ F^T
+    on the whole block.  Otherwise the products of every axis but the last
+    run on the whole block, and the last product and the maximum run on
+    slices of _SLICE_VALUES field values, which stay in cache.  The bits do
+    not move: each replicate of a slice is its own matrix product, and the
+    maximum does not depend on the order of the values.
+    """
+    if len(factors) == 1:
+        return (z @ factors[0].T)[:nb].max(axis=1)
+    for axis, f in enumerate(factors[:-1], start=1):
+        z = np.moveaxis(np.moveaxis(z, axis, -1) @ f.T, -1, axis)
+    n = math.prod(len(f) for f in factors)
+    step = max(1, _SLICE_VALUES // n)
+    out = np.empty(nb)
+    for i in range(0, nb, step):
+        j = min(i + step, nb)
+        out[i:j] = (z[i:j] @ factors[-1].T).reshape(j - i, n).max(axis=1)
     return out
 
 
@@ -359,9 +384,9 @@ def _validate_on_grids(m: IsotropicModel, grids: dict, u_values, reps: int,
     notes = ["grid maxima underestimate the continuous maximum; verdicts "
              "compare the finest grid and the refinement sequence shows "
              "stabilization"]
-    for k, refined in grids.items():
-        factors = covariance_cholesky(m, refined)
-        maxima = _block_maxima(factors, reps, seed)
+    factor_sets = [covariance_cholesky(m, g) for g in grids.values()]
+    for k, factors, maxima in zip(refinements, factor_sets,
+                                  _sample_grids(factor_sets, reps, seed)):
         emp_by_ref.append(_empirical_tail(maxima, u_values, reps, seed))
         ranks = tuple(f.shape[1] for f in factors)
         notes.append(f"refinement x{k}: factors of rank {ranks}, "

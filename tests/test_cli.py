@@ -604,6 +604,30 @@ class TestEntryPoint:
         # tail on the triangle and on the 5-cross-polytope
         assert report[8:] == [[0, []]] * 2
 
+    def test_tail_path_does_not_load_numpy_ma(self):
+        # np.unique and np.setdiff1d import numpy.ma on first use (NumPy
+        # 2.4); the polytope tail and the asympt grid supremum use neither.
+        simplex = {"kind": "halfspaces", "halfspaces": [
+            [[-1.0, 0.0, 0.0], 0.0], [[0.0, -1.0, 0.0], 0.0],
+            [[0.0, 0.0, -1.0], 0.0], [[1.0, 1.0, 1.0], 1.0]]}
+        argv = ["tail", "--set",
+                'model={"family": "rational", "c": 1.0, "beta": 1.0}',
+                "--set", f"geometry={json.dumps(simplex)}",
+                "--set", "u=[-1.0, 0.5, 3.0]"]
+        script = (
+            "import io, contextlib, json, sys\n"
+            "import gaussmax.cli\n"
+            "from gaussmax import asympt, model\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = gaussmax.cli.main({argv!r})\n"
+            "m = model.make_squared_exponential(0.5)\n"
+            "asympt.sigma2_isotropic(m, 1.0)\n"
+            "print(json.dumps([code, 'numpy.ma' in sys.modules]))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, False]
+
     def test_every_exported_name_resolves(self):
         missing = [n for n in gaussmax.__all__ if not hasattr(gaussmax, n)]
         assert missing == []

@@ -362,6 +362,88 @@ class TestSampleMaxima:
         assert np.any(sub.max(axis=1) < vals.max(axis=1))
 
 
+def _whole_block_maxima(factors, reps, seed):
+    """The block loop the shared, sliced pass replaced: each factor applied
+    to the whole zero-padded block along its axis, then the maximum."""
+    ranks_ = ranks(factors)
+    out = np.empty(reps)
+    for done in range(0, reps, simulate._BATCH_ROWS):
+        nb = min(simulate._BATCH_ROWS, reps - done)
+        z = np.zeros((simulate._BATCH_ROWS, math.prod(ranks_)))
+        z[:nb] = streams.normals(seed, streams.DOMAIN_FIELD, done, nb,
+                                 math.prod(ranks_))
+        vals = z.reshape(simulate._BATCH_ROWS, *ranks_)
+        for axis, f in enumerate(factors, start=1):
+            vals = np.moveaxis(np.moveaxis(vals, axis, -1) @ f.T, -1, axis)
+        out[done:done + nb] = vals.reshape(simulate._BATCH_ROWS, -1)[
+            :nb].max(axis=1)
+    return out
+
+
+class TestSharedBlockPass:
+    @staticmethod
+    def _count_normals(monkeypatch):
+        calls, normals = [], streams.normals
+
+        def recording(seed, domain, start_rep, n_reps, per_rep):
+            calls.append((start_rep, per_rep))
+            return normals(seed, domain, start_rep, n_reps, per_rep)
+
+        monkeypatch.setattr(streams, "normals", recording)
+        return calls
+
+    @pytest.mark.parametrize("res,refinements,grid_ranks", [
+        pytest.param(25, (1, 2), [(8, 8), (8, 8)], id="equal-ranks"),
+        pytest.param(4, (1, 4), [(4, 4), (8, 8)], id="unequal-ranks"),
+    ])
+    def test_equals_each_grid_sampled_alone(self, monkeypatch, res,
+                                            refinements, grid_ranks):
+        grids = simulate._refined_grids(FieldGrid((1.0, 1.0), res),
+                                        refinements)
+        factor_sets = [covariance_cholesky(SQ, g) for g in grids.values()]
+        assert [ranks(f) for f in factor_sets] == grid_ranks
+        products = sorted({math.prod(r) for r in grid_ranks})
+        alone = [sample_maxima(SQ, g, 300, 6) for g in grids.values()]
+        calls = self._count_normals(monkeypatch)
+        shared = simulate._sample_grids(factor_sets, 300, 6)
+        assert [a.tobytes() for a in alone] == [s.tobytes() for s in shared]
+        # one draw per block of 256 replicates per distinct prod(ranks)
+        assert calls == [(start, p) for start in (0, 256) for p in products]
+
+    def test_validate_draws_once_per_block(self, monkeypatch):
+        # Both grids have ranks (8, 8): one draw per block serves both.
+        calls = self._count_normals(monkeypatch)
+        validate_bound(SQ, FieldGrid((1.0, 1.0), 25), (1.0,), 300, 6, (1, 2))
+        assert calls == [(0, 64), (256, 64)]
+
+    @pytest.mark.parametrize("sides,res", [
+        pytest.param((1.0, 1.0), (100, 100), id="100x100"),
+        pytest.param((1.0, 1.5), (97, 61), id="97x61"),
+        pytest.param((1.0, 1.0, 1.0), (20, 10, 10), id="20x10x10"),
+    ])
+    def test_sliced_reduction_equals_whole_block(self, sides, res):
+        g = FieldGrid(sides, res)
+        f = covariance_cholesky(SQ, g)
+        assert len(f) == len(res)
+        if g.count == 10_000:
+            assert simulate._SLICE_VALUES // g.count == 3     # rows per slice
+        # a full block and a zero-padded partial one
+        assert (sample_maxima(SQ, g, 300, 8).tobytes()
+                == _whole_block_maxima(f, 300, 8).tobytes())
+
+    def test_dense_factor_bits_pinned(self):
+        # One factor of the dense covariance is one product over the whole
+        # block: its bits depend on the row count, and a slice of
+        # _SLICE_VALUES values at 225 points would hold fewer than 256 rows.
+        g = FieldGrid((1.0, 1.0), 15)
+        f = covariance_cholesky(make_rational(1.0, 1.0), g)
+        assert ranks(f) == (159,)
+        assert simulate._SLICE_VALUES // g.count < simulate._BATCH_ROWS
+        mx = sample_maxima(make_rational(1.0, 1.0), g, 300, 4)
+        assert hashlib.sha256(mx.tobytes()).hexdigest() == (
+            "550c40559acceb44b20861b0554ee1ad7993f6c937ef35a1578eb83595a8aebc")
+
+
 class TestValidateBound:
     def _report(self, **kw):
         grid = FieldGrid((1.0, 1.0), 8)
