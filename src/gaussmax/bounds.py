@@ -47,12 +47,20 @@ log-space tail-integral table, shared with the GOE density in ``randmat``),
 which keeps the large cancellations between its two parts under control far
 into the tails.  One private kernel, :func:`_T_rows`, evaluates any set of
 orders at an array of points from one recurrence, one damping exp and one
-normal CDF: ``tail_bound`` takes every active order from it once per rule,
-as ``pbar_density`` does at each abscissa, and ``T_series`` is its one-order
-view, so the formula exists once.  ``R_correction`` is likewise the
-one-order view of the R_j body, :func:`_R_values`.  The
-normal CDF is the in-package Phi of :mod:`.hermite`; this module loads no
-SciPy.
+normal CDF, and ``T_series`` is its one-order view, so the formula exists
+once.
+
+A sweep runs in one pass.  :func:`_R_values`, :func:`_pbar_rows` and
+:func:`_tail_rows` take a list of abscissae, in blocks of _BLOCK, and put
+every order, abscissa and Gauss node (both Hermite rules, or every level's
+Legendre panels) through one :func:`_T_rows` call per block, or per rule
+for the tail.  Only the dot
+products with the weights, the exactly rounded sums and the gates run per
+row, so each row is, bit for bit, what its abscissa gives alone, and each
+row keeps its own error.  ``R_correction``, ``pE_density``,
+``pbar_density`` and ``tail_bound`` are their one-row views.  The Gauss
+rules are built on first use.  The normal CDF is the in-package Phi of
+:mod:`.hermite`; this module loads no SciPy.
 """
 from __future__ import annotations
 
@@ -163,8 +171,8 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     from Tricomi's asymptotic guesses, and the weights are the Christoffel
     numbers 1/sum_{k<n} u_k(t)^2 (Townsend, Trogdon & Olver 2016).  No
     eigensolver runs: the dense Golub-Welsch eigenproblem wakes LAPACK's
-    thread pool, which then spins.  Cached; the 128-node check rule is
-    built on first use.
+    thread pool, which then spins.  Cached, and built on first use: the
+    64-node rule and the 128-node check rule alike.
     """
     m, nu = n // 2, 2 * n + 1
     # theta - sin(theta) = (4m - 4k + 3) pi/nu, k = 1..m: one guess per
@@ -189,7 +197,15 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return math.sqrt(2.0) * nodes, math.sqrt(2.0) * weights
 
 
-_RULE = _gauss_rule(64)
+_RULE_NODES, _CHECK_NODES = 64, 128   # the y-average and its cross-check
+_BLOCK = 32     # abscissae per kernel pass: bounds the memory of a sweep
+_ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError)
+
+
+def _passes(v, c):
+    """Elementwise: v and c finite, and |v - c| within the gate below."""
+    tol = np.maximum(_TINY, _CHECK_REL_TOL * np.maximum(np.abs(v), np.abs(c)))
+    return np.isfinite(v) & np.isfinite(c) & (np.abs(v - c) <= tol)
 
 
 def _checked(value, check, what: str):
@@ -203,8 +219,7 @@ def _checked(value, check, what: str):
     v, c = np.asarray(value, dtype=float), np.asarray(check, dtype=float)
     bad, exc, why = ~np.isfinite(v), ValueError, "value not finite"
     if not bad.any():
-        tol = np.maximum(_TINY, _CHECK_REL_TOL * np.maximum(np.abs(v), np.abs(c)))
-        bad = ~np.isfinite(c) | ~(np.abs(v - c) <= tol)
+        bad = ~_passes(v, c)
         exc, why = RuntimeError, "quadrature non-convergent"
     if bad.any():
         i = int(np.argmax(bad))
@@ -212,6 +227,67 @@ def _checked(value, check, what: str):
         raise exc(f"{why} for {what}{at}: value {float(v.flat[i])!r}, "
                   f"check {float(c.flat[i])!r}")
     return value
+
+
+def _gate(value, check, what) -> list:
+    """For each column i of (value, check), the last axis: the error that
+    :func:`_checked` raises on it under the name what(i), or None.
+
+    One vectorized pass finds the failing columns, and only those go
+    through the gate one by one, so each error is the one its column alone
+    raises.
+    """
+    with np.errstate(all="ignore"):
+        ok = _passes(value, check)
+    errors = [None] * ok.shape[-1]
+    for i in np.flatnonzero(~ok.reshape(-1, ok.shape[-1]).all(axis=0)):
+        try:
+            _checked(value[..., i], check[..., i], what(i))
+        except (ValueError, RuntimeError) as e:
+            errors[i] = e
+    return errors
+
+
+def _first(*error_lists) -> list:
+    """The first error of each abscissa over lists in gate order, or None."""
+    return [next((e for e in errs if e is not None), None)
+            for errs in zip(*error_lists)]
+
+
+def _by_blocks(block):
+    """The rows kernel that runs ``block(m, geom, part)`` on parts of at
+    most _BLOCK abscissae: one result, or the error it raised, per abscissa.
+
+    An error that ``block`` itself raises comes from the model or the
+    geometry before any gate of a single abscissa, so it is every row's.
+    """
+    @functools.wraps(block)
+    def rows(m: IsotropicModel, geom: FaceDecomposition, xs: list) -> list:
+        out = []
+        for start in range(0, len(xs), _BLOCK):
+            part = xs[start:start + _BLOCK]
+            try:
+                out += block(m, geom, part)
+            except _ROW_ERRORS as e:
+                out += [e] * len(part)
+        return out
+    return rows
+
+
+def _attempt(f, *args):
+    """f(*args), or the row error it raises."""
+    try:
+        return f(*args)
+    except _ROW_ERRORS as e:
+        return e
+
+
+def _one(results: list):
+    """The result of a rows kernel on one abscissa; its error is raised."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @_in_floats
@@ -250,32 +326,53 @@ def R_correction(m: IsotropicModel, j: int, x: float,
     R_j(x) >= 0 always: it measures E|det| minus the signed determinant
     expectation of the conditional Hessian, and |det| >= det pointwise.
     Tiny negative results of order rounding error are possible and are not
-    clipped here.
+    clipped here.  The one-order, one-abscissa view of :func:`_R_values`.
     """
     j = _check_int(j, 1, MAX_ORDER, "order j")
-    return _R_values(m, (j,), _finite(x), cross_check)[0]
+    values, errors = _R_values(m, (j,), [_finite(x)], cross_check)
+    return float(_one([errors[0] or values[0, 0]]))
 
 
-def _R_values(m: IsotropicModel, orders, x: float, cross_check: bool) -> list:
-    """R_j(x) for each j of ``orders`` (in 1..60) at one finite x.
+def _R_values(m: IsotropicModel, orders, xs: list, cross_check: bool):
+    """R_j(x) for each j of ``orders`` (in 1..60) and each finite x of
+    ``xs``: an array of shape (len(orders), len(xs)), and the first error
+    of each x (None if it has none).
 
-    One :func:`_T_rows` call per rule serves every order; each row is dotted
-    with the weights on its own and gated under its own name, so each value
-    is, bit for bit, the :func:`R_correction` of its order.
+    One :func:`_T_rows` call serves every order, abscissa and node of both
+    rules.  Each (j, x) is dotted with the weights on its own and gated
+    under its own name, in the order :func:`R_correction` takes them, so
+    its value and its error are, bit for bit, those of x alone.
     """
     gamma, s = _gamma_s(m)
+    x = np.array(xs, dtype=float)
     if s == 0.0:
-        v = np.float64(gamma * x / math.sqrt(2.0))
-        integrals = checks = SQRT_2PI * _T_rows(orders, v)
+        integrals = checks = SQRT_2PI * _T_rows(orders,
+                                                gamma * x / math.sqrt(2.0))
     else:
-        def average(y, weights):
-            T = _T_rows(orders, (gamma * x - s * y) / math.sqrt(2.0))
-            return [row @ weights for row in T]
+        rules = [_gauss_rule(_RULE_NODES)]
+        if cross_check:
+            rules.append(_gauss_rule(_CHECK_NODES))
+        y = np.concatenate([nodes for nodes, _ in rules])
+        T = _T_rows(orders, (gamma * x[:, None] - s * y) / math.sqrt(2.0))
+        rows, cut = T.reshape(-1, len(y)), len(rules[0][0])
 
-        integrals = average(*_RULE)
-        checks = average(*_gauss_rule(128)) if cross_check else integrals
-    return [float(_pref(m, j) * _checked(integral, check, f"R_{j}({x})"))
-            for j, integral, check in zip(orders, integrals, checks)]
+        def average(part, weights):
+            return np.array([row[part] @ weights for row in rows]).reshape(
+                T.shape[:2])
+
+        integrals = checks = average(slice(None, cut), rules[0][1])
+        if cross_check:
+            checks = average(slice(cut, None), rules[1][1])
+    values, errors = np.empty_like(integrals), [None] * len(xs)
+    for k, j in enumerate(orders):
+        try:
+            pref = _pref(m, j)
+        except ValueError as e:     # the model's, so every abscissa's
+            return values, _first(errors, [e] * len(xs))
+        errors = _first(errors, _gate(integrals[k], checks[k],
+                                      lambda i: f"R_{j}({xs[i]})"))
+        values[k] = pref * integrals[k]
+    return values, errors
 
 
 @dataclass(frozen=True)
@@ -303,14 +400,17 @@ def _require_polyhedral(geom: FaceDecomposition):
                          "sphere surface; use sphere_pbar")
 
 
-def _principal(m: IsotropicModel, geom: FaceDecomposition, x: float) -> list:
-    """The summands phi(x) (|rho'|/pi)^{j/2} Hbar_j(x) g_j, j = 0..d0, of pE."""
+def _principal_rows(m: IsotropicModel, geom: FaceDecomposition, xs: list):
+    """The summands phi(x) (|rho'|/pi)^{j/2} Hbar_j(x) g_j, j = 0..d0, of pE
+    at each x of ``xs``: shape (d0 + 1, len(xs)), and each x's error."""
     _require_polyhedral(geom)
-    phi = float(_phi(x))
-    hbar = _eval_all(HermiteKind.MODIFIED, geom.d0, np.float64(x))
-    terms = [phi * geom.g[0]] + [phi * _coef(m, j) * float(hbar[j]) * geom.g[j]
-                                 for j in range(1, geom.d0 + 1)]
-    return _checked(terms, terms, f"the pE terms at x={x!r}")
+    x = np.array(xs, dtype=float)
+    phi = _phi(x)
+    terms = _eval_all(HermiteKind.MODIFIED, geom.d0, x)
+    terms[0] = phi * geom.g[0]
+    for j in range(1, geom.d0 + 1):
+        terms[j] = phi * _coef(m, j) * terms[j] * geom.g[j]
+    return terms, _gate(terms, terms, lambda i: f"the pE terms at x={xs[i]!r}")
 
 
 def pE_density(m: IsotropicModel, geom: FaceDecomposition, x: float) -> float:
@@ -320,7 +420,8 @@ def pE_density(m: IsotropicModel, geom: FaceDecomposition, x: float) -> float:
     May be negative left of the bulk; integrates to the expected EPC of the
     excursion set.  Equal, bit for bit, to ``pbar_density(m, geom, x).pE``.
     """
-    return math.fsum(_principal(m, geom, _finite(x)))
+    terms, errors = _principal_rows(m, geom, [_finite(x)])
+    return math.fsum(_one([errors[0] or terms[:, 0].tolist()]))
 
 
 def pbar_density(m: IsotropicModel, geom: FaceDecomposition,
@@ -328,20 +429,36 @@ def pbar_density(m: IsotropicModel, geom: FaceDecomposition,
     """Full evaluation of the density bound pbar(x) with its breakdown.
 
     The correction terms use the 64-node Gauss rule, checked against the
-    128-node rule; for term-level control call R_correction directly.
+    128-node rule; for term-level control call R_correction directly.  The
+    one-abscissa view of :func:`_pbar_rows`.
     """
-    x = _finite(x)
-    principal = _principal(m, geom, x)
-    phi = float(_phi(x))
+    return _one(_pbar_rows(m, geom, [_finite(x)]))
+
+
+@_by_blocks
+def _pbar_rows(m: IsotropicModel, geom: FaceDecomposition, xs: list) -> list:
+    """:func:`pbar_density` at each finite x of ``xs``, or the error it
+    raises there."""
+    terms, errors = _principal_rows(m, geom, xs)
     orders = range(1, geom.d0 + 1)
-    R = _R_values(m, orders, x, True) if orders else []
-    complementary = [0.0] + [max(0.0, phi * R_j * geom.g[j])
-                             for j, R_j in zip(orders, R)]
+    comp = np.empty((0, len(xs)))
+    if orders:
+        R, R_errors = _R_values(m, orders, xs, True)
+        errors = _first(errors, R_errors)
+        comp = _phi(np.array(xs)) * R * np.array(geom.g[1:])[:, None]
+        comp = np.where(comp > 0.0, comp, 0.0)   # max(0, .), as for NaN
+    return [errors[i] or _attempt(_breakdown, x, terms[:, i], comp[:, i])
+            for i, x in enumerate(xs)]
+
+
+def _breakdown(x: float, principal: np.ndarray,
+               complementary: np.ndarray) -> BoundBreakdown:
+    principal = principal.tolist()
+    complementary = [0.0] + complementary.tolist()
     pE = math.fsum(principal)
-    pbar = pE + math.fsum(complementary)
     return BoundBreakdown(x=x, principal_by_j=tuple(principal),
                           complementary_by_j=tuple(complementary),
-                          pbar=pbar, pE=pE)
+                          pbar=pE + math.fsum(complementary), pE=pE)
 
 
 @dataclass(frozen=True)
@@ -362,14 +479,24 @@ class TailBound:
 
 
 _TAIL_PANELS = 24
-_LEG_T, _LEG_W = np.polynomial.legendre.leggauss(16)
 
 
-def _composite_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of 16-point Gauss-Legendre on every panel."""
-    half = np.diff(edges)[:, None] / 2.0
-    mid = (edges[:-1, None] + edges[1:, None]) / 2.0
-    return (mid + half * _LEG_T).ravel(), (half * _LEG_W).ravel()
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights on [-1, 1].  Built on first
+    use: ``numpy.polynomial`` takes about 5 ms to import, which the commands
+    that never sum on panels do not pay."""
+    return np.polynomial.legendre.leggauss(16)
+
+
+def _composite_rule(left: np.ndarray,
+                    right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 16-point Gauss-Legendre on every panel
+    [left_i, right_i], panel after panel."""
+    t, w = _legendre_rule()
+    half = (right - left)[:, None] / 2.0
+    mid = (left[:, None] + right[:, None]) / 2.0
+    return (mid + half * t).ravel(), (half * w).ravel()
 
 
 def _tail_edges(u: float, gamma: float, s: float, j_max: int) -> np.ndarray:
@@ -410,35 +537,82 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
     :func:`_T_rows` call per rule.  It is summed with composite
     16-point Gauss-Legendre rules (see :func:`_tail_edges`) on 24 panels and
     on each panel halved; the halved value is returned after the gate of
-    :func:`_checked` against the unhalved one.
+    :func:`_checked` against the unhalved one.  The one-level view of
+    :func:`_tail_rows`.
     """
+    return _one(_tail_rows(m, geom, [_finite(u, "u")]))
+
+
+@_by_blocks
+def _tail_rows(m: IsotropicModel, geom: FaceDecomposition, us: list) -> list:
+    """:func:`tail_bound` at each finite level of ``us``, or the error it
+    raises there.  Each rule's nodes, for every level, go through one
+    :func:`_T_rows` and one Phi pass; each level's slice is dotted with
+    its weights on its own, so its mass is, bit for bit, that of the level
+    alone."""
     _require_polyhedral(geom)
-    u = _finite(u, "u")
-    hbar = _eval_all(HermiteKind.MODIFIED, max(geom.d0 - 1, 0), np.float64(u))
-    phi_u = float(_phi(u))
+    u = np.array(us, dtype=float)
+    hbar = _eval_all(HermiteKind.MODIFIED, max(geom.d0 - 1, 0), u)
+    phi_u = _phi(u)
     pE_tail = geom.g[0] * _Phi(-u)
     for j in range(1, geom.d0 + 1):
-        pE_tail += _coef(m, j) * float(hbar[j - 1]) * geom.g[j] * phi_u
+        pE_tail = pE_tail + _coef(m, j) * hbar[j - 1] * geom.g[j] * phi_u
+    pE_tail = pE_tail.tolist()
 
     active = [j for j in range(1, geom.d0 + 1) if geom.g[j] > 0.0]
     if not active:
-        return TailBound(pbar_tail=pE_tail, pE_tail=pE_tail, complementary=0.0)
+        return [TailBound(pbar_tail=p, pE_tail=p, complementary=0.0)
+                for p in pE_tail]
 
     gamma, s = _gamma_s(m)
-    coarse = _tail_edges(u, gamma, s, active[-1])
-    fine = np.sort(np.concatenate([coarse, (coarse[:-1] + coarse[1:]) / 2.0]))
-    comp_by_rule = []
-    for edges in (coarse, fine):
-        a, w = _composite_rule(edges)
-        w = w * _phi(a) * (_Phi((gamma * a - u) / s) if s > 0.0 else 1.0)
+    errors, edges = [None] * len(us), {}
+    for i, level in enumerate(us):
+        try:
+            coarse = _tail_edges(level, gamma, s, active[-1])
+        except _ROW_ERRORS as e:
+            errors[i] = e
+            continue
+        edges[i] = coarse, np.sort(np.concatenate(
+            [coarse, (coarse[:-1] + coarse[1:]) / 2.0]))
+    try:
+        weights = [geom.g[j] * _pref(m, j) for j in active]
+    except ValueError as e:         # the model's, so every level's
+        return _first(errors, [e] * len(us))
+    if not edges:
+        return errors
+
+    levels = list(edges)
+
+    def masses(rule: int):
+        """Each level's correction mass on its coarse (0) or fine (1)
+        panels, NaN where the sum raised, and each level's error."""
+        sets = [edges[i][rule] for i in levels]
+        a, w = _composite_rule(np.concatenate([e[:-1] for e in sets]),
+                               np.concatenate([e[1:] for e in sets]))
+        sizes = [(len(e) - 1) * len(_legendre_rule()[0]) for e in sets]
+        w = w * _phi(a)
+        if s > 0.0:
+            w = w * _Phi((gamma * a - np.repeat(u[levels], sizes)) / s)
         T = _T_rows(active, a / math.sqrt(2.0))
-        comp_by_rule.append(SQRT_2PI * math.fsum(
-            geom.g[j] * _pref(m, j) * float(T_j @ w)
-            for j, T_j in zip(active, T)))
-    rough, comp = comp_by_rule
-    comp = _checked(comp, rough, f"the complementary tail at u={u}")
-    return TailBound(pbar_tail=pE_tail + comp, pE_tail=pE_tail,
-                     complementary=comp)
+        out, errs, ends = np.full(len(sets), np.nan), [None] * len(sets), 0
+        for k, size in enumerate(sizes):
+            part, ends = slice(ends, ends + size), ends + size
+            try:
+                out[k] = SQRT_2PI * math.fsum(c * float(T_j[part] @ w[part])
+                                              for c, T_j in zip(weights, T))
+            except _ROW_ERRORS as e:
+                errs[k] = e
+        return out, errs
+
+    (rough, rough_errors), (comp, comp_errors) = masses(0), masses(1)
+    gate = _gate(comp, rough,
+                 lambda k: f"the complementary tail at u={us[levels[k]]}")
+    for i, e in zip(levels, _first(rough_errors, comp_errors, gate)):
+        errors[i] = e
+    comp = dict(zip(levels, comp.tolist()))
+    return [errors[i] or TailBound(pbar_tail=pE_tail[i] + comp[i],
+                                   pE_tail=pE_tail[i], complementary=comp[i])
+            for i in range(len(us))]
 
 
 def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
@@ -485,8 +659,9 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
             np.clip(np.concatenate([coarse, local]), lo, hi))
     fine = np.sort(np.concatenate([coarse, (coarse[:-1] + coarse[1:]) / 2.0]))
     sums = []
-    for (nodes, weights), edges in ((_RULE, fine), (_gauss_rule(128), coarse)):
-        y, w = _composite_rule(edges)
+    for (nodes, weights), edges in ((_gauss_rule(_RULE_NODES), fine),
+                                    (_gauss_rule(_CHECK_NODES), coarse)):
+        y, w = _composite_rule(edges[:-1], edges[1:])
         T = _T_rows((j,), (gamma * x - sigma * y) / math.sqrt(2.0))[0]
         hbar = _eval_all(HermiteKind.MODIFIED, j, x + shift * nodes)[j]
         sums.append(coef * (hbar @ weights) / SQRT_2PI

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import __version__, streams
 from .asympt import Z_delta_exponent, exponent_convex, exponent_general
-from .bounds import pbar_density, tail_bound
+from .bounds import _attempt, _pbar_rows, _tail_rows
 from .geometry import (FaceDecomposition, polytope_g_coeffs, rectangle_faces,
                        sphere_surface)
 from .hermite import _check_int, _finite
@@ -222,42 +222,58 @@ class _RunResult:
     extra: dict
 
 
-def _sweep(values, label: str, row):
-    """(rows, errors) of row(v); a v not finite or failing is an error."""
-    rows, errors = [], []
-    for v in values:
-        try:
-            rows.append(row(_finite(v, label)))
-        except (ValueError, RuntimeError, ArithmeticError) as e:
-            errors.append(f"{label}={_fmt(v)}: {e}")
-    return rows, errors
+def _sweep(values, label: str, rows):
+    """(rows, errors) of a sweep.  rows(finite values) gives one row, or the
+    error that fails it, per value; a value not finite is an error."""
+    checked = [_attempt(_finite, v, label) for v in values]
+    results = iter(rows([x for x in checked if not isinstance(x, Exception)]))
+    out, errors = [], []
+    for v, x in zip(values, checked):
+        result = x if isinstance(x, Exception) else next(results)
+        if isinstance(result, Exception):
+            errors.append(f"{label}={_fmt(v)}: {result}")
+        else:
+            out.append(result)
+    return out, errors
+
+
+def _polyhedral_geometry(cfg: RunConfig) -> FaceDecomposition:
+    # refused by its kind before any row runs, as validate refuses a
+    # geometry that is not a rectangle
+    if _geometry_spec(cfg)["kind"] == "sphere":
+        raise ConfigError(f"{cfg.command} needs a rectangle or halfspaces "
+                          "geometry: the polyhedral density bound does not "
+                          "apply to the sphere surface")
+    return _build_geometry(cfg)
 
 
 def _run_bound(cfg: RunConfig) -> _RunResult:
     m = _build_model(cfg)
-    geom = _build_geometry(cfg)
+    geom = _polyhedral_geometry(cfg)
     xs = _abscissa_values(cfg, "bound")
     cols = (["x", "pbar", "pE"]
             + [f"principal_{j}" for j in range(geom.d0 + 1)]
             + [f"complementary_{j}" for j in range(geom.d0 + 1)])
 
-    def row(x):
-        b = pbar_density(m, geom, x)
-        return [b.x, b.pbar, b.pE, *b.principal_by_j, *b.complementary_by_j]
+    def rows(xs):
+        return [b if isinstance(b, Exception) else
+                [b.x, b.pbar, b.pE, *b.principal_by_j, *b.complementary_by_j]
+                for b in _pbar_rows(m, geom, xs)]
 
-    return _RunResult(cols, *_sweep(xs, "x", row), {})
+    return _RunResult(cols, *_sweep(xs, "x", rows), {})
 
 
 def _run_tail(cfg: RunConfig) -> _RunResult:
     m = _build_model(cfg)
-    geom = _build_geometry(cfg)
+    geom = _polyhedral_geometry(cfg)
     us = _abscissa_values(cfg, "tail")
 
-    def row(u):
-        t = tail_bound(m, geom, u)
-        return [u, t.pbar_tail, t.pE_tail]
+    def rows(us):
+        return [t if isinstance(t, Exception) else [u, t.pbar_tail, t.pE_tail]
+                for u, t in zip(us, _tail_rows(m, geom, us))]
 
-    return _RunResult(["u", "pbar_tail", "pE_tail"], *_sweep(us, "u", row), {})
+    return _RunResult(["u", "pbar_tail", "pE_tail"], *_sweep(us, "u", rows),
+                      {})
 
 
 def _run_validate(cfg: RunConfig) -> _RunResult:
@@ -292,7 +308,8 @@ def _run_goe(cfg: RunConfig) -> _RunResult:
                 expected_absdet_shifted_goe(cfg.n, nu)]
 
     return _RunResult(["n", "nu", "density", "absdet_mean"],
-                      *_sweep(nus, "nu", row), {})
+                      *_sweep(nus, "nu", lambda nus: [_attempt(row, nu)
+                                                      for nu in nus]), {})
 
 
 def _run_geom(cfg: RunConfig) -> _RunResult:

@@ -122,10 +122,81 @@ def test_pbar_density_equals_its_one_order_view(m, geom):
             assert got[j] == want, (x, j)
 
 
+SIMPLEX3 = geometry.polytope_g_coeffs(
+    [[[-1.0, 0.0, 0.0], 0.0], [[0.0, -1.0, 0.0], 0.0],
+     [[0.0, 0.0, -1.0], 0.0], [[1.0, 1.0, 1.0], 1.0]], reps=1000, seed=1)
+# Both sides of 0, past one block, and levels whose tail panels get a
+# different number of local edges around the smoothed step (ragged nodes).
+SWEEP = [float(v) for v in np.linspace(-20.0, 30.0, 41)] + [
+    -0.5, 0.0, 0.7, 3.0, 7.5, 8.0, 12.0, 25.0]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("m", [SQ, RAT, NEAR_ONE],
+                         ids=["gamma1", "rational", "near_one"])
+@pytest.mark.parametrize("geom", [
+    CUBE, geometry.rectangle_faces([1.0, 0.5, 2.0, 1.5, 0.7]), SIMPLEX3],
+    ids=["cube", "box5", "simplex3"])
+def test_rows_kernels_equal_each_abscissa_alone(m, geom):
+    # One kernel pass per block of abscissae gives, bit for bit, what each
+    # abscissa gives alone through its one-row view.
+    assert len(SWEEP) > bounds._BLOCK
+    gamma, s = bounds._gamma_s(m)
+    panels = {len(bounds._tail_edges(u, gamma, s, geom.d0)) for u in SWEEP}
+    assert s == 0.0 or len(panels) > 1       # ragged node counts covered
+
+    for x, b in zip(SWEEP, bounds._pbar_rows(m, geom, SWEEP)):
+        alone = bounds.pbar_density(m, geom, x)
+        assert (_hex([b.x, b.pbar, b.pE, *b.principal_by_j,
+                      *b.complementary_by_j])
+                == _hex([alone.x, alone.pbar, alone.pE,
+                         *alone.principal_by_j, *alone.complementary_by_j]))
+        assert _hex([bounds.pE_density(m, geom, x)]) == _hex([b.pE])
+    for u, t in zip(SWEEP, bounds._tail_rows(m, geom, SWEEP)):
+        alone = bounds.tail_bound(m, geom, u)
+        assert (_hex([t.pbar_tail, t.pE_tail, t.complementary])
+                == _hex([alone.pbar_tail, alone.pE_tail, alone.complementary]))
+    orders = range(1, geom.d0 + 1)
+    for cross_check in (True, False):
+        R, errors = bounds._R_values(m, orders, SWEEP, cross_check)
+        assert errors == [None] * len(SWEEP)
+        for k, j in enumerate(orders):
+            assert _hex(R[k]) == _hex(
+                [bounds.R_correction(m, j, x, cross_check) for x in SWEEP])
+
+
+def test_rows_kernel_keeps_each_rows_error():
+    # A failing abscissa fails alone, with the error it raises alone; the
+    # rows around it, in the same block, still come out.
+    xs = [1.0, 1e155, 2.0]
+    with np.errstate(all="ignore"):
+        for rows, alone in ((bounds._pbar_rows, bounds.pbar_density),
+                            (bounds._tail_rows, bounds.tail_bound)):
+            got = rows(SQ, SQUARE, xs)
+            assert got[0] == alone(SQ, SQUARE, 1.0)
+            assert got[2] == alone(SQ, SQUARE, 2.0)
+            with pytest.raises(ValueError) as e:
+                alone(SQ, SQUARE, 1e155)
+            assert type(got[1]) is ValueError
+            assert str(got[1]) == str(e.value)
+
+
+def test_model_error_is_every_rows_error():
+    m = model.make_squared_exponential(1e154)   # its order-j powers overflow
+    for rows in (bounds._pbar_rows, bounds._tail_rows):
+        got = rows(m, SQUARE, SWEEP)
+        assert len(got) == len(SWEEP)
+        assert all(isinstance(e, ValueError) and "overflows" in str(e)
+                   for e in got)
+
+
 def test_R_correction_cross_check_catches_bad_rule(monkeypatch):
     # far too coarse for j = 4 integrands; sphere_pbar's y-average
     # goes through the same check (one test id covers both callers)
-    monkeypatch.setattr(bounds, "_RULE", bounds._gauss_rule(2))
+    monkeypatch.setattr(bounds, "_RULE_NODES", 2)
     for call in (lambda: bounds.R_correction(RAT, 4, 0.5, cross_check=True),
                  lambda: bounds.sphere_pbar(RAT, 5, 0.5)):
         with pytest.raises(RuntimeError, match="non-convergent"):
@@ -137,7 +208,7 @@ def test_R_correction_gate_is_relative_in_the_tail(monkeypatch):
     # value 2.7e-20, half the converged one
     m = model.make_rational(1.0, 1.0)
     assert bounds.R_correction(m, 1, 20.0) == pytest.approx(5.16e-20, rel=1e-2)
-    monkeypatch.setattr(bounds, "_RULE", bounds._gauss_rule(6))
+    monkeypatch.setattr(bounds, "_RULE_NODES", 6)
     with pytest.raises(RuntimeError, match="non-convergent for R_1"):
         bounds.R_correction(m, 1, 20.0)
 

@@ -19,6 +19,11 @@ from gaussmax.model import make_squared_exponential
 
 SQ_SPEC = {"family": "squared_exponential", "c": 0.5}
 RECT_SPEC = {"kind": "rectangle", "sides": [1.0, 1.0]}
+RATIONAL_SPEC = {"family": "rational", "c": 1.0, "beta": 1.0}
+CUBE_SPEC = {"kind": "rectangle", "sides": [1.0, 1.0, 1.0]}
+SIMPLEX_SPEC = {"kind": "halfspaces", "halfspaces": [
+    [[-1.0, 0.0, 0.0], 0.0], [[0.0, -1.0, 0.0], 0.0],
+    [[0.0, 0.0, -1.0], 0.0], [[1.0, 1.0, 1.0], 1.0]]}
 
 
 def run_cli(capsys, argv):
@@ -238,12 +243,33 @@ class TestTailCommand:
             "--set", 'abscissa={"min":0,"max":1,"step":1}'])
         assert code == 2 and "not both" in err
 
-    def test_sphere_geometry_fails_numerically(self, capsys):
+    ARGS = ["tail", "--set", f"model={json.dumps(RATIONAL_SPEC)}",
+            "--set", f"geometry={json.dumps(SIMPLEX_SPEC)}",
+            "--set", "u=[-2.0, -0.3, 0.0, 0.4, 1.5, 3.0, 8.0]"]
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("json",
+         "122704b3ad469843746cfb0cfa10c2918f2b5d9cfc33bdaf238152841dc2485e"),
+        ("csv",
+         "371b060472887caa8aaa4900b0a1578a1682dd91d0f7b4007104fe062bb05ae0"),
+    ])
+    def test_output_bytes_pinned(self, capsys, fmt, digest):
+        # Digests of the full stdout, taken when each level was its own
+        # tail_bound call, before the levels shared one kernel pass.
+        code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["tail", "bound"])
+    def test_sphere_geometry_is_config_error(self, capsys, command):
+        # Refused before any row runs, as validate refuses a geometry that
+        # is not a rectangle: the polyhedral bound has no sphere rows.
         code, out, err = run_cli(capsys, [
-            "tail", "--set", f"model={json.dumps(SQ_SPEC)}",
+            command, "--set", f"model={json.dumps(SQ_SPEC)}",
             "--set", 'geometry={"kind":"sphere","d":3}',
-            "--set", "u=[1.0]"])
-        assert code == 3 and "numeric failure" in err
+            "--set", "u=[1.0, 2.0]"])
+        assert code == 2 and out == ""
+        assert "config error" in err and "sphere" in err
 
 
 class TestBoundCommand:
@@ -283,6 +309,49 @@ class TestBoundCommand:
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr and "10" in proc.stderr
         assert proc.stdout == ""
+
+    # gamma < 1, so each row's R_j terms pass the 128-node cross-check
+    ARGS = ["bound", "--set", f"model={json.dumps(RATIONAL_SPEC)}",
+            "--set", f"geometry={json.dumps(CUBE_SPEC)}",
+            "--set", "u=[-3.0, -0.5, 0.0, 0.7, 2.5, 6.0, 12.0]"]
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("json",
+         "bb10c7e7b3fb0e8ad5cf218f968651da26aab4c3a11e73012341ab1f6f164212"),
+        ("csv",
+         "07775fca9eb168256a5d2146830e5dc2b5bc23c5347a1dd6eb3bc94a65b898ca"),
+    ])
+    def test_output_bytes_pinned(self, capsys, fmt, digest):
+        # Digests of the full stdout, taken when each abscissa was its own
+        # pbar_density call, before the abscissae shared one kernel pass.
+        code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,error", [
+        ("bound", "x=1e+155: value not finite for the pE terms at x=1e+155 "
+                  "at flat index 2: value nan, check nan"),
+        ("tail", "u=1e+155: value not finite for the complementary tail at "
+                 "u=1e+155: value nan, check nan")])
+    def test_failing_row_fails_alone(self, capsys, command, error):
+        # The error lines are those of the sweep that computed each row on
+        # its own; the rows on either side, in the same block, still print.
+        code, out, err = run_cli(capsys, [
+            command, "--set", f"model={json.dumps(SQ_SPEC)}",
+            "--set", f"geometry={json.dumps(RECT_SPEC)}",
+            "--set", "u=[1.0, 1e155, 2.0]"])
+        assert code == 3
+        _, rows = data_rows(out)
+        assert [float(r[0]) for r in rows] == [1.0, 2.0]
+        assert out.endswith(f"# error: {error}\n")
+        assert err == f"gaussmax: numeric failure: {error}\n"
+        m, geom = make_squared_exponential(0.5), geometry.rectangle_faces([1, 1])
+        for row, level in zip(rows, (1.0, 2.0)):
+            want = (bounds.pbar_density(m, geom, level).pbar
+                    if command == "bound" else
+                    bounds.tail_bound(m, geom, level).pbar_tail)
+            assert float(row[1]) == want
 
     def test_abscissa_expansion_and_columns(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -627,6 +696,27 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, False]
+
+    def test_bound_and_goe_do_not_load_numpy_polynomial(self):
+        # The Gauss rules are built on first use, and only the panel sums
+        # of tail (and sphere_pbar) take Gauss-Legendre from numpy.
+        runs = [["bound", "--set", f"model={json.dumps(RATIONAL_SPEC)}",
+                 "--set", f"geometry={json.dumps(CUBE_SPEC)}",
+                 "--set", "u=[-1.0, 0.5, 3.0]"],
+                ["goe", "--set", "n=3", "--set", "u=[-0.5, 0.3]"]]
+        script = (
+            "import io, contextlib, json, sys\n"
+            "import gaussmax.cli\n"
+            "report = ['numpy.polynomial' in sys.modules]\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = gaussmax.cli.main(argv)\n"
+            "    report.append([code, 'numpy.polynomial' in sys.modules])\n"
+            "print(json.dumps(report))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, [0, False], [0, False]]
 
     def test_every_exported_name_resolves(self):
         missing = [n for n in gaussmax.__all__ if not hasattr(gaussmax, n)]
