@@ -56,9 +56,11 @@ every order, abscissa and Gauss node (both Hermite rules, or every level's
 Legendre panels) through one :func:`_T_rows` call per block, or per rule
 for the tail.  Only the dot
 products with the weights, the exactly rounded sums and the gates run per
-row, so each row is, bit for bit, what its abscissa gives alone, and each
-row keeps its own error.  ``R_correction``, ``pE_density``,
-``pbar_density`` and ``tail_bound`` are their one-row views.  The Gauss
+row, so each row is, bit for bit, what its abscissa gives alone.  A kernel
+raises its first error like any function; a block that raises is run again
+one abscissa at a time, so each row keeps its own error.  ``R_correction``,
+``pE_density``, ``pbar_density`` and ``tail_bound`` are their one-row
+views.  The Gauss
 rules are built on first use.  The normal CDF is the in-package Phi of
 :mod:`.hermite`; this module loads no SciPy.
 """
@@ -229,37 +231,28 @@ def _checked(value, check, what: str):
     return value
 
 
-def _gate(value, check, what) -> list:
-    """For each column i of (value, check), the last axis: the error that
-    :func:`_checked` raises on it under the name what(i), or None.
+def _gate(value, check, what):
+    """The gate of :func:`_checked` on each column i of (value, check), the
+    last axis, under the name what(i).
 
-    One vectorized pass finds the failing columns, and only those go
-    through the gate one by one, so each error is the one its column alone
-    raises.
+    One vectorized pass finds the failing columns, and the first of them
+    alone goes through :func:`_checked`, so the error raised is the one
+    that column alone raises.
     """
     with np.errstate(all="ignore"):
         ok = _passes(value, check)
-    errors = [None] * ok.shape[-1]
-    for i in np.flatnonzero(~ok.reshape(-1, ok.shape[-1]).all(axis=0)):
-        try:
-            _checked(value[..., i], check[..., i], what(i))
-        except (ValueError, RuntimeError) as e:
-            errors[i] = e
-    return errors
-
-
-def _first(*error_lists) -> list:
-    """The first error of each abscissa over lists in gate order, or None."""
-    return [next((e for e in errs if e is not None), None)
-            for errs in zip(*error_lists)]
+    bad = np.flatnonzero(~ok.reshape(-1, ok.shape[-1]).all(axis=0))
+    if bad.size:
+        i = bad[0]
+        _checked(value[..., i], check[..., i], what(i))
 
 
 def _by_blocks(block):
     """The rows kernel that runs ``block(m, geom, part)`` on parts of at
     most _BLOCK abscissae: one result, or the error it raised, per abscissa.
 
-    An error that ``block`` itself raises comes from the model or the
-    geometry before any gate of a single abscissa, so it is every row's.
+    A part that raises is run again one abscissa at a time, so each row
+    gets, bit for bit, the result or the error of its abscissa alone.
     """
     @functools.wraps(block)
     def rows(m: IsotropicModel, geom: FaceDecomposition, xs: list) -> list:
@@ -269,7 +262,8 @@ def _by_blocks(block):
             try:
                 out += block(m, geom, part)
             except _ROW_ERRORS as e:
-                out += [e] * len(part)
+                out += ([e] if len(part) == 1 else
+                        [r for x in part for r in rows(m, geom, [x])])
         return out
     return rows
 
@@ -329,19 +323,18 @@ def R_correction(m: IsotropicModel, j: int, x: float,
     clipped here.  The one-order, one-abscissa view of :func:`_R_values`.
     """
     j = _check_int(j, 1, MAX_ORDER, "order j")
-    values, errors = _R_values(m, (j,), [_finite(x)], cross_check)
-    return float(_one([errors[0] or values[0, 0]]))
+    return float(_R_values(m, (j,), [_finite(x)], cross_check)[0, 0])
 
 
-def _R_values(m: IsotropicModel, orders, xs: list, cross_check: bool):
+def _R_values(m: IsotropicModel, orders, xs: list,
+              cross_check: bool) -> np.ndarray:
     """R_j(x) for each j of ``orders`` (in 1..60) and each finite x of
-    ``xs``: an array of shape (len(orders), len(xs)), and the first error
-    of each x (None if it has none).
+    ``xs``: an array of shape (len(orders), len(xs)).
 
     One :func:`_T_rows` call serves every order, abscissa and node of both
-    rules.  Each (j, x) is dotted with the weights on its own and gated
-    under its own name, in the order :func:`R_correction` takes them, so
-    its value and its error are, bit for bit, those of x alone.
+    rules.  Each (j, x) is dotted with the weights on its own, so its value
+    is, bit for bit, that of x alone.  Orders are gated in turn, each under
+    its own name, and the first failure raises.
     """
     gamma, s = _gamma_s(m)
     x = np.array(xs, dtype=float)
@@ -363,16 +356,12 @@ def _R_values(m: IsotropicModel, orders, xs: list, cross_check: bool):
         integrals = checks = average(slice(None, cut), rules[0][1])
         if cross_check:
             checks = average(slice(cut, None), rules[1][1])
-    values, errors = np.empty_like(integrals), [None] * len(xs)
+    values = np.empty_like(integrals)
     for k, j in enumerate(orders):
-        try:
-            pref = _pref(m, j)
-        except ValueError as e:     # the model's, so every abscissa's
-            return values, _first(errors, [e] * len(xs))
-        errors = _first(errors, _gate(integrals[k], checks[k],
-                                      lambda i: f"R_{j}({xs[i]})"))
+        pref = _pref(m, j)
+        _gate(integrals[k], checks[k], lambda i: f"R_{j}({xs[i]})")
         values[k] = pref * integrals[k]
-    return values, errors
+    return values
 
 
 @dataclass(frozen=True)
@@ -400,9 +389,10 @@ def _require_polyhedral(geom: FaceDecomposition):
                          "sphere surface; use sphere_pbar")
 
 
-def _principal_rows(m: IsotropicModel, geom: FaceDecomposition, xs: list):
+def _principal_rows(m: IsotropicModel, geom: FaceDecomposition,
+                    xs: list) -> np.ndarray:
     """The summands phi(x) (|rho'|/pi)^{j/2} Hbar_j(x) g_j, j = 0..d0, of pE
-    at each x of ``xs``: shape (d0 + 1, len(xs)), and each x's error."""
+    at each x of ``xs``: shape (d0 + 1, len(xs)), gated column by column."""
     _require_polyhedral(geom)
     x = np.array(xs, dtype=float)
     phi = _phi(x)
@@ -410,7 +400,8 @@ def _principal_rows(m: IsotropicModel, geom: FaceDecomposition, xs: list):
     terms[0] = phi * geom.g[0]
     for j in range(1, geom.d0 + 1):
         terms[j] = phi * _coef(m, j) * terms[j] * geom.g[j]
-    return terms, _gate(terms, terms, lambda i: f"the pE terms at x={xs[i]!r}")
+    _gate(terms, terms, lambda i: f"the pE terms at x={xs[i]!r}")
+    return terms
 
 
 def pE_density(m: IsotropicModel, geom: FaceDecomposition, x: float) -> float:
@@ -420,8 +411,7 @@ def pE_density(m: IsotropicModel, geom: FaceDecomposition, x: float) -> float:
     May be negative left of the bulk; integrates to the expected EPC of the
     excursion set.  Equal, bit for bit, to ``pbar_density(m, geom, x).pE``.
     """
-    terms, errors = _principal_rows(m, geom, [_finite(x)])
-    return math.fsum(_one([errors[0] or terms[:, 0].tolist()]))
+    return math.fsum(_principal_rows(m, geom, [_finite(x)])[:, 0].tolist())
 
 
 def pbar_density(m: IsotropicModel, geom: FaceDecomposition,
@@ -437,18 +427,16 @@ def pbar_density(m: IsotropicModel, geom: FaceDecomposition,
 
 @_by_blocks
 def _pbar_rows(m: IsotropicModel, geom: FaceDecomposition, xs: list) -> list:
-    """:func:`pbar_density` at each finite x of ``xs``, or the error it
-    raises there."""
-    terms, errors = _principal_rows(m, geom, xs)
+    """:func:`pbar_density` at each x of ``xs``."""
+    _finite(xs, "x")
+    terms = _principal_rows(m, geom, xs)
     orders = range(1, geom.d0 + 1)
     comp = np.empty((0, len(xs)))
     if orders:
-        R, R_errors = _R_values(m, orders, xs, True)
-        errors = _first(errors, R_errors)
+        R = _R_values(m, orders, xs, True)
         comp = _phi(np.array(xs)) * R * np.array(geom.g[1:])[:, None]
         comp = np.where(comp > 0.0, comp, 0.0)   # max(0, .), as for NaN
-    return [errors[i] or _attempt(_breakdown, x, terms[:, i], comp[:, i])
-            for i, x in enumerate(xs)]
+    return [_breakdown(x, terms[:, i], comp[:, i]) for i, x in enumerate(xs)]
 
 
 def _breakdown(x: float, principal: np.ndarray,
@@ -545,13 +533,12 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
 
 @_by_blocks
 def _tail_rows(m: IsotropicModel, geom: FaceDecomposition, us: list) -> list:
-    """:func:`tail_bound` at each finite level of ``us``, or the error it
-    raises there.  Each rule's nodes, for every level, go through one
-    :func:`_T_rows` and one Phi pass; each level's slice is dotted with
-    its weights on its own, so its mass is, bit for bit, that of the level
-    alone."""
+    """:func:`tail_bound` at each level of ``us``.  Each rule's nodes, for
+    every level, go through one :func:`_T_rows` and one Phi pass; each
+    level's slice is dotted with its weights on its own, so its mass is,
+    bit for bit, that of the level alone."""
+    u = _finite(us, "u")
     _require_polyhedral(geom)
-    u = np.array(us, dtype=float)
     hbar = _eval_all(HermiteKind.MODIFIED, max(geom.d0 - 1, 0), u)
     phi_u = _phi(u)
     pE_tail = geom.g[0] * _Phi(-u)
@@ -565,54 +552,30 @@ def _tail_rows(m: IsotropicModel, geom: FaceDecomposition, us: list) -> list:
                 for p in pE_tail]
 
     gamma, s = _gamma_s(m)
-    errors, edges = [None] * len(us), {}
-    for i, level in enumerate(us):
-        try:
-            coarse = _tail_edges(level, gamma, s, active[-1])
-        except _ROW_ERRORS as e:
-            errors[i] = e
-            continue
-        edges[i] = coarse, np.sort(np.concatenate(
-            [coarse, (coarse[:-1] + coarse[1:]) / 2.0]))
-    try:
-        weights = [geom.g[j] * _pref(m, j) for j in active]
-    except ValueError as e:         # the model's, so every level's
-        return _first(errors, [e] * len(us))
-    if not edges:
-        return errors
+    coarse = [_tail_edges(level, gamma, s, active[-1]) for level in us]
+    weights = [geom.g[j] * _pref(m, j) for j in active]
 
-    levels = list(edges)
-
-    def masses(rule: int):
-        """Each level's correction mass on its coarse (0) or fine (1)
-        panels, NaN where the sum raised, and each level's error."""
-        sets = [edges[i][rule] for i in levels]
+    def masses(sets) -> np.ndarray:
+        """Each level's correction mass on its panels of ``sets``."""
         a, w = _composite_rule(np.concatenate([e[:-1] for e in sets]),
                                np.concatenate([e[1:] for e in sets]))
         sizes = [(len(e) - 1) * len(_legendre_rule()[0]) for e in sets]
         w = w * _phi(a)
         if s > 0.0:
-            w = w * _Phi((gamma * a - np.repeat(u[levels], sizes)) / s)
+            w = w * _Phi((gamma * a - np.repeat(u, sizes)) / s)
         T = _T_rows(active, a / math.sqrt(2.0))
-        out, errs, ends = np.full(len(sets), np.nan), [None] * len(sets), 0
-        for k, size in enumerate(sizes):
-            part, ends = slice(ends, ends + size), ends + size
-            try:
-                out[k] = SQRT_2PI * math.fsum(c * float(T_j[part] @ w[part])
-                                              for c, T_j in zip(weights, T))
-            except _ROW_ERRORS as e:
-                errs[k] = e
-        return out, errs
+        ends = np.cumsum([0] + sizes)
+        return np.array([
+            SQRT_2PI * math.fsum(c * float(T_j[lo:hi] @ w[lo:hi])
+                                 for c, T_j in zip(weights, T))
+            for lo, hi in zip(ends[:-1], ends[1:])])
 
-    (rough, rough_errors), (comp, comp_errors) = masses(0), masses(1)
-    gate = _gate(comp, rough,
-                 lambda k: f"the complementary tail at u={us[levels[k]]}")
-    for i, e in zip(levels, _first(rough_errors, comp_errors, gate)):
-        errors[i] = e
-    comp = dict(zip(levels, comp.tolist()))
-    return [errors[i] or TailBound(pbar_tail=pE_tail[i] + comp[i],
-                                   pE_tail=pE_tail[i], complementary=comp[i])
-            for i in range(len(us))]
+    rough = masses(coarse)
+    comp = masses([np.sort(np.concatenate([e, (e[:-1] + e[1:]) / 2.0]))
+                   for e in coarse])
+    _gate(comp, rough, lambda k: f"the complementary tail at u={us[k]}")
+    return [TailBound(pbar_tail=p + c, pE_tail=p, complementary=c)
+            for p, c in zip(pE_tail, comp.tolist())]
 
 
 def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import __version__, streams
 from .asympt import Z_delta_exponent, exponent_convex, exponent_general
-from .bounds import _attempt, _pbar_rows, _tail_rows
+from .bounds import _ROW_ERRORS, _attempt, _pbar_rows, _tail_rows
 from .geometry import (FaceDecomposition, polytope_g_coeffs, rectangle_faces,
                        sphere_surface)
 from .hermite import _check_int, _finite
@@ -130,13 +130,14 @@ class RunConfig:
 
 
 def _abscissa_values(cfg: RunConfig, what: str) -> list:
-    """The sweep values: explicit u list, or min/max/step expansion."""
+    """The sweep values, as floats: explicit u list, or min/max/step
+    expansion."""
     if cfg.u is not None and cfg.abscissa is not None:
         raise ConfigError("give either u or abscissa, not both")
     if cfg.u is not None:
         if not cfg.u:
             raise ConfigError("u must be nonempty")
-        return list(cfg.u)
+        return [float(v) for v in cfg.u]
     if cfg.abscissa is None:
         raise ConfigError(f"{what} needs u or abscissa in the config")
     lo, hi, step = (_finite(cfg.abscissa[k]) for k in ("min", "max", "step"))
@@ -222,14 +223,11 @@ class _RunResult:
     extra: dict
 
 
-def _sweep(values, label: str, rows):
-    """(rows, errors) of a sweep.  rows(finite values) gives one row, or the
-    error that fails it, per value; a value not finite is an error."""
-    checked = [_attempt(_finite, v, label) for v in values]
-    results = iter(rows([x for x in checked if not isinstance(x, Exception)]))
+def _sweep(values, label: str, results):
+    """(rows, errors) of a sweep: ``results`` holds one row, or the error
+    that fails it, per value."""
     out, errors = [], []
-    for v, x in zip(values, checked):
-        result = x if isinstance(x, Exception) else next(results)
+    for v, result in zip(values, results):
         if isinstance(result, Exception):
             errors.append(f"{label}={_fmt(v)}: {result}")
         else:
@@ -255,11 +253,9 @@ def _run_bound(cfg: RunConfig) -> _RunResult:
             + [f"principal_{j}" for j in range(geom.d0 + 1)]
             + [f"complementary_{j}" for j in range(geom.d0 + 1)])
 
-    def rows(xs):
-        return [b if isinstance(b, Exception) else
-                [b.x, b.pbar, b.pE, *b.principal_by_j, *b.complementary_by_j]
-                for b in _pbar_rows(m, geom, xs)]
-
+    rows = [b if isinstance(b, Exception) else
+            [b.x, b.pbar, b.pE, *b.principal_by_j, *b.complementary_by_j]
+            for b in _pbar_rows(m, geom, xs)]
     return _RunResult(cols, *_sweep(xs, "x", rows), {})
 
 
@@ -268,10 +264,8 @@ def _run_tail(cfg: RunConfig) -> _RunResult:
     geom = _polyhedral_geometry(cfg)
     us = _abscissa_values(cfg, "tail")
 
-    def rows(us):
-        return [t if isinstance(t, Exception) else [u, t.pbar_tail, t.pE_tail]
-                for u, t in zip(us, _tail_rows(m, geom, us))]
-
+    rows = [t if isinstance(t, Exception) else [u, t.pbar_tail, t.pE_tail]
+            for u, t in zip(us, _tail_rows(m, geom, us))]
     return _RunResult(["u", "pbar_tail", "pE_tail"], *_sweep(us, "u", rows),
                       {})
 
@@ -308,8 +302,8 @@ def _run_goe(cfg: RunConfig) -> _RunResult:
                 expected_absdet_shifted_goe(cfg.n, nu)]
 
     return _RunResult(["n", "nu", "density", "absdet_mean"],
-                      *_sweep(nus, "nu", lambda nus: [_attempt(row, nu)
-                                                      for nu in nus]), {})
+                      *_sweep(nus, "nu", [_attempt(row, nu) for nu in nus]),
+                      {})
 
 
 def _run_geom(cfg: RunConfig) -> _RunResult:
@@ -448,7 +442,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"gaussmax: config error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, ArithmeticError) as e:
+    except _ROW_ERRORS as e:
         print(f"gaussmax: numeric failure: {e}", file=sys.stderr)
         return 3
 

@@ -161,8 +161,7 @@ def test_rows_kernels_equal_each_abscissa_alone(m, geom):
                 == _hex([alone.pbar_tail, alone.pE_tail, alone.complementary]))
     orders = range(1, geom.d0 + 1)
     for cross_check in (True, False):
-        R, errors = bounds._R_values(m, orders, SWEEP, cross_check)
-        assert errors == [None] * len(SWEEP)
+        R = bounds._R_values(m, orders, SWEEP, cross_check)
         for k, j in enumerate(orders):
             assert _hex(R[k]) == _hex(
                 [bounds.R_correction(m, j, x, cross_check) for x in SWEEP])
@@ -171,17 +170,22 @@ def test_rows_kernels_equal_each_abscissa_alone(m, geom):
 def test_rows_kernel_keeps_each_rows_error():
     # A failing abscissa fails alone, with the error it raises alone; the
     # rows around it, in the same block, still come out.
-    xs = [1.0, 1e155, 2.0]
+    sweeps = [[1.0, 1e155, 2.0],
+              [1.0, 1e155, 2.0, float("nan"), 3.0],    # two in one block
+              SWEEP[:bounds._BLOCK + 3] + [1e155] + SWEEP[bounds._BLOCK + 3:]]
+    kernels = ((bounds._pbar_rows, bounds.pbar_density),
+               (bounds._tail_rows, bounds.tail_bound))
     with np.errstate(all="ignore"):
-        for rows, alone in ((bounds._pbar_rows, bounds.pbar_density),
-                            (bounds._tail_rows, bounds.tail_bound)):
-            got = rows(SQ, SQUARE, xs)
-            assert got[0] == alone(SQ, SQUARE, 1.0)
-            assert got[2] == alone(SQ, SQUARE, 2.0)
-            with pytest.raises(ValueError) as e:
-                alone(SQ, SQUARE, 1e155)
-            assert type(got[1]) is ValueError
-            assert str(got[1]) == str(e.value)
+        for xs in sweeps:
+            for rows, alone in kernels:
+                got = rows(SQ, SQUARE, xs)
+                assert len(got) == len(xs)
+                assert any(isinstance(r, ValueError) for r in got)
+                for x, row in zip(xs, got):
+                    try:
+                        assert row == alone(SQ, SQUARE, x)
+                    except bounds._ROW_ERRORS as e:
+                        assert type(row) is type(e) and str(row) == str(e)
 
 
 def test_model_error_is_every_rows_error():

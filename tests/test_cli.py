@@ -353,6 +353,56 @@ class TestBoundCommand:
                     bounds.tail_bound(m, geom, level).pbar_tail)
             assert float(row[1]) == want
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,fmt,digest", [
+        ("bound", "csv",
+         "e386a66d1a52a6cdc4861fbef8d619f77b104ee3c4474924707e089a81848d0c"),
+        ("bound", "json",
+         "0021f3976c4acf7fe1c7224702f3648809802b6e4450a7680c933990468f3587"),
+        ("tail", "csv",
+         "f436094ac67da5d421557727a014d13382bc0c11ca298694007d194d4313196c"),
+        ("tail", "json",
+         "a3ef5aa87852e2f29a212a4aad6f2e38af7fc1b0612703ce8708f6410b7e4f6d"),
+    ])
+    def test_nonfinite_levels_fail_their_rows(self, capsys, command, fmt,
+                                              digest):
+        # NaN and infinite levels fail their own rows, in the same block as
+        # finite ones and one that overflows; digests and error lines taken
+        # when the sweep checked each level before any kernel ran.
+        code, out, err = run_cli(capsys, [
+            command, "--set", f"model={json.dumps(SQ_SPEC)}",
+            "--set", f"geometry={json.dumps(RECT_SPEC)}",
+            "--set", "u=[1.0, NaN, 2.0, Infinity, 1e155, -Infinity, 3.0]",
+            "--format", fmt])
+        label = "x" if command == "bound" else "u"
+        overflow = (
+            "value not finite for the pE terms at x=1e+155 at flat index 2"
+            if command == "bound" else
+            "value not finite for the complementary tail at u=1e+155")
+        assert code == 3
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert err == "".join(
+            f"gaussmax: numeric failure: {label}={v}: {why}\n" for v, why in [
+                ("nan", f"{label} must be finite, got nan"),
+                ("inf", f"{label} must be finite, got inf"),
+                ("1e+155", f"{overflow}: value nan, check nan"),
+                ("-inf", f"{label} must be finite, got -inf")])
+
+    @pytest.mark.parametrize("command,column", [
+        ("bound", 0), ("tail", 0), ("goe", 1)])
+    def test_integer_levels_are_swept_as_floats(self, capsys, command,
+                                                column):
+        # JSON tells 1 from 1.0: a level given as an integer comes out as
+        # the float it was swept at.
+        code, out, _ = run_cli(capsys, [
+            command, "--set", f"model={json.dumps(SQ_SPEC)}",
+            "--set", f"geometry={json.dumps(RECT_SPEC)}", "--set", "n=3",
+            "--set", "u=[1, -2]", "--format", "json"])
+        assert code == 0
+        levels = [row[column] for row in json.loads(out)["rows"]]
+        assert levels == [1.0, -2.0]
+        assert all(type(v) is float for v in levels)
+
     def test_abscissa_expansion_and_columns(self, capsys):
         code, out, _ = run_cli(capsys, [
             "bound", "--set", f"model={json.dumps(SQ_SPEC)}",
