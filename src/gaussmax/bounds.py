@@ -50,19 +50,21 @@ orders at an array of points from one recurrence, one damping exp and one
 normal CDF, and ``T_series`` is its one-order view, so the formula exists
 once.
 
-A sweep runs in one pass.  :func:`_R_values`, :func:`_pbar_rows` and
-:func:`_tail_rows` take a list of abscissae, in blocks of _BLOCK, and put
-every order, abscissa and Gauss node (both Hermite rules, or every level's
-Legendre panels) through one :func:`_T_rows` call per block, or per rule
-for the tail.  Only the dot
-products with the weights, the exactly rounded sums and the gates run per
-row, so each row is, bit for bit, what its abscissa gives alone.  A kernel
-raises its first error like any function; a block that raises is run again
-one abscissa at a time, so each row keeps its own error.  ``R_correction``,
-``pE_density``, ``pbar_density`` and ``tail_bound`` are their one-row
-views.  The Gauss
-rules are built on first use.  The normal CDF is the in-package Phi of
-:mod:`.hermite`; this module loads no SciPy.
+A sweep runs in one pass.  The block kernels :func:`_R_values`,
+:func:`_pbar_block` and :func:`_tail_block` take a list of abscissae and
+put every order, abscissa and Gauss node (both Hermite rules, or every
+level's Legendre panels) through one :func:`_T_rows` call, or one per rule
+for the tail.  Only the dot products with the weights, the exactly rounded
+sums and the gates run per row, so each row is, bit for bit, what its
+abscissa gives alone.  A kernel raises its first error like any function,
+and does the model's own work, which fails every row alike, before the
+per-abscissa work.  :func:`_by_blocks` turns any such kernel into a sweep
+in blocks of _BLOCK, with one result or error per row: a block that raises
+is run again one abscissa at a time.  ``R_correction``, ``pE_density``,
+``pbar_density`` and ``tail_bound`` call the kernels on their one abscissa,
+so their errors are raised where they happen.  The Gauss rules are built
+on first use.  The normal CDF is the in-package Phi of :mod:`.hermite`;
+this module loads no SciPy.
 """
 from __future__ import annotations
 
@@ -248,40 +250,27 @@ def _gate(value, check, what):
 
 
 def _by_blocks(block):
-    """The rows kernel that runs ``block(m, geom, part)`` on parts of at
-    most _BLOCK abscissae: one result, or the error it raised, per abscissa.
+    """The rows kernel that runs ``block(*args, part)``, a kernel that
+    returns one result per value of its last argument, on parts of at most
+    _BLOCK values: one result, or the error it raised, per value.
 
-    A part that raises is run again one abscissa at a time, so each row
-    gets, bit for bit, the result or the error of its abscissa alone.
+    A part that raises is run again one value at a time, so each row gets,
+    bit for bit, the result or the error of its value alone.  This is the
+    one place where a raised error becomes a row.
     """
     @functools.wraps(block)
-    def rows(m: IsotropicModel, geom: FaceDecomposition, xs: list) -> list:
+    def rows(*args) -> list:
+        *args, xs = args
         out = []
         for start in range(0, len(xs), _BLOCK):
             part = xs[start:start + _BLOCK]
             try:
-                out += block(m, geom, part)
+                out += block(*args, part)
             except _ROW_ERRORS as e:
                 out += ([e] if len(part) == 1 else
-                        [r for x in part for r in rows(m, geom, [x])])
+                        [r for x in part for r in rows(*args, [x])])
         return out
     return rows
-
-
-def _attempt(f, *args):
-    """f(*args), or the row error it raises."""
-    try:
-        return f(*args)
-    except _ROW_ERRORS as e:
-        return e
-
-
-def _one(results: list):
-    """The result of a rows kernel on one abscissa; its error is raised."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 @_in_floats
@@ -337,6 +326,7 @@ def _R_values(m: IsotropicModel, orders, xs: list,
     its own name, and the first failure raises.
     """
     gamma, s = _gamma_s(m)
+    _pref(m, orders[0])     # an overflowing model fails before the T pass
     x = np.array(xs, dtype=float)
     if s == 0.0:
         integrals = checks = SQRT_2PI * _T_rows(orders,
@@ -394,12 +384,13 @@ def _principal_rows(m: IsotropicModel, geom: FaceDecomposition,
     """The summands phi(x) (|rho'|/pi)^{j/2} Hbar_j(x) g_j, j = 0..d0, of pE
     at each x of ``xs``: shape (d0 + 1, len(xs)), gated column by column."""
     _require_polyhedral(geom)
+    coefs = [_coef(m, j) for j in range(1, geom.d0 + 1)]
     x = np.array(xs, dtype=float)
     phi = _phi(x)
     terms = _eval_all(HermiteKind.MODIFIED, geom.d0, x)
     terms[0] = phi * geom.g[0]
-    for j in range(1, geom.d0 + 1):
-        terms[j] = phi * _coef(m, j) * terms[j] * geom.g[j]
+    for j, coef in enumerate(coefs, 1):
+        terms[j] = phi * coef * terms[j] * geom.g[j]
     _gate(terms, terms, lambda i: f"the pE terms at x={xs[i]!r}")
     return terms
 
@@ -420,13 +411,12 @@ def pbar_density(m: IsotropicModel, geom: FaceDecomposition,
 
     The correction terms use the 64-node Gauss rule, checked against the
     128-node rule; for term-level control call R_correction directly.  The
-    one-abscissa view of :func:`_pbar_rows`.
+    one-abscissa view of :func:`_pbar_block`.
     """
-    return _one(_pbar_rows(m, geom, [_finite(x)]))
+    return _pbar_block(m, geom, [_finite(x)])[0]
 
 
-@_by_blocks
-def _pbar_rows(m: IsotropicModel, geom: FaceDecomposition, xs: list) -> list:
+def _pbar_block(m: IsotropicModel, geom: FaceDecomposition, xs: list) -> list:
     """:func:`pbar_density` at each x of ``xs``."""
     _finite(xs, "x")
     terms = _principal_rows(m, geom, xs)
@@ -437,6 +427,9 @@ def _pbar_rows(m: IsotropicModel, geom: FaceDecomposition, xs: list) -> list:
         comp = _phi(np.array(xs)) * R * np.array(geom.g[1:])[:, None]
         comp = np.where(comp > 0.0, comp, 0.0)   # max(0, .), as for NaN
     return [_breakdown(x, terms[:, i], comp[:, i]) for i, x in enumerate(xs)]
+
+
+_pbar_rows = _by_blocks(_pbar_block)
 
 
 def _breakdown(x: float, principal: np.ndarray,
@@ -526,34 +519,33 @@ def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
     16-point Gauss-Legendre rules (see :func:`_tail_edges`) on 24 panels and
     on each panel halved; the halved value is returned after the gate of
     :func:`_checked` against the unhalved one.  The one-level view of
-    :func:`_tail_rows`.
+    :func:`_tail_block`.
     """
-    return _one(_tail_rows(m, geom, [_finite(u, "u")]))
+    return _tail_block(m, geom, [_finite(u, "u")])[0]
 
 
-@_by_blocks
-def _tail_rows(m: IsotropicModel, geom: FaceDecomposition, us: list) -> list:
+def _tail_block(m: IsotropicModel, geom: FaceDecomposition, us: list) -> list:
     """:func:`tail_bound` at each level of ``us``.  Each rule's nodes, for
     every level, go through one :func:`_T_rows` and one Phi pass; each
     level's slice is dotted with its weights on its own, so its mass is,
     bit for bit, that of the level alone."""
     u = _finite(us, "u")
     _require_polyhedral(geom)
+    coefs = [_coef(m, j) for j in range(1, geom.d0 + 1)]
+    active = [j for j in range(1, geom.d0 + 1) if geom.g[j] > 0.0]
+    weights = [geom.g[j] * _pref(m, j) for j in active]
     hbar = _eval_all(HermiteKind.MODIFIED, max(geom.d0 - 1, 0), u)
     phi_u = _phi(u)
     pE_tail = geom.g[0] * _Phi(-u)
-    for j in range(1, geom.d0 + 1):
-        pE_tail = pE_tail + _coef(m, j) * hbar[j - 1] * geom.g[j] * phi_u
+    for j, coef in enumerate(coefs, 1):
+        pE_tail = pE_tail + coef * hbar[j - 1] * geom.g[j] * phi_u
     pE_tail = pE_tail.tolist()
-
-    active = [j for j in range(1, geom.d0 + 1) if geom.g[j] > 0.0]
     if not active:
         return [TailBound(pbar_tail=p, pE_tail=p, complementary=0.0)
                 for p in pE_tail]
 
     gamma, s = _gamma_s(m)
     coarse = [_tail_edges(level, gamma, s, active[-1]) for level in us]
-    weights = [geom.g[j] * _pref(m, j) for j in active]
 
     def masses(sets) -> np.ndarray:
         """Each level's correction mass on its panels of ``sets``."""
@@ -576,6 +568,9 @@ def _tail_rows(m: IsotropicModel, geom: FaceDecomposition, us: list) -> list:
     _gate(comp, rough, lambda k: f"the complementary tail at u={us[k]}")
     return [TailBound(pbar_tail=p + c, pE_tail=p, complementary=c)
             for p, c in zip(pE_tail, comp.tolist())]
+
+
+_tail_rows = _by_blocks(_tail_block)
 
 
 def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import __version__, streams
 from .asympt import Z_delta_exponent, exponent_convex, exponent_general
-from .bounds import _ROW_ERRORS, _attempt, _pbar_rows, _tail_rows
+from .bounds import _ROW_ERRORS, _by_blocks, _pbar_rows, _tail_rows
 from .geometry import (FaceDecomposition, polytope_g_coeffs, rectangle_faces,
                        sphere_surface)
 from .hermite import _check_int, _finite
@@ -223,15 +223,15 @@ class _RunResult:
     extra: dict
 
 
-def _sweep(values, label: str, results):
-    """(rows, errors) of a sweep: ``results`` holds one row, or the error
-    that fails it, per value."""
+def _sweep(values, label: str, results, row):
+    """(rows, errors) of a sweep: ``results`` holds one result, or the error
+    that fails it, per value, and ``row(value, result)`` is a result's row."""
     out, errors = [], []
     for v, result in zip(values, results):
         if isinstance(result, Exception):
             errors.append(f"{label}={_fmt(v)}: {result}")
         else:
-            out.append(result)
+            out.append(row(v, result))
     return out, errors
 
 
@@ -253,10 +253,9 @@ def _run_bound(cfg: RunConfig) -> _RunResult:
             + [f"principal_{j}" for j in range(geom.d0 + 1)]
             + [f"complementary_{j}" for j in range(geom.d0 + 1)])
 
-    rows = [b if isinstance(b, Exception) else
-            [b.x, b.pbar, b.pE, *b.principal_by_j, *b.complementary_by_j]
-            for b in _pbar_rows(m, geom, xs)]
-    return _RunResult(cols, *_sweep(xs, "x", rows), {})
+    rows, errors = _sweep(xs, "x", _pbar_rows(m, geom, xs), lambda x, b: [
+        x, b.pbar, b.pE, *b.principal_by_j, *b.complementary_by_j])
+    return _RunResult(cols, rows, errors, {})
 
 
 def _run_tail(cfg: RunConfig) -> _RunResult:
@@ -264,10 +263,9 @@ def _run_tail(cfg: RunConfig) -> _RunResult:
     geom = _polyhedral_geometry(cfg)
     us = _abscissa_values(cfg, "tail")
 
-    rows = [t if isinstance(t, Exception) else [u, t.pbar_tail, t.pE_tail]
-            for u, t in zip(us, _tail_rows(m, geom, us))]
-    return _RunResult(["u", "pbar_tail", "pE_tail"], *_sweep(us, "u", rows),
-                      {})
+    rows, errors = _sweep(us, "u", _tail_rows(m, geom, us),
+                          lambda u, t: [u, t.pbar_tail, t.pE_tail])
+    return _RunResult(["u", "pbar_tail", "pE_tail"], rows, errors, {})
 
 
 def _run_validate(cfg: RunConfig) -> _RunResult:
@@ -292,18 +290,21 @@ def _run_validate(cfg: RunConfig) -> _RunResult:
     return _RunResult(cols, rows, [], {"report": dataclasses.asdict(report)})
 
 
+@_by_blocks
+def _goe_rows(n, nus: list) -> list:
+    """(density, absdet_mean) at each nu of ``nus``, one scalar call each:
+    from n = 7 on, an array nu changes their last bits."""
+    return [(goe_eigen_density(n, nu), expected_absdet_shifted_goe(n, nu))
+            for nu in nus]
+
+
 def _run_goe(cfg: RunConfig) -> _RunResult:
     if cfg.n is None:
         raise ConfigError("goe needs the matrix size n in the config")
     nus = _abscissa_values(cfg, "goe")
-
-    def row(nu):
-        return [int(cfg.n), nu, goe_eigen_density(cfg.n, nu),
-                expected_absdet_shifted_goe(cfg.n, nu)]
-
-    return _RunResult(["n", "nu", "density", "absdet_mean"],
-                      *_sweep(nus, "nu", [_attempt(row, nu) for nu in nus]),
-                      {})
+    rows, errors = _sweep(nus, "nu", _goe_rows(cfg.n, nus),
+                          lambda nu, values: [int(cfg.n), nu, *values])
+    return _RunResult(["n", "nu", "density", "absdet_mean"], rows, errors, {})
 
 
 def _run_geom(cfg: RunConfig) -> _RunResult:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import streams
-from .bounds import _one, _tail_rows
+from .bounds import _tail_rows
 from .geometry import rectangle_faces
 from .hermite import _check_int, _finite
 from .model import IsotropicModel
@@ -376,7 +376,9 @@ def _validate_on_grids(m: IsotropicModel, grids: dict, u_values, reps: int,
         raise ValueError("need at least one u level")
     refinements = tuple(grids)
     geom = rectangle_faces(grids[refinements[0]].sides)
-    tails = [_one([t]) for t in _tail_rows(m, geom, u_values)]
+    tails = _tail_rows(m, geom, u_values)
+    for error in (t for t in tails if isinstance(t, Exception)):
+        raise error     # the first failing level fails the report
     pbar_tails = tuple(t.pbar_tail for t in tails)
     pE_tails = tuple(t.pE_tail for t in tails)
 

@@ -1,4 +1,5 @@
 """Density bounds pbar/pE, correction terms, tail integrals, sphere bound."""
+import itertools
 import math
 
 import numpy as np
@@ -169,21 +170,24 @@ def test_rows_kernels_equal_each_abscissa_alone(m, geom):
 
 def test_rows_kernel_keeps_each_rows_error():
     # A failing abscissa fails alone, with the error it raises alone; the
-    # rows around it, in the same block, still come out.
+    # rows around it, in the same block, still come out.  On a model whose
+    # order-j powers overflow, each row keeps its own error too.
     sweeps = [[1.0, 1e155, 2.0],
               [1.0, 1e155, 2.0, float("nan"), 3.0],    # two in one block
               SWEEP[:bounds._BLOCK + 3] + [1e155] + SWEEP[bounds._BLOCK + 3:]]
     kernels = ((bounds._pbar_rows, bounds.pbar_density),
                (bounds._tail_rows, bounds.tail_bound))
+    overflowing = model.make_squared_exponential(1e154)
+    cases = [(SQ, SQUARE), (overflowing, SQUARE), (overflowing, CUBE)]
     with np.errstate(all="ignore"):
-        for xs in sweeps:
+        for (m, geom), xs in itertools.product(cases, sweeps):
             for rows, alone in kernels:
-                got = rows(SQ, SQUARE, xs)
+                got = rows(m, geom, xs)
                 assert len(got) == len(xs)
                 assert any(isinstance(r, ValueError) for r in got)
                 for x, row in zip(xs, got):
                     try:
-                        assert row == alone(SQ, SQUARE, x)
+                        assert row == alone(m, geom, x)
                     except bounds._ROW_ERRORS as e:
                         assert type(row) is type(e) and str(row) == str(e)
 

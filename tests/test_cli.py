@@ -216,6 +216,37 @@ class TestGoeCommand:
         code, _, err = run_cli(capsys, ["goe", "--set", "u=[0.0]"])
         assert code == 2 and "config error" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fmt,digest", [
+        ("csv",
+         "1fff0e40d630da8f548a07374f90186f65eae4ef6641735fd711f72d1ed2d289"),
+        ("json",
+         "659ae5f1af84f3306756273b8ab81a195917f30d5cffd69371a1fab58036f632"),
+    ])
+    def test_rows_across_a_block_boundary_pinned(self, capsys, fmt, digest):
+        # Failing values on both sides of the first block's end fail their
+        # own rows; digests and error lines taken when each value was its
+        # own pair of scalar calls.
+        nus = [repr(-4.0 + 0.2 * k) for k in range(40)]
+        bad = {3: "NaN", 10: "Infinity", 20: "1e40",
+               34: "NaN", 36: "-Infinity", 38: "1e40"}
+        assert min(bad) < bounds._BLOCK < max(bad)
+        for i, v in bad.items():
+            nus[i] = v
+        code, out, err = run_cli(capsys, [
+            "goe", "--set", "n=12", "--set", f"u=[{', '.join(nus)}]",
+            "--format", fmt])
+        assert code == 3
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        failures = [("nan", "nu must be finite, got nan"),
+                    ("inf", "nu must be finite, got inf"),
+                    ("1e+40", "goe_eigen_density(12, 1e+40) must be finite, "
+                              "got nan")]
+        failures += [failures[0], ("-inf", "nu must be finite, got -inf"),
+                     failures[2]]
+        assert err == "".join(f"gaussmax: numeric failure: nu={v}: {why}\n"
+                              for v, why in failures)
+
 
 class TestTailCommand:
     def test_rows_match_library(self, tmp_path, capsys):
