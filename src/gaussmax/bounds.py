@@ -23,7 +23,7 @@ y-average is a fixed 64-node Gauss rule, checked by the 128-node rule; both
 rules come from Newton's method on the Hermite recurrence, with no
 eigensolver.
 ``sphere_pbar`` averages R_j over a Gaussian shift of x, which only widens
-this y-average, so it too is one 1-D average, on composite panels.
+this y-average; it and the tail below sum on :func:`_panel_edges` panels.
 
 The tail correction int_u^inf phi R_j needs no nested quadrature.  With
 s = sqrt(1 - gamma^2), the rotation a = gamma x - s y, b = s x + gamma y is
@@ -39,7 +39,8 @@ Phi((gamma a - u)/s) the step 1{a >= u} at gamma = 1.
 R_j, the tail correction and ``sphere_pbar`` pass one gate, relative at
 every scale since these integrals fall to 1e-40 and below in the tails: a
 gap above 1e-7 of the larger magnitude between the value and a finer rule
-(128 Gauss nodes, or halved panels) raises RuntimeError.
+(128 Gauss nodes, or halved panels) raises RuntimeError.  The closed-form
+pE terms and pE tail pass it against themselves: a test of finiteness.
 
 T_j itself is evaluated with the Hermite kernel of :mod:`.hermite`
 (orthonormal values with exponentially damped intermediates and the
@@ -480,6 +481,22 @@ def _composite_rule(left: np.ndarray,
     return (mid + half * t).ravel(), (half * w).ravel()
 
 
+def _panel_edges(lo: float, hi: float, at: float, width: float) -> np.ndarray:
+    """Edges of 24 equal panels on [lo, hi] and, if a feature of size
+    ``width`` at ``at`` is narrower than a panel, at at +- width 2^k below a
+    panel; k is counted from binary exponents, which never overflow."""
+    edges = np.linspace(lo, hi, _TAIL_PANELS + 1)
+    panel = edges[1] - edges[0]
+    if 0.0 < width < panel:
+        (pm, pe), (wm, we) = math.frexp(panel), math.frexp(width)
+        steps = np.ldexp(width, np.arange(
+            math.ceil(math.log2(pm / wm) + (pe - we))))
+        local = at + np.concatenate([-steps, [0.0], steps])
+        inside = local[(local > lo) & (local < hi)]
+        edges = _sorted_unique(np.concatenate([edges, inside]))
+    return edges
+
+
 def _tail_edges(u: float, gamma: float, s: float, j_max: int) -> np.ndarray:
     """Panel edges of the rotated tail integral of :func:`tail_bound`.
 
@@ -488,19 +505,12 @@ def _tail_edges(u: float, gamma: float, s: float, j_max: int) -> np.ndarray:
     mass sits at gamma u with width s.  The window [-pad, max(0, u) + pad]
     with pad = 12 + sqrt(j_max) therefore holds it to far below rounding.
     At s = 0 the factor is the step 1{a >= u}, so the window starts at u.
-    For s > 0 it is a smoothed step of width s/gamma at u/gamma; when that
-    is narrower than a panel, edges at u/gamma +- (s/gamma) 2^k resolve it.
+    For s > 0 it is a smoothed step of width s/gamma at u/gamma, which
+    :func:`_panel_edges` resolves.
     """
     pad = 12.0 + math.sqrt(j_max)
     lo, hi = (-pad if s > 0.0 else max(u, -pad)), max(0.0, u) + pad
-    edges = np.linspace(lo, hi, _TAIL_PANELS + 1)
-    panel, width = edges[1] - edges[0], s / gamma
-    if 0.0 < width < panel:
-        steps = width * 2.0 ** np.arange(math.ceil(math.log2(panel / width)))
-        local = u / gamma + np.concatenate([-steps, [0.0], steps])
-        inside = local[(local > lo) & (local < hi)]
-        edges = _sorted_unique(np.concatenate([edges, inside]))
-    return edges
+    return _panel_edges(lo, hi, u / gamma, s / gamma)
 
 
 def tail_bound(m: IsotropicModel, geom: FaceDecomposition,
@@ -539,13 +549,7 @@ def _tail_block(m: IsotropicModel, geom: FaceDecomposition, us: list) -> list:
     pE_tail = geom.g[0] * _Phi(-u)
     for j, coef in enumerate(coefs, 1):
         pE_tail = pE_tail + coef * hbar[j - 1] * geom.g[j] * phi_u
-    pE_tail = pE_tail.tolist()
-    if not active:
-        return [TailBound(pbar_tail=p, pE_tail=p, complementary=0.0)
-                for p in pE_tail]
-
     gamma, s = _gamma_s(m)
-    coarse = [_tail_edges(level, gamma, s, active[-1]) for level in us]
 
     def masses(sets) -> np.ndarray:
         """Each level's correction mass on its panels of ``sets``."""
@@ -562,12 +566,16 @@ def _tail_block(m: IsotropicModel, geom: FaceDecomposition, us: list) -> list:
                                  for c, T_j in zip(weights, T))
             for lo, hi in zip(ends[:-1], ends[1:])])
 
-    rough = masses(coarse)
-    comp = masses([np.sort(np.concatenate([e, (e[:-1] + e[1:]) / 2.0]))
-                   for e in coarse])
-    _gate(comp, rough, lambda k: f"the complementary tail at u={us[k]}")
+    comp = np.zeros(len(us))
+    if active:
+        coarse = [_tail_edges(level, gamma, s, active[-1]) for level in us]
+        rough = masses(coarse)
+        comp = masses([np.sort(np.concatenate([e, (e[:-1] + e[1:]) / 2.0]))
+                       for e in coarse])
+        _gate(comp, rough, lambda k: f"the complementary tail at u={us[k]}")
+    _gate(pE_tail, pE_tail, lambda k: f"the pE tail at u={us[k]}")
     return [TailBound(pbar_tail=p + c, pE_tail=p, complementary=c)
-            for p, c in zip(pE_tail, comp.tolist())]
+            for p, c in zip(pE_tail.tolist(), comp.tolist())]
 
 
 _tail_rows = _by_blocks(_tail_block)
@@ -584,11 +592,10 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     :func:`.geometry.sphere_surface`.  R_{d-1} is itself a Gaussian
     average of T_{d-1}((gamma x - s y)/sqrt 2), and two independent
     Gaussians add: its shift average is that average with s replaced by
-    sigma = hypot(gamma a, s).  So the bound is one 1-D y-average: the
-    Hermite part, a polynomial in y, on the 64-node Gauss rule, and the
-    correction part on 24 Gauss-Legendre panels like :func:`tail_bound`'s,
-    each halved, plus panels one unit of T_j's argument wide where T_j
-    steps.  The sum is gated against the 128-node rule and unhalved panels.
+    sigma = hypot(gamma a, s).  So the bound is one 1-D y-average, summed
+    on :func:`_panel_edges` panels like :func:`tail_bound`'s, each halved,
+    with T_j's step, one unit of its argument wide at y = gamma x/sigma, as
+    the feature; it is gated against the unhalved panels.
 
     Parameters
     ----------
@@ -606,25 +613,20 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     sigma = math.hypot(gamma * shift, s)
     # |T_j(v)| phi(y), v = (gamma x - sigma y)/sqrt 2, is below |v|^j phi(y)
     # for v < 0 and falls like e^{-v^2/2} phi(y), which peaks at y = peak,
-    # for v > 0; T_j steps and oscillates within |v| <= sqrt(2j) + 4.
+    # for v > 0; the Hermite part is phi(y) times a polynomial of degree j.
     pad, peak = 12.0 + math.sqrt(j), sigma * gamma * x / (2.0 + sigma ** 2)
-    lo, hi = min(0.0, peak) - pad, max(0.0, peak) + pad
-    coarse, unit = np.linspace(lo, hi, _TAIL_PANELS + 1), 2 ** 0.5 / sigma
-    if unit < coarse[1] - coarse[0]:
-        reach = math.ceil(math.sqrt(2.0 * j) + 4.0)
-        local = gamma * x / sigma + unit * np.arange(-reach, reach + 1)
-        coarse = _sorted_unique(
-            np.clip(np.concatenate([coarse, local]), lo, hi))
-    fine = np.sort(np.concatenate([coarse, (coarse[:-1] + coarse[1:]) / 2.0]))
-    sums = []
-    for (nodes, weights), edges in ((_gauss_rule(_RULE_NODES), fine),
-                                    (_gauss_rule(_CHECK_NODES), coarse)):
+    coarse = _panel_edges(min(0.0, peak) - pad, max(0.0, peak) + pad,
+                          gamma * x / sigma, math.sqrt(2.0) / sigma)
+
+    def average(edges) -> float:
         y, w = _composite_rule(edges[:-1], edges[1:])
         T = _T_rows((j,), (gamma * x - sigma * y) / math.sqrt(2.0))[0]
-        hbar = _eval_all(HermiteKind.MODIFIED, j, x + shift * nodes)[j]
-        sums.append(coef * (hbar @ weights) / SQRT_2PI
-                    + pref * (T @ (w * _phi(y))))
-    val = _checked(*sums, f"sphere_pbar(d={d}, x={x})")
+        hbar = _eval_all(HermiteKind.MODIFIED, j, x + shift * y)[j]
+        return (coef * hbar + pref * T) @ (w * _phi(y))
+
+    fine = np.sort(np.concatenate([coarse, (coarse[:-1] + coarse[1:]) / 2.0]))
+    val = _checked(average(fine), average(coarse),
+                   f"sphere_pbar(d={d}, x={x})")
     return float(_phi(x) * area * val)
 
 

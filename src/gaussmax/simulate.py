@@ -190,8 +190,6 @@ def _pivoted_cholesky(c: np.ndarray) -> np.ndarray:
         _certify(np.tril(a[np.ix_(idx[i:stop], idx[:stop])]
                          - g[i:stop] @ g[:stop].T, i))
     del a, buf
-    if len(panels) == 1:
-        return panels[0][2]
     f = np.zeros((n, sum(len(piv) for _, piv, _ in panels)))
     k = 0
     for rows, piv, g in panels:

@@ -202,13 +202,22 @@ def test_model_error_is_every_rows_error():
 
 
 def test_R_correction_cross_check_catches_bad_rule(monkeypatch):
-    # far too coarse for j = 4 integrands; sphere_pbar's y-average
-    # goes through the same check (one test id covers both callers)
+    # far too coarse for j = 4 integrands
     monkeypatch.setattr(bounds, "_RULE_NODES", 2)
-    for call in (lambda: bounds.R_correction(RAT, 4, 0.5, cross_check=True),
-                 lambda: bounds.sphere_pbar(RAT, 5, 0.5)):
-        with pytest.raises(RuntimeError, match="non-convergent"):
-            call()
+    with pytest.raises(RuntimeError, match="non-convergent"):
+        bounds.R_correction(RAT, 4, 0.5, cross_check=True)
+
+
+@pytest.mark.parametrize("m,d,x", [(RAT, 5, 0.5),
+                                   (model.make_rational(0.05, 0.5), 12, -2.0)],
+                         ids=["RAT", "RAT_0.05"])
+def test_sphere_gate_catches_bad_panels(monkeypatch, m, d, x):
+    # Two equal panels, halved or not, are far too coarse for the sphere's
+    # y-average, so its gate against the unhalved panels must fire.
+    monkeypatch.setattr(bounds, "_panel_edges",
+                        lambda lo, hi, at, width: np.linspace(lo, hi, 3))
+    with pytest.raises(RuntimeError, match="non-convergent"):
+        bounds.sphere_pbar(m, d, x)
 
 
 def test_R_correction_gate_is_relative_in_the_tail(monkeypatch):
@@ -263,11 +272,14 @@ def test_entry_points_reject_nonfinite_abscissa(call, bad):
     lambda: bounds.R_correction(SQ, 2, 1e308),      # gamma = 1
     lambda: bounds.T_series(3, 1e154),
     lambda: bounds.T_series(60, 1e6),
+    lambda: bounds.tail_bound(NEAR_ONE, SQUARE, 1e308),
+    lambda: bounds.tail_bound(NEAR_ONE, SQUARE, np.finfo(float).max),
 ], ids=["pE_density", "pbar_density", "pbar_density-6-box", "R_correction",
-        "T_series-3", "T_series-60"])
+        "T_series-3", "T_series-60", "tail_bound-1e308", "tail_bound-max"])
 def test_overflow_past_the_floats_raises(call):
     # Finite abscissae whose terms leave the floats: with the overflow
-    # warnings silenced, as outside the test suite, each used to return NaN.
+    # warnings silenced, as outside the test suite, each used to return NaN
+    # (the tail levels: to raise OverflowError counting the step edges).
     with np.errstate(all="ignore"), pytest.raises(ValueError,
                                                   match="not finite"):
         call()
@@ -449,6 +461,25 @@ def test_tail_gate_catches_rule_without_step_edges(monkeypatch):
     monkeypatch.setattr(bounds, "_tail_edges", no_step_edges)
     with pytest.raises(RuntimeError, match="non-convergent"):
         bounds.tail_bound(m, CUBE, 8.0)
+
+
+def test_pE_tail_past_the_floats_fails_its_row():
+    # Hbar_{j-1}(u) phi(u) is inf * 0 at u = -1e155 on the cube: the pE tail
+    # used to come out as a silent NaN.  A geometry with no active order,
+    # which has no correction mass, passes the same gate.
+    m = model.make_rational(1.0, 1.0)
+    inactive = FaceDecomposition(d=3, g=(1.0, 0.0, 0.0, 0.0), kappa=0.0,
+                                 kind=GeometryKind.RECTANGLE)
+    levels = [-1e70, -1e155, 0.0]
+    with np.errstate(all="ignore"):
+        for geom in (CUBE, inactive):
+            with pytest.raises(ValueError, match=(
+                    r"not finite for the pE tail at u=-1e\+155: value nan")):
+                bounds.tail_bound(m, geom, -1e155)
+            rows = bounds._tail_rows(m, geom, levels)
+            assert isinstance(rows[1], ValueError)
+            assert [rows[0], rows[2]] == [bounds.tail_bound(m, geom, u)
+                                          for u in (-1e70, 0.0)]
 
 
 def test_tail_bound_monotone_in_u():

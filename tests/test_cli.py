@@ -291,6 +291,23 @@ class TestTailCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_pE_tail_fails_its_row(self, capsys):
+        # On the cube the pE tail at u = -1e155 is inf * 0; it used to print
+        # as a row of NaN with exit status 0.
+        error = ("u=-1e+155: value not finite for the pE tail at u=-1e+155: "
+                 "value nan, check nan")
+        code, out, err = run_cli(capsys, [
+            "tail", "--set", f"model={json.dumps(RATIONAL_SPEC)}",
+            "--set", f"geometry={json.dumps(CUBE_SPEC)}",
+            "--set", "u=[-1e155, -1e70, 0]"])
+        assert code == 3
+        _, rows = data_rows(out)
+        assert rows == [["-1.0000000000000001e+70", "10.980519958391675", "1"],
+                        ["0", "5.4902599791958382", "1.1035923410864852"]]
+        assert out.endswith(f"# error: {error}\n")
+        assert err == f"gaussmax: numeric failure: {error}\n"
+
     @pytest.mark.parametrize("command", ["tail", "bound"])
     def test_sphere_geometry_is_config_error(self, capsys, command):
         # Refused before any row runs, as validate refuses a geometry that
@@ -521,6 +538,19 @@ class TestValidateCommand:
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_pE_tail_fails(self, capsys):
+        # It used to print a NaN bound with the verdict "inconclusive" and
+        # exit status 0.
+        code, out, err = run_cli(capsys, [
+            "validate", "--set", f"model={json.dumps(RATIONAL_SPEC)}",
+            "--set", f"geometry={json.dumps(CUBE_SPEC)}",
+            "--set", "u=[-1e155, 1.0]", "--set", "resolution=[3,3,3]",
+            "--set", "refinements=[1]", "--reps", "20"])
+        assert code == 3 and out == ""
+        assert err == ("gaussmax: numeric failure: value not finite for the "
+                       "pE tail at u=-1e+155: value nan, check nan\n")
 
     def test_requires_rectangle(self, capsys):
         code, _, err = run_cli(capsys, [
