@@ -593,9 +593,9 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     average of T_{d-1}((gamma x - s y)/sqrt 2), and two independent
     Gaussians add: its shift average is that average with s replaced by
     sigma = hypot(gamma a, s).  So the bound is one 1-D y-average, summed
-    on :func:`_panel_edges` panels like :func:`tail_bound`'s, each halved,
-    with T_j's step, one unit of its argument wide at y = gamma x/sigma, as
-    the feature; it is gated against the unhalved panels.
+    on :func:`_panel_edges` panels, each halved, that resolve phi at y = 0
+    and T_j's step, one unit of its argument wide at y = gamma x/sigma; it
+    is gated against the unhalved panels.
 
     Parameters
     ----------
@@ -604,19 +604,19 @@ def sphere_pbar(m: IsotropicModel, d: int, x: float) -> float:
     x : float, finite.
     """
     d = _check_int(d, 2, MAX_SPHERE_DIM, "sphere dimension")
-    x = _finite(x)
-    j = d - 1
+    x, j = _finite(x), d - 1
     area = sphere_surface(d).g[j]
     coef, pref = _coef(m, j), SQRT_2PI * _pref(m, j)
-    gamma, s = _gamma_s(m)
-    shift = (2.0 * abs(m.rho1_0)) ** -0.5
+    (gamma, s), shift = _gamma_s(m), (2.0 * abs(m.rho1_0)) ** -0.5
     sigma = math.hypot(gamma * shift, s)
     # |T_j(v)| phi(y), v = (gamma x - sigma y)/sqrt 2, is below |v|^j phi(y)
     # for v < 0 and falls like e^{-v^2/2} phi(y), which peaks at y = peak,
     # for v > 0; the Hermite part is phi(y) times a polynomial of degree j.
     pad, peak = 12.0 + math.sqrt(j), sigma * gamma * x / (2.0 + sigma ** 2)
-    coarse = _panel_edges(min(0.0, peak) - pad, max(0.0, peak) + pad,
-                          gamma * x / sigma, math.sqrt(2.0) / sigma)
+    lo, hi = min(0.0, peak) - pad, max(0.0, peak) + pad
+    coarse = _sorted_unique(np.concatenate([
+        _panel_edges(lo, hi, 0.0, 1.0),
+        _panel_edges(lo, hi, gamma * x / sigma, math.sqrt(2.0) / sigma)]))
 
     def average(edges) -> float:
         y, w = _composite_rule(edges[:-1], edges[1:])

@@ -528,6 +528,17 @@ def test_sphere_pbar_equals_the_nested_average_node_by_node(m):
                                                                 rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [5, 9])
+@pytest.mark.parametrize("x", [40.0, 100.0, 300.0, 500.0, 650.0, 750.0,
+                               850.0, 1000.0, 1e4, 1e6])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["pos", "neg"])
+def test_sphere_pbar_is_zero_past_the_floats(d, x, sign):
+    # phi(x) underflows past |x| ~ 38.6, so the bound is 0.0 there.  The
+    # y-window grows like |x|, and the Hermite part's mass at y = 0 must
+    # still be resolved, or the gate fires on a density that is 0.0.
+    assert bounds.sphere_pbar(SQ, d, sign * x) == 0.0
+
+
 def test_sphere_pbar_dim_checks():
     with pytest.raises(ValueError):
         bounds.sphere_pbar(SQ, 1, 0.0)
