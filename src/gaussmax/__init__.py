@@ -18,53 +18,53 @@ The package is organized around one pipeline:
 - :mod:`gaussmax.simulate` — exact grid sampling of the field and Monte
   Carlo validation of the bounds;
 - :mod:`gaussmax.cli` — a reproducible command-line front end.
+
+Importing the package loads none of these modules.  Each public name, and
+each submodule, is loaded on first attribute access (PEP 562), so a script
+or a CLI command loads only the modules on its own path.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .asympt import (ExponentComponents, ExponentReport, Z_delta_exponent,
-                     exponent_convex, exponent_general, kappa_annulus,
-                     pm_equiv_1d, sigma2_isotropic, sigma2_separable,
-                     sigma2_separable_max)
-from .bounds import (BoundBreakdown, R_correction, T_series, TailBound,
-                     complementary_decay_rate, pE_density, pbar_density,
-                     sphere_pbar, tail_bound)
-from .geometry import (FaceDecomposition, GeometryKind, angle_boundary_ratio,
-                       kappa_of_angle_boundary, polytope_g_coeffs,
-                       rectangle_faces, sphere_surface)
-from .hermite import (HermiteKind, hermite_eval, tail_integral_In,
-                      weighted_integral_Jn)
-from .model import (IsotropicModel, ModelValidation, make_rational,
-                    make_squared_exponential, normalized, require_valid,
-                    validate_model)
-from .randmat import (McEstimate, expected_absdet_shifted_goe,
-                      goe_eigen_density, mc_absdet)
-from .simulate import (FieldGrid, ValidationReport, covariance_cholesky,
-                       sample_maxima, validate_bound)
+# module -> the public names it defines: the one list of the package's API
+_EXPORTS = {
+    "model": ("IsotropicModel", "ModelValidation", "make_squared_exponential",
+              "make_rational", "normalized", "require_valid",
+              "validate_model"),
+    "hermite": ("HermiteKind", "hermite_eval", "tail_integral_In",
+                "weighted_integral_Jn"),
+    "randmat": ("McEstimate", "goe_eigen_density",
+                "expected_absdet_shifted_goe", "mc_absdet"),
+    "geometry": ("FaceDecomposition", "GeometryKind", "rectangle_faces",
+                 "sphere_surface", "polytope_g_coeffs",
+                 "kappa_of_angle_boundary", "angle_boundary_ratio"),
+    "bounds": ("T_series", "R_correction", "BoundBreakdown", "TailBound",
+               "pE_density", "pbar_density", "tail_bound", "sphere_pbar",
+               "complementary_decay_rate"),
+    "asympt": ("ExponentComponents", "ExponentReport", "exponent_general",
+               "exponent_convex", "Z_delta_exponent", "sigma2_isotropic",
+               "kappa_annulus", "sigma2_separable", "sigma2_separable_max",
+               "pm_equiv_1d"),
+    "simulate": ("FieldGrid", "ValidationReport", "covariance_cholesky",
+                 "sample_maxima", "validate_bound"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "streams", "cli"}
 
-__all__ = [
-    "__version__",
-    # model
-    "IsotropicModel", "ModelValidation", "make_squared_exponential",
-    "make_rational", "normalized", "require_valid", "validate_model",
-    # hermite
-    "HermiteKind", "hermite_eval", "tail_integral_In",
-    "weighted_integral_Jn",
-    # randmat
-    "McEstimate", "goe_eigen_density", "expected_absdet_shifted_goe",
-    "mc_absdet",
-    # geometry
-    "FaceDecomposition", "GeometryKind", "rectangle_faces", "sphere_surface",
-    "polytope_g_coeffs", "kappa_of_angle_boundary", "angle_boundary_ratio",
-    # bounds
-    "T_series", "R_correction", "BoundBreakdown", "TailBound", "pE_density",
-    "pbar_density", "tail_bound", "sphere_pbar", "complementary_decay_rate",
-    # asympt
-    "ExponentComponents", "ExponentReport", "exponent_general",
-    "exponent_convex", "Z_delta_exponent", "sigma2_isotropic",
-    "kappa_annulus", "sigma2_separable", "sigma2_separable_max",
-    "pm_equiv_1d",
-    # simulate
-    "FieldGrid", "ValidationReport", "covariance_cholesky", "sample_maxima",
-    "validate_bound",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

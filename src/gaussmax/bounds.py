@@ -59,9 +59,9 @@ for the tail.  Only the dot products with the weights, the exactly rounded
 sums and the gates run per row, so each row is, bit for bit, what its
 abscissa gives alone.  A kernel raises its first error like any function,
 and does the model's own work, which fails every row alike, before the
-per-abscissa work.  :func:`_by_blocks` turns any such kernel into a sweep
-in blocks of _BLOCK, with one result or error per row: a block that raises
-is run again one abscissa at a time.  ``R_correction``, ``pE_density``,
+per-abscissa work.  :func:`.hermite._by_blocks` turns any such kernel into
+a sweep in blocks of _BLOCK, with one result or error per row: a block that
+raises is run again one abscissa at a time.  ``R_correction``, ``pE_density``,
 ``pbar_density`` and ``tail_bound`` call the kernels on their one abscissa,
 so their errors are raised where they happen.  The Gauss rules are built
 on first use.  The normal CDF is the in-package Phi of :mod:`.hermite`;
@@ -76,9 +76,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FaceDecomposition, GeometryKind, sphere_surface
-from .hermite import (SQRT_2PI, HermiteKind, _check_int, _eval_all, _finite,
-                      _norm_hermites, _Phi, _sorted_unique, _tail_coefficients,
-                      _tail_sum)
+from .hermite import (SQRT_2PI, HermiteKind, _by_blocks, _check_int,
+                      _eval_all, _finite, _norm_hermites, _Phi, _sorted_unique,
+                      _tail_coefficients, _tail_sum)
+from .hermite import _BLOCK, _ROW_ERRORS  # noqa: F401  read as bounds.*
 from .model import IsotropicModel
 
 MAX_ORDER = 60
@@ -203,8 +204,6 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _RULE_NODES, _CHECK_NODES = 64, 128   # the y-average and its cross-check
-_BLOCK = 32     # abscissae per kernel pass: bounds the memory of a sweep
-_ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError)
 
 
 def _passes(v, c):
@@ -248,30 +247,6 @@ def _gate(value, check, what):
     if bad.size:
         i = bad[0]
         _checked(value[..., i], check[..., i], what(i))
-
-
-def _by_blocks(block):
-    """The rows kernel that runs ``block(*args, part)``, a kernel that
-    returns one result per value of its last argument, on parts of at most
-    _BLOCK values: one result, or the error it raised, per value.
-
-    A part that raises is run again one value at a time, so each row gets,
-    bit for bit, the result or the error of its value alone.  This is the
-    one place where a raised error becomes a row.
-    """
-    @functools.wraps(block)
-    def rows(*args) -> list:
-        *args, xs = args
-        out = []
-        for start in range(0, len(xs), _BLOCK):
-            part = xs[start:start + _BLOCK]
-            try:
-                out += block(*args, part)
-            except _ROW_ERRORS as e:
-                out += ([e] if len(part) == 1 else
-                        [r for x in part for r in rows(*args, [x])])
-        return out
-    return rows
 
 
 @_in_floats

@@ -26,17 +26,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import __version__, streams
-from .asympt import Z_delta_exponent, exponent_convex, exponent_general
-from .bounds import _ROW_ERRORS, _by_blocks, _pbar_rows, _tail_rows
-from .geometry import (FaceDecomposition, polytope_g_coeffs, rectangle_faces,
-                       sphere_surface)
-from .hermite import _check_int, _finite
-from .model import IsotropicModel, make_rational, make_squared_exponential
-from .randmat import MAX_SIZE, expected_absdet_shifted_goe, goe_eigen_density
-from .simulate import (FieldGrid, _refined_grids, _refinement_factors,
-                       _validate_on_grids)
+from .hermite import (_ROW_ERRORS, _by_blocks, _check_int, _finite,
+                      _refinement_factors)
+
+if TYPE_CHECKING:   # each runner imports the modules it calls, and no more
+    from .geometry import FaceDecomposition
+    from .model import IsotropicModel
 
 _COMMANDS = ("bound", "tail", "validate", "goe", "geom", "exponent")
 _FORMATS = ("csv", "json")
@@ -121,12 +119,17 @@ class RunConfig:
                 _finite([v for v in self.u if v == v], "every u entry",
                         -math.inf, math.inf)
             if self.n is not None:   # absdet_mean needs the size n + 1
+                from .randmat import MAX_SIZE
                 _check_int(self.n, 1, MAX_SIZE - 1, "n")
             for v in self.resolution or ():
                 _check_int(v, 1, math.inf, "every resolution entry")
             _refinement_factors(self.refinements)
         except (TypeError, ValueError) as e:   # TypeError: a null list
             raise ConfigError(str(e)) from None
+        # open() would take an int as a file descriptor: out=1 is stdout
+        if self.out is not None and not (isinstance(self.out, str)
+                                         and self.out):
+            raise ConfigError(f"out must be a nonempty path, got {self.out!r}")
 
 
 def _abscissa_values(cfg: RunConfig, what: str) -> list:
@@ -158,6 +161,7 @@ def _abscissa_values(cfg: RunConfig, what: str) -> list:
 
 
 def _build_model(cfg: RunConfig) -> IsotropicModel:
+    from .model import make_rational, make_squared_exponential
     spec = cfg.model
     if spec is None:
         raise ConfigError(f"{cfg.command} needs a model in the config")
@@ -185,6 +189,7 @@ def _geometry_spec(cfg: RunConfig) -> dict:
 
 
 def _build_geometry(cfg: RunConfig) -> FaceDecomposition:
+    from .geometry import polytope_g_coeffs, rectangle_faces, sphere_surface
     spec = _geometry_spec(cfg)
     kind = spec["kind"]
     extra = set(spec) - {"kind", "sides", "d", "halfspaces"}
@@ -246,6 +251,7 @@ def _polyhedral_geometry(cfg: RunConfig) -> FaceDecomposition:
 
 
 def _run_bound(cfg: RunConfig) -> _RunResult:
+    from .bounds import _pbar_rows
     m = _build_model(cfg)
     geom = _polyhedral_geometry(cfg)
     xs = _abscissa_values(cfg, "bound")
@@ -259,6 +265,7 @@ def _run_bound(cfg: RunConfig) -> _RunResult:
 
 
 def _run_tail(cfg: RunConfig) -> _RunResult:
+    from .bounds import _tail_rows
     m = _build_model(cfg)
     geom = _polyhedral_geometry(cfg)
     us = _abscissa_values(cfg, "tail")
@@ -269,6 +276,7 @@ def _run_tail(cfg: RunConfig) -> _RunResult:
 
 
 def _run_validate(cfg: RunConfig) -> _RunResult:
+    from .simulate import FieldGrid, _refined_grids, _validate_on_grids
     m = _build_model(cfg)
     # the kind before the geometry: a polytope is costly to build
     if _geometry_spec(cfg)["kind"] != "rectangle":
@@ -294,6 +302,7 @@ def _run_validate(cfg: RunConfig) -> _RunResult:
 def _goe_rows(n, nus: list) -> list:
     """(density, absdet_mean) at each nu of ``nus``, one scalar call each:
     from n = 7 on, an array nu changes their last bits."""
+    from .randmat import expected_absdet_shifted_goe, goe_eigen_density
     return [(goe_eigen_density(n, nu), expected_absdet_shifted_goe(n, nu))
             for nu in nus]
 
@@ -319,6 +328,7 @@ def _run_geom(cfg: RunConfig) -> _RunResult:
 
 
 def _run_exponent(cfg: RunConfig) -> _RunResult:
+    from .asympt import Z_delta_exponent, exponent_convex, exponent_general
     spec = cfg.exponent
     if spec is None or not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("exponent needs an object with a kind key")
@@ -449,8 +459,13 @@ def main(argv=None) -> int:
 
     text = (_emit_csv if cfg.format == "csv" else _emit_json)(cfg, res)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"gaussmax: config error: cannot write output file: {e}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     for err in res.errors:

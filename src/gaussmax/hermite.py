@@ -25,6 +25,9 @@ The package's input contract lives here too: every public integer passes
 :func:`_check_int` and every other public number :func:`_finite`, the one
 real-number check, so a bool, string, None, complex or NaN argument raises
 ValueError, naming the argument, instead of being coerced or returning NaN.
+:func:`_refinement_factors` and the sweep helper :func:`_by_blocks` live
+here too, so that ``goe`` and the CLI's config check load neither the
+bounds nor the sampler.
 """
 from __future__ import annotations
 
@@ -62,6 +65,17 @@ def _check_int(n, lo: int, cap, what: str) -> int:
     return int(n)
 
 
+def _refinement_factors(refinements) -> tuple:
+    """The factors as ints >= 1, nonempty and strictly increasing, so that
+    the last grid is the finest."""
+    out = tuple(_check_int(k, 1, math.inf, "every refinement factor")
+                for k in refinements)
+    if not out or any(a >= b for a, b in zip(out, out[1:])):
+        raise ValueError("refinement factors must be a nonempty, strictly "
+                         "increasing sequence, so the last grid is the finest")
+    return out
+
+
 _FMAX = float(np.finfo(float).max)
 _REAL = (int, float, np.integer, np.floating)
 
@@ -89,6 +103,34 @@ def _finite(x, name: str = "x", lo: float = -_FMAX, hi: float = _FMAX):
         raise ValueError(
             f"{name} must be {span}, got {float(arr[~inside].flat[0])!r}")
     return float(arr) if arr.ndim == 0 else arr
+
+
+_BLOCK = 32     # values per kernel pass: bounds the memory of a sweep
+_ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError)
+
+
+def _by_blocks(block):
+    """The rows kernel that runs ``block(*args, part)``, a kernel that
+    returns one result per value of its last argument, on parts of at most
+    _BLOCK values: one result, or the error it raised, per value.
+
+    A part that raises is run again one value at a time, so each row gets,
+    bit for bit, the result or the error of its value alone.  This is the
+    one place where a raised error becomes a row.
+    """
+    @functools.wraps(block)
+    def rows(*args) -> list:
+        *args, xs = args
+        out = []
+        for start in range(0, len(xs), _BLOCK):
+            part = xs[start:start + _BLOCK]
+            try:
+                out += block(*args, part)
+            except _ROW_ERRORS as e:
+                out += ([e] if len(part) == 1 else
+                        [r for x in part for r in rows(*args, [x])])
+        return out
+    return rows
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:

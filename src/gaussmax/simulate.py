@@ -31,7 +31,7 @@ import numpy as np
 from . import streams
 from .bounds import _tail_rows
 from .geometry import rectangle_faces
-from .hermite import _check_int, _finite
+from .hermite import _check_int, _finite, _refinement_factors
 from .model import IsotropicModel
 from .randmat import McEstimate
 
@@ -323,17 +323,6 @@ def _empirical_tail(maxima: np.ndarray, u_values, reps: int,
         se = math.sqrt(p * (1.0 - p) / reps)
         out.append(McEstimate(mean=p, stderr=se, reps=reps, seed=seed))
     return tuple(out)
-
-
-def _refinement_factors(refinements) -> tuple:
-    """The factors as ints >= 1, nonempty and strictly increasing, so that
-    the last grid is the finest."""
-    out = tuple(_check_int(k, 1, math.inf, "every refinement factor")
-                for k in refinements)
-    if not out or any(a >= b for a, b in zip(out, out[1:])):
-        raise ValueError("refinement factors must be a nonempty, strictly "
-                         "increasing sequence, so the last grid is the finest")
-    return out
 
 
 def _refined_grids(grid: FieldGrid, refinements) -> dict:

@@ -695,6 +695,25 @@ class TestOutputPlumbing:
         assert dest.read_text() == text1
         assert text1.startswith("# gaussmax ")
 
+    @pytest.mark.parametrize("value", ["5", "true", '""'])
+    def test_out_must_be_a_path(self, capsys, value):
+        # open(5, "w") would write to and close file descriptor 5, and
+        # out=true would do so to fd 1, stdout.
+        code, out, err = run_cli(capsys, [
+            "goe", "--set", "n=1", "--set", "u=[0.0]", "--set", f"out={value}"])
+        assert code == 2 and out == ""
+        assert err.startswith("gaussmax: config error: out must be a "
+                              "nonempty path, got ")
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "run.csv"
+        code, out, err = run_cli(capsys, [
+            "goe", "--set", "n=1", "--set", "u=[0.0]", "--out", str(dest)])
+        assert code == 2 and out == ""
+        assert err.startswith("gaussmax: config error: cannot write output "
+                              "file: ")
+        assert str(dest) in err and "Traceback" not in err
+
     def test_json_payload_shape(self, capsys):
         code, out, _ = run_cli(capsys, [
             "goe", "--set", "n=1", "--set", "u=[0.5]", "--format", "json"])
@@ -828,6 +847,52 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [False, [0, False], [0, False]]
+
+    def test_each_command_loads_only_its_modules(self):
+        # Each run starts from an empty gaussmax in sys.modules, so the set
+        # it leaves is what its command imports.
+        model = f"model={json.dumps(RATIONAL_SPEC)}"
+        runs = {"import": None,
+                **{f"{cmd} {name}": [cmd, "--set", model,
+                                     "--set", f"geometry={json.dumps(geom)}",
+                                     "--set", "u=[0.5, 3.0]"]
+                   for cmd in ("bound", "tail")
+                   for name, geom in (("rectangle", RECT_SPEC),
+                                      ("simplex", SIMPLEX_SPEC))},
+                "goe": ["goe", "--set", "n=3", "--set", "u=[0.3]"],
+                "exponent": ["exponent", "--set", 'exponent={"kind": '
+                             '"general", "sigma2": 2.0, "lambda_bar": 1.0, '
+                             '"kappa": 0.5}']}
+        script = (
+            "import importlib, io, contextlib, json, sys\n"
+            "def loaded():\n"
+            "    return sorted(m.split('.', 1)[1] for m in sys.modules\n"
+            "                  if m.startswith('gaussmax.'))\n"
+            "report = {}\n"
+            f"for name, argv in {runs!r}.items():\n"
+            "    for m in [m for m in sys.modules if m.startswith('gaussmax')]:\n"
+            "        del sys.modules[m]\n"
+            "    importlib.import_module('gaussmax')\n"
+            "    code = 0\n"
+            "    if argv is not None:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            code = importlib.import_module('gaussmax.cli')"
+            ".main(argv)\n"
+            "    report[name] = [code, loaded()]\n"
+            "print(json.dumps(report))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report.pop("import") == [0, []]
+        skipped = {"goe": {"model", "geometry", "bounds", "simulate",
+                           "asympt"},
+                   "exponent": {"bounds", "geometry", "simulate"}}
+        for name, (code, mods) in report.items():
+            assert code == 0, name
+            assert "cli" in mods, name
+            never = skipped.get(name, {"asympt", "simulate", "randmat"})
+            assert never.isdisjoint(mods), (name, mods)
 
     def test_every_exported_name_resolves(self):
         missing = [n for n in gaussmax.__all__ if not hasattr(gaussmax, n)]
