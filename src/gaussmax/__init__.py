@@ -3,8 +3,8 @@ stationary isotropic Gaussian fields on polyhedra and spheres.
 
 The package is organized around one pipeline:
 
-- :mod:`gaussmax.model` — isotropic covariance profiles and their validity
-  checks;
+- :mod:`gaussmax.model` — isotropic covariance profiles, checked at
+  construction;
 - :mod:`gaussmax.hermite` — Hermite polynomials and Gaussian-weight tail
   integrals;
 - :mod:`gaussmax.randmat` — GOE eigenvalue densities and expected shifted
@@ -30,9 +30,8 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines: the one list of the package's API
 _EXPORTS = {
-    "model": ("IsotropicModel", "ModelValidation", "make_squared_exponential",
-              "make_rational", "normalized", "require_valid",
-              "validate_model"),
+    "model": ("IsotropicModel", "make_squared_exponential", "make_rational",
+              "normalized"),
     "hermite": ("HermiteKind", "hermite_eval", "tail_integral_In",
                 "weighted_integral_Jn"),
     "randmat": ("McEstimate", "goe_eigen_density",

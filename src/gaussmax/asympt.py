@@ -171,8 +171,10 @@ def sigma2_isotropic(m: IsotropicModel, Delta: float, *,
         z -> 0 limit candidate 12 rho''(0) - 1 wins).
 
     For covariances decreasing in distance (``monotone_flag``) the supremum
-    provably equals the z -> 0 limit; a grid value exceeding it by more than
-    1e-6 relative raises, flagging an inconsistent model.
+    provably equals the z -> 0 limit.  The constructor checks the flag, a
+    bool, against rho1 on squared distances up to 50; a grid value here
+    exceeding the limit by more than 1e-6 relative still raises, flagging a
+    model that rises beyond them.
     """
     mn, alpha, (lo, hi), limit = _distance_setup(m, Delta)
     val, z = _grid_sup(_sigma2_ratio(mn), lo, hi, candidates=[(limit, 0.0)])
@@ -190,10 +192,11 @@ def exponent_convex(m: IsotropicModel) -> ExponentReport:
     """Exact second-order rate on convex sets: 1 + 1/(12 rho''(0) - 1).
 
     Requires a covariance decreasing in distance (kappa_t = 0 and the
-    variance supremum collapses to its z -> 0 limit); with full-dimensional
-    convex S the liminf is an ordinary limit, hence ``exact=True``.  The
-    rate minus 1 equals the complementary term's extra Gaussian decay
-    gamma^2/(3 - gamma^2).
+    variance supremum collapses to its z -> 0 limit), which ``monotone_flag``
+    declares; the flag is a bool, checked against rho1 when the model is
+    constructed.  With full-dimensional convex S the liminf is an ordinary
+    limit, hence ``exact=True``.  The rate minus 1 equals the complementary
+    term's extra Gaussian decay gamma^2/(3 - gamma^2).
     """
     if not m.monotone_flag:
         raise ValueError("exponent_convex needs a covariance decreasing in "

@@ -109,8 +109,8 @@ class RunConfig:
                               "keys min, max, step")
         try:
             # validate needs two replicates for a standard error.
-            _check_int(self.reps, 1 + (self.command == "validate"), math.inf,
-                       "reps")
+            _check_int(self.reps, 1 + (self.command == "validate"),
+                       streams.MAX_REPS, "reps")
             streams.check_seed(self.seed)
             if self.abscissa is not None:
                 _finite(list(self.abscissa.values()), "abscissa values")
@@ -300,11 +300,10 @@ def _run_validate(cfg: RunConfig) -> _RunResult:
 
 @_by_blocks
 def _goe_rows(n, nus: list) -> list:
-    """(density, absdet_mean) at each nu of ``nus``, one scalar call each:
-    from n = 7 on, an array nu changes their last bits."""
+    """(density, absdet_mean) at each nu of ``nus``."""
     from .randmat import expected_absdet_shifted_goe, goe_eigen_density
-    return [(goe_eigen_density(n, nu), expected_absdet_shifted_goe(n, nu))
-            for nu in nus]
+    return list(zip(goe_eigen_density(n, nus).tolist(),
+                    expected_absdet_shifted_goe(n, nus).tolist()))
 
 
 def _run_goe(cfg: RunConfig) -> _RunResult:

@@ -8,7 +8,13 @@ callables at construction, never passed in.  Validity means:
 * rho(0) = 1 (unit variance),
 * rho'(0) < 0 (non-degenerate gradient),
 * rho''(0) - rho'(0)^2 >= 0 (a positivity constraint the conditional-Hessian
-  law requires; both built-in families satisfy it).
+  law requires; both built-in families satisfy it),
+* rho1 and rho2 are the derivatives of rho and rho1, and rho' <= 0 where
+  ``monotone_flag`` says so, on a finite grid of squared distances in
+  [1e-3, 50].
+
+Every model is checked once, when it is constructed: one that fails a check
+raises ValueError naming it, so no downstream operation checks again.
 
 Several second-order quantities are stated for the "unit-speed" normalization
 rho'(0) = -1/2; :func:`normalized` rescales any valid model to it (the
@@ -30,11 +36,12 @@ from .hermite import _finite
 class IsotropicModel:
     """Covariance profile of an isotropic field, E X(s)X(t) = rho(||s-t||^2).
 
-    The constructor takes the callables and ``monotone_flag`` only.  It sets
-    ``rho1_0 = rho1(0)``, ``rho2_0 = rho2(0)`` and
-    ``gamma = sqrt(rho1_0^2 / rho2_0)`` once, then validates: an instance
-    that violates the structural checks of :func:`require_valid` cannot be
-    built, so no downstream operation checks again.
+    The constructor takes the callables, which must map arrays elementwise,
+    and ``monotone_flag``, a bool.  It sets ``rho1_0 = rho1(0)``,
+    ``rho2_0 = rho2(0)`` and ``gamma = sqrt(rho1_0^2 / rho2_0)`` once, then
+    runs every check of the module docstring: the values at 0, the
+    derivatives against central differences, and the flag against the sign
+    of rho1.  An instance that fails one cannot be built.
     """
 
     rho: Callable
@@ -46,17 +53,15 @@ class IsotropicModel:
     gamma: float = field(init=False)
 
     def __post_init__(self):
-        r1, r2 = (float(np.asarray(f(0.0))) for f in (self.rho1, self.rho2))
-        # r1 ** 2 would raise OverflowError where r1 * r1 rounds to inf.
-        if math.isinf(r1 * r1) or math.isinf(r2):
-            raise ValueError("invalid model: rho'(0)^2 and rho''(0) must be "
-                             f"finite, got rho'(0) = {r1!r}, rho''(0) = {r2!r}")
-        object.__setattr__(self, "rho1_0", r1)
-        object.__setattr__(self, "rho2_0", r2)
-        # NaN when rho''(0) <= 0, which the checks then reject by name.
-        object.__setattr__(self, "gamma",
-                           math.sqrt(r1 ** 2 / r2) if r2 > 0 else math.nan)
-        require_valid(self)
+        if not isinstance(self.monotone_flag, (bool, np.bool_)):
+            raise ValueError("monotone_flag must be a bool, got "
+                             f"{self.monotone_flag!r}")
+        try:
+            with np.errstate(all="ignore"):   # a non-finite value fails by name
+                _derive_and_check(self)
+        except TypeError as e:   # e.g. a callable that takes scalars only
+            raise ValueError("invalid model: rho, rho1 and rho2 must map "
+                             f"arrays elementwise ({e})") from None
 
 
 def make_squared_exponential(c: float) -> IsotropicModel:
@@ -96,19 +101,6 @@ def make_rational(c: float, beta: float) -> IsotropicModel:
     return IsotropicModel(rho=rho, rho1=rho1, rho2=rho2, monotone_flag=True)
 
 
-def require_valid(m: IsotropicModel) -> IsotropicModel:
-    """Cheap structural validity check, run when a model is constructed.
-
-    Runs the checks of :func:`_structural_checks` in order and raises
-    ValueError naming the first that fails; returns the model for chaining.
-    The full grid-based report is :func:`validate_model`.
-    """
-    for c in _structural_checks(m):
-        if not c.passed:
-            raise ValueError(f"invalid model: {c.name} fails ({c.detail})")
-    return m
-
-
 def normalized(m: IsotropicModel) -> tuple[IsotropicModel, float]:
     """Rescale to rho'(0) = -1/2; returns (model, alpha) with t -> alpha t.
 
@@ -135,80 +127,62 @@ def normalized(m: IsotropicModel) -> tuple[IsotropicModel, float]:
     return mn, alpha
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def _structural_checks(m: IsotropicModel) -> list:
-    """The checks every model must pass to be constructed."""
-    r0 = float(np.asarray(m.rho(0.0)))
-    pos = m.rho2_0 - m.rho1_0 ** 2
-    return [
-        CheckResult("rho(0) = 1", abs(r0 - 1.0) <= 1e-12, f"rho(0) = {r0!r}"),
-        CheckResult("rho'(0) < 0", m.rho1_0 < 0, f"rho'(0) = {m.rho1_0!r}"),
-        CheckResult("rho''(0) > 0", m.rho2_0 > 0, f"rho''(0) = {m.rho2_0!r}"),
-        CheckResult("rho''(0) - rho'(0)^2 >= 0", pos >= -1e-12,
-                    f"value = {pos!r}"),
-        CheckResult("gamma in (0, 1]", 0.0 < m.gamma <= 1.0 + 1e-12,
-                    f"gamma = {m.gamma!r}"),
-    ]
-
-
-@dataclass(frozen=True)
-class ModelValidation:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
-    def __str__(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "ok" if c.passed else "FAIL"
-            lines.append(f"[{status}] {c.name}" + (f": {c.detail}" if c.detail else ""))
-        return "\n".join(lines)
-
-
+# The derivative checks' grid of squared distances: 40 log-spaced points on
+# [1e-3, 1] and 98 on (1, 50].
+_GRID = np.concatenate([np.geomspace(1e-3, 1.0, 40),
+                        np.linspace(1.0, 50.0, 99)[1:]])
 _FD_STEP = 1e-5
 
 
-def validate_model(m: IsotropicModel, grid=None) -> ModelValidation:
-    """Full validation report: normalization, signs, derivative consistency.
+def _require(passed: bool, name: str, detail: str) -> None:
+    if not passed:
+        raise ValueError(f"invalid model: {name} fails ({detail})")
 
-    rho1 is checked against a central difference of rho and rho2 against a
-    central difference of rho1, both with step 1e-5 and tolerance 1e-6
-    (relative to max(1, |value|)).  The second difference of rho itself would
-    carry ~1e-5 of roundoff at this step and is not used.
-    """
-    if grid is None:
-        grid = np.concatenate([np.geomspace(1e-3, 1.0, 40),
-                               np.linspace(1.0, 50.0, 99)[1:]])
-    grid = np.asarray(_finite(grid, "grid"))
-    checks = _structural_checks(m)
 
-    h = _FD_STEP
-    for name, f, df in (("rho1 matches d/dx rho", m.rho, m.rho1),
-                        ("rho2 matches d/dx rho1", m.rho1, m.rho2)):
-        fd = (np.asarray(f(grid + h)) - np.asarray(f(grid - h))) / (2 * h)
-        a = np.asarray(df(grid))
-        err = np.abs(fd - a) / np.maximum(1.0, np.abs(a))
+def _derive_and_check(m: IsotropicModel) -> None:
+    """Set the values that ``m`` derives from its callables, then raise
+    ValueError naming the first check of the module docstring it fails."""
+    r1, r2 = (float(np.asarray(f(0.0))) for f in (m.rho1, m.rho2))
+    # r1 ** 2 would raise OverflowError where r1 * r1 rounds to inf.
+    if math.isinf(r1 * r1) or math.isinf(r2):
+        raise ValueError("invalid model: rho'(0)^2 and rho''(0) must be "
+                         f"finite, got rho'(0) = {r1!r}, rho''(0) = {r2!r}")
+    object.__setattr__(m, "rho1_0", r1)
+    object.__setattr__(m, "rho2_0", r2)
+    # NaN when rho''(0) <= 0, which the checks then reject by name.
+    object.__setattr__(m, "gamma",
+                       math.sqrt(r1 ** 2 / r2) if r2 > 0 else math.nan)
+
+    r0 = float(np.asarray(m.rho(0.0)))
+    pos = r2 - r1 ** 2
+    _require(abs(r0 - 1.0) <= 1e-12, "rho(0) = 1", f"rho(0) = {r0!r}")
+    _require(r1 < 0, "rho'(0) < 0", f"rho'(0) = {r1!r}")
+    _require(r2 > 0, "rho''(0) > 0", f"rho''(0) = {r2!r}")
+    _require(pos >= -1e-12, "rho''(0) - rho'(0)^2 >= 0", f"value = {pos!r}")
+    _require(0.0 < m.gamma <= 1.0 + 1e-12, "gamma in (0, 1]",
+             f"gamma = {m.gamma!r}")
+    for name, f, df in (("rho1 = d/dx rho", m.rho, m.rho1),
+                        ("rho2 = d/dx rho1", m.rho1, m.rho2)):
+        err = _difference_error(f, df)
         i = int(np.argmax(err))
-        checks.append(CheckResult(f"{name} (central difference)",
-                                  bool(err[i] <= 1e-6),
-                                  f"worst at x = {grid[i]!r}: error {err[i]:.3e}"))
-
+        _require(err[i] <= 1e-6, f"{name} (central difference)",
+                 f"worst at x = {_GRID[i]:.6g}: error {err[i]:.3e}")
     if m.monotone_flag:
-        r1g = np.asarray(m.rho1(grid))
-        iw = int(np.argmax(r1g))
-        checks.append(CheckResult("monotone_flag: rho' <= 0 on the grid",
-                                  bool(r1g[iw] <= 1e-12),
-                                  f"worst at x = {grid[iw]!r}: rho' = {r1g[iw]:.3e}"))
+        r1g = np.asarray(m.rho1(_GRID))
+        i = int(np.argmax(np.where(np.isnan(r1g), np.inf, r1g)))
+        _require(r1g[i] <= 1e-12, "monotone_flag: rho' <= 0 on the grid",
+                 f"worst at x = {_GRID[i]:.6g}: rho' = {r1g[i]:.3e}")
 
-    return ModelValidation(tuple(checks))
+
+def _difference_error(f, df) -> np.ndarray:
+    """Error of df against the central difference D_h of f on the grid,
+    relative to max(1, |df|), less 2 |D_2h - D_h| (about six times the
+    step's own truncation error), so that a sharp but correct profile
+    passes.  A non-finite error reads as inf.  The second difference of rho itself
+    would carry ~1e-5 of roundoff at this step and is not used."""
+    h = _FD_STEP
+    d1, d2 = ((np.asarray(f(_GRID + k * h)) - np.asarray(f(_GRID - k * h)))
+              / (2 * k * h) for k in (1, 2))
+    a = np.asarray(df(_GRID))
+    err = (np.abs(d1 - a) - 2.0 * np.abs(d2 - d1)) / np.maximum(1.0, np.abs(a))
+    return np.where(np.isfinite(err), err, np.inf)

@@ -40,7 +40,10 @@ def _rescaled_density(n: int, nu) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     u = _norm_hermites(n - 1, nu)
     ut = u * np.exp(-nu * nu / 4.0)          # ut_k = u_k e^{-nu^2/4}
-    w = np.sum(ut ** 2, axis=0)              # e^{-nu^2/2} sum c_k^2 H_k^2
+    # e^{-nu^2/2} sum c_k^2 H_k^2, summed in order whatever the shape of nu
+    # (np.sum would sum one column pairwise), so that each entry of an array
+    # nu is bit for bit its value alone.
+    w = np.cumsum(ut ** 2, axis=0)[-1]
     # Middle term: (1/2) sqrt(n/2) c_{n-1} c_n H_{n-1} [I_n(-inf) - 2 I_n(nu)]
     #   c_n I_n(nu)    = e^{-nu^2/4} sum_k A_k ut_{n-1-2k} + B_n (1-Phi(nu))
     #   c_n I_n(-inf)  = B_n
@@ -70,7 +73,7 @@ def goe_eigen_density(n: int, nu):
     n = _check_int(n, 1, MAX_SIZE, "matrix size")
     nu_arr = np.asarray(_finite(nu, "nu"))
     out = np.exp(-nu_arr ** 2 / 2.0) * _rescaled_density(n, nu_arr)
-    return _finite(out, f"goe_eigen_density({n}, {nu!r})")
+    return _finite_at(out, nu_arr, "goe_eigen_density", n)
 
 
 def expected_absdet_shifted_goe(n: int, nu):
@@ -84,7 +87,18 @@ def expected_absdet_shifted_goe(n: int, nu):
     nu_arr = np.asarray(_finite(nu, "nu"))
     coef = 2.0 ** 1.5 * math.gamma((n + 3) / 2.0) / (n + 1)
     out = coef * _rescaled_density(n + 1, nu_arr)
-    return _finite(out, f"expected_absdet_shifted_goe({n}, {nu!r})")
+    return _finite_at(out, nu_arr, "expected_absdet_shifted_goe", n)
+
+
+def _finite_at(out: np.ndarray, nu: np.ndarray, name: str, n: int):
+    """out as a float or an array, as :func:`._finite` returns it; a
+    non-finite entry raises ValueError naming the first nu that gives one,
+    as the call at that nu alone would."""
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise ValueError(f"{name}({n}, {float(nu[bad][0])!r}) must be finite, "
+                         f"got {float(out[bad][0])!r}")
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -102,14 +116,15 @@ _MC_BATCH_VALUES = 1 << 22
 
 
 def mc_absdet(n: int, nu: float, reps: int, seed: int) -> McEstimate:
-    """MC estimate of E |det(G_n - nu I_n)| over ``reps`` independent draws.
+    """MC estimate of E |det(G_n - nu I_n)| over ``reps`` independent draws,
+    2 <= reps <= ``streams.MAX_REPS``.
 
     Replicate r consumes a fixed window of the (seed, GOE-domain) stream, so
     the estimate is bit-identical however the replicates are batched.
     """
     n = _check_int(n, 1, MAX_SIZE, "matrix size")
     nu = _finite(nu, "nu")
-    reps = _check_int(reps, 2, math.inf, "reps")   # stderr needs 2 samples
+    reps = _check_int(reps, 2, streams.MAX_REPS, "reps")  # stderr needs 2
     per_rep = n * (n + 1) // 2
     iu, ju = np.triu_indices(n)
     scale = np.where(iu == ju, 1.0, 1.0 / math.sqrt(2.0))

@@ -229,8 +229,9 @@ def covariance_cholesky(m: IsotropicModel, grid: FieldGrid) -> tuple:
 
 def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int,
                   seed: int) -> np.ndarray:
-    """Maxima of ``reps`` independent draws of the field of ``m`` on the
-    grid, sampled through ``covariance_cholesky(m, grid)``.
+    """Maxima of ``reps`` (at most ``streams.MAX_REPS`` = 10^7) independent
+    draws of the field of ``m`` on the grid, sampled through
+    ``covariance_cholesky(m, grid)``.
 
     Replicate r uses its own counter window of the seeded stream, so the
     result is bit-identical for fixed (seed, reps, grid) no matter how the
@@ -242,7 +243,7 @@ def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int,
     reproducible for a fixed thread count only.  The last bits of tail
     normals follow NumPy's ``log`` dispatch (see ``streams._ndtri``).
     """
-    reps = _check_int(reps, 1, math.inf, "reps")
+    reps = _check_int(reps, 1, streams.MAX_REPS, "reps")
     return _sample_grids([covariance_cholesky(m, grid)], reps, seed)[0]
 
 
@@ -340,9 +341,10 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
     multiplied by each factor; the factors are integers and strictly
     increasing, so the last grid is the finest), estimates the exceedance
     probability at each u, and compares the finest grid's estimates against
-    pbar_tail / pE_tail of the grid's rectangle.  Every refined grid is
-    built first, so one beyond the 10^4-point cap raises ValueError before
-    any covariance is factored.
+    pbar_tail / pE_tail of the grid's rectangle.  ``reps`` is in
+    [2, ``streams.MAX_REPS``].  Every refined grid is built first, so one
+    beyond the 10^4-point cap raises ValueError before any covariance is
+    factored.
 
     Grid maxima underestimate the continuous maximum, so "bound_respected"
     is conservative evidence for the bound; the refinement sequence is
@@ -357,7 +359,7 @@ def validate_bound(m: IsotropicModel, grid: FieldGrid, u_values, reps: int,
 def _validate_on_grids(m: IsotropicModel, grids: dict, u_values, reps: int,
                        seed: int) -> ValidationReport:
     """:func:`validate_bound` on the grids of :func:`_refined_grids`."""
-    reps = _check_int(reps, 2, math.inf, "reps")
+    reps = _check_int(reps, 2, streams.MAX_REPS, "reps")
     u_values = tuple(_finite(u, "every u value") for u in u_values)
     if not u_values:
         raise ValueError("need at least one u level")

@@ -23,6 +23,10 @@ DOMAIN_GOE = 0x676F65          # GOE matrix draws (mc_absdet)
 DOMAIN_FIELD = 0x666C64        # Gaussian-field replicates (sample_maxima)
 DOMAIN_DIRECTIONS = 0x646972   # unit directions for solid-angle estimation
 
+# Replicates one Monte Carlo estimate may ask for: the estimators keep one
+# float per replicate, 80 MB per grid at the cap.
+MAX_REPS = 10 ** 7
+
 _BLOCK = 4  # uint64 words per Philox counter increment
 
 # Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical

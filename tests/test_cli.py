@@ -13,7 +13,7 @@ from scipy import stats
 
 import oracles
 import gaussmax
-from gaussmax import bounds, geometry
+from gaussmax import bounds, geometry, randmat
 from gaussmax.cli import ConfigError, RunConfig, build_config, main
 from gaussmax.model import make_squared_exponential
 
@@ -82,6 +82,8 @@ class TestRunConfig:
         {"command": "validate", "refinements": [0]},
         {"command": "validate", "refinements": []},
         {"command": "validate", "reps": 1},
+        {"command": "validate", "reps": 10 ** 7 + 1},
+        {"command": "tail", "reps": 10 ** 15},
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ConfigError):
@@ -216,17 +218,31 @@ class TestGoeCommand:
         code, _, err = run_cli(capsys, ["goe", "--set", "u=[0.0]"])
         assert code == 2 and "config error" in err
 
+    @pytest.mark.parametrize("n", [8, 20, 59])
+    def test_rows_are_each_value_alone(self, capsys, n):
+        # One array call per block gives every row the bits of its value
+        # alone.
+        nus = [-5.0 + 0.1 * k for k in range(101)]
+        code, out, _ = run_cli(capsys, [
+            "goe", "--set", f"n={n}", "--set", f"u={json.dumps(nus)}",
+            "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["rows"] == [
+            [n, nu, randmat.goe_eigen_density(n, nu),
+             randmat.expected_absdet_shifted_goe(n, nu)] for nu in nus]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fmt,digest", [
         ("csv",
-         "1fff0e40d630da8f548a07374f90186f65eae4ef6641735fd711f72d1ed2d289"),
+         "bbc28ce5c22af7126ba922c0c817f4bb372bad2f14e55384834c5990a872b02a"),
         ("json",
-         "659ae5f1af84f3306756273b8ab81a195917f30d5cffd69371a1fab58036f632"),
+         "0d25fedc2a9461d4b1d565f0f103b467aaef219300e0df035131e6547768fad4"),
     ])
     def test_rows_across_a_block_boundary_pinned(self, capsys, fmt, digest):
         # Failing values on both sides of the first block's end fail their
-        # own rows; digests and error lines taken when each value was its
-        # own pair of scalar calls.
+        # own rows.  The error lines are those of each value alone; the
+        # digests were re-taken when the GOE kernel got one summation order,
+        # which moved the last bits of some rows (n >= 7).
         nus = [repr(-4.0 + 0.2 * k) for k in range(40)]
         bad = {3: "NaN", 10: "Infinity", 20: "1e40",
                34: "NaN", 36: "-Infinity", 38: "1e40"}
@@ -580,6 +596,14 @@ class TestValidateCommand:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert "config error: bad grid: " in err and why in err
+
+    def test_reps_past_the_cap_is_config_error(self, capsys):
+        # Refused before any array of maxima is allocated.
+        argv = [a.replace("200", "1000000000000000") for a in self.ARGS]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == ("gaussmax: config error: reps must be an integer in "
+                       "[2, 10000000], got 1000000000000000\n")
 
     def test_requires_resolution(self, capsys):
         code, _, err = run_cli(capsys, [

@@ -3,7 +3,7 @@
 The targets are found by introspection: every public (no leading
 underscore) callable defined in a ``gaussmax`` module, which is ``__all__``
 plus the names the modules keep to themselves (``streams.uniforms``,
-``model.CheckResult``, ...).  Each must have a row in
+``streams.check_seed``, ...).  Each must have a row in
 ``ROWS``: a set of valid keyword arguments and the names of its numeric
 parameters.  A callable without a row fails ``test_every_target_has_a_row``,
 so a new entry point cannot skip the contract.  ``RETIRED`` maps a deleted
@@ -14,8 +14,8 @@ CLI has its own configuration tests in ``test_cli.py``.
 The contract: with the other arguments valid, each numeric parameter set to
 each value of ``BAD`` raises ValueError or TypeError, with every warning an
 error.  A list-valued parameter is also fuzzed at its first and its last
-entry.  ``DOCUMENTED`` lists the infinities (and the one default) that a
-parameter accepts by its docstring; those calls must succeed instead.
+entry.  ``DOCUMENTED`` lists the infinities that a parameter accepts by its
+docstring; those calls must succeed instead.
 """
 import importlib
 import math
@@ -108,13 +108,13 @@ ROWS = {
     "model.IsotropicModel": (
         lambda: dict(rho=SQ.rho, rho1=SQ.rho1, rho2=SQ.rho2,
                      monotone_flag=True), ()),
-    "model.CheckResult": (lambda: dict(name="check", passed=True), ()),
-    "model.ModelValidation": (lambda: dict(checks=()), ()),
+    "model.CheckResult": (lambda: dict(m=RAT), ()),
+    "model.ModelValidation": (lambda: dict(m=RAT), ()),
     "model.make_squared_exponential": (lambda: dict(c=0.5), ("c",)),
     "model.make_rational": (lambda: dict(c=1.0, beta=1.0), ("c", "beta")),
     "model.normalized": (lambda: dict(m=RAT), ()),
     "model.require_valid": (lambda: dict(m=RAT), ()),
-    "model.validate_model": (lambda: dict(m=RAT, grid=[0.5, 1.0]), ("grid",)),
+    "model.validate_model": (lambda: dict(m=RAT), ()),
     "randmat.McEstimate": (
         lambda: dict(mean=0.5, stderr=0.1, reps=10, seed=0), ()),
     "randmat.goe_eigen_density": (lambda: dict(n=3, nu=0.5), ("n", "nu")),
@@ -154,7 +154,6 @@ DOCUMENTED = {
     ("asympt.exponent_general", "kappa", "inf"),    # whiskers: rate 1
     ("geometry.FaceDecomposition", "kappa", "inf"),
     ("hermite.tail_integral_In", "v", "-inf"),      # the full-line value
-    ("model.validate_model", "grid", "None"),       # the default grid
 }
 
 
@@ -172,10 +171,21 @@ def _targets() -> dict:
     return found
 
 
+def _rebuild(m):
+    # A model is checked once, by its constructor: the report, its records
+    # and the separate check it ran are gone.
+    return model.IsotropicModel(rho=m.rho, rho1=m.rho1, rho2=m.rho2,
+                                monotone_flag=m.monotone_flag)
+
+
 # Deleted entry point -> the call its callers make now.
 RETIRED = {
     "simulate.make_grid":
         lambda sides, resolution: simulate.FieldGrid(sides, resolution),
+    "model.CheckResult": _rebuild,
+    "model.ModelValidation": _rebuild,
+    "model.require_valid": _rebuild,
+    "model.validate_model": _rebuild,
 }
 
 TARGETS = {**_targets(), **RETIRED}

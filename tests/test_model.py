@@ -1,5 +1,7 @@
-"""Covariance profiles: built-in families, validity checks, normalization."""
+"""Covariance profiles: built-in families, checks at construction,
+normalization."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +47,6 @@ def test_rational_derivatives(c, beta):
 
 def test_bump_model_is_valid_and_detects_nonmonotone():
     m = oracles.make_bump_model(0.5, 0.5)
-    model.require_valid(m)
     assert not m.monotone_flag
     # the oracle's closed forms: -a, a^2 + 2b and a / sqrt(a^2 + 2b)
     assert m.rho1_0 == pytest.approx(-0.5, rel=1e-14)
@@ -67,10 +68,20 @@ def test_bump_model_is_valid_and_detects_nonmonotone():
 
 
 # ------------------------------------------------------------ validation
+# Every model is checked by its constructor; the tests keep the names of the
+# retired separate check.
+
+def _rebuild(m, **override):
+    kwargs = dict(rho=m.rho, rho1=m.rho1, rho2=m.rho2,
+                  monotone_flag=m.monotone_flag)
+    kwargs.update(override)
+    return model.IsotropicModel(**kwargs)
+
 
 def test_require_valid_accepts_builtins():
-    model.require_valid(model.make_squared_exponential(1.0))
-    model.require_valid(model.make_rational(1.0, 1.0))
+    for m in (model.make_squared_exponential(1.0),
+              model.make_rational(1.0, 1.0)):
+        assert _rebuild(m).gamma == m.gamma
 
 
 def test_require_valid_rejects_gamma_above_one():
@@ -126,12 +137,64 @@ def test_derived_values_cannot_be_passed(extra):
                              monotone_flag=True, **extra)
 
 
-def test_validate_model_report():
-    rep = model.validate_model(model.make_squared_exponential(0.5))
-    assert rep.passed
-    assert rep.failures() == []
-    assert all(hasattr(c, "name") and hasattr(c, "detail") for c in rep.checks)
-    assert "ok" in str(rep)
+def _inconsistent_slope():
+    # gamma = 1 at 0, but rho falls a hundred times faster than rho1 says.
+    return dict(rho=lambda x: np.exp(-2.0 * np.asarray(x)),
+                rho1=lambda x: -0.02 * np.exp(-0.02 * np.asarray(x)),
+                rho2=lambda x: 4e-4 * np.exp(-0.02 * np.asarray(x)),
+                monotone_flag=True)
+
+
+def _scalar_only():
+    return dict(rho=lambda x: math.exp(-x), rho1=lambda x: -math.exp(-x),
+                rho2=lambda x: math.exp(-x), monotone_flag=True)
+
+
+def _false_monotone_flag():
+    bump = oracles.make_bump_model(0.5, 0.6)   # not monotone: b > a^2
+    return dict(rho=bump.rho, rho1=bump.rho1, rho2=bump.rho2,
+                monotone_flag=True)
+
+
+@pytest.mark.parametrize("callables,check", [
+    (_inconsistent_slope, r"rho1 = d/dx rho \(central difference\) fails"),
+    (_false_monotone_flag, r"monotone_flag: rho' <= 0 on the grid fails"),
+    (_scalar_only, "must map arrays elementwise"),
+], ids=["inconsistent_derivative", "false_monotone_flag", "scalar_only"])
+def test_construction_names_the_failed_check(callables, check):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=check):
+            model.IsotropicModel(**callables())
+
+
+def test_construction_checks_rho2_against_rho1():
+    m = model.make_rational(1.0, 2.0)
+    with pytest.raises(ValueError, match=r"rho2 = d/dx rho1 \(central"):
+        _rebuild(m, rho2=lambda x: m.rho2(0.0) * np.exp(-np.asarray(x)))
+
+
+@pytest.mark.parametrize("bad", ["rho", "rho1"])
+def test_non_finite_values_on_the_grid_fail_by_name(bad):
+    # A value that is NaN past x = 10 reads as the worst error, not a pass.
+    m = model.make_rational(0.7, 1.5)
+
+    def broken(x, f=getattr(m, bad)):
+        x = np.asarray(x)
+        return np.where(x > 10.0, np.nan, f(x))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"at x = [\d.]+: error inf\)"):
+            _rebuild(m, **{bad: broken})
+
+
+@pytest.mark.parametrize("flag", ["false", 2, 1, 0.0, None])
+def test_monotone_flag_must_be_a_bool(flag):
+    m = model.make_squared_exponential(1.0)
+    with pytest.raises(ValueError, match="monotone_flag must be a bool"):
+        _rebuild(m, monotone_flag=flag)
+    assert _rebuild(m, monotone_flag=np.True_).monotone_flag
 
 
 def test_make_rejects_bad_parameters():
@@ -158,14 +221,22 @@ def test_slope_too_large_to_square_is_a_valueerror(make, args):
 
 
 def test_gamma_formula_unchanged_up_to_the_overflow_edge():
-    # Every model that builds keeps gamma = sqrt(rho'(0)^2 / rho''(0)) to
-    # the bit, up to c = sqrt(max float), whose slope still squares.
+    # Both families pass every check of their constructor, sharp profiles
+    # and their normalized views included, without a warning; and every
+    # model keeps gamma = sqrt(rho'(0)^2 / rho''(0)) to the bit, up to
+    # c = sqrt(max float), whose slope still squares.  (That edge has no
+    # normalized view: its a2^2 = (2 c)^2 overflows, and rho''(0) reads 0.)
     edge = math.sqrt(np.finfo(float).max)
-    models = [model.make_squared_exponential(c)
-              for c in [*np.geomspace(1e-150, 1e150, 61), edge]]
-    models += [model.make_rational(c, beta)
-               for c in (1e-100, 0.3, 1.0, 7.0, 1e100)
-               for beta in (1e-3, 0.5, 1.0, 2.5, 1e3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        squared = [model.make_squared_exponential(c)
+                   for c in np.geomspace(1e-150, 1e150, 61)]
+        rational = [model.make_rational(c, beta)
+                    for c in np.geomspace(1e-100, 1e100, 21)
+                    for beta in np.geomspace(1e-3, 1e4, 15)]
+        views = [model.normalized(m)[0] for m in squared + rational]
+        models = [*squared, model.make_squared_exponential(edge),
+                  *rational, *views]
     for m in models:
         r1, r2 = float(m.rho1(0.0)), float(m.rho2(0.0))
         assert m.gamma.hex() == math.sqrt(r1 ** 2 / r2).hex()

@@ -7,7 +7,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 import oracles
-from gaussmax import randmat
+from gaussmax import randmat, streams
 
 
 # ------------------------------------------------------------- densities
@@ -93,6 +93,24 @@ def test_absdet_vectorized_and_even_in_nu_when_symmetric():
     np.testing.assert_allclose(v, v[::-1], rtol=1e-12)
 
 
+@pytest.mark.parametrize("f,top", [
+    (randmat.goe_eigen_density, randmat.MAX_SIZE),
+    (randmat.expected_absdet_shifted_goe, randmat.MAX_SIZE - 1),
+], ids=["density", "absdet"])
+def test_array_call_is_each_value_alone_bit_for_bit(f, top):
+    # One summation order for every shape of nu: the CLI sweeps goe with one
+    # array call per block.
+    nus = np.linspace(-5.0, 5.0, 101)
+    for n in range(1, top + 1):
+        assert f(n, nus).tolist() == [f(n, nu) for nu in nus.tolist()], n
+
+
+def test_failed_array_call_names_the_value_that_fails():
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"goe_eigen_density\(10, 1e\+35\) must be"):
+        randmat.goe_eigen_density(10, [0.0, 1e35, 2e35])
+
+
 # ------------------------------------------------------------ Monte Carlo
 
 def test_mc_absdet_reproducible():
@@ -110,6 +128,11 @@ def test_mc_absdet_is_independent_of_the_batch_budget(monkeypatch):
     assert randmat.mc_absdet(4, 0.3, 1_000, seed=5) == want
     monkeypatch.setattr(randmat, "_MC_BATCH_VALUES", 1)   # one per batch
     assert randmat.mc_absdet(4, 0.3, 1_000, seed=5) == want
+
+
+def test_mc_absdet_caps_reps():
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        randmat.mc_absdet(2, 0.5, streams.MAX_REPS + 1, 1)
 
 
 @pytest.mark.parametrize("nu", [1e100, 1e160, -1e160])

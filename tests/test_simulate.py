@@ -330,6 +330,11 @@ class TestSampleMaxima:
         with pytest.raises(ValueError):
             sample_maxima(SQ, g, 0, 1)
 
+    def test_rejects_reps_past_the_cap(self):
+        g = FieldGrid((1.0,), 2)
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            sample_maxima(SQ, g, streams.MAX_REPS + 1, 1)
+
     def test_single_point_marginal_is_standard_normal(self):
         g = FieldGrid((1.0,), 1)
         mx = sample_maxima(SQ, g, 10_000, 2024)
@@ -490,6 +495,8 @@ class TestValidateBound:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             self._report(reps=1)
+        with pytest.raises(ValueError):
+            self._report(reps=streams.MAX_REPS + 1)
         with pytest.raises(ValueError):
             self._report(u_values=())
         with pytest.raises(ValueError):
