@@ -155,7 +155,11 @@ def _T_rows(orders, v: np.ndarray) -> np.ndarray:
     top = max(orders)
     u = _norm_hermites(top, v)
     ut = u * np.exp(-v * v / 4.0)
-    squares = np.cumsum(ut[:top] ** 2, axis=0)   # row j-1: sum_{k<j} ut_k^2
+    # Row j-1 of squares is sum_{k<j} ut_k^2, added in order as np.cumsum
+    # would, but one contiguous row at a time.
+    squares = np.square(ut[:top])
+    for k in range(1, top):
+        squares[k] += squares[k - 1]
     upper = _Phi(-v) if any(j % 2 for j in orders) else None  # 1 - Phi(v)
     rows = np.empty((len(orders),) + v.shape)
     for i, j in enumerate(orders):
@@ -440,10 +444,32 @@ _TAIL_PANELS = 24
 
 @functools.cache
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Legendre nodes and weights on [-1, 1].  Built on first
-    use: ``numpy.polynomial`` takes about 5 ms to import, which the commands
-    that never sum on panels do not pay."""
-    return np.polynomial.legendre.leggauss(16)
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], ascending.
+
+    The nodes are the roots of P_16, found by Newton's method on the
+    Legendre recurrence from the guesses cos(pi (4k - 1)/(4n + 2)), as
+    :func:`_gauss_rule` finds the Hermite roots (Hale & Townsend 2013); the
+    weights are 2/((1 - x^2) P_16'(x)^2).  No ``numpy.polynomial`` import,
+    which costs about 5 ms.  Cached, and built on first use.
+    """
+    n = 16
+    x = np.cos(math.pi * (4 * np.arange(1, n // 2 + 1) - 1) / (4 * n + 2))
+    while True:
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.all(np.abs(step) <= 1e-15 * np.abs(x)):
+            break
+    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_n'(x)) for |x| < 1 from the three-term recurrence."""
+    prev, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+    return p, n * (x * p - prev) / (x * x - 1.0)
 
 
 def _composite_rule(left: np.ndarray,

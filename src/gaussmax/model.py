@@ -106,11 +106,15 @@ def normalized(m: IsotropicModel) -> tuple[IsotropicModel, float]:
 
     alpha = sqrt(2 |rho'(0)|): distances scale by alpha, squared distances by
     alpha^2, and the maximum of the field is unchanged.  gamma is invariant;
-    the normalized rho''(0) equals 1/(4 gamma^2).
+    the normalized rho''(0) equals 1/(4 gamma^2).  A |rho'(0)| whose
+    alpha^4 overflows raises ValueError: rho2 could not be rescaled.
     """
     if abs(m.rho1_0 + 0.5) <= 1e-14:
         return m, 1.0
     a2 = 2.0 * abs(m.rho1_0)
+    if math.isinf(a2 * a2):
+        raise ValueError(f"|rho'(0)| = {abs(m.rho1_0)!r} is too large to "
+                         "rescale to rho'(0) = -1/2: (2 rho'(0))^2 overflows")
     alpha = math.sqrt(a2)
 
     def rho(x, f=m.rho, a2=a2):

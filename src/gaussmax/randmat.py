@@ -40,10 +40,13 @@ def _rescaled_density(n: int, nu) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     u = _norm_hermites(n - 1, nu)
     ut = u * np.exp(-nu * nu / 4.0)          # ut_k = u_k e^{-nu^2/4}
-    # e^{-nu^2/2} sum c_k^2 H_k^2, summed in order whatever the shape of nu
-    # (np.sum would sum one column pairwise), so that each entry of an array
-    # nu is bit for bit its value alone.
-    w = np.cumsum(ut ** 2, axis=0)[-1]
+    # e^{-nu^2/2} sum c_k^2 H_k^2, a running sum over k whatever the shape
+    # of nu (np.sum would sum one column pairwise), so that each entry of an
+    # array nu is bit for bit its value alone.
+    sq = np.square(ut)
+    w = sq[0]
+    for k in range(1, n):
+        w = w + sq[k]
     # Middle term: (1/2) sqrt(n/2) c_{n-1} c_n H_{n-1} [I_n(-inf) - 2 I_n(nu)]
     #   c_n I_n(nu)    = e^{-nu^2/4} sum_k A_k ut_{n-1-2k} + B_n (1-Phi(nu))
     #   c_n I_n(-inf)  = B_n

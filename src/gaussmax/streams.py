@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermite import _check_int
+from .hermite import _check_int, _polevl
 
 # Domain tags keep unrelated consumers of the same user seed independent.
 DOMAIN_GOE = 0x676F65          # GOE matrix draws (mc_absdet)
@@ -122,19 +122,6 @@ def normals(seed: int, domain: int, start_rep: int, n_reps: int,
     np.maximum(u, 2.0 ** -54, out=u)
     _ndtri(u.reshape(-1))
     return u
-
-
-def _polevl(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
-    """Horner's rule as Cephes' polevl (p1evl if ``monic``), op for op."""
-    if monic:
-        acc = x + coefs[0]
-    else:
-        acc = x * coefs[0]
-        acc += coefs[1]
-    for c in coefs[2 - monic:]:
-        acc *= x
-        acc += c
-    return acc
 
 
 def _z_ratio(z: np.ndarray, p, q) -> np.ndarray:

@@ -48,6 +48,15 @@ def make_bump_model(a: float, b: float):
 
 # ----------------------------------------------------------------- hermite
 
+def Phi_by_erfc(x):
+    """Phi(x) = erfc(z)/2, z = -x/sqrt 2 rounded as the library rounds it,
+    with the C library's erfc mapped value by value: the slow path."""
+    z = np.multiply(x, -math.sqrt(0.5))
+    out = 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float,
+                            z.size).reshape(z.shape)
+    return float(out) if out.ndim == 0 else out
+
+
 def hermite_physicists_sum(n: int, x: float) -> float:
     """H_n(x) by the explicit sum n! sum_m (-1)^m (2x)^{n-2m} / (m! (n-2m)!)."""
     total = 0.0

@@ -76,6 +76,48 @@ def test_T_rows_equal_T_series_bit_for_bit(v):
         assert row.tobytes() == rows[j - 1].tobytes()
 
 
+def _T_rows_by_cumsum(orders, v):
+    """bounds._T_rows with the partial sums of ut_k^2 from np.cumsum."""
+    top = max(orders)
+    u = hermite._norm_hermites(top, v)
+    ut = u * np.exp(-v * v / 4.0)
+    squares = np.cumsum(ut[:top] ** 2, axis=0)
+    upper = hermite._Phi(-v)
+    rows = np.empty((len(orders),) + v.shape)
+    for i, j in enumerate(orders):
+        scale = math.sqrt(math.pi * j / 2.0)
+        rows[i] = (math.sqrt(math.pi) * squares[j - 1]
+                   - scale * ut[j] * hermite._tail_sum(j - 1, ut))
+        rows[i] -= scale * hermite._tail_coefficients(j - 1)[1] * u[j] * upper
+    return rows
+
+
+@pytest.mark.parametrize("v", [
+    np.random.default_rng(5).normal(0.0, 8.0, (7, 300)),
+    np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 37.5, -37.5,
+              40.0, -40.0, 1e3, -1e3, 1e4, -1e4])],
+    ids=["random", "extreme"])
+def test_T_rows_running_sum_equals_cumsum_bit_for_bit(v):
+    # The running sum adds the squares in np.cumsum's order, so every row,
+    # NaN and inf included where the far tails overflow, is the same bits.
+    for orders in [tuple(range(1, bounds.MAX_ORDER + 1)), (60,), (1, 2),
+                   (3, 17, 44)]:
+        with np.errstate(all="ignore"):
+            got = bounds._T_rows(orders, v)
+            want = _T_rows_by_cumsum(orders, v)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_legendre_rule_matches_numpy_leggauss():
+    from numpy.polynomial.legendre import leggauss
+    t, w = bounds._legendre_rule()
+    want_t, want_w = leggauss(16)
+    for got, want in ((t, want_t), (w, want_w)):
+        gap = np.abs(got - want)
+        assert gap.max() <= 1e-15 and (gap / np.abs(want)).max() <= 1e-14
+    assert (np.diff(t) > 0.0).all() and (w > 0.0).all()
+
+
 # --------------------------------------------------------- correction terms
 
 def test_R_correction_against_critical_point_route():

@@ -234,15 +234,16 @@ class TestGoeCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fmt,digest", [
         ("csv",
-         "bbc28ce5c22af7126ba922c0c817f4bb372bad2f14e55384834c5990a872b02a"),
+         "b404bc983e3ee3d4d2767983d3d362302cff9bc95695d47854999b0f6358f10f"),
         ("json",
-         "0d25fedc2a9461d4b1d565f0f103b467aaef219300e0df035131e6547768fad4"),
+         "93c024f70e16e455459c0c5566aee0c7d5fd8148130d87092a59a606de49968d"),
     ])
     def test_rows_across_a_block_boundary_pinned(self, capsys, fmt, digest):
         # Failing values on both sides of the first block's end fail their
         # own rows.  The error lines are those of each value alone; the
         # digests were re-taken when the GOE kernel got one summation order,
-        # which moved the last bits of some rows (n >= 7).
+        # which moved the last bits of some rows (n >= 7), and when Phi
+        # became a NumPy rational approximation (3e-16 relative at most).
         nus = [repr(-4.0 + 0.2 * k) for k in range(40)]
         bad = {3: "NaN", 10: "Infinity", 20: "1e40",
                34: "NaN", 36: "-Infinity", 38: "1e40"}
@@ -296,13 +297,15 @@ class TestTailCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "122704b3ad469843746cfb0cfa10c2918f2b5d9cfc33bdaf238152841dc2485e"),
+         "4304f8f37186aa91605e7ce8c9f39c39f3d2322472f9f63607c8eff7fa2ba59a"),
         ("csv",
-         "371b060472887caa8aaa4900b0a1578a1682dd91d0f7b4007104fe062bb05ae0"),
+         "c267ab822b166acacc21457eea3986f13eb633b314137b64e56ee91780d8acc3"),
     ])
     def test_output_bytes_pinned(self, capsys, fmt, digest):
         # Digests of the full stdout, taken when each level was its own
-        # tail_bound call, before the levels shared one kernel pass.
+        # tail_bound call, before the levels shared one kernel pass, and
+        # re-taken when Phi and the Legendre rule moved off math.erfc and
+        # numpy.polynomial (3.3e-16 relative at most).
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -310,7 +313,9 @@ class TestTailCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_pE_tail_fails_its_row(self, capsys):
         # On the cube the pE tail at u = -1e155 is inf * 0; it used to print
-        # as a row of NaN with exit status 0.
+        # as a row of NaN with exit status 0.  The finite rows were re-pinned
+        # when Phi and the Legendre rule moved off math.erfc and
+        # numpy.polynomial (3.2e-16 relative at most).
         error = ("u=-1e+155: value not finite for the pE tail at u=-1e+155: "
                  "value nan, check nan")
         code, out, err = run_cli(capsys, [
@@ -319,8 +324,8 @@ class TestTailCommand:
             "--set", "u=[-1e155, -1e70, 0]"])
         assert code == 3
         _, rows = data_rows(out)
-        assert rows == [["-1.0000000000000001e+70", "10.980519958391675", "1"],
-                        ["0", "5.4902599791958382", "1.1035923410864852"]]
+        assert rows == [["-1.0000000000000001e+70", "10.980519958391678", "1"],
+                        ["0", "5.4902599791958391", "1.1035923410864852"]]
         assert out.endswith(f"# error: {error}\n")
         assert err == f"gaussmax: numeric failure: {error}\n"
 
@@ -381,13 +386,15 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "bb10c7e7b3fb0e8ad5cf218f968651da26aab4c3a11e73012341ab1f6f164212"),
+         "10e0d1da7e2981cf10f1a76daaa5a13b3c49c7f5acbf66ec6b3104090a97e112"),
         ("csv",
-         "07775fca9eb168256a5d2146830e5dc2b5bc23c5347a1dd6eb3bc94a65b898ca"),
+         "baa01192924898ef0ea02d1dcdacb817b4ac5854e1a7ac9a677188126199a086"),
     ])
     def test_output_bytes_pinned(self, capsys, fmt, digest):
         # Digests of the full stdout, taken when each abscissa was its own
-        # pbar_density call, before the abscissae shared one kernel pass.
+        # pbar_density call, before the abscissae shared one kernel pass,
+        # and re-taken when Phi moved off math.erfc (8.8e-16 relative at
+        # most).
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -420,19 +427,22 @@ class TestBoundCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command,fmt,digest", [
         ("bound", "csv",
-         "e386a66d1a52a6cdc4861fbef8d619f77b104ee3c4474924707e089a81848d0c"),
+         "e6eccfb0c77ac69059b3cfe0565548e8572c8bdff42dbf35c0cff0a96570a077"),
         ("bound", "json",
-         "0021f3976c4acf7fe1c7224702f3648809802b6e4450a7680c933990468f3587"),
+         "7cf85a9bf5a208e720328bb47ec94ab2d1f3a3e4bbe6d1eaa9b706a622f99306"),
         ("tail", "csv",
-         "f436094ac67da5d421557727a014d13382bc0c11ca298694007d194d4313196c"),
+         "47ff4ce56ced6f4b1161d6f651ec09fd8788339a99b151a1d5f3aa250477d96c"),
         ("tail", "json",
-         "a3ef5aa87852e2f29a212a4aad6f2e38af7fc1b0612703ce8708f6410b7e4f6d"),
+         "cabb4c919dd83dd4349d78e7eeda4a82293857d021684e9e43d7dcc7be9cb349"),
     ])
     def test_nonfinite_levels_fail_their_rows(self, capsys, command, fmt,
                                               digest):
         # NaN and infinite levels fail their own rows, in the same block as
         # finite ones and one that overflows; digests and error lines taken
-        # when the sweep checked each level before any kernel ran.
+        # when the sweep checked each level before any kernel ran.  The
+        # digests were re-taken when Phi and the Legendre rule moved off
+        # math.erfc and numpy.polynomial (1.2e-15 relative at most); the
+        # error lines are unchanged.
         code, out, err = run_cli(capsys, [
             command, "--set", f"model={json.dumps(SQ_SPEC)}",
             "--set", f"geometry={json.dumps(RECT_SPEC)}",
@@ -543,14 +553,16 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "db1b9eb8e19de5d967dee3c14360e383fd20bafb70a7fc831fe80f55753c2f94"),
+         "b45d2e732acdf9916a8a2dc14fee6a97d857a34c9f367d8d9970abcb9ecaf418"),
         ("csv",
-         "10474c9c2cd74c6b9aec694a6434a352ff0283ca4bdde542a121d716b3fae16f"),
+         "29a480fb295a0303545c060007a7768e9067a10386ce845cee93290f4a0f60ad"),
     ])
     def test_output_bytes_pinned(self, capsys, fmt, digest):
         # Digests of the full stdout, taken while ValidationReport still
         # had its own hand-written JSON serializer; the report is now
-        # emitted through dataclasses.asdict, byte for byte the same.
+        # emitted through dataclasses.asdict, byte for byte the same.  They
+        # were re-taken when Phi and the Legendre rule moved off math.erfc
+        # and numpy.polynomial (1.4e-16 relative at most).
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -851,12 +863,21 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, False]
 
-    def test_bound_and_goe_do_not_load_numpy_polynomial(self):
-        # The Gauss rules are built on first use, and only the panel sums
-        # of tail (and sphere_pbar) take Gauss-Legendre from numpy.
-        runs = [["bound", "--set", f"model={json.dumps(RATIONAL_SPEC)}",
+    def test_no_command_loads_numpy_polynomial(self):
+        # Every Gauss rule, Hermite and Legendre alike, comes from Newton's
+        # method on its recurrence, so no command, nor sphere_pbar's panel
+        # sum, imports numpy.polynomial.
+        model = f"model={json.dumps(RATIONAL_SPEC)}"
+        runs = [["bound", "--set", model,
                  "--set", f"geometry={json.dumps(CUBE_SPEC)}",
                  "--set", "u=[-1.0, 0.5, 3.0]"],
+                ["tail", "--set", model,
+                 "--set", f"geometry={json.dumps(SIMPLEX_SPEC)}",
+                 "--set", "u=[0.5, 3.0]"],
+                ["validate", "--set", model,
+                 "--set", f"geometry={json.dumps(CUBE_SPEC)}",
+                 "--set", "u=[1.0]", "--set", "resolution=[3,3,3]",
+                 "--set", "refinements=[1]", "--reps", "20"],
                 ["goe", "--set", "n=3", "--set", "u=[-0.5, 0.3]"]]
         script = (
             "import io, contextlib, json, sys\n"
@@ -866,11 +887,15 @@ class TestEntryPoint:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = gaussmax.cli.main(argv)\n"
             "    report.append([code, 'numpy.polynomial' in sys.modules])\n"
+            "from gaussmax import bounds, model\n"
+            "bounds.sphere_pbar(model.make_rational(1.0, 1.0), 3, 1.5)\n"
+            "report.append('numpy.polynomial' in sys.modules)\n"
             "print(json.dumps(report))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [False, [0, False], [0, False]]
+        assert json.loads(proc.stdout) == [False, *[[0, False]] * len(runs),
+                                           False]
 
     def test_each_command_loads_only_its_modules(self):
         # Each run starts from an empty gaussmax in sys.modules, so the set

@@ -152,6 +152,44 @@ def test_Phi_types_and_limits():
     assert hermite._Phi([-np.inf, np.inf]).tolist() == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("xs", [
+    np.linspace(-38.4, 40.0, 400_001),
+    np.concatenate([np.random.default_rng(11).uniform(-38.4, 40.0, 100_000),
+                    3.0 * np.random.default_rng(12).standard_normal(100_000),
+                    np.random.default_rng(13).uniform(-1.5, 1.5, 100_000)])],
+    ids=["grid", "fuzz"])
+def test_Phi_matches_the_erfc_path(xs):
+    # Every branch of the rational approximations and both sides of each
+    # split (|z| = 1 and 8 at x = -+1.41 and -+11.3), against the C
+    # library's erfc at the same z, wherever that is a normal float.
+    got, want = hermite._Phi(xs), oracles.Phi_by_erfc(xs)
+    normal = want >= np.finfo(float).tiny
+    assert normal.sum() > 0.98 * len(xs)
+    rel = np.abs(got[normal] - want[normal]) / want[normal]
+    assert rel.max() <= 2e-15
+
+
+def test_Phi_infinities_extremes_and_nan():
+    # The clipped |z| keeps the split exp finite: no inf - inf, no overflow
+    # warning (an error under this suite's filter), and exact limits.
+    xs = [-np.inf, -1e308, -40.0, 40.0, 1e308, np.inf]
+    assert hermite._Phi(np.array(xs)).tolist() == [0.0, 0.0, 0.0,
+                                                  1.0, 1.0, 1.0]
+    for x, want in zip(xs, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]):
+        assert hermite._Phi(x) == want
+    assert math.isnan(hermite._Phi(math.nan))
+    out = hermite._Phi(np.array([math.nan, 0.0, -math.nan]))
+    assert np.isnan(out[[0, 2]]).all() and out[1] == 0.5
+
+
+@pytest.mark.parametrize("x", [0.5, -3, np.float64(-9.0), np.array(12.0),
+                               np.array(-0.25, dtype=np.float32)])
+def test_Phi_of_a_scalar_or_0d_input_is_a_float(x):
+    got = hermite._Phi(x)
+    assert type(got) is float
+    assert got == hermite._Phi(np.array([x], dtype=float))[0]
+
+
 # -------------------------------------------------------- weighted integrals
 
 @pytest.mark.parametrize("n", range(0, 7))

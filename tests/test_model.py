@@ -224,8 +224,9 @@ def test_gamma_formula_unchanged_up_to_the_overflow_edge():
     # Both families pass every check of their constructor, sharp profiles
     # and their normalized views included, without a warning; and every
     # model keeps gamma = sqrt(rho'(0)^2 / rho''(0)) to the bit, up to
-    # c = sqrt(max float), whose slope still squares.  (That edge has no
-    # normalized view: its a2^2 = (2 c)^2 overflows, and rho''(0) reads 0.)
+    # c = sqrt(max float), whose slope still squares.  That edge has no
+    # normalized view: (2 c)^2 overflows, and normalized says so by name
+    # instead of building a view whose rho''(0) reads 0.
     edge = math.sqrt(np.finfo(float).max)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -237,6 +238,8 @@ def test_gamma_formula_unchanged_up_to_the_overflow_edge():
         views = [model.normalized(m)[0] for m in squared + rational]
         models = [*squared, model.make_squared_exponential(edge),
                   *rational, *views]
+        with pytest.raises(ValueError, match=r"too large to rescale"):
+            model.normalized(model.make_squared_exponential(edge))
     for m in models:
         r1, r2 = float(m.rho1(0.0)), float(m.rho2(0.0))
         assert m.gamma.hex() == math.sqrt(r1 ** 2 / r2).hex()
