@@ -13,7 +13,7 @@ from scipy import stats
 
 import oracles
 import gaussmax
-from gaussmax import bounds, geometry, randmat
+from gaussmax import bounds, geometry, hermite, randmat
 from gaussmax.cli import ConfigError, RunConfig, build_config, main
 from gaussmax.model import make_squared_exponential
 
@@ -36,6 +36,17 @@ def data_rows(csv_text):
     lines = [ln for ln in csv_text.strip().split("\n") if not ln.startswith("#")]
     header = lines[0].split(",")
     return header, [ln.split(",") for ln in lines[1:]]
+
+
+@pytest.fixture
+def reference_kernels(monkeypatch):
+    """Phi from math.erfc and the Legendre rule from numpy.polynomial, the
+    kernels the first output digests were taken with.  Under them every
+    other stage of a command must still give those bytes."""
+    from numpy.polynomial.legendre import leggauss
+    for mod in (hermite, bounds, randmat):
+        monkeypatch.setattr(mod, "_Phi", oracles.Phi_by_erfc)
+    monkeypatch.setattr(bounds, "_legendre_rule", lambda: leggauss(16))
 
 
 class TestRunConfig:
@@ -234,16 +245,31 @@ class TestGoeCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fmt,digest", [
         ("csv",
+         "bbc28ce5c22af7126ba922c0c817f4bb372bad2f14e55384834c5990a872b02a"),
+        ("json",
+         "0d25fedc2a9461d4b1d565f0f103b467aaef219300e0df035131e6547768fad4"),
+    ])
+    def test_rows_across_a_block_boundary_pinned(self, capsys,
+                                                 reference_kernels, fmt,
+                                                 digest):
+        # Failing values on both sides of the first block's end fail their
+        # own rows.  The error lines are those of each value alone; the
+        # digests were re-taken when the GOE kernel got one summation order,
+        # which moved the last bits of some rows (n >= 7).
+        self.test_rows_across_a_block_boundary_pinned_fast_kernels(
+            capsys, fmt, digest)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fmt,digest", [
+        ("csv",
          "b404bc983e3ee3d4d2767983d3d362302cff9bc95695d47854999b0f6358f10f"),
         ("json",
          "93c024f70e16e455459c0c5566aee0c7d5fd8148130d87092a59a606de49968d"),
     ])
-    def test_rows_across_a_block_boundary_pinned(self, capsys, fmt, digest):
-        # Failing values on both sides of the first block's end fail their
-        # own rows.  The error lines are those of each value alone; the
-        # digests were re-taken when the GOE kernel got one summation order,
-        # which moved the last bits of some rows (n >= 7), and when Phi
-        # became a NumPy rational approximation (3e-16 relative at most).
+    def test_rows_across_a_block_boundary_pinned_fast_kernels(self, capsys,
+                                                              fmt, digest):
+        # Taken when Phi became a NumPy rational approximation (3e-16
+        # relative at most); the error lines are unchanged.
         nus = [repr(-4.0 + 0.2 * k) for k in range(40)]
         bad = {3: "NaN", 10: "Infinity", 20: "1e40",
                34: "NaN", 36: "-Infinity", 38: "1e40"}
@@ -297,14 +323,24 @@ class TestTailCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
+         "122704b3ad469843746cfb0cfa10c2918f2b5d9cfc33bdaf238152841dc2485e"),
+        ("csv",
+         "371b060472887caa8aaa4900b0a1578a1682dd91d0f7b4007104fe062bb05ae0"),
+    ])
+    def test_output_bytes_pinned(self, capsys, reference_kernels, fmt,
+                                 digest):
+        # Digests of the full stdout, taken when each level was its own
+        # tail_bound call, before the levels shared one kernel pass.
+        self.test_output_bytes_pinned_fast_kernels(capsys, fmt, digest)
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("json",
          "4304f8f37186aa91605e7ce8c9f39c39f3d2322472f9f63607c8eff7fa2ba59a"),
         ("csv",
          "c267ab822b166acacc21457eea3986f13eb633b314137b64e56ee91780d8acc3"),
     ])
-    def test_output_bytes_pinned(self, capsys, fmt, digest):
-        # Digests of the full stdout, taken when each level was its own
-        # tail_bound call, before the levels shared one kernel pass, and
-        # re-taken when Phi and the Legendre rule moved off math.erfc and
+    def test_output_bytes_pinned_fast_kernels(self, capsys, fmt, digest):
+        # Taken when Phi and the Legendre rule moved off math.erfc and
         # numpy.polynomial (3.3e-16 relative at most).
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
@@ -386,15 +422,24 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
+         "bb10c7e7b3fb0e8ad5cf218f968651da26aab4c3a11e73012341ab1f6f164212"),
+        ("csv",
+         "07775fca9eb168256a5d2146830e5dc2b5bc23c5347a1dd6eb3bc94a65b898ca"),
+    ])
+    def test_output_bytes_pinned(self, capsys, reference_kernels, fmt,
+                                 digest):
+        # Digests of the full stdout, taken when each abscissa was its own
+        # pbar_density call, before the abscissae shared one kernel pass.
+        self.test_output_bytes_pinned_fast_kernels(capsys, fmt, digest)
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("json",
          "10e0d1da7e2981cf10f1a76daaa5a13b3c49c7f5acbf66ec6b3104090a97e112"),
         ("csv",
          "baa01192924898ef0ea02d1dcdacb817b4ac5854e1a7ac9a677188126199a086"),
     ])
-    def test_output_bytes_pinned(self, capsys, fmt, digest):
-        # Digests of the full stdout, taken when each abscissa was its own
-        # pbar_density call, before the abscissae shared one kernel pass,
-        # and re-taken when Phi moved off math.erfc (8.8e-16 relative at
-        # most).
+    def test_output_bytes_pinned_fast_kernels(self, capsys, fmt, digest):
+        # Taken when Phi moved off math.erfc (8.8e-16 relative at most).
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -427,6 +472,25 @@ class TestBoundCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command,fmt,digest", [
         ("bound", "csv",
+         "e386a66d1a52a6cdc4861fbef8d619f77b104ee3c4474924707e089a81848d0c"),
+        ("bound", "json",
+         "0021f3976c4acf7fe1c7224702f3648809802b6e4450a7680c933990468f3587"),
+        ("tail", "csv",
+         "f436094ac67da5d421557727a014d13382bc0c11ca298694007d194d4313196c"),
+        ("tail", "json",
+         "a3ef5aa87852e2f29a212a4aad6f2e38af7fc1b0612703ce8708f6410b7e4f6d"),
+    ])
+    def test_nonfinite_levels_fail_their_rows(self, capsys, reference_kernels,
+                                              command, fmt, digest):
+        # NaN and infinite levels fail their own rows, in the same block as
+        # finite ones and one that overflows; digests and error lines taken
+        # when the sweep checked each level before any kernel ran.
+        self.test_nonfinite_levels_fail_their_rows_fast_kernels(
+            capsys, command, fmt, digest)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,fmt,digest", [
+        ("bound", "csv",
          "e6eccfb0c77ac69059b3cfe0565548e8572c8bdff42dbf35c0cff0a96570a077"),
         ("bound", "json",
          "7cf85a9bf5a208e720328bb47ec94ab2d1f3a3e4bbe6d1eaa9b706a622f99306"),
@@ -435,14 +499,12 @@ class TestBoundCommand:
         ("tail", "json",
          "cabb4c919dd83dd4349d78e7eeda4a82293857d021684e9e43d7dcc7be9cb349"),
     ])
-    def test_nonfinite_levels_fail_their_rows(self, capsys, command, fmt,
-                                              digest):
-        # NaN and infinite levels fail their own rows, in the same block as
-        # finite ones and one that overflows; digests and error lines taken
-        # when the sweep checked each level before any kernel ran.  The
-        # digests were re-taken when Phi and the Legendre rule moved off
-        # math.erfc and numpy.polynomial (1.2e-15 relative at most); the
-        # error lines are unchanged.
+    def test_nonfinite_levels_fail_their_rows_fast_kernels(self, capsys,
+                                                           command, fmt,
+                                                           digest):
+        # Taken when Phi and the Legendre rule moved off math.erfc and
+        # numpy.polynomial (1.2e-15 relative at most); the error lines are
+        # unchanged.
         code, out, err = run_cli(capsys, [
             command, "--set", f"model={json.dumps(SQ_SPEC)}",
             "--set", f"geometry={json.dumps(RECT_SPEC)}",
@@ -553,16 +615,26 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
+         "db1b9eb8e19de5d967dee3c14360e383fd20bafb70a7fc831fe80f55753c2f94"),
+        ("csv",
+         "10474c9c2cd74c6b9aec694a6434a352ff0283ca4bdde542a121d716b3fae16f"),
+    ])
+    def test_output_bytes_pinned(self, capsys, reference_kernels, fmt,
+                                 digest):
+        # Digests of the full stdout, taken while ValidationReport still
+        # had its own hand-written JSON serializer; the report is now
+        # emitted through dataclasses.asdict, byte for byte the same.
+        self.test_output_bytes_pinned_fast_kernels(capsys, fmt, digest)
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("json",
          "b45d2e732acdf9916a8a2dc14fee6a97d857a34c9f367d8d9970abcb9ecaf418"),
         ("csv",
          "29a480fb295a0303545c060007a7768e9067a10386ce845cee93290f4a0f60ad"),
     ])
-    def test_output_bytes_pinned(self, capsys, fmt, digest):
-        # Digests of the full stdout, taken while ValidationReport still
-        # had its own hand-written JSON serializer; the report is now
-        # emitted through dataclasses.asdict, byte for byte the same.  They
-        # were re-taken when Phi and the Legendre rule moved off math.erfc
-        # and numpy.polynomial (1.4e-16 relative at most).
+    def test_output_bytes_pinned_fast_kernels(self, capsys, fmt, digest):
+        # Taken when Phi and the Legendre rule moved off math.erfc and
+        # numpy.polynomial (1.4e-16 relative at most).
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
