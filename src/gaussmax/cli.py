@@ -17,6 +17,13 @@ reruns of the same configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (failed rows
 are reported and the sweep continues; the remaining rows still emit).
+
+BLAS runs on one thread: importing this module sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before NumPy loads, unless any of
+the three is already set or NumPy is already loaded.  The sampler spreads
+its blocks over the cores itself (see :mod:`.simulate`), and a BLAS pool
+beside it only competes for the cores and spends CPU time spinning.  To
+give BLAS more threads, set any of the three variables yourself.
 """
 from __future__ import annotations
 
@@ -24,13 +31,20 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import __version__, streams
-from .hermite import (_ROW_ERRORS, _by_blocks, _check_int, _finite,
-                      _refinement_factors)
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ
+                                          for v in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+
+# NumPy loads from here on, so these imports follow the BLAS setting.
+from . import __version__, streams  # noqa: E402
+from .hermite import (  # noqa: E402
+    _ROW_ERRORS, _by_blocks, _check_int, _finite, _refinement_factors)
 
 if TYPE_CHECKING:   # each runner imports the modules it calls, and no more
     from .geometry import FaceDecomposition

@@ -145,14 +145,16 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _polevl(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+def _polevl(x: np.ndarray, coefs, monic: bool = False,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Horner's rule as Cephes' polevl (p1evl if ``monic``), op for op.
     Coefficients run from the highest power down; with ``monic`` the
-    leading 1 is implied."""
+    leading 1 is implied.  The sum is kept in ``out`` (not ``x``) if one is
+    given, else in a new array."""
     if monic:
-        acc = x + coefs[0]
+        acc = np.add(x, coefs[0], out=out)
     else:
-        acc = x * coefs[0]
+        acc = np.multiply(x, coefs[0], out=out)
         acc += coefs[1]
     for c in coefs[2 - monic:]:
         acc *= x
@@ -222,8 +224,8 @@ def _Phi(x):
     m -= a
     rest *= m                                # -(|z| - m)(|z| + m)
     tail *= np.exp(rest, out=rest)
-    ratio = _polevl(a, _ERFC_P)
-    ratio /= _polevl(a, _ERFC_Q, monic=True)
+    ratio = _polevl(a, _ERFC_P, out=m)      # m and rest are dead: reuse them
+    ratio /= _polevl(a, _ERFC_Q, monic=True, out=rest)
     far = a >= 8.0
     if far.any():
         af = a[far]

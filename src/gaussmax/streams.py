@@ -159,7 +159,7 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
     t2 = t * t
     acc = _polevl(t2, _P0)
     acc *= t2
-    acc /= _polevl(t2, _Q0, monic=True)
+    acc /= _polevl(t2, _Q0, monic=True, out=y)  # y is dead until the result
     acc *= t
     acc += t
     np.multiply(acc, _S2PI, out=y)

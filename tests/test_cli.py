@@ -1025,3 +1025,72 @@ class TestEntryPoint:
         proc = subprocess.run([exe, "definitely-not-a-command"],
                               capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+class TestBlasThreads:
+    """The CLI runs BLAS on one thread unless the user chose a count."""
+
+    KEYS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def environ_around(self, imports, **preset):
+        """os.environ of a fresh interpreter before and after the imports;
+        none of KEYS is set but those in ``preset``."""
+        script = ("import json, os\n"
+                  "before = dict(os.environ)\n"
+                  f"import {imports}\n"
+                  "print(json.dumps([before, dict(os.environ)]))\n")
+        env = {k: v for k, v in os.environ.items() if k not in self.KEYS}
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**env, **preset}, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_cli_import_sets_one_thread(self):
+        before, after = self.environ_around("gaussmax.cli")
+        assert not set(self.KEYS) & set(before)
+        assert after == {**before, **dict.fromkeys(self.KEYS, "1")}
+
+    @pytest.mark.parametrize("imports,preset", [
+        pytest.param("gaussmax.cli", {"OPENBLAS_NUM_THREADS": "2"},
+                     id="preset-kept"),
+        pytest.param("numpy, gaussmax.cli", {}, id="numpy-loaded-first"),
+        pytest.param("gaussmax, gaussmax.simulate, gaussmax.bounds", {},
+                     id="library"),
+    ])
+    def test_environ_left_alone(self, imports, preset):
+        before, after = self.environ_around(imports, **preset)
+        assert after == before
+        assert {k: before.get(k) for k in self.KEYS} == {
+            k: preset.get(k) for k in self.KEYS}
+
+    def test_rank_400_validate_is_the_same_unset_and_set_to_one(self):
+        # README's rank-400 case.  A process that keeps the default BLAS
+        # pool samples other maxima bits on a multi-core host; the CLI's
+        # stdout and, after importing gaussmax.cli, the maxima themselves
+        # are the same with the variables unset and set to 1.
+        model = '{"family": "rational", "c": 1.0, "beta": 1.0}'
+        validate = [sys.executable, "-m", "gaussmax.cli", "validate",
+                    "--format", "json", "--reps", "600", "--seed", "11",
+                    "--set", f"model={model}",
+                    "--set", 'geometry={"kind": "rectangle", '
+                             '"sides": [20, 20]}',
+                    "--set", "resolution=[20, 20]",
+                    "--set", "refinements=[1]", "--set", "u=[1.0, 2.0, 3.0]"]
+        maxima = [sys.executable, "-c",
+                  "import hashlib\n"
+                  "import gaussmax.cli\n"
+                  "from gaussmax import model, simulate\n"
+                  "mx = simulate.sample_maxima(model.make_rational(1.0, 1.0),"
+                  " simulate.FieldGrid((20.0, 20.0), 20), 600, 11)\n"
+                  "print(hashlib.sha256(mx.tobytes()).hexdigest())\n"]
+        env = {k: v for k, v in os.environ.items() if k not in self.KEYS}
+        outs = []
+        for preset in ({}, dict.fromkeys(self.KEYS, "1")):
+            for argv in (validate, maxima):
+                proc = subprocess.run(argv, env={**env, **preset},
+                                      capture_output=True, timeout=120)
+                assert proc.returncode == 0, proc.stderr
+                outs.append(proc.stdout)
+        assert b"factors of rank (400,)" in outs[0]
+        assert outs[:2] == outs[2:]

@@ -1,4 +1,5 @@
 """Hermite polynomials, Gaussian-weight tail integrals, quadrature."""
+import json
 import math
 
 import numpy as np
@@ -188,6 +189,39 @@ def test_Phi_of_a_scalar_or_0d_input_is_a_float(x):
     got = hermite._Phi(x)
     assert type(got) is float
     assert got == hermite._Phi(np.array([x], dtype=float))[0]
+
+
+def test_Phi_into_its_dead_buffers_is_bit_identical_on_tail_nodes(
+        monkeypatch, capsys):
+    # Every Phi argument of a polytope tail sweep (the benchmark's: the
+    # rational model on the unit 3-simplex, 101 levels in [-2, 8]).
+    from gaussmax import cli
+    nodes, Phi = [], hermite._Phi
+
+    def recording(x):
+        nodes.append(np.array(x, dtype=float))
+        return Phi(x)
+
+    for mod in (hermite, bounds):
+        monkeypatch.setattr(mod, "_Phi", recording)
+    simplex = {"kind": "halfspaces", "halfspaces": [
+        [[-1.0, 0.0, 0.0], 0.0], [[0.0, -1.0, 0.0], 0.0],
+        [[0.0, 0.0, -1.0], 0.0], [[1.0, 1.0, 1.0], 1.0]]}
+    assert cli.main([
+        "tail", "--format", "json", "--reps", "100000", "--seed", "190",
+        "--set", 'model={"family": "rational", "c": 1.0, "beta": 1.0}',
+        "--set", f"geometry={json.dumps(simplex)}",
+        "--set", f"u={json.dumps(np.linspace(-2.0, 8.0, 101).tolist())}"]) == 0
+    capsys.readouterr()
+    assert sum(n.size for n in nodes) > 10 ** 5
+    got = [np.asarray(Phi(x)).tobytes() for x in nodes]
+    # The reference: a new accumulator for every polynomial, as before
+    # _polevl took ``out``.
+    polevl = hermite._polevl
+    monkeypatch.setattr(hermite, "_polevl",
+                        lambda x, coefs, monic=False, out=None:
+                        polevl(x, coefs, monic))
+    assert [np.asarray(Phi(x)).tobytes() for x in nodes] == got
 
 
 # -------------------------------------------------------- weighted integrals

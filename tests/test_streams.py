@@ -142,6 +142,20 @@ def test_ndtri_central_branch_is_bit_identical():
     assert np.array_equal(got[central], ndtri(y[central]))
 
 
+def test_ndtri_into_its_dead_input_is_bit_identical(monkeypatch):
+    # One block of stream uniforms as the sampler draws them (256 replicates
+    # of 64 normals), with the far tail appended.  The reference is the
+    # same transform with a new accumulator for every polynomial, as before
+    # the centre's denominator was evaluated into y.
+    y = np.concatenate([_clamped_stream(190, 256, 64), _far_tail(1_000, 190)])
+    got = streams._ndtri(y.copy())
+    polevl = streams._polevl
+    monkeypatch.setattr(streams, "_polevl",
+                        lambda x, coefs, monic=False, out=None:
+                        polevl(x, coefs, monic))
+    assert got.tobytes() == streams._ndtri(y.copy()).tobytes()
+
+
 def test_ndtri_tails_within_8_ulp():
     y = np.concatenate([_clamped_stream(22), _far_tail(100_000, 22)])
     tail = (y <= streams._EXPM2) | (y > streams._UPPER)
