@@ -60,12 +60,12 @@ sums and the gates run per row, so each row is, bit for bit, what its
 abscissa gives alone.  A kernel raises its first error like any function,
 and does the model's own work, which fails every row alike, before the
 per-abscissa work.  :func:`.hermite._by_blocks` turns any such kernel into
-a sweep in blocks of _BLOCK, with one result or error per row: a block that
-raises is run again one abscissa at a time.  ``R_correction``, ``pE_density``,
-``pbar_density`` and ``tail_bound`` call the kernels on their one abscissa,
-so their errors are raised where they happen.  The Gauss rules are built
-on first use.  The normal CDF is the in-package Phi of :mod:`.hermite`;
-this module loads no SciPy.
+a sweep in blocks of ``hermite._BLOCK``, with one result or error per row:
+a block that raises is run again one abscissa at a time.
+``R_correction``, ``pE_density``, ``pbar_density`` and ``tail_bound`` call
+the kernels on their one abscissa, so their errors are raised where they
+happen.  The Gauss rules are built on first use.  The normal CDF is the
+in-package Phi of :mod:`.hermite`; this module loads no SciPy.
 """
 from __future__ import annotations
 
@@ -79,7 +79,6 @@ from .geometry import FaceDecomposition, GeometryKind, sphere_surface
 from .hermite import (SQRT_2PI, HermiteKind, _by_blocks, _check_int,
                       _eval_all, _finite, _norm_hermites, _Phi, _sorted_unique,
                       _tail_coefficients, _tail_sum)
-from .hermite import _BLOCK, _ROW_ERRORS  # noqa: F401  read as bounds.*
 from .model import IsotropicModel
 
 MAX_ORDER = 60

@@ -20,10 +20,10 @@ are reported and the sweep continues; the remaining rows still emit).
 
 BLAS runs on one thread: importing this module sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before NumPy loads, unless any of
-the three is already set or NumPy is already loaded.  The sampler spreads
-its blocks over the cores itself (see :mod:`.simulate`), and a BLAS pool
-beside it only competes for the cores and spends CPU time spinning.  To
-give BLAS more threads, set any of the three variables yourself.
+the three is already set or NumPy is already loaded.  A BLAS thread pool
+costs CPU time as NumPy loads, on every command, and makes the bits of
+high-rank samples depend on the host's core count.  To give BLAS more
+threads, set any of the three variables yourself.
 """
 from __future__ import annotations
 

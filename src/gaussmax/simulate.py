@@ -14,13 +14,7 @@ substreams, so results are bit-identical for a given (seed, reps, grid)
 regardless of batching.  One pass over blocks of 256 replicates samples
 every grid of a validation: each block draws its normals once for all grids
 with the same r_1 ... r_d, and per-axis fields are formed and reduced to
-their maxima a cache-sized slice of the block at a time.  The blocks are
-spread over min(usable cores, blocks) threads, and the thread count never
-changes a bit.  The package runs its own parallelism, so BLAS is best left
-on one thread, as the CLI sets it unless one of OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS is set (see :mod:`.cli`).  Only with a
-multi-threaded BLAS do the bits of factors whose rank reaches a few
-hundred depend on the BLAS thread count (see :func:`sample_maxima`).
+their maxima a cache-sized slice of the block at a time.
 
 Grid maxima underestimate the continuous maximum; the validation harness
 therefore reports a grid-refinement sequence to show stabilization instead
@@ -30,8 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,35 +235,19 @@ def sample_maxima(m: IsotropicModel, grid: FieldGrid, reps: int,
 
     Replicate r uses its own counter window of the seeded stream, so the
     result is bit-identical for fixed (seed, reps, grid) no matter how the
-    computation is batched.  The blocks of 256 replicates run on
-    min(usable cores, blocks) threads, and that count never moves a bit.
+    computation is batched.
 
     The CLI runs BLAS on one thread: it sets OPENBLAS_NUM_THREADS,
     OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless one of them is already
     set (set one yourself to choose another count) or NumPy is already
     loaded.  A library caller who keeps a multi-threaded BLAS gets bits
-    that depend on
-    the BLAS thread count once a factor's rank reaches a few hundred: at 1
-    and 2 OpenBLAS threads the results agree up to rank 200 but differ at
-    ranks 400 and 600.  Such a caller also pays for the block threads on
-    dense factors, where both pools compete for the cores: on a 2-core
-    host with 2 OpenBLAS threads, ``rational(0.8, 1)`` on the unit square
-    at 25 x 25 and 50 x 50 (ranks 151 and 152, 10^4 replicates) took
-    235-281 ms with a serial sampler and 304-325 ms with block threads,
-    against 216-226 ms with block threads and one BLAS thread (medians of
-    10 in two runs).  Set the three variables to 1 before NumPy loads to
-    avoid both.  The last bits of tail normals follow NumPy's ``log`` dispatch (see
-    ``streams._ndtri``).
+    that depend on the BLAS thread count once a factor's rank reaches a few
+    hundred: at 1 and 2 OpenBLAS threads the results agree up to rank 200
+    but differ at ranks 400 and 600.  The last bits of tail normals follow
+    NumPy's ``log`` dispatch (see ``streams._ndtri``).
     """
     reps = _check_int(reps, 1, streams.MAX_REPS, "reps")
     return _sample_grids([covariance_cholesky(m, grid)], reps, seed)[0]
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _sample_grids(factor_sets: list, reps: int, seed: int) -> list:
@@ -281,47 +257,19 @@ def _sample_grids(factor_sets: list, reps: int, seed: int) -> list:
     A replicate draws prod(r_i) normals from its own stream window, which
     depends on that product alone, so each block draws them once for every
     tuple with that product and those tuples share the draw.
-
-    The blocks are spread over k = min(usable cores, blocks) threads: the
-    calling thread and k - 1 more, thread i taking blocks i, i + k, ...
-    NumPy releases the GIL in the stream, the transform and the matrix
-    products.  Each block writes only its own slice of the results and has
-    the same shapes on every thread, so k never moves a bit.  The first
-    error raised in any block stops the other threads at their next block
-    and is raised here.
     """
     ranks = [tuple(f.shape[1] for f in fs) for fs in factor_sets]
     out = [np.empty(reps) for _ in factor_sets]
-    starts = range(0, reps, _BATCH_ROWS)
-    k = min(_usable_cores(), len(starts))
-    errors = []
-
-    def run(first: int) -> None:
-        try:
-            for done in starts[first::k]:
-                if errors:
-                    return
-                nb = min(_BATCH_ROWS, reps - done)
-                # the last block is zero-padded to _BATCH_ROWS rows
-                draws = {p: np.zeros((_BATCH_ROWS, p))
-                         for p in map(math.prod, ranks)}
-                for p, z in draws.items():
-                    z[:nb] = streams.normals(seed, streams.DOMAIN_FIELD, done,
-                                             nb, p)
-                for fs, r, o in zip(factor_sets, ranks, out):
-                    o[done:done + nb] = _block_field_maxima(
-                        fs, draws[math.prod(r)].reshape(_BATCH_ROWS, *r), nb)
-        except BaseException as e:      # raised below, on the calling thread
-            errors.append(e)
-
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, k)]
-    for w in workers:
-        w.start()
-    run(0)
-    for w in workers:
-        w.join()
-    if errors:
-        raise errors[0]
+    for done in range(0, reps, _BATCH_ROWS):
+        nb = min(_BATCH_ROWS, reps - done)
+        # the last block is zero-padded to _BATCH_ROWS rows
+        draws = {p: np.zeros((_BATCH_ROWS, p))
+                 for p in map(math.prod, ranks)}
+        for p, z in draws.items():
+            z[:nb] = streams.normals(seed, streams.DOMAIN_FIELD, done, nb, p)
+        for fs, r, o in zip(factor_sets, ranks, out):
+            o[done:done + nb] = _block_field_maxima(
+                fs, draws[math.prod(r)].reshape(_BATCH_ROWS, *r), nb)
     return out
 
 

@@ -72,7 +72,13 @@ def hermite_monic_sum(n: int, x: float) -> float:
 
 
 def quad_In(n: int, v: float) -> float:
-    """int_v^inf e^{-t^2/2} H_n(t) dt by adaptive quadrature."""
+    """int_v^inf e^{-t^2/2} H_n(t) dt by adaptive quadrature.
+
+    For odd n the integrand is odd and integrates to 0 over the line, so
+    I_n(v) = I_n(-v): a negative v is integrated from -v, away from the
+    cancellation across 0."""
+    if n % 2 and v < 0:
+        v = -v
     val, _ = integrate.quad(
         lambda t: math.exp(-t * t / 2.0) * hermite_physicists_sum(n, t),
         v, np.inf, epsabs=1e-13, epsrel=1e-12, limit=300)

@@ -31,6 +31,10 @@ class TestExponentGeneral:
         rep = asympt.exponent_general(0.0, 0.0, 0.0)
         assert rep.rate == math.inf
 
+    def test_kappa_whose_square_overflows_gives_rate_one(self):
+        # 1e200 ** 2 raises OverflowError; the square is taken as inf.
+        assert asympt.exponent_general(1.0, 1.0, 1e200).rate == 1.0
+
     def test_report_fields(self):
         rep = asympt.exponent_general(2.0, 0.5, 1.5)
         assert rep.components.sigma2 == 2.0

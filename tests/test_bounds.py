@@ -186,7 +186,7 @@ def _hex(values):
 def test_rows_kernels_equal_each_abscissa_alone(m, geom):
     # One kernel pass per block of abscissae gives, bit for bit, what each
     # abscissa gives alone through its one-row view.
-    assert len(SWEEP) > bounds._BLOCK
+    assert len(SWEEP) > hermite._BLOCK
     gamma, s = bounds._gamma_s(m)
     panels = {len(bounds._tail_edges(u, gamma, s, geom.d0)) for u in SWEEP}
     assert s == 0.0 or len(panels) > 1       # ragged node counts covered
@@ -216,7 +216,8 @@ def test_rows_kernel_keeps_each_rows_error():
     # order-j powers overflow, each row keeps its own error too.
     sweeps = [[1.0, 1e155, 2.0],
               [1.0, 1e155, 2.0, float("nan"), 3.0],    # two in one block
-              SWEEP[:bounds._BLOCK + 3] + [1e155] + SWEEP[bounds._BLOCK + 3:]]
+              SWEEP[:hermite._BLOCK + 3] + [1e155]
+              + SWEEP[hermite._BLOCK + 3:]]
     kernels = ((bounds._pbar_rows, bounds.pbar_density),
                (bounds._tail_rows, bounds.tail_bound))
     overflowing = model.make_squared_exponential(1e154)
@@ -230,7 +231,7 @@ def test_rows_kernel_keeps_each_rows_error():
                 for x, row in zip(xs, got):
                     try:
                         assert row == alone(m, geom, x)
-                    except bounds._ROW_ERRORS as e:
+                    except hermite._ROW_ERRORS as e:
                         assert type(row) is type(e) and str(row) == str(e)
 
 

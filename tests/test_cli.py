@@ -157,6 +157,22 @@ class TestConfigMerging:
         with pytest.raises(ConfigError):
             build_config(["goe", "--set", "n2"])
 
+    @pytest.mark.parametrize("setting, message", [
+        # not JSON, so kept as the string "abc", which the model refuses
+        pytest.param("model.c=abc", "bad model parameters: c must be a real "
+                     "number, got 'abc'", id="non-json-value"),
+        # a dotted path creates the objects it names
+        pytest.param("a.b=1", "unknown config keys: ['a']",
+                     id="new-nested-object"),
+    ])
+    def test_set_values_reach_the_checks(self, capsys, setting, message):
+        code, out, err = run_cli(capsys, [
+            "tail", "--set", f"model={json.dumps(SQ_SPEC)}",
+            "--set", f"geometry={json.dumps(RECT_SPEC)}", "--set", "u=[1.0]",
+            "--set", setting])
+        assert code == 2 and out == ""
+        assert err == f"gaussmax: config error: {message}\n"
+
     def test_command_mismatch_with_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"command": "tail"}))
@@ -273,7 +289,7 @@ class TestGoeCommand:
         nus = [repr(-4.0 + 0.2 * k) for k in range(40)]
         bad = {3: "NaN", 10: "Infinity", 20: "1e40",
                34: "NaN", 36: "-Infinity", 38: "1e40"}
-        assert min(bad) < bounds._BLOCK < max(bad)
+        assert min(bad) < hermite._BLOCK < max(bad)
         for i, v in bad.items():
             nus[i] = v
         code, out, err = run_cli(capsys, [
@@ -378,12 +394,26 @@ class TestTailCommand:
 
 
 class TestBoundCommand:
-    @pytest.mark.parametrize("setting", ["abscissa=5", 'u=["a"]'])
-    def test_mistyped_sweep_is_config_error(self, capsys, setting):
+    @pytest.mark.parametrize("settings, message", [
+        pytest.param(["abscissa=5"], "abscissa must be an object with "
+                     "exactly the keys min, max, step", id="abscissa=5"),
+        pytest.param(['u=["a"]'], "every u entry must be a real number, "
+                     "got 'a'", id='u=["a"]'),
+        pytest.param(["u=5"], "u must be a list", id="u=5"),
+        pytest.param(["u=[]"], "u must be nonempty", id="u=[]"),
+        pytest.param([], "bound needs u or abscissa in the config",
+                     id="no-sweep"),
+        pytest.param(['abscissa={"min": 2, "max": 1, "step": 0.5}'],
+                     "abscissa needs min <= max and step > 0",
+                     id="min-above-max"),
+    ])
+    def test_mistyped_sweep_is_config_error(self, capsys, settings, message):
+        sets = [a for s in settings for a in ("--set", s)]
         code, out, err = run_cli(capsys, [
             "bound", "--set", f"model={json.dumps(SQ_SPEC)}",
-            "--set", f"geometry={json.dumps(RECT_SPEC)}", "--set", setting])
-        assert code == 2 and "config error" in err and out == ""
+            "--set", f"geometry={json.dumps(RECT_SPEC)}", *sets])
+        assert code == 2 and out == ""
+        assert err == f"gaussmax: config error: {message}\n"
 
     @pytest.mark.parametrize("abscissa", [
         {"min": 0.0, "max": 1.0, "step": 1e-300},
@@ -587,6 +617,29 @@ def test_model_and_geometry_numbers_must_be_real(capsys, model, geom):
     assert code == 2 and out == "" and "must be a real number" in err
 
 
+@pytest.mark.parametrize("settings, message", [
+    pytest.param(["model=5", f"geometry={json.dumps(RECT_SPEC)}"],
+                 "model must be an object with a family key", id="model=5"),
+    pytest.param([f"model={json.dumps(SQ_SPEC)}"],
+                 "tail needs a geometry in the config", id="no-geometry"),
+    pytest.param([f"model={json.dumps(SQ_SPEC)}", "geometry=3"],
+                 "geometry must be an object with a kind key",
+                 id="geometry=3"),
+    pytest.param([f"model={json.dumps(SQ_SPEC)}",
+                  'geometry={"kind": "rectangle", "sides": [1, 1], '
+                  '"side": 2}'],
+                 "unknown geometry keys: ['side']", id="geometry-key"),
+    pytest.param([f"model={json.dumps(SQ_SPEC)}",
+                  'geometry={"kind": "rectangle"}'],
+                 "geometry 'rectangle' needs key 'sides'", id="no-sides"),
+])
+def test_model_and_geometry_specs_are_checked(capsys, settings, message):
+    sets = [a for s in settings for a in ("--set", s)]
+    code, out, err = run_cli(capsys, ["tail", *sets, "--set", "u=[1.0]"])
+    assert code == 2 and out == ""
+    assert err == f"gaussmax: config error: {message}\n"
+
+
 class TestValidateCommand:
     ARGS = ["validate", "--set", f"model={json.dumps(SQ_SPEC)}",
             "--set", f"geometry={json.dumps(RECT_SPEC)}",
@@ -761,6 +814,18 @@ class TestExponentCommand:
         code, _, err = run_cli(capsys, [
             "exponent", "--set", 'exponent={"kind":"general","sigma2":1.0}'])
         assert code == 2
+
+    @pytest.mark.parametrize("settings, message", [
+        pytest.param([], "exponent needs an object with a kind key",
+                     id="no-exponent"),
+        pytest.param(['exponent={"kind": "concave"}'],
+                     "unknown exponent kind 'concave'", id="unknown-kind"),
+    ])
+    def test_exponent_spec_is_checked(self, capsys, settings, message):
+        sets = [a for s in settings for a in ("--set", s)]
+        code, out, err = run_cli(capsys, ["exponent", *sets])
+        assert code == 2 and out == ""
+        assert err == f"gaussmax: config error: {message}\n"
 
     def test_invalid_values_are_config_error(self, capsys):
         code, _, err = run_cli(capsys, [

@@ -166,6 +166,8 @@ def test_angle_ratio_argument_checks():
         geometry.angle_boundary_ratio(1.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         geometry.angle_boundary_ratio(1.0, 1.5, 0.5)
+    with pytest.raises(ValueError, match="strictly between 0 and pi"):
+        geometry.angle_boundary_ratio(4.0, 0.5, 0.1)
 
 
 # -------------------------------------------------------------- H-polytopes
@@ -570,6 +572,11 @@ def test_polytope_rejects_empty_and_degenerate():
             [[[1.0, 0.0], 0.0], [[-1.0, 0.0], 0.0],
              [[0.0, 1.0], 1.0], [[0.0, -1.0], 1.0]],
             reps=100, seed=0)  # x = 0 slab: not full-dimensional
+    with pytest.raises(ValueError, match="nonzero normal"):
+        geometry.polytope_g_coeffs(
+            [[[0.0, 0.0], 1.0], [[-1.0, 0.0], 0.0],
+             [[0.0, -1.0], 0.0], [[1.0, 1.0], 1.0]],
+            reps=100, seed=0)  # 0 . x <= 1 has no normal
     # The scale is free, but not the aspect ratio: a 1 x 1e-9 box is as far
     # from its center in inradii as a strip, and is rejected like one.
     with pytest.raises(ValueError, match="not full-dimensional"):

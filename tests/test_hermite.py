@@ -320,6 +320,11 @@ def test_kernel_entry_points_reject_nonfinite_abscissa(call, bad):
         call(np.array([0.5, bad]))
 
 
+def test_an_int_beyond_the_floats_is_not_finite():
+    with pytest.raises(ValueError, match="x must be finite, got 1000"):
+        hermite.hermite_eval("physicists", 3, 10 ** 400)
+
+
 @pytest.mark.parametrize("call", [
     lambda n: hermite.hermite_eval(HermiteKind.MODIFIED, n, 1.0),
     lambda n: bounds.T_series(n, 0.5),

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -413,16 +412,14 @@ class TestSharedBlockPass:
         calls = self._count_normals(monkeypatch)
         shared = simulate._sample_grids(factor_sets, 300, 6)
         assert [a.tobytes() for a in alone] == [s.tobytes() for s in shared]
-        # one draw per block of 256 replicates per distinct prod(ranks); the
-        # blocks run on threads, so the draws come in no fixed order
-        assert sorted(calls) == [(start, p) for start in (0, 256)
-                                 for p in products]
+        # one draw per block of 256 replicates per distinct prod(ranks)
+        assert calls == [(start, p) for start in (0, 256) for p in products]
 
     def test_validate_draws_once_per_block(self, monkeypatch):
         # Both grids have ranks (8, 8): one draw per block serves both.
         calls = self._count_normals(monkeypatch)
         validate_bound(SQ, FieldGrid((1.0, 1.0), 25), (1.0,), 300, 6, (1, 2))
-        assert sorted(calls) == [(0, 64), (256, 64)]
+        assert calls == [(0, 64), (256, 64)]
 
     @pytest.mark.parametrize("sides,res", [
         pytest.param((1.0, 1.0), (100, 100), id="100x100"),
@@ -450,70 +447,6 @@ class TestSharedBlockPass:
         mx = sample_maxima(make_rational(1.0, 1.0), g, 300, 4)
         assert hashlib.sha256(mx.tobytes()).hexdigest() == (
             "550c40559acceb44b20861b0554ee1ad7993f6c937ef35a1578eb83595a8aebc")
-
-
-class TestBlockThreads:
-    """The blocks of 256 replicates run on min(usable cores, blocks)
-    threads; 600 replicates are three blocks, the last one partial."""
-
-    @pytest.mark.parametrize("m,sides,res,grid_ranks", [
-        pytest.param(SQ, (1.0, 2.0), (13, 7), (8, 7), id="per-axis"),
-        pytest.param(RAT, (1.0, 1.0), (10, 10), (99,), id="dense"),
-    ])
-    def test_worker_count_never_moves_a_bit(self, monkeypatch, m, sides,
-                                            res, grid_ranks):
-        factors = covariance_cholesky(m, FieldGrid(sides, res))
-        assert ranks(factors) == grid_ranks
-        threads, block_maxima = [], simulate._block_field_maxima
-
-        def recording(*args):
-            threads.append(threading.current_thread())
-            return block_maxima(*args)
-
-        monkeypatch.setattr(simulate, "_block_field_maxima", recording)
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)     # switch threads as often as it can
-        try:
-            for cores in (1, 2, 3):
-                monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
-                threads.clear()
-                results.append(simulate._sample_grids([factors], 600, 9)[0])
-                assert len(threads) == 3 and len(set(threads)) == cores
-        finally:
-            sys.setswitchinterval(interval)
-        assert results[0].tobytes() == results[1].tobytes()
-        assert results[0].tobytes() == results[2].tobytes()
-
-    @pytest.mark.parametrize("cores", [1, 2, 3])
-    @pytest.mark.parametrize("failing", [0, 256, 512])
-    def test_an_error_in_any_block_is_raised(self, monkeypatch, cores,
-                                             failing):
-        normals = streams.normals
-
-        def failing_block(seed, domain, start_rep, n_reps, per_rep):
-            if start_rep == failing:
-                raise RuntimeError(f"block at {start_rep} failed")
-            return normals(seed, domain, start_rep, n_reps, per_rep)
-
-        monkeypatch.setattr(streams, "normals", failing_block)
-        monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
-        factors = covariance_cholesky(SQ, FieldGrid((1.0, 2.0), (13, 7)))
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"block at {failing} failed"):
-            simulate._sample_grids([factors], 600, 9)
-        assert threading.active_count() == before   # every worker joined
-
-    def test_usable_cores_is_the_affinity_set_or_the_cpu_count(self,
-                                                               monkeypatch):
-        assert simulate._usable_cores() >= 1
-        if hasattr(os, "sched_getaffinity"):
-            assert simulate._usable_cores() == len(os.sched_getaffinity(0))
-            monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert simulate._usable_cores() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert simulate._usable_cores() == 1
 
 
 class TestValidateBound:
