@@ -198,18 +198,19 @@ def absdet_n1_closed(nu: float) -> float:
 
 # -------------------------------------------------- T-integral closed forms
 
-def T1_closed(v: float) -> float:
-    """sqrt(2 pi) [phi(v) - v (1 - Phi(v))]."""
+def T1_closed(v):
+    """sqrt(2 pi) [phi(v) - v (1 - Phi(v))], elementwise."""
     return SQRT_2PI * (norm.pdf(v) - v * norm.sf(v))
 
 
-def T2_closed(v: float) -> float:
-    """2 e^{-v^2/2}."""
-    return 2.0 * math.exp(-v * v / 2.0)
+def T2_closed(v):
+    """2 e^{-v^2/2}, elementwise."""
+    return 2.0 * np.exp(-v * v / 2.0)
 
 
-def T3_closed(v: float) -> float:
-    """sqrt(pi/2) [3 (2 v^2 + 1) phi(v) - (2 v^2 - 3) v (1 - Phi(v))]."""
+def T3_closed(v):
+    """sqrt(pi/2) [3 (2 v^2 + 1) phi(v) - (2 v^2 - 3) v (1 - Phi(v))],
+    elementwise."""
     return math.sqrt(math.pi / 2.0) * (
         3.0 * (2.0 * v * v + 1.0) * norm.pdf(v)
         - (2.0 * v * v - 3.0) * v * norm.sf(v))

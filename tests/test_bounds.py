@@ -31,8 +31,7 @@ POINT = FaceDecomposition(d=1, g=(1.0,), kappa=0.0,
 def test_T_series_closed_forms(closed, j):
     vs = np.linspace(-8.0, 8.0, 161)
     got = bounds.T_series(j, vs)
-    want = np.array([closed(v) for v in vs])
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, closed(vs), rtol=0, atol=1e-12)
 
 
 def test_T_series_decays_right_nonnegative():

@@ -1,5 +1,7 @@
 """Command-line interface: config merging, output formats, exit codes."""
+import gc
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -14,7 +16,8 @@ from scipy import stats
 import oracles
 import gaussmax
 from gaussmax import bounds, geometry, hermite, randmat
-from gaussmax.cli import ConfigError, RunConfig, build_config, main
+from gaussmax.cli import (ConfigError, RunConfig, build_config, console_entry,
+                          main)
 from gaussmax.model import make_squared_exponential
 
 SQ_SPEC = {"family": "squared_exponential", "c": 0.5}
@@ -907,6 +910,80 @@ class TestOutputPlumbing:
 
 
 class TestEntryPoint:
+    # a bound run (exit 0), a config error (exit 2) and a failing row (exit 3)
+    CASES = [(["bound", "--set", f"model={json.dumps(SQ_SPEC)}",
+               "--set", f"geometry={json.dumps(RECT_SPEC)}",
+               "--set", "u=[0.5, 1.0]"], 0),
+             (["goe", "--set", "u=[0.0]"], 2),
+             (["goe", "--set", "n=3", "--set", "u=[NaN,0.0]"], 3)]
+
+    @staticmethod
+    def run_module(argv, **kw):
+        return subprocess.run([sys.executable, "-m", "gaussmax.cli", *argv],
+                              capture_output=True, **kw)
+
+    @pytest.mark.parametrize("argv,code", CASES)
+    def test_module_run_matches_main(self, capsys, argv, code):
+        # The process entry adds nothing to main's output, error lines or
+        # exit code.
+        proc = self.run_module(argv)
+        got, out, err = run_cli(capsys, argv)
+        assert got == proc.returncode == code
+        assert (proc.stdout, proc.stderr) == (out.encode(), err.encode())
+
+    def test_module_out_file_is_the_stdout_run(self, capsys, tmp_path,
+                                               monkeypatch):
+        # The file the process writes before it exits holds what main
+        # writes, and what the stdout run prints but for the config's out.
+        argv = self.CASES[0][0]
+        printed = self.run_module(argv)
+        (tmp_path / "module").mkdir()
+        proc = self.run_module([*argv, "--out", "rows.csv"],
+                               cwd=tmp_path / "module")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        written = (tmp_path / "module" / "rows.csv").read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, [*argv, "--out", "rows.csv"]) == (0, "", "")
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        got, want = (text.decode().split("\n")
+                     for text in (written, printed.stdout))
+        assert got[:1] + got[2:] == want[:1] + want[2:]
+        prefix = "# config: "
+        assert json.loads(got[1].removeprefix(prefix)) == {
+            **json.loads(want[1].removeprefix(prefix)), "out": "rows.csv"}
+
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys):
+        before = (gc.get_freeze_count(), gc.isenabled())
+        for argv, code in self.CASES:
+            assert run_cli(capsys, argv)[0] == code
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_entry_freezes_the_collector_and_runs_atexit(self):
+        script = (
+            "import atexit, gc, sys\n"
+            "from gaussmax import cli\n"
+            "atexit.register(lambda: print('atexit', gc.get_freeze_count() "
+            "> 0, gc.isenabled()))\n"
+            "sys.argv = ['gaussmax', 'goe', '--set', 'n=1', '--set', "
+            "'u=[0.0]']\n"
+            "cli.console_entry()\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        output, last = proc.stdout.rsplit("atexit ", 1)
+        assert last == "True True\n"
+        header, rows = data_rows(output)
+        assert header == ["n", "nu", "density", "absdet_mean"]
+        assert len(rows) == 1
+
+    def test_console_script_targets_the_entry_function(self):
+        tomllib = pytest.importorskip("tomllib")   # Python 3.11 on
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["gaussmax"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is console_entry
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gaussmax.cli", "goe",
