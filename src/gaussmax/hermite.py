@@ -4,7 +4,7 @@ Two polynomial families appear throughout the package: the physicists'
 polynomials ``H_n`` (weight e^{-x^2}) and the unit-variance variant
 ``Hbar_n`` (weight e^{-x^2/2}), related by ``Hbar_n(x) = 2^{-n/2} H_n(x/sqrt 2)``.
 On top of them sit two closed-form integrals that the density bounds
-consume (their other y-averages are Gauss rules in :mod:`.bounds`):
+consume (the y-average of R_j in :mod:`.bounds` is closed form too):
 
 * ``I_n(v) = int_v^inf e^{-t^2/2} H_n(t) dt`` (finite v or v = -inf),
 * ``J_n(x) = int e^{-y^2/2} H_n(a y + b x) dy = (2b)^n sqrt(2 pi) Hbar_n(x)``

@@ -1,6 +1,9 @@
 """Density bounds pbar/pE, correction terms, tail integrals, sphere bound."""
+import functools
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +24,18 @@ SQUARE = geometry.rectangle_faces([1.0, 1.0])
 CUBE = geometry.rectangle_faces([1.0, 1.0, 1.0])
 POINT = FaceDecomposition(d=1, g=(1.0,), kappa=0.0,
                           kind=GeometryKind.RECTANGLE)
+RAT_005 = model.make_rational(0.05, 0.5)    # gamma = sqrt(1/3) = 0.58
+
+
+@functools.cache
+def _R_references():
+    """tests/data/R_references.json, written by make_R_references.py: the
+    models as (c, beta, gamma), and E T_j(a - bY) by (model, j, x)."""
+    path = os.path.join(os.path.dirname(__file__), "data", "R_references.json")
+    with open(path) as f:
+        data = json.load(f)
+    return data["models"], {(name, j, x): float(v)
+                            for name, j, x, v in data["values"]}
 
 
 # ------------------------------------------------------------- T integrals
@@ -142,6 +157,59 @@ def test_R2_at_zero_explicit_value():
     assert got == pytest.approx(indep, rel=1e-9)
 
 
+def test_R_correction_matches_high_precision_references():
+    # E T_j(a - bY) from mpmath at two precisions.  T_j's two parts cancel
+    # to about 1/v^2 of their size, and the closed form keeps that loss of
+    # T_j itself: for j = 1 (phi - v Psi) beyond x = 10, and for j >= 20
+    # beyond x = 25 on NEAR_ONE, where the y-average is T_j near v = x/sqrt 2.
+    models, refs = _R_references()
+    for name, spec in models.items():
+        m = model.make_rational(spec["c"], spec["beta"])
+        assert m.gamma == spec["gamma"]
+        for j in sorted({j for n, j, _ in refs if n == name}):
+            xs = [x for n, i, x in refs if (n, i) == (name, j)]
+            want = (math.sqrt(2.0 * math.pi) * bounds._pref(m, j)
+                    * np.array([refs[name, j, x] for x in xs]))
+            rtol = np.select([np.array(xs) <= (10.0 if j == 1 else 25.0),
+                              j == 1], [1e-12, 2e-10], 3e-12)
+            got = bounds._R_values(m, (j,), xs)[0]
+            assert np.all(np.abs(got - want) <= rtol * want), (name, j)
+
+
+@pytest.mark.parametrize("m", [LOW_GAMMA, RAT, NEAR_ONE, RAT_005],
+                         ids=["LOW_GAMMA", "RAT", "NEAR_ONE", "RAT_0.05"])
+def test_R_correction_matches_the_gauss_hermite_average(m):
+    # The slow path: the y-average by 64 and by 128 Gauss-Hermite nodes,
+    # over the oracle's own T_j.  Both sides carry T_1's own loss, about
+    # 6e-12 at x = 20.
+    xs = [float(x) for x in np.linspace(-20.0, 20.0, 81)]
+    for j in range(1, 21):
+        got = bounds._R_values(m, (j,), xs)[0]
+        for nodes in (64, 128):
+            want = (math.sqrt(2.0 * math.pi) * bounds._pref(m, j)
+                    * oracles.T_average_gauss_hermite(j, m.gamma, xs, nodes))
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+
+
+def test_R_correction_cross_check_changes_no_bit():
+    for m, j, x in itertools.product((SQ, RAT, LOW_GAMMA), (1, 2, 5),
+                                     (-3.0, 0.5, 12.0, 70.0)):
+        assert (_hex([bounds.R_correction(m, j, x, cross_check=False)])
+                == _hex([bounds.R_correction(m, j, x, cross_check=True)]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [model.make_rational(1.0, 1.0), RAT_005],
+                         ids=["rational_1_1", "rational_0.05_0.5"])
+def test_pbar_rows_hold_at_every_level_of_a_wide_scan(m):
+    # The 64/128-node y-average of R_j refused 218 and 329 of these 1,601
+    # levels on the unit cube, from |x| = 57.25 on, where phi(x) is 0.
+    levels = [float(x) for x in np.linspace(-200.0, 200.0, 1601)]
+    rows = bounds._pbar_rows(m, CUBE, levels)
+    assert [r for r in rows if isinstance(r, Exception)] == []
+    assert all(r.pbar >= r.pE for r in rows)
+
+
 def test_R_correction_nonnegative_on_grid():
     xs = np.linspace(-5.0, 10.0, 61)
     for m in (SQ, RAT):
@@ -202,11 +270,10 @@ def test_rows_kernels_equal_each_abscissa_alone(m, geom):
         assert (_hex([t.pbar_tail, t.pE_tail, t.complementary])
                 == _hex([alone.pbar_tail, alone.pE_tail, alone.complementary]))
     orders = range(1, geom.d0 + 1)
-    for cross_check in (True, False):
-        R = bounds._R_values(m, orders, SWEEP, cross_check)
-        for k, j in enumerate(orders):
-            assert _hex(R[k]) == _hex(
-                [bounds.R_correction(m, j, x, cross_check) for x in SWEEP])
+    R = bounds._R_values(m, orders, SWEEP)
+    for k, j in enumerate(orders):
+        assert _hex(R[k]) == _hex([bounds.R_correction(m, j, x)
+                                   for x in SWEEP])
 
 
 def test_rows_kernel_keeps_each_rows_error():
@@ -243,13 +310,6 @@ def test_model_error_is_every_rows_error():
                    for e in got)
 
 
-def test_R_correction_cross_check_catches_bad_rule(monkeypatch):
-    # far too coarse for j = 4 integrands
-    monkeypatch.setattr(bounds, "_RULE_NODES", 2)
-    with pytest.raises(RuntimeError, match="non-convergent"):
-        bounds.R_correction(RAT, 4, 0.5, cross_check=True)
-
-
 @pytest.mark.parametrize("m,d,x", [(RAT, 5, 0.5),
                                    (model.make_rational(0.05, 0.5), 12, -2.0)],
                          ids=["RAT", "RAT_0.05"])
@@ -262,14 +322,15 @@ def test_sphere_gate_catches_bad_panels(monkeypatch, m, d, x):
         bounds.sphere_pbar(m, d, x)
 
 
-def test_R_correction_gate_is_relative_in_the_tail(monkeypatch):
-    # R_1(20) is about 5e-20: an absolute floor would pass the 6-node
-    # value 2.7e-20, half the converged one
+def test_R_correction_gate_is_relative_in_the_tail():
+    # R_1(20) is about 5e-20, so only a relative tolerance tests it.  The
+    # model has RAT's gamma, so its y-average is RAT's reference value.
     m = model.make_rational(1.0, 1.0)
-    assert bounds.R_correction(m, 1, 20.0) == pytest.approx(5.16e-20, rel=1e-2)
-    monkeypatch.setattr(bounds, "_RULE_NODES", 6)
-    with pytest.raises(RuntimeError, match="non-convergent for R_1"):
-        bounds.R_correction(m, 1, 20.0)
+    assert m.gamma == RAT.gamma
+    want = (math.sqrt(2.0 * math.pi) * bounds._pref(m, 1)
+            * _R_references()[1]["RAT", 1, 20.0])
+    assert want == pytest.approx(5.16e-20, rel=1e-2)
+    assert bounds.R_correction(m, 1, 20.0) == pytest.approx(want, rel=2e-10)
 
 
 def test_checked_quadrature_rejects_nonfinite_values():
@@ -457,7 +518,7 @@ def test_tail_correction_matches_adaptive_quadrature(m, u):
     # Near gamma = 1 the rotated integrand has a step of width s/gamma.
     def density(x):
         return norm.pdf(x) * math.fsum(
-            CUBE.g[j] * bounds.R_correction(m, j, x, cross_check=False)
+            CUBE.g[j] * bounds.R_correction(m, j, x)
             for j in range(1, CUBE.d0 + 1))
 
     want, _ = integrate.quad(density, u, np.inf, epsabs=0.0, epsrel=1e-10,
@@ -539,7 +600,7 @@ def test_sphere_pbar_first_principles():
         assert got == pytest.approx(want, rel=1e-7)
 
 
-WIDE_SHIFT = [model.make_rational(0.1, 0.5), model.make_rational(0.05, 0.5)]
+WIDE_SHIFT = [model.make_rational(0.1, 0.5), RAT_005]
 
 
 @pytest.mark.parametrize("m", [SQ, RAT, LOW_GAMMA] + WIDE_SHIFT,
@@ -550,9 +611,8 @@ def test_sphere_pbar_equals_the_nested_average_node_by_node(m):
     # hermite_eval and R_correction calls, must agree.  The shift
     # (2|rho'|)^{-1/2} is 3.2 and 4.5 on the WIDE_SHIFT models, whose
     # correction steps within a fraction of a y-unit.  There the outer nodes
-    # reach |x| > 66, where R_j's own 64/128-node gate does not hold (R_1 is
-    # 1.2e-122 at 66.4), but their weights are below 1e-39, so the
-    # reference takes R_j unchecked.
+    # reach |x| > 66, where R_j is tiny (R_1 is 7.69e-124 at 66.4 on
+    # RAT_0.05) and their weights are below 1e-39.
     t, w = np.polynomial.hermite.hermgauss(128)
     shift = (2.0 * abs(m.rho1_0)) ** -0.5
     for d in (2, 3, 5, 12):
@@ -562,8 +622,7 @@ def test_sphere_pbar_equals_the_nested_average_node_by_node(m):
         for x in (-2.0, 0.5, 3.0, 6.0):
             xt = x + shift * math.sqrt(2.0) * t
             terms = (coef * hermite.hermite_eval("modified", j, xt)
-                     + [bounds.R_correction(m, j, float(v), cross_check=False)
-                        for v in xt])
+                     + [bounds.R_correction(m, j, float(v)) for v in xt])
             want = (norm.pdf(x) * area * math.fsum(w * terms)
                     / math.sqrt(math.pi))
             assert bounds.sphere_pbar(m, d, x) == pytest.approx(want,

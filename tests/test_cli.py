@@ -448,34 +448,49 @@ class TestBoundCommand:
         assert "config error" in proc.stderr and "10" in proc.stderr
         assert proc.stdout == ""
 
-    # gamma < 1, so each row's R_j terms pass the 128-node cross-check
+    # gamma < 1, so each row's R_j terms take the closed-form y-average
     ARGS = ["bound", "--set", f"model={json.dumps(RATIONAL_SPEC)}",
             "--set", f"geometry={json.dumps(CUBE_SPEC)}",
             "--set", "u=[-3.0, -0.5, 0.0, 0.7, 2.5, 6.0, 12.0]"]
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "bb10c7e7b3fb0e8ad5cf218f968651da26aab4c3a11e73012341ab1f6f164212"),
+         "27b49a984a9e259650e2f9f835f3223be3b3ed28d73b88b9301872dc420d52e1"),
         ("csv",
-         "07775fca9eb168256a5d2146830e5dc2b5bc23c5347a1dd6eb3bc94a65b898ca"),
+         "476584df04e87aa0a1e85eb28a8f7327eaab741ea44bf5eb80beb7950b65983f"),
     ])
     def test_output_bytes_pinned(self, capsys, reference_kernels, fmt,
                                  digest):
-        # Digests of the full stdout, taken when each abscissa was its own
-        # pbar_density call, before the abscissae shared one kernel pass.
+        # Under the old Phi the rows keep their bytes: this sweep's Phi
+        # values round alike.
         self.test_output_bytes_pinned_fast_kernels(capsys, fmt, digest)
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "10e0d1da7e2981cf10f1a76daaa5a13b3c49c7f5acbf66ec6b3104090a97e112"),
+         "27b49a984a9e259650e2f9f835f3223be3b3ed28d73b88b9301872dc420d52e1"),
         ("csv",
-         "baa01192924898ef0ea02d1dcdacb817b4ac5854e1a7ac9a677188126199a086"),
+         "476584df04e87aa0a1e85eb28a8f7327eaab741ea44bf5eb80beb7950b65983f"),
     ])
     def test_output_bytes_pinned_fast_kernels(self, capsys, fmt, digest):
-        # Taken when Phi moved off math.erfc (8.8e-16 relative at most).
+        # Taken when R_j's y-average became closed form: pbar moved by
+        # 4.5e-16 relative at most, the complementary terms by 2.4e-14, and
+        # pE kept its bits.
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_levels_past_phi_underflow_print_zero_rows(self, capsys):
+        # The 64/128-node y-average of R_j refused u = 70 here, exit 3 with
+        # "quadrature non-convergent for R_1(70.0)", while 30 and 90 printed.
+        code, out, err = run_cli(capsys, [
+            "bound", "--set", f"model={json.dumps(RATIONAL_SPEC)}",
+            "--set", f"geometry={json.dumps(CUBE_SPEC)}",
+            "--set", "u=[30, 70, 90]"])
+        assert code == 0 and err == ""
+        _, rows = data_rows(out)
+        assert [float(r[0]) for r in rows] == [30.0, 70.0, 90.0]
+        assert float(rows[0][1]) > 0.0
+        assert all(float(v) == 0.0 for v in rows[1][1:])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command,error", [

@@ -1,4 +1,4 @@
-"""Hermite polynomials, Gaussian-weight tail integrals, quadrature."""
+"""Hermite polynomials and Gaussian-weight tail integrals."""
 import json
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -239,58 +238,6 @@ def test_weighted_integral_matches_quadrature(n):
 def test_weighted_integral_rejects_bad_scaling():
     with pytest.raises(ValueError):
         hermite.weighted_integral_Jn(2, 1.0, 0.5, 0.6)
-
-
-# ----------------------------------------------------------------- quadrature
-
-# The Gauss rules for the weight e^{-y^2/2} that the bounds integrate with.
-
-def test_rule_weights_sum_to_sqrt_2pi():
-    for n in (32, 64, 128):
-        nodes, weights = bounds._gauss_rule(n)
-        assert nodes.shape == weights.shape == (n,) and np.all(weights > 0)
-        assert weights.sum() == pytest.approx(math.sqrt(2.0 * math.pi),
-                                              rel=1e-13)
-
-
-def test_rule_is_exact_on_polynomials():
-    # Gaussian moments: int y^{2k} e^{-y^2/2} dy = (2k-1)!! sqrt(2 pi).
-    nodes, weights = bounds._gauss_rule(16)
-    for k, dfac in [(0, 1.0), (1, 1.0), (2, 3.0), (3, 15.0), (4, 105.0)]:
-        got = nodes ** (2 * k) @ weights
-        assert got == pytest.approx(dfac * math.sqrt(2.0 * math.pi), rel=1e-12)
-        assert abs(nodes ** (2 * k + 1) @ weights) < 1e-10
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 16, 32, 64, 127, 128])
-def test_rule_matches_golub_welsch(n):
-    # NumPy's eigenvalue construction, an independent reference, against
-    # Newton's method on the recurrence (built afresh, past the cache).
-    nodes, weights = bounds._gauss_rule.__wrapped__(n)
-    t, w = np.polynomial.hermite.hermgauss(n)
-    np.testing.assert_array_max_ulp(nodes, math.sqrt(2.0) * t, maxulp=3)
-    np.testing.assert_allclose(weights, math.sqrt(2.0) * w, rtol=2e-13, atol=0)
-
-
-def test_rule_builds_without_an_eigensolver(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an eigensolver ran")
-
-    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
-        monkeypatch.setattr(np.linalg, name, refuse)
-    with pytest.raises(AssertionError, match="eigensolver"):
-        np.polynomial.hermite.hermgauss(8)     # the patch takes hold
-    nodes, weights = bounds._gauss_rule.__wrapped__(96)
-    assert weights.sum() == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-13)
-
-
-def test_adaptive_agrees_with_rule_on_smooth_integrand():
-    f = lambda y: math.cos(0.7 * y) + 0.1 * y * y
-    nodes, weights = bounds._gauss_rule(bounds._RULE_NODES)
-    a = np.vectorize(f)(nodes) @ weights
-    b, _ = integrate.quad(lambda y: f(y) * math.exp(-y * y / 2.0),
-                          -np.inf, np.inf, epsabs=1e-13, epsrel=1e-11)
-    assert a == pytest.approx(b, rel=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
