@@ -258,14 +258,16 @@ def T_by_recurrence(j: int, v):
             - math.sqrt(math.pi * j / 2.0) * psi[j] / damp * w[j - 1])
 
 
-def T_average_gauss_hermite(j: int, gamma: float, x, nodes: int = 128):
-    """E T_j(a - bY), Y ~ N(0, 1), a = gamma x/sqrt 2, b^2 = (1 - gamma^2)/2,
-    for each x of an array: the y-average of R_j by an n-node Gauss-Hermite
-    rule from ``numpy.polynomial.hermite.hermgauss``.  The slow path of R_j,
-    which the package summed with 64 nodes, checked by 128, before R_j had
-    its closed form."""
+def T_average_gauss_hermite(j: int, gamma: float, x, nodes: int = 128,
+                            b: float | None = None):
+    """E T_j(a - bY), Y ~ N(0, 1), a = gamma x/sqrt 2, b^2 = (1 - gamma^2)/2
+    unless b is given, for each x of an array: the y-average of R_j by an
+    n-node Gauss-Hermite rule from ``numpy.polynomial.hermite.hermgauss``.
+    The slow path of R_j, which the package summed with 64 nodes, checked
+    by 128, before R_j had its closed form."""
     t, w = np.polynomial.hermite.hermgauss(nodes)
-    b = math.sqrt((1.0 - gamma * gamma) / 2.0)
+    if b is None:
+        b = math.sqrt((1.0 - gamma * gamma) / 2.0)
     a = gamma * np.asarray(x, dtype=float)[..., None] / math.sqrt(2.0)
     v = a - b * math.sqrt(2.0) * t
     return T_by_recurrence(j, v) @ w / math.sqrt(math.pi)

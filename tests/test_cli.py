@@ -455,9 +455,9 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "27b49a984a9e259650e2f9f835f3223be3b3ed28d73b88b9301872dc420d52e1"),
+         "3fe06ce1228b8704a5606bb576e9a18fcb95111df885a0a6844ad593d4cc4219"),
         ("csv",
-         "476584df04e87aa0a1e85eb28a8f7327eaab741ea44bf5eb80beb7950b65983f"),
+         "8dedf1966c582d36067ee0d98a660aa489c4b5c4201776b80fcd086cbdab2cee"),
     ])
     def test_output_bytes_pinned(self, capsys, reference_kernels, fmt,
                                  digest):
@@ -467,14 +467,15 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "27b49a984a9e259650e2f9f835f3223be3b3ed28d73b88b9301872dc420d52e1"),
+         "3fe06ce1228b8704a5606bb576e9a18fcb95111df885a0a6844ad593d4cc4219"),
         ("csv",
-         "476584df04e87aa0a1e85eb28a8f7327eaab741ea44bf5eb80beb7950b65983f"),
+         "8dedf1966c582d36067ee0d98a660aa489c4b5c4201776b80fcd086cbdab2cee"),
     ])
     def test_output_bytes_pinned_fast_kernels(self, capsys, fmt, digest):
-        # Taken when R_j's y-average became closed form: pbar moved by
-        # 4.5e-16 relative at most, the complementary terms by 2.4e-14, and
-        # pE kept its bits.
+        # Taken when one closed form came to serve every averaging width:
+        # against the digests before it, pbar moved by 2.5e-16 relative at
+        # most, complementary_2 by 6.1e-15 and complementary_3 by 3.9e-15;
+        # pE, the principal terms and complementary_1 kept their bits.
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

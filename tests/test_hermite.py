@@ -240,6 +240,20 @@ def test_weighted_integral_rejects_bad_scaling():
         hermite.weighted_integral_Jn(2, 1.0, 0.5, 0.6)
 
 
+@pytest.mark.parametrize("b2", [0.1, 0.5, 2.0])
+def test_scaled_recurrence_is_the_gaussian_average(b2):
+    # p_k(a; 1 - 2b^2) = E u_k(a + bY), Y ~ N(0, 1), also where 1 - 2b^2
+    # <= 0.  A 40-node Gauss-Hermite rule is exact for these degrees, so
+    # the gap is the rounding of its sum, relative to the sum of |terms|.
+    t, w = np.polynomial.hermite.hermgauss(40)
+    a = np.linspace(-4.0, 4.0, 17)
+    u = hermite._norm_hermites(30, a[:, None] + math.sqrt(2.0 * b2) * t)
+    want = u @ w / math.sqrt(math.pi)
+    size = np.abs(u) @ w / math.sqrt(math.pi)
+    got = hermite._norm_hermites(30, a, 1.0 - 2.0 * b2)
+    assert np.all(np.abs(got - want) <= 1e-14 * size)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=hst.integers(0, 20), x=hst.floats(-6.0, 6.0))
 def test_recurrence_consistency_property(n, x):
