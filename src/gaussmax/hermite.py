@@ -194,6 +194,17 @@ _Z_CLIP, _LIFT = 27.5, 64.0
 _HALF_DROP = 0.5 * math.exp(-_LIFT)
 
 
+def _erfcx(a: np.ndarray) -> np.ndarray:
+    """e^{a^2} erfc(a) for a >= 1, elementwise, from the rational forms
+    above; finite and meaningless for other finite a."""
+    ratio = _polevl(a, _ERFC_P) / _polevl(a, _ERFC_Q, monic=True)
+    far = a >= 8.0
+    if far.any():
+        af = a[far]
+        ratio[far] = _polevl(af, _ERFC_R) / _polevl(af, _ERFC_S, monic=True)
+    return ratio
+
+
 def _Phi(x):
     """The standard normal CDF, Phi(x) = erfc(z)/2 with z = -x/sqrt 2,
     elementwise, from Cephes' rational approximations of erf and erfc in
@@ -224,13 +235,7 @@ def _Phi(x):
     m -= a
     rest *= m                                # -(|z| - m)(|z| + m)
     tail *= np.exp(rest, out=rest)
-    ratio = _polevl(a, _ERFC_P, out=m)      # m and rest are dead: reuse them
-    ratio /= _polevl(a, _ERFC_Q, monic=True, out=rest)
-    far = a >= 8.0
-    if far.any():
-        af = a[far]
-        ratio[far] = _polevl(af, _ERFC_R) / _polevl(af, _ERFC_S, monic=True)
-    tail *= ratio
+    tail *= _erfcx(a)
     tail *= _HALF_DROP                       # erfc(|z|)/2
     out = np.subtract(1.0, tail, out=tail, where=z < 0.0)
     near = a < 1.0

@@ -27,11 +27,25 @@ sigma^2/2, sigma = hypot(gamma (2|rho'|)^{-1/2}, sqrt(1 - gamma^2)), of
 ``bounds.sphere_pbar``'s shift average, on the two models whose b^2 is above
 1/2 (2 and 3.67), with the same passes and checks.
 
+The "tail" entries are the rotated tail integrals of ``bounds.tail_bound``,
+
+    C_j(u) = int phi(a) T_j(a/sqrt 2) Phi((gamma a - u)/s) da,
+
+s = sqrt(1 - gamma^2), with the step 1{a >= u} in place of Phi at
+gamma = 1, on the five models of tests/test_bounds.py.  They are summed
+with the same rules and passes on panels 0.25 wide over [-24, max(0, u) +
+24] (from u at gamma = 1), refined to 1/40 within 4 of the mass at
+gamma u and to s/(4 gamma) within 8 s/gamma of the step at u/gamma.  At
+every (gamma, u) both passes must match the exact C_1 = sqrt(3/2)
+Psi(u/theta) - sqrt(pi) gamma phi(u) Psi(gamma u/sqrt(3 - gamma^2)) and
+C_2 = 2 sqrt(2/3) Psi(u/theta), theta^2 = 1 - gamma^2/3, to 1e-20.
+
 Tier-1 tests read only the JSON file, so they need no mpmath.  Run from the
-repository root (it takes several minutes):
+repository root (it takes about half an hour on one core):
 
     python tests/make_R_references.py
 """
+import functools
 import json
 import math
 import os
@@ -56,6 +70,9 @@ AGREE, EXACT, WIDTH, PAD = mp.mpf("1e-25"), mp.mpf("1e-20"), 0.25, 24
 WIDE = {"RAT_0.1": (0.1, 0.5), "RAT_0.05": (0.05, 0.5)}
 WIDE_ORDERS = (1, 2, 4, 11)
 WIDE_GRID = [-6.0, -4.0, -2.0, 0.5, 1.5, 3.0, 4.5, 6.0, 8.0, 10.0, 12.0, 15.0]
+# The tail's models: MODELS and the squared exponential, whose gamma is 1.
+TAIL = dict(MODELS, SQ=None)
+TAIL_ORDERS, TAIL_LEVELS = (1, 2, 3, 5, 11), [-5.0, 0.0, 2.5, 8.0, 15.0, 25.0]
 
 
 def T_values(orders, v):
@@ -113,11 +130,50 @@ def averages(orders, gamma, x, dps, degree, b2=None):
         return {j: +total[j] for j in orders}
 
 
-def agreed(name, orders, gamma, x, b2=None):
+def tails(orders, gamma, u, dps, degree):
+    """{j: C_j(u)}, with 3 2^(degree-1) Gauss-Legendre nodes per panel, at
+    ``dps`` digits; also checks the exact C_1 and C_2."""
+    with mp.workdps(dps):
+        gamma, u = mp.mpf(gamma), mp.mpf(u)
+        s = mp.sqrt(1 - gamma ** 2)
+        lo, hi = (-PAD if s else max(u, -PAD)), max(0, u) + PAD
+        edges = {lo + WIDTH * p
+                 for p in range(int(mp.ceil((hi - lo) / WIDTH)))}
+        edges |= {gamma * u + mp.mpf(p) / 40 for p in range(-160, 161)}
+        if s:
+            width = s / gamma
+            edges |= {u / gamma + width * p / 4 for p in range(-32, 33)}
+        edges = sorted(e for e in edges | {hi} if lo <= e <= hi)
+        rule = mp.calculus.quadrature.GaussLegendre(mp.mp).calc_nodes(
+            degree, mp.mp.prec)
+        need = sorted(set(orders) | {1, 2})
+        total = dict.fromkeys(need, mp.mpf(0))
+        for left, right in zip(edges[:-1], edges[1:]):
+            half, mid = (right - left) / 2, (right + left) / 2
+            for t, w in rule:
+                a = mid + half * t
+                weight = w * half * mp.npdf(a)
+                if s:
+                    weight *= mp.ncdf((gamma * a - u) / s)
+                for j, T in T_values(need, a / mp.sqrt(2)).items():
+                    total[j] += weight * T
+        theta = mp.sqrt(1 - gamma ** 2 / 3)
+        r = mp.sqrt(3 - gamma ** 2)
+        exact = {1: mp.sqrt(1.5) * mp.ncdf(-u / theta) - mp.sqrt(mp.pi)
+                 * gamma * mp.npdf(u) * mp.ncdf(-gamma * u / r),
+                 2: 2 * mp.sqrt(mp.mpf(2) / 3) * mp.ncdf(-u / theta)}
+        for j, want in exact.items():
+            if abs(total[j] - want) > EXACT * abs(want):
+                sys.exit(f"C_{j} at gamma={gamma}, u={u}, {dps} digits: "
+                         f"{total[j]} against the exact {want}")
+        return {j: +total[j] for j in orders}
+
+
+def agreed(name, orders, gamma, x, passes=averages):
     """[[name, j, x, value]] for each j of ``orders`` whose two passes
     agree."""
-    coarse = averages(orders, gamma, x, 40, 3, b2)
-    fine = averages(orders, gamma, x, 60, 4, b2)
+    coarse = passes(orders, gamma, x, 40, 3)
+    fine = passes(orders, gamma, x, 60, 4)
     rows = []
     for j in orders:
         if abs(coarse[j] - fine[j]) > AGREE * abs(fine[j]):
@@ -148,7 +204,15 @@ def main():
         b2 = sigma * sigma / 2.0
         wide_models[name] = {"c": c, "beta": beta, "gamma": gamma, "b2": b2}
         for x in WIDE_GRID:
-            wide_rows += agreed(name, WIDE_ORDERS, gamma, x, b2)
+            wide_rows += agreed(name, WIDE_ORDERS, gamma, x,
+                                functools.partial(averages, b2=b2))
+    tail_rows, tail_models = [], {}
+    for name, spec in TAIL.items():
+        gamma = (model.make_rational(*spec) if spec else
+                 model.make_squared_exponential(0.5)).gamma
+        tail_models[name] = {"gamma": gamma}
+        for u in TAIL_LEVELS:
+            tail_rows += agreed(name, TAIL_ORDERS, gamma, u, tails)
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
     with open(OUT, "w") as f:
         json.dump({"quantity": "E T_j(gamma x/sqrt 2 - b Y), b^2 = "
@@ -156,7 +220,10 @@ def main():
                    "models": models, "values": rows,
                    "wide": {"quantity": "E T_j(gamma x/sqrt 2 - b Y), b^2 "
                                         "as given, Y ~ N(0, 1)",
-                            "models": wide_models, "values": wide_rows}},
+                            "models": wide_models, "values": wide_rows},
+                   "tail": {"quantity": "C_j(u) = int phi(a) T_j(a/sqrt 2) "
+                                        "Phi((gamma a - u)/s) da",
+                            "models": tail_models, "values": tail_rows}},
                   f, indent=1)
         f.write("\n")
 

@@ -33,7 +33,8 @@ WIDE_SHIFT = [model.make_rational(0.1, 0.5), RAT_005]
 def _R_references(section=None):
     """tests/data/R_references.json, written by make_R_references.py: the
     models as (c, beta, gamma), and E T_j(a - bY) by (model, j, x).  The
-    models of the "wide" section carry their b^2 too."""
+    models of the "wide" section carry their b^2 too; the "tail" section
+    has C_j(u) by (model, j, u), and its models only their gamma."""
     path = os.path.join(os.path.dirname(__file__), "data", "R_references.json")
     with open(path) as f:
         data = json.load(f)
@@ -125,16 +126,6 @@ def test_T_rows_running_sum_equals_cumsum_bit_for_bit(v):
             got = bounds._T_rows(orders, v)
             want = _T_rows_by_cumsum(orders, v)
         assert got.tobytes() == want.tobytes()
-
-
-def test_legendre_rule_matches_numpy_leggauss():
-    from numpy.polynomial.legendre import leggauss
-    t, w = bounds._legendre_rule()
-    want_t, want_w = leggauss(16)
-    for got, want in ((t, want_t), (w, want_w)):
-        gap = np.abs(got - want)
-        assert gap.max() <= 1e-15 and (gap / np.abs(want)).max() <= 1e-14
-    assert (np.diff(t) > 0.0).all() and (w > 0.0).all()
 
 
 # --------------------------------------------------------- correction terms
@@ -275,10 +266,10 @@ def test_pbar_density_equals_its_one_order_view(m, geom):
 SIMPLEX3 = geometry.polytope_g_coeffs(
     [[[-1.0, 0.0, 0.0], 0.0], [[0.0, -1.0, 0.0], 0.0],
      [[0.0, 0.0, -1.0], 0.0], [[1.0, 1.0, 1.0], 1.0]], reps=1000, seed=1)
-# Both sides of 0, past one block, and levels whose tail panels get a
-# different number of local edges around the smoothed step (ragged nodes).
+# Both sides of 0, past one block, and levels past |u| = 40, where the
+# tail's closed form clips its level.
 SWEEP = [float(v) for v in np.linspace(-20.0, 30.0, 41)] + [
-    -0.5, 0.0, 0.7, 3.0, 7.5, 8.0, 12.0, 25.0]
+    -0.5, 0.0, 0.7, 3.0, 7.5, 8.0, 12.0, 25.0, -45.0, 60.0]
 
 
 def _hex(values):
@@ -294,9 +285,6 @@ def test_rows_kernels_equal_each_abscissa_alone(m, geom):
     # One kernel pass per block of abscissae gives, bit for bit, what each
     # abscissa gives alone through its one-row view.
     assert len(SWEEP) > hermite._BLOCK
-    gamma, s = bounds._gamma_s(m)
-    panels = {len(bounds._tail_edges(u, gamma, s, geom.d0)) for u in SWEEP}
-    assert s == 0.0 or len(panels) > 1       # ragged node counts covered
 
     for x, b in zip(SWEEP, bounds._pbar_rows(m, geom, SWEEP)):
         alone = bounds.pbar_density(m, geom, x)
@@ -327,7 +315,8 @@ def test_rows_kernel_keeps_each_rows_error():
     kernels = ((bounds._pbar_rows, bounds.pbar_density),
                (bounds._tail_rows, bounds.tail_bound))
     overflowing = model.make_squared_exponential(1e154)
-    cases = [(SQ, SQUARE), (overflowing, SQUARE), (overflowing, CUBE)]
+    # The cube: on the square, the tail at 1e155 is 0.0, not an error.
+    cases = [(SQ, CUBE), (overflowing, SQUARE), (overflowing, CUBE)]
     with np.errstate(all="ignore"):
         for (m, geom), xs in itertools.product(cases, sweeps):
             for rows, alone in kernels:
@@ -362,23 +351,34 @@ def test_R_correction_gate_is_relative_in_the_tail():
 
 
 def test_checked_quadrature_rejects_nonfinite_values():
+    # The one check of the module's results: finiteness, named.
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="not finite"):   # the value
-            bounds._checked(bad, 1.0, "a bad value")
-        with pytest.raises(ValueError, match="at flat index 1"):
-            bounds._checked(np.array([1.0, bad]), np.array([1.0, bad]), "x")
-        with pytest.raises(RuntimeError, match="non-convergent"):  # the check
-            bounds._checked(1.0, bad, "a bad check")
+        with pytest.raises(ValueError, match=(
+                rf"^value not finite for a bad value: value {bad!r}$")):
+            bounds._check_finite(bad, "a bad value")
+        with pytest.raises(ValueError, match="for x at flat index 1: value"):
+            bounds._check_finite(np.array([1.0, bad]), "x")
+    value = np.array([1.0, 1e-310, 0.0, -1e300])
+    assert bounds._check_finite(value, "x") is value
 
 
 def test_checked_gate_is_relative_and_elementwise():
-    value = np.array([1.0, 1e-30, 0.0])
-    assert bounds._checked(value, value * (1 + 5e-8), "x") is value
-    assert bounds._checked(0.0, 1e-310, "below the smallest normal") == 0.0
-    with pytest.raises(RuntimeError, match="for x at flat index 1"):
-        bounds._checked(value, np.array([1.0, 1.1e-30, 0.0]), "x")
-    with pytest.raises(RuntimeError, match="non-convergent for y: value"):
-        bounds._checked(1e-40, 2e-40, "y")
+    # A callable names column i of the last axis; the first failing column
+    # is reported, as that column alone reports it.  Tiny finite entries
+    # pass: the check has no tolerance.
+    value = np.array([[1.0, 1e-40, np.inf, np.nan],
+                      [2.0, np.nan, 1e-300, 0.0]])
+    with pytest.raises(ValueError, match=(
+            r"^value not finite for column 1 at flat index 1: value nan$")):
+        bounds._check_finite(value, lambda i: f"column {i}")
+    for i in (1, 2, 3):
+        with pytest.raises(ValueError) as alone:
+            bounds._check_finite(value[:, i:], lambda k: f"column {i + k}")
+        with pytest.raises(ValueError) as column:
+            bounds._check_finite(value[:, i], f"column {i}")
+        assert str(alone.value) == str(column.value)
+    first = value[:, :1]
+    assert bounds._check_finite(first, lambda i: "never") is first
 
 
 @pytest.mark.parametrize("call", [
@@ -411,6 +411,7 @@ def test_overflow_past_the_floats_raises(call):
     # Finite abscissae whose terms leave the floats: with the overflow
     # warnings silenced, as outside the test suite, each used to return NaN
     # (the tail levels: to raise OverflowError counting the step edges).
+    # On NEAR_ONE the pE tail's Hbar_1(u) phi(u) g_1 term is inf * 0 there.
     with np.errstate(all="ignore"), pytest.raises(ValueError,
                                                   match="not finite"):
         call()
@@ -510,6 +511,23 @@ def test_tail_bound_matches_density_quadrature(m, u):
     assert t.pbar_tail >= t.pE_tail
 
 
+@pytest.mark.parametrize("name,m", [
+    ("SQ", SQ), ("RAT", RAT), ("LOW_GAMMA", LOW_GAMMA),
+    ("NEAR_ONE", NEAR_ONE), ("RAT_0.05", RAT_005)])
+def test_tail_integrals_match_high_precision_references(name, m):
+    # C_j(u) against tests/data/R_references.json ("tail"), the rotated
+    # integral summed by mpmath.  tail_bound's docstring has the figures.
+    models, refs = _R_references("tail")
+    gamma, s = bounds._gamma_s(m)
+    assert gamma == models[name]["gamma"]
+    cases = [(j, u, want) for (n, j, u), want in refs.items() if n == name]
+    assert len(cases) == 30
+    for j, u, want in cases:
+        got = bounds._tail_integrals([j], np.array([u]), gamma, s)[0, 0]
+        assert got == pytest.approx(want, rel=1e-13 if u <= 8.0 else 1e-12,
+                                    abs=0.0), (j, u)
+
+
 def test_tail_bound_iterates_as_pair():
     pbar_tail, pe_tail = bounds.tail_bound(SQ, SQUARE, 2.0)
     assert pbar_tail > pe_tail > 0.0
@@ -536,27 +554,43 @@ def test_tail_derivative_is_minus_density():
         assert (up - dn) / (2.0 * h) == pytest.approx(-dens, rel=1e-6)
 
 
-@pytest.mark.parametrize("m", [LOW_GAMMA, RAT, NEAR_ONE, SQ],
-                         ids=["gamma0.41", "gamma0.71", "gamma0.99995",
-                              "gamma1"])
-@pytest.mark.parametrize("u", [-1.0, 2.5, 8.0])
-def test_tail_correction_matches_adaptive_quadrature(m, u):
+def _tail_correction_against_quadrature(m, geom, u):
     # The slow path the rotated 1-D integral replaces: phi * sum_j g_j R_j
     # integrated adaptively over [u, inf), with R_j from its y-average.
     # Near gamma = 1 the rotated integrand has a step of width s/gamma.
     def density(x):
         return norm.pdf(x) * math.fsum(
-            CUBE.g[j] * bounds.R_correction(m, j, x)
-            for j in range(1, CUBE.d0 + 1))
+            geom.g[j] * bounds.R_correction(m, j, x)
+            for j in range(1, geom.d0 + 1))
 
     want, _ = integrate.quad(density, u, np.inf, epsabs=0.0, epsrel=1e-10,
                              limit=200)
-    got = bounds.tail_bound(m, CUBE, u).complementary
+    got = bounds.tail_bound(m, geom, u).complementary
     assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
+TAIL_MODELS = pytest.mark.parametrize(
+    "m", [LOW_GAMMA, RAT, NEAR_ONE, SQ],
+    ids=["gamma0.41", "gamma0.71", "gamma0.99995", "gamma1"])
+TAIL_LEVELS = pytest.mark.parametrize("u", [-1.0, 2.5, 8.0, 15.0, 25.0])
+
+
+@TAIL_MODELS
+@TAIL_LEVELS
+def test_tail_correction_matches_adaptive_quadrature(m, u):
+    _tail_correction_against_quadrature(m, CUBE, u)
+
+
+@TAIL_MODELS
+@TAIL_LEVELS
+def test_tail_correction_matches_adaptive_quadrature_on_a_12_box(m, u):
+    # Orders 1..12, with the even and odd recurrences of the closed form.
+    _tail_correction_against_quadrature(
+        m, geometry.rectangle_faces([1.0, 0.5, 2.0] * 4), u)
+
+
 @settings(max_examples=30, deadline=None)
-@given(u=hst.floats(-4.0, 10.0), du=hst.floats(1e-6, 3.0),
+@given(u=hst.floats(-4.0, 30.0), du=hst.floats(1e-6, 3.0),
        m=hst.sampled_from([SQ, RAT, LOW_GAMMA]),
        geom=hst.sampled_from([SQUARE, CUBE]))
 def test_tail_bound_does_not_increase(u, du, m, geom):
@@ -575,23 +609,6 @@ def test_tail_difference_is_density_integral(sides, u, du, m):
     got = (bounds.tail_bound(m, geom, u).pbar_tail
            - bounds.tail_bound(m, geom, u + du).pbar_tail)
     assert got == pytest.approx(want, rel=1e-9, abs=0.0)
-
-
-def test_tail_gate_catches_rule_without_step_edges(monkeypatch):
-    # Without the edges around the smoothed step at u/gamma, the rule is
-    # 3.4e-5 off at gamma = 0.999, u = 8, where the mass is about 1.5e-17:
-    # far below any absolute floor, so only a relative gate sees it.
-    m = model.make_rational(1.0, 0.999 ** 2 / (1.0 - 0.999 ** 2))
-    assert m.gamma == pytest.approx(0.999, rel=1e-12)
-    bounds.tail_bound(m, CUBE, 8.0)
-
-    def no_step_edges(u, gamma, s, j_max):
-        pad = 12.0 + math.sqrt(j_max)
-        return np.linspace(-pad, max(0.0, u) + pad, bounds._TAIL_PANELS + 1)
-
-    monkeypatch.setattr(bounds, "_tail_edges", no_step_edges)
-    with pytest.raises(RuntimeError, match="non-convergent"):
-        bounds.tail_bound(m, CUBE, 8.0)
 
 
 def test_pE_tail_past_the_floats_fails_its_row():

@@ -43,13 +43,11 @@ def data_rows(csv_text):
 
 @pytest.fixture
 def reference_kernels(monkeypatch):
-    """Phi from math.erfc and the Legendre rule from numpy.polynomial, the
-    kernels the first output digests were taken with.  Under them every
-    other stage of a command must still give those bytes."""
-    from numpy.polynomial.legendre import leggauss
+    """Phi from math.erfc, the kernel the first output digests were taken
+    with.  Under it every other stage of a command must still give those
+    bytes."""
     for mod in (hermite, bounds, randmat):
         monkeypatch.setattr(mod, "_Phi", oracles.Phi_by_erfc)
-    monkeypatch.setattr(bounds, "_legendre_rule", lambda: leggauss(16))
 
 
 class TestRunConfig:
@@ -342,25 +340,27 @@ class TestTailCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "122704b3ad469843746cfb0cfa10c2918f2b5d9cfc33bdaf238152841dc2485e"),
+         "1f00769ecb50c5edbf91dc7bd8ba9d4681fe657dd44ab566f237698f39cf1531"),
         ("csv",
-         "371b060472887caa8aaa4900b0a1578a1682dd91d0f7b4007104fe062bb05ae0"),
+         "6b86dc4715d9184b727d0a30025d3c09aa048d242caed44a33d79e1234161268"),
     ])
     def test_output_bytes_pinned(self, capsys, reference_kernels, fmt,
                                  digest):
-        # Digests of the full stdout, taken when each level was its own
-        # tail_bound call, before the levels shared one kernel pass.
+        # Digests of the full stdout under the old Phi, re-taken when the
+        # tail correction became a closed form: pbar_tail moved by 4.7e-16
+        # relative at most, and pE_tail kept its bits.
         self.test_output_bytes_pinned_fast_kernels(capsys, fmt, digest)
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "4304f8f37186aa91605e7ce8c9f39c39f3d2322472f9f63607c8eff7fa2ba59a"),
+         "d4bd8f3c7bd882f69d3ff68cb167c0bc9c7e94ab919f89ac50be0231f42e4da7"),
         ("csv",
-         "c267ab822b166acacc21457eea3986f13eb633b314137b64e56ee91780d8acc3"),
+         "f8df9c53c96f551564918ce1d4c16fe6a6914d7d4745b867189b940a45dfa32f"),
     ])
     def test_output_bytes_pinned_fast_kernels(self, capsys, fmt, digest):
-        # Taken when Phi and the Legendre rule moved off math.erfc and
-        # numpy.polynomial (3.3e-16 relative at most).
+        # Taken when the tail correction became a closed form, in place of
+        # Gauss-Legendre panels: pbar_tail moved by 3.6e-16 relative at
+        # most, and pE_tail kept its bits.
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -370,19 +370,35 @@ class TestTailCommand:
         # On the cube the pE tail at u = -1e155 is inf * 0; it used to print
         # as a row of NaN with exit status 0.  The finite rows were re-pinned
         # when Phi and the Legendre rule moved off math.erfc and
-        # numpy.polynomial (3.2e-16 relative at most).
+        # numpy.polynomial (3.2e-16 relative at most), and when the tail
+        # correction became a closed form (pbar_tail, 2.7e-16).
         error = ("u=-1e+155: value not finite for the pE tail at u=-1e+155: "
-                 "value nan, check nan")
+                 "value nan")
         code, out, err = run_cli(capsys, [
             "tail", "--set", f"model={json.dumps(RATIONAL_SPEC)}",
             "--set", f"geometry={json.dumps(CUBE_SPEC)}",
             "--set", "u=[-1e155, -1e70, 0]"])
         assert code == 3
         _, rows = data_rows(out)
-        assert rows == [["-1.0000000000000001e+70", "10.980519958391678", "1"],
-                        ["0", "5.4902599791958391", "1.1035923410864852"]]
+        assert rows == [["-1.0000000000000001e+70", "10.980519958391675", "1"],
+                        ["0", "5.4902599791958382", "1.1035923410864852"]]
         assert out.endswith(f"# error: {error}\n")
         assert err == f"gaussmax: numeric failure: {error}\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_levels_past_phi_underflow_print_zero_rows(self, capsys):
+        # The panel rule's nodes overflowed at these levels, so each row
+        # failed with "value not finite for the complementary tail".
+        big = float(np.finfo(float).max)
+        code, out, err = run_cli(capsys, [
+            "tail", "--set", f"model={json.dumps(SQ_SPEC)}",
+            "--set", f"geometry={json.dumps(RECT_SPEC)}",
+            "--set", f"u=[3.0, 1e155, 1e308, {big!r}]"])
+        assert code == 0 and err == ""
+        _, rows = data_rows(out)
+        assert [float(r[0]) for r in rows] == [3.0, 1e155, 1e308, big]
+        assert float(rows[0][1]) > 0.0
+        assert all(float(v) == 0.0 for r in rows[1:] for v in r[1:])
 
     @pytest.mark.parametrize("command", ["tail", "bound"])
     def test_sphere_geometry_is_config_error(self, capsys, command):
@@ -496,22 +512,24 @@ class TestBoundCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command,error", [
         ("bound", "x=1e+155: value not finite for the pE terms at x=1e+155 "
-                  "at flat index 2: value nan, check nan"),
-        ("tail", "u=1e+155: value not finite for the complementary tail at "
-                 "u=1e+155: value nan, check nan")])
+                  "at flat index 2: value nan"),
+        ("tail", "u=1e+155: value not finite for the pE tail at u=1e+155: "
+                 "value nan")])
     def test_failing_row_fails_alone(self, capsys, command, error):
         # The error lines are those of the sweep that computed each row on
         # its own; the rows on either side, in the same block, still print.
+        # On the cube: the square's tail at 1e155 is a row of 0s.
         code, out, err = run_cli(capsys, [
             command, "--set", f"model={json.dumps(SQ_SPEC)}",
-            "--set", f"geometry={json.dumps(RECT_SPEC)}",
+            "--set", f"geometry={json.dumps(CUBE_SPEC)}",
             "--set", "u=[1.0, 1e155, 2.0]"])
         assert code == 3
         _, rows = data_rows(out)
         assert [float(r[0]) for r in rows] == [1.0, 2.0]
         assert out.endswith(f"# error: {error}\n")
         assert err == f"gaussmax: numeric failure: {error}\n"
-        m, geom = make_squared_exponential(0.5), geometry.rectangle_faces([1, 1])
+        m, geom = make_squared_exponential(0.5), geometry.rectangle_faces(
+            [1, 1, 1])
         for row, level in zip(rows, (1.0, 2.0)):
             want = (bounds.pbar_density(m, geom, level).pbar
                     if command == "bound" else
@@ -521,57 +539,62 @@ class TestBoundCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command,fmt,digest", [
         ("bound", "csv",
-         "e386a66d1a52a6cdc4861fbef8d619f77b104ee3c4474924707e089a81848d0c"),
+         "1ea1c30179c8081fe26a051972ba6963d21b9446b32b7837cb8fd87b78d242df"),
         ("bound", "json",
-         "0021f3976c4acf7fe1c7224702f3648809802b6e4450a7680c933990468f3587"),
+         "ea59175d4d345f2fd5041529ea35aede409f6cf855ef7a56e7c752c3c26f1c68"),
         ("tail", "csv",
-         "f436094ac67da5d421557727a014d13382bc0c11ca298694007d194d4313196c"),
+         "85a8388c9231eb4f8019c6f34ab2bfbab026a453d55fe87d79a7a1fe7075cd5d"),
         ("tail", "json",
-         "a3ef5aa87852e2f29a212a4aad6f2e38af7fc1b0612703ce8708f6410b7e4f6d"),
+         "f2c7aff39fb22777e9b1e675fe8b774fdaf376af41e2db5ecb7dbd47cf238031"),
     ])
     def test_nonfinite_levels_fail_their_rows(self, capsys, reference_kernels,
                                               command, fmt, digest):
         # NaN and infinite levels fail their own rows, in the same block as
         # finite ones and one that overflows; digests and error lines taken
-        # when the sweep checked each level before any kernel ran.
+        # when the sweep checked each level before any kernel ran, and
+        # re-taken when the results' check lost its ", check nan" and the
+        # tail correction became a closed form (the tail's finite rows
+        # kept their bits under this Phi; 1e155 became a row of 0s).
         self.test_nonfinite_levels_fail_their_rows_fast_kernels(
             capsys, command, fmt, digest)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command,fmt,digest", [
         ("bound", "csv",
-         "e6eccfb0c77ac69059b3cfe0565548e8572c8bdff42dbf35c0cff0a96570a077"),
+         "46cc751b19fc45f0b46f94b97a2ca576c9047a57018c90b9a69473bd2b80ac72"),
         ("bound", "json",
-         "7cf85a9bf5a208e720328bb47ec94ab2d1f3a3e4bbe6d1eaa9b706a622f99306"),
+         "cc6f1f8a53342a23a08eb030e5361665591ae5eb11ca8ff1fd79a0cd631ffe93"),
         ("tail", "csv",
-         "47ff4ce56ced6f4b1161d6f651ec09fd8788339a99b151a1d5f3aa250477d96c"),
+         "7d831dfa212b141d128ed73ecc733d019d92c852abd9d0bccf10f01700613b59"),
         ("tail", "json",
-         "cabb4c919dd83dd4349d78e7eeda4a82293857d021684e9e43d7dcc7be9cb349"),
+         "56ea51b991d4d75fab5d6c7d05dc774cf1395b8e6a844e055a1044dde78c2e32"),
     ])
     def test_nonfinite_levels_fail_their_rows_fast_kernels(self, capsys,
                                                            command, fmt,
                                                            digest):
         # Taken when Phi and the Legendre rule moved off math.erfc and
-        # numpy.polynomial (1.2e-15 relative at most); the error lines are
-        # unchanged.
+        # numpy.polynomial (1.2e-15 relative at most), and re-taken when
+        # the error lines lost their ", check nan" and the tail correction
+        # became a closed form: pbar_tail moved by 2.4e-16 relative at
+        # most, and the tail at 1e155 became a row of 0s.
         code, out, err = run_cli(capsys, [
             command, "--set", f"model={json.dumps(SQ_SPEC)}",
             "--set", f"geometry={json.dumps(RECT_SPEC)}",
             "--set", "u=[1.0, NaN, 2.0, Infinity, 1e155, -Infinity, 3.0]",
             "--format", fmt])
         label = "x" if command == "bound" else "u"
-        overflow = (
-            "value not finite for the pE terms at x=1e+155 at flat index 2"
-            if command == "bound" else
-            "value not finite for the complementary tail at u=1e+155")
+        failures = [("nan", f"{label} must be finite, got nan"),
+                    ("inf", f"{label} must be finite, got inf"),
+                    ("-inf", f"{label} must be finite, got -inf")]
+        if command == "bound":      # the tail at 1e155 is a row of 0s
+            failures.insert(2, ("1e+155", "value not finite for the pE terms "
+                                          "at x=1e+155 at flat index 2: "
+                                          "value nan"))
         assert code == 3
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert err == "".join(
-            f"gaussmax: numeric failure: {label}={v}: {why}\n" for v, why in [
-                ("nan", f"{label} must be finite, got nan"),
-                ("inf", f"{label} must be finite, got inf"),
-                ("1e+155", f"{overflow}: value nan, check nan"),
-                ("-inf", f"{label} must be finite, got -inf")])
+            f"gaussmax: numeric failure: {label}={v}: {why}\n"
+            for v, why in failures)
 
     @pytest.mark.parametrize("command,column", [
         ("bound", 0), ("tail", 0), ("goe", 1)])
@@ -700,13 +723,15 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "b45d2e732acdf9916a8a2dc14fee6a97d857a34c9f367d8d9970abcb9ecaf418"),
+         "4996a8f772c8ec783d4999dfce28f74acbe0c75172407d80ce1bb149456ccbc5"),
         ("csv",
-         "29a480fb295a0303545c060007a7768e9067a10386ce845cee93290f4a0f60ad"),
+         "33c883f13eeea5d3ee7de87634c6d4d2ece473f7617f34f7df3667742fb2e1cd"),
     ])
     def test_output_bytes_pinned_fast_kernels(self, capsys, fmt, digest):
         # Taken when Phi and the Legendre rule moved off math.erfc and
-        # numpy.polynomial (1.4e-16 relative at most).
+        # numpy.polynomial (1.4e-16 relative at most), and re-taken when
+        # the tail correction became a closed form: pbar_tail moved by
+        # 2.4e-16 relative; under the old Phi the bytes did not move.
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -722,7 +747,7 @@ class TestValidateCommand:
             "--set", "refinements=[1]", "--reps", "20"])
         assert code == 3 and out == ""
         assert err == ("gaussmax: numeric failure: value not finite for the "
-                       "pE tail at u=-1e+155: value nan, check nan\n")
+                       "pE tail at u=-1e+155: value nan\n")
 
     def test_requires_rectangle(self, capsys):
         code, _, err = run_cli(capsys, [
@@ -1094,9 +1119,9 @@ class TestEntryPoint:
         assert json.loads(proc.stdout) == [0, False]
 
     def test_no_command_loads_numpy_polynomial(self):
-        # Every Gauss rule, Hermite and Legendre alike, comes from Newton's
-        # method on its recurrence, so no command, nor sphere_pbar's panel
-        # sum, imports numpy.polynomial.
+        # The densities, the tail and sphere_pbar are closed forms with no
+        # Gauss rule, so no command, nor sphere_pbar, imports
+        # numpy.polynomial.
         model = f"model={json.dumps(RATIONAL_SPEC)}"
         runs = [["bound", "--set", model,
                  "--set", f"geometry={json.dumps(CUBE_SPEC)}",

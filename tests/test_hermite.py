@@ -192,8 +192,11 @@ def test_Phi_of_a_scalar_or_0d_input_is_a_float(x):
 
 def test_Phi_into_its_dead_buffers_is_bit_identical_on_tail_nodes(
         monkeypatch, capsys):
-    # Every Phi argument of a polytope tail sweep (the benchmark's: the
-    # rational model on the unit 3-simplex, 101 levels in [-2, 8]).
+    # Every Phi argument of a polytope tail sweep: the benchmark's rational
+    # model on the unit 3-simplex, at levels in [-40, 40].  The tail's
+    # closed form takes three Phi values per level, so the sweep has
+    # 40,001 levels; the panel rule it replaced took thousands per level
+    # on the benchmark's 101.
     from gaussmax import cli
     nodes, Phi = [], hermite._Phi
 
@@ -210,7 +213,8 @@ def test_Phi_into_its_dead_buffers_is_bit_identical_on_tail_nodes(
         "tail", "--format", "json", "--reps", "100000", "--seed", "190",
         "--set", 'model={"family": "rational", "c": 1.0, "beta": 1.0}',
         "--set", f"geometry={json.dumps(simplex)}",
-        "--set", f"u={json.dumps(np.linspace(-2.0, 8.0, 101).tolist())}"]) == 0
+        "--set",
+        f"u={json.dumps(np.linspace(-40.0, 40.0, 40001).tolist())}"]) == 0
     capsys.readouterr()
     assert sum(n.size for n in nodes) > 10 ** 5
     got = [np.asarray(Phi(x)).tobytes() for x in nodes]
