@@ -263,17 +263,16 @@ def _log_ck(n: int) -> float:
     return -0.5 * (n * _LOG2 + math.lgamma(n + 1) + 0.5 * math.log(math.pi))
 
 
-def _norm_hermites(n: int, nu: np.ndarray, g2: float = 1.0) -> np.ndarray:
-    """p_k = g^k u_k(nu/g), u_k = c_k H_k, for k = 0..n via the orthonormal
-    recurrence with its k-term times g2 = g^2: real for every real g2, the
-    u_k at g2 = 1, and E u_k(a + bY) = p_k(a; 1 - 2b^2), Y ~ N(0, 1)."""
+def _norm_hermites(n: int, nu: np.ndarray) -> np.ndarray:
+    """The orthonormal values u_k = c_k H_k(nu), k = 0..n, by their
+    three-term recurrence."""
     u = np.empty((n + 1,) + nu.shape)
     u[0] = math.pi ** -0.25
     if n >= 1:
         u[1] = math.sqrt(2.0) * nu * u[0]
     for k in range(1, n):
         u[k + 1] = (math.sqrt(2.0 / (k + 1)) * nu * u[k]
-                    - g2 * math.sqrt(k / (k + 1.0)) * u[k - 1])
+                    - math.sqrt(k / (k + 1.0)) * u[k - 1])
     return u
 
 
@@ -310,13 +309,11 @@ def _tail_sum(n: int, ut: np.ndarray):
     return s
 
 
-def _eval_all(kind: HermiteKind, n: int, x, g2: float = 1.0) -> np.ndarray:
+def _eval_all(kind: HermiteKind, n: int, x) -> np.ndarray:
     """All degrees 0..n at once; shape (n+1,) + shape(x).
 
     Scales the orthonormal values: H_k(x) = u_k(x) / c_k and
-    Hbar_k(x) = 2^{-k/2} u_k(x / sqrt 2) / c_k.  At g2 = 1 - c^2 the
-    modified values are E Hbar_k(x + cY), Y ~ N(0, 1) (see
-    :func:`_norm_hermites`).
+    Hbar_k(x) = 2^{-k/2} u_k(x / sqrt 2) / c_k.
     """
     x = np.asarray(x, dtype=float)
     half = 0.0
@@ -324,7 +321,7 @@ def _eval_all(kind: HermiteKind, n: int, x, g2: float = 1.0) -> np.ndarray:
         x = x / math.sqrt(2.0)
         half = 0.5 * _LOG2
     scale = np.exp([-_log_ck(k) - half * k for k in range(n + 1)])
-    return _norm_hermites(n, x, g2) * scale.reshape((n + 1,) + (1,) * x.ndim)
+    return _norm_hermites(n, x) * scale.reshape((n + 1,) + (1,) * x.ndim)
 
 
 def hermite_eval(kind: HermiteKind, n: int, x):

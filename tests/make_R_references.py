@@ -69,7 +69,8 @@ AGREE, EXACT, WIDTH, PAD = mp.mpf("1e-25"), mp.mpf("1e-20"), 0.25, 24
 # The WIDE_SHIFT models of tests/test_bounds.py and the sphere orders d - 1.
 WIDE = {"RAT_0.1": (0.1, 0.5), "RAT_0.05": (0.05, 0.5)}
 WIDE_ORDERS = (1, 2, 4, 11)
-WIDE_GRID = [-6.0, -4.0, -2.0, 0.5, 1.5, 3.0, 4.5, 6.0, 8.0, 10.0, 12.0, 15.0]
+WIDE_GRID = [-6.0, -4.0, -2.0, 0.5, 1.5, 3.0, 4.5, 6.0, 8.0, 10.0, 12.0, 15.0,
+             20.0]
 # The tail's models: MODELS and the squared exponential, whose gamma is 1.
 TAIL = dict(MODELS, SQ=None)
 TAIL_ORDERS, TAIL_LEVELS = (1, 2, 3, 5, 11), [-5.0, 0.0, 2.5, 8.0, 15.0, 25.0]

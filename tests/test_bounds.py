@@ -190,8 +190,9 @@ def test_R_correction_matches_the_gauss_hermite_average(m):
 def test_smoothed_T_rows_matches_the_wide_references():
     # E T_j(a - bY) from mpmath at b^2 = 2 and 3.67: the widths of the
     # sphere's shift average on the WIDE_SHIFT models, for its orders d - 1.
-    # Past x = 6 the Appell sum of the Psi part cancels at odd j: its terms
-    # reach 1e4 times the value at b^2 = 3.67, j = 11, x = 15 (5.6e-12).
+    # Past x = 6 the Psi column's forward recurrence loses digits at odd j
+    # (4.7e-8 in F_11 at b^2 = 3.67, x = 20), though the Psi part is 0.1 %
+    # of the value there: 1.6e-12 in all, a fifth of the bound.
     models, refs = _R_references("wide")
     for m, (name, spec) in zip(WIDE_SHIFT, models.items()):
         gamma, s = bounds._gamma_s(m)
@@ -202,15 +203,27 @@ def test_smoothed_T_rows_matches_the_wide_references():
             want = np.array([refs[name, j, x] for x in xs])
             got = bounds._smoothed_T_rows((j,), gamma * xs / math.sqrt(2.0),
                                           spec["b2"])[0]
-            rtol = np.where(xs <= 6.0, 1e-12, 1e-11)
+            rtol = np.where(xs <= 6.0, 1e-12, 9e-12)
             assert np.all(np.abs(got - want) <= rtol * np.abs(want)), (name, j)
+
+
+def test_smoothed_T_rows_at_width_zero_is_T_rows():
+    # At b = 0 the moment tables are the products of the he_k values
+    # themselves; only the rounding of the two recurrences differs.
+    v = np.linspace(-20.0, 20.0, 321)
+    orders = tuple(range(1, bounds.MAX_ORDER + 1))
+    got = bounds._smoothed_T_rows(orders, v, 0.0)
+    want = bounds._T_rows(orders, v)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    rtol = np.where(np.abs(v) <= 10.0, 5e-13, 3e-12)
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want))
 
 
 @pytest.mark.parametrize("b2", [0.5, 1.0, 2.0, 3.67])
 def test_smoothed_T_rows_matches_the_gauss_hermite_average_at_any_width(b2):
-    # The sphere's shift average widens b^2 past 1/2, where the Appell
-    # variance 1 - 2b^2 is not positive, and past 1, where Mehler's 1 - b^2
-    # is not.  The gap, 3.7e-12 at most (b^2 = 3.67, j = 11), is the rule's:
+    # The sphere's shift average widens b^2 past 1/2 and past 1, where the
+    # variances 2b^2 of the Psi column and 2b^2/(1 + b^2) of the moment
+    # table pass 1.  The gap, 9.1e-13 at most (b^2 = 3.67), is the rule's:
     # at that width 64 nodes are 1e-5 off 128.  The wide mpmath references
     # pin the closed form tighter.
     xs = np.linspace(-6.0, 15.0, 43)

@@ -385,7 +385,6 @@ class TestTailCommand:
         assert out.endswith(f"# error: {error}\n")
         assert err == f"gaussmax: numeric failure: {error}\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_levels_past_phi_underflow_print_zero_rows(self, capsys):
         # The panel rule's nodes overflowed at these levels, so each row
         # failed with "value not finite for the complementary tail".
@@ -399,6 +398,22 @@ class TestTailCommand:
         assert [float(r[0]) for r in rows] == [3.0, 1e155, 1e308, big]
         assert float(rows[0][1]) > 0.0
         assert all(float(v) == 0.0 for r in rows[1:] for v in r[1:])
+
+    def test_huge_levels_print_no_warning(self):
+        # phi(u) squared u before NumPy clipped it, and printed "overflow
+        # encountered in square" on stderr past u ~ 1e154 while every row
+        # still printed.  A child process, so that the warning filters of
+        # this suite cannot hide it.
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussmax.cli", "tail",
+             "--set", f"model={json.dumps(SQ_SPEC)}",
+             "--set", f"geometry={json.dumps(RECT_SPEC)}",
+             "--set", "u=[3, 1e155, 1e308]"],
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, rows = data_rows(proc.stdout)
+        assert rows == [["3", "0.0070575667272514365", "0.0070020532007158288"],
+                        ["1e+155", "0", "0"], ["1e+308", "0", "0"]]
 
     @pytest.mark.parametrize("command", ["tail", "bound"])
     def test_sphere_geometry_is_config_error(self, capsys, command):
@@ -471,9 +486,9 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "3fe06ce1228b8704a5606bb576e9a18fcb95111df885a0a6844ad593d4cc4219"),
+         "4b7aab02fd54ebb74ab5f428a7d28fa4c8cd183f327977ee18067390f236c265"),
         ("csv",
-         "8dedf1966c582d36067ee0d98a660aa489c4b5c4201776b80fcd086cbdab2cee"),
+         "4822a2c985dd1c0d8e64be11a815a55d1a5a159b57c2d68591854c4ba94ecff0"),
     ])
     def test_output_bytes_pinned(self, capsys, reference_kernels, fmt,
                                  digest):
@@ -483,15 +498,16 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
-         "3fe06ce1228b8704a5606bb576e9a18fcb95111df885a0a6844ad593d4cc4219"),
+         "4b7aab02fd54ebb74ab5f428a7d28fa4c8cd183f327977ee18067390f236c265"),
         ("csv",
-         "8dedf1966c582d36067ee0d98a660aa489c4b5c4201776b80fcd086cbdab2cee"),
+         "4822a2c985dd1c0d8e64be11a815a55d1a5a159b57c2d68591854c4ba94ecff0"),
     ])
     def test_output_bytes_pinned_fast_kernels(self, capsys, fmt, digest):
-        # Taken when one closed form came to serve every averaging width:
-        # against the digests before it, pbar moved by 2.5e-16 relative at
-        # most, complementary_2 by 6.1e-15 and complementary_3 by 3.9e-15;
-        # pE, the principal terms and complementary_1 kept their bits.
+        # Taken when Stein's moment recurrence came to give the y-average:
+        # against the digests before it, pbar moved by 1.8e-16 relative at
+        # most, complementary_1 by 5.3e-15, complementary_2 by 2.2e-15 and
+        # complementary_3 by 4.5e-15; pE and the principal terms kept their
+        # bits.
         code, out, _ = run_cli(capsys, self.ARGS + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -246,15 +246,17 @@ def test_weighted_integral_rejects_bad_scaling():
 
 @pytest.mark.parametrize("b2", [0.1, 0.5, 2.0])
 def test_scaled_recurrence_is_the_gaussian_average(b2):
-    # p_k(a; 1 - 2b^2) = E u_k(a + bY), Y ~ N(0, 1), also where 1 - 2b^2
-    # <= 0.  A 40-node Gauss-Hermite rule is exact for these degrees, so
-    # the gap is the rounding of its sum, relative to the sum of |terms|.
+    # Stein's column E he_k(a + bY), Y ~ N(0, 1), he_k = He_k/sqrt(k!) =
+    # pi^{1/4} u_k(./sqrt 2), at variance b^2 below and above 1.  A 40-node
+    # Gauss-Hermite rule is exact for these degrees, so the gap is the
+    # rounding of its sum, relative to the sum of |terms|.
     t, w = np.polynomial.hermite.hermgauss(40)
     a = np.linspace(-4.0, 4.0, 17)
-    u = hermite._norm_hermites(30, a[:, None] + math.sqrt(2.0 * b2) * t)
-    want = u @ w / math.sqrt(math.pi)
-    size = np.abs(u) @ w / math.sqrt(math.pi)
-    got = hermite._norm_hermites(30, a, 1.0 - 2.0 * b2)
+    nodes = (a[:, None] + math.sqrt(2.0 * b2) * t) / math.sqrt(2.0)
+    he = math.pi ** 0.25 * hermite._norm_hermites(30, nodes)
+    want = he @ w / math.sqrt(math.pi)
+    size = np.abs(he) @ w / math.sqrt(math.pi)
+    got = bounds._stein_column(30, a, b2, 1.0)
     assert np.all(np.abs(got - want) <= 1e-14 * size)
 
 
